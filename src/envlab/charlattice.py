@@ -12,6 +12,7 @@ is the map itself.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,7 +189,6 @@ class FcPredicates:
 
 
 def fc_predicates(fc: FormalCharacter) -> FcPredicates:
-    from collections import Counter
     cnt = Counter(fc.weights)
     zero = (0,) * fc.rank
     neg = Counter({tuple(-x for x in w): k for w, k in cnt.items()})

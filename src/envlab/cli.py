@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .charlattice import (FormalCharacter, fc_equivalent, fc_normalize,
                           fc_predicates, has_affine_triple)
 from .errors import ResourceError, UsageError, ValidationError
-from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup, Mat,
-                        ModuleRep)
+from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
+                        ModuleRep, json_int, matrix_from_flat)
 from .gf import field_make
 from .mackey import clifford_decompose, induce, mackey_irreducible, subgroup_datum
 from .nori import nori_points
@@ -68,25 +67,27 @@ def _load_input(args):
     if not args.input:
         raise UsageError("--input is required for this subcommand")
     with open(args.input) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError("the input must be a JSON object")
+    return doc
 
 
 def _mats_from(fld, n, flats):
-    out = []
-    for flat in flats:
-        entries = [int(e) % fld.q for e in flat]
-        out.append(Mat(fld, np.array(entries, dtype=np.int64).reshape(n, n)))
-    return out
+    if not isinstance(flats, list):
+        raise ValidationError("expected a list of matrices")
+    return [matrix_from_flat(fld, n, flat) for flat in flats]
 
 
 def _module_from(doc, key="module"):
-    mf = doc.get("module_field", {})
-    fld = field_make(int(mf.get("ell")), int(mf.get("d", 1)))
+    mf = doc.get("module_field")
+    if not isinstance(mf, dict):
+        raise ValidationError("the input needs a module_field object")
+    fld = field_make(json_int(mf, "ell"), json_int(mf, "d", 1))
     flats = doc[key]
-    m = int(round(len(flats[0]) ** 0.5))
-    return ModuleRep(fld, tuple(np.array([int(e) % fld.q for e in flat],
-                                         dtype=np.int64).reshape(m, m)
-                                for flat in flats))
+    if not isinstance(flats, list) or not flats or not isinstance(flats[0], list):
+        raise ValidationError(f"{key} must be a non-empty list of matrices")
+    return ModuleRep(fld, tuple(_mats_from(fld, math.isqrt(len(flats[0])), flats)))
 
 
 def _cmd_nori(args):

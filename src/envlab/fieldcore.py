@@ -10,7 +10,8 @@ seed and a budget of random algebra elements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .gf import GF, field_make
 DEFAULT_SEED = 20240901
 DEFAULT_MEATAXE_BUDGET = 200
 DEFAULT_CLOSURE_CAP = 10 ** 7
-SPLITTING_DEGREE_BOUND = 6
 
 
 def _key(arr) -> bytes:
@@ -29,7 +29,11 @@ def _key(arr) -> bytes:
 
 
 class Mat:
-    """An n x n matrix over a finite field.  Hashable and immutable."""
+    """An n x n matrix over a finite field.  Hashable and immutable.
+
+    Over a prime field entries are reduced mod ell; over GF(ell^d), d > 1,
+    they must already be encodings in [0, ell^d), since reducing mod ell^d
+    would not be field arithmetic."""
 
     __slots__ = ("field", "array", "_hash")
 
@@ -38,6 +42,9 @@ class Mat:
         a = np.array(array, dtype=np.int64)
         if fld.d == 1:
             a %= fld.ell
+        elif a.size and a.view(np.uint64).max() >= fld.q:
+            # one comparison: negative entries view as huge unsigned values
+            raise ValidationError(f"entries over {fld} must lie in [0, {fld.q})")
         a.setflags(write=False)
         self.array = a
         self._hash = None
@@ -174,15 +181,18 @@ class FinMatGroup:
     def from_json(doc) -> "FinMatGroup":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        fld = GF(int(doc["ell"]), int(doc.get("d", 1)),
-                 tuple(doc["modulus"]) if "modulus" in doc else None)
-        n = int(doc["n"])
-        gens = []
-        for flat in doc["generators"]:
-            entries = [fld.from_coeffs(e) if isinstance(e, list) else int(e) % fld.q
-                       for e in flat]
-            gens.append(Mat(fld, np.array(entries, dtype=np.int64).reshape(n, n)))
-        return FinMatGroup(fld, gens)
+        if not isinstance(doc, dict):
+            raise ValidationError("a group must be a JSON object")
+        modulus = doc.get("modulus")
+        if modulus is not None and not _is_int_list(modulus):
+            raise ValidationError("modulus must be a list of integers")
+        fld = GF(json_int(doc, "ell"), json_int(doc, "d", 1),
+                 tuple(modulus) if modulus is not None else None)
+        n = json_int(doc, "n")
+        flats = doc.get("generators")
+        if n < 1 or not isinstance(flats, list) or not flats:
+            raise ValidationError("a group needs n >= 1 and at least one generator")
+        return FinMatGroup(fld, [matrix_from_flat(fld, n, flat) for flat in flats])
 
     def to_json(self) -> dict:
         fld = self.field
@@ -196,6 +206,56 @@ class FinMatGroup:
         if fld.d > 1:
             doc["modulus"] = list(fld.modulus)
         return doc
+
+
+def generated_subgroup(fld: GF, n: int, candidates, cap: int = DEFAULT_CLOSURE_CAP,
+                       conjugators=()) -> FinMatGroup:
+    """The subgroup generated by the candidates; with conjugators, its
+    normal closure under them.  A candidate already in the closure built so
+    far is skipped, so a long list inside a small group costs a membership
+    test each; each new generator queues its conjugates by the conjugators."""
+    group = FinMatGroup.trivial(fld, n)
+    gens = []
+    conj = [(g, g.inverse()) for g in conjugators]
+    work = list(candidates)
+    for c in work:
+        if c in group:
+            continue
+        gens.append(c)
+        group = FinMatGroup(fld, gens)
+        group.closure(cap)
+        work.extend(g @ c @ gi for g, gi in conj)
+    return group
+
+
+def json_int(doc: dict, key: str, default=None) -> int:
+    """doc[key] (or the default) as an int, or ValidationError."""
+    value = doc.get(key, default)
+    if not isinstance(value, Integral):
+        raise ValidationError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(c, Integral) for c in value)
+
+
+def matrix_from_flat(fld: GF, n: int, flat) -> Mat:
+    """An n x n Mat from a row-major JSON list of n*n entries, each an
+    integer (reduced mod q) or, over GF(ell^d), a list of at most d
+    coefficients, low to high."""
+    if not isinstance(flat, list) or len(flat) != n * n:
+        raise ValidationError(f"a matrix must be a list of {n * n} entries")
+    entries = []
+    for e in flat:
+        if isinstance(e, Integral):
+            entries.append(int(e) % fld.q)
+        elif _is_int_list(e) and len(e) <= fld.d:
+            entries.append(fld.from_coeffs(e))
+        else:
+            raise ValidationError(f"matrix entry {e!r} is neither an integer "
+                                  f"nor a list of at most {fld.d} integers")
+    return Mat(fld, np.array(entries, dtype=np.int64).reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -610,7 +670,7 @@ def semisimplify(rho: ModuleRep, seed: int = DEFAULT_SEED,
     return acc
 
 
-def splitting_degree(rho: ModuleRep, seed: int = DEFAULT_SEED) -> int:
+def splitting_degree(rho: ModuleRep) -> int:
     """For an irreducible module, the degree of its commutant field over the
     base field (1 means absolutely irreducible)."""
     _, dim = commutant(rho)

@@ -257,9 +257,11 @@ class GF:
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
-        e %= (self.q - 1) if a else 1
+        if not a:
+            return 0 if e else 1
+        e %= self.q - 1
         if self.d == 1:
-            return pow(int(a), e, self.ell) if a else (0 if e else 1)
+            return pow(int(a), e, self.ell)
         r, base = 1, int(a)
         while e:
             if e & 1:
@@ -334,9 +336,6 @@ class GF:
         p, q = B.shape
         K = self.mul(A[:, None, :, None], B[None, :, None, :])
         return K.reshape(m * p, n * q)
-
-    def random_matrix(self, n, m, rng):
-        return np.asarray(rng.integers(0, self.q, size=(n, m)), dtype=np.int64)
 
     # -- multiplicative structure --
 

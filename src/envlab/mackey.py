@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
-from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep,
+from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _key,
                         composition_factors, intertwiners, invariants_dim,
                         is_irreducible, modules_isomorphic)
 from .gf import GF
@@ -61,7 +61,6 @@ def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
     covered = set()
     reps = []
     h_elems = H.closure()
-    from .fieldcore import _key
     for t in ambient.closure():
         k = _key(t.array)
         if k in covered:
@@ -119,7 +118,6 @@ def dual_module(W: ModuleRep) -> ModuleRep:
 def double_coset_reps(sub: SubgroupDatum):
     """One representative per double coset H g H, identity first."""
     G, H = sub.ambient, sub.subgroup
-    from .fieldcore import _key
     h_elems = H.closure()
     covered = set()
     reps = []

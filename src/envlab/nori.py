@@ -1,10 +1,11 @@
 """Exponential generation of finite matrix groups in characteristic ell:
-truncated exp/log, one-parameter subgroups, the normal subgroup generated by
-order-ell elements, and the F_ell-points of the exponentially generated
-closure together with its matrix Lie algebra.
+truncated exp/log, one-parameter subgroups, the normal subgroup G+
+generated by order-ell elements, and the F_ell-points of the exponentially
+generated closure together with its matrix Lie algebra.
 
 Requires ell >= n so that the truncated series terminate and invert each
-other on unipotent matrices.
+other on unipotent matrices.  Then exp(t log x) = x^t, so the closure
+generated by all one-parameter subgroups over G[ell] is G+ itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharTooSmall, EmptyAlgebra, NotUnipotent
-from .fieldcore import DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup, Mat
+from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup, Mat,
+                        generated_subgroup)
 from .gf import GF
 
 
@@ -37,10 +39,13 @@ class NoriResult:
     plus_group: FinMatGroup
     nori_points: FinMatGroup
     lie_algebra: list
-    quotient_order: int
     warnings: list
 
-    def to_json(self, lie_rank=None):
+    @property
+    def quotient_order(self) -> int:
+        return self.nori_points.order // self.plus_group.order
+
+    def to_json(self):
         doc = {
             "plus_order": self.plus_group.order,
             "nori_order": self.nori_points.order,
@@ -133,28 +138,9 @@ def one_param_subgroup(x: Mat):
     return out
 
 
-def _closure_from_candidates(fld, n, candidates, cap):
-    """Group generated by a large candidate set, adding generators only
-    when they fall outside the closure built so far."""
-    group = FinMatGroup.trivial(fld, n)
-    gens = []
-    for c in candidates:
-        if c.is_identity():
-            continue
-        if c in group:
-            continue
-        gens.append(c)
-        group = FinMatGroup(fld, gens)
-        group.closure(cap)
-    if not gens:
-        return FinMatGroup.trivial(fld, n)
-    return group
-
-
 def plus_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
     """The subgroup generated by the order-ell elements (normal in G)."""
-    unis = order_ell_elements(G, cap)
-    return _closure_from_candidates(G.field, G.n, unis, cap)
+    return generated_subgroup(G.field, G.n, order_ell_elements(G, cap), cap)
 
 
 def lie_closure(fld: GF, seeds, n: int):
@@ -193,7 +179,11 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP,
                 collect_warnings: bool = True) -> NoriResult:
     """F_ell-points of the group generated by the one-parameter subgroups
     over G[ell], with the associated Lie algebra and the order of the
-    quotient by its own plus-subgroup."""
+    quotient by its own plus-subgroup.
+
+    Since exp(t log x) = x^t when ell >= n, that group is G+, generated by
+    G[ell] itself; the Lie algebra is spanned by brackets of the logs of
+    G[ell]."""
     fld = G.field
     n = G.n
     warns = []
@@ -204,17 +194,9 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP,
         if collect_warnings:
             warnings.warn(msg)
     unis = order_ell_elements(G, cap)
-    candidates = []
-    logs = []
-    for x in unis:
-        logs.append(unipotent_log(x).mat.array)
-        candidates.extend(one_param_subgroup(x))
-    S = _closure_from_candidates(fld, n, candidates, cap)
-    S_plus = plus_subgroup(S, cap)
-    quotient_order = S.order // S_plus.order
-    algebra = lie_closure(fld, logs, n)
-    return NoriResult(plus_group=plus_subgroup(G, cap), nori_points=S,
-                      lie_algebra=algebra, quotient_order=quotient_order,
+    plus = generated_subgroup(fld, n, unis, cap)
+    algebra = lie_closure(fld, [unipotent_log(x).mat.array for x in unis], n)
+    return NoriResult(plus_group=plus, nori_points=plus, lie_algebra=algebra,
                       warnings=warns)
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .charlattice import fc_predicates, has_affine_triple
 from .errors import EnvlabError, UnknownPredicate
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
-                        commutant, composition_factors, module_of_group)
+                        commutant, composition_factors, generated_subgroup,
+                        module_of_group)
 from .nori import lie_rank_estimate, nori_points, quotient_is_abelian
 from .smallrep import table_a
 from .tame import tame_weights_of_rep
@@ -25,30 +26,9 @@ REPORT_VERSION = 1
 def derived_subgroup(G: FinMatGroup) -> FinMatGroup:
     """Normal closure of the generator commutators (the derived subgroup,
     since the commutators normally generate it)."""
-    gens = []
-    have = FinMatGroup.trivial(G.field, G.n)
-    def absorb(m):
-        nonlocal have
-        if m.is_identity() or m in have:
-            return
-        gens.append(m)
-        have = FinMatGroup(G.field, gens)
-        have.closure()
-    for a in G.generators:
-        for b in G.generators:
-            absorb(a @ b @ a.inverse() @ b.inverse())
-    # close under conjugation by the ambient generators
-    changed = True
-    while changed:
-        changed = False
-        for g in G.generators:
-            gi = g.inverse()
-            for u in list(gens):
-                c = g @ u @ gi
-                if c not in have:
-                    absorb(c)
-                    changed = True
-    return have
+    comms = [a @ b @ a.inverse() @ b.inverse()
+             for a in G.generators for b in G.generators]
+    return generated_subgroup(G.field, G.n, comms, conjugators=G.generators)
 
 
 @dataclass

@@ -129,6 +129,29 @@ def test_malformed_json_is_validation_error(tmp_path):
     assert run(["nori", "--input", str(bad)]) == 1
 
 
+def _mackey_doc_without_module_field():
+    return {"group": {"ell": 7, "n": 2, "generators": [[0, 1, 1, 0]]},
+            "subgroup": [[1, 0, 0, 1]], "module": [[1]]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("nori", {"ell": 7, "n": 2, "generators": [[1, 1, 0]]}),
+    ("nori", {"ell": 7, "n": 2, "generators": []}),
+    ("envelope", {"ell": 7, "n": 2, "generators": [[1, "x", 0, 1]]}),
+    ("envelope", {"ell": 7, "n": 2, "generators": [[1, 1.5, 0, 1]]}),
+    ("nori", [1, 2, 3]),
+    ("mackey", _mackey_doc_without_module_field()),
+    ("mackey", dict(_mackey_doc_without_module_field(),
+                    module_field={"ell": 7}, module=[[1, 2]])),
+], ids=["wrong-length", "no-generators", "non-integer", "float-entry",
+        "not-an-object", "no-module-field", "non-square-module"])
+def test_malformed_input_is_validation_error(tmp_path, capsys, command, doc):
+    path = write_json(tmp_path / "bad.json", doc)
+    assert run([command, "--input", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run(["definitely-not-a-command"]) == 64
 

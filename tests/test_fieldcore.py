@@ -3,13 +3,16 @@ extension."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import (cyclic_group, diagonal_torus, dihedral_group, perm_mat,
-                    sl2_group, symmetric_group)
+from corpus import (alternating_group_4, cyclic_group, diagonal_torus,
+                    dihedral_group, perm_mat, quaternion_group, sl2_group,
+                    symmetric_group)
 from envlab.errors import ValidationError
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               commutant, composition_factors, extend_scalars,
-                              intertwiners, invariants_dim,
+                              generated_subgroup, intertwiners, invariants_dim,
                               is_absolutely_irreducible, is_irreducible,
                               meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
@@ -22,6 +25,14 @@ def test_mat_basic_ops():
     assert a.is_invertible()
     assert (a @ a.inverse()).is_identity()
     assert a.order() > 0
+
+
+@pytest.mark.parametrize("entry", [-1, 25, 30])
+def test_mat_rejects_non_canonical_encodings(entry):
+    with pytest.raises(ValidationError):
+        Mat(field_make(5, 2), np.array([[entry, 0], [0, 1]], dtype=np.int64))
+    # prime-field entries are reduced, not rejected
+    assert Mat(field_make(7, 1), [[entry]]) == Mat(field_make(7, 1), [[entry % 7]])
 
 
 def test_group_orders():
@@ -159,3 +170,22 @@ def test_commutant_dimension_law_small():
     two = next(m for m, _ in factors if m.dim == 2)
     rho = one.direct_sum(one).direct_sum(two)
     assert commutant(rho)[1] == 4 + 1
+
+
+SMALL_GROUPS = [symmetric_group(3, 7), dihedral_group(4, 5), quaternion_group(5),
+                alternating_group_4(7), symmetric_group(4, 13)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_generated_subgroup_matches_closure(data):
+    G = data.draw(st.sampled_from(SMALL_GROUPS))
+    elements = G.closure()
+    picks = data.draw(st.lists(st.integers(0, len(elements) - 1),
+                               min_size=1, max_size=4))
+    subset = [elements[i] for i in picks]
+    H = generated_subgroup(G.field, G.n, subset)
+    assert set(H.closure()) == set(FinMatGroup(G.field, subset).closure())
+    N = generated_subgroup(G.field, G.n, subset, conjugators=G.generators)
+    conjugates = [g @ s @ g.inverse() for g in elements for s in subset]
+    assert set(N.closure()) == set(FinMatGroup(G.field, conjugates).closure())

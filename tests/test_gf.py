@@ -63,6 +63,14 @@ def test_pow_matches_repeated_mul():
             assert fld.pow(x, k) == acc
 
 
+@pytest.mark.parametrize("ell,d", [(7, 1), (5, 2)])
+def test_pow_of_zero(ell, d):
+    fld = field_make(ell, d)
+    assert fld.pow(0, 0) == 1
+    for e in (1, 2, fld.q - 1, fld.q):
+        assert fld.pow(0, e) == 0
+
+
 @pytest.mark.parametrize("ell,d", [(5, 1), (5, 2), (7, 2)])
 def test_rref_nullspace_rank(ell, d):
     fld = field_make(ell, d)

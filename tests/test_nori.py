@@ -6,7 +6,7 @@ import pytest
 
 from corpus import diagonal_torus, sl2_group
 from envlab.errors import CharTooSmall, NotUnipotent
-from envlab.fieldcore import Mat, commutant, module_of_group
+from envlab.fieldcore import FinMatGroup, Mat, commutant, module_of_group
 from envlab.gf import field_make
 from envlab.nori import (default_ell_threshold, is_unipotent, lie_closure,
                          lie_rank_estimate, nilpotent_exp, nori_points,
@@ -125,3 +125,57 @@ def test_commutant_matches_group_on_sl2():
     result = nori_points(G)
     assert commutant(module_of_group(G))[1] == \
         commutant(module_of_group(result.nori_points))[1] == 1
+
+
+def sym2_so3_group(ell):
+    """SO3(F_ell) = PGL2(F_ell): Sym^2 of the SL2 unit transvections, plus
+    diag(w, 1, w^-1) for the least primitive w."""
+    fld = field_make(ell, 1)
+    w = fld.least_primitive()
+    return FinMatGroup(fld, [
+        Mat(fld, np.array([[1, 2, 1], [0, 1, 1], [0, 0, 1]], dtype=np.int64)),
+        Mat(fld, np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=np.int64)),
+        Mat(fld, np.diag([w, 1, fld.inv(w)]).astype(np.int64)),
+    ])
+
+
+def sl3_group(ell):
+    """SL3(F_ell) from the unit transvections e12, e21, e23, e32."""
+    fld = field_make(ell, 1)
+    gens = []
+    for i, j in [(0, 1), (1, 0), (1, 2), (2, 1)]:
+        m = np.eye(3, dtype=np.int64)
+        m[i, j] = 1
+        gens.append(Mat(fld, m))
+    return FinMatGroup(fld, gens)
+
+
+def one_param_closure(G):
+    """Reference: the group generated by every one-parameter subgroup
+    exp(t log x) over x in G[ell], re-closed whenever a candidate falls
+    outside the group built so far."""
+    group = FinMatGroup.trivial(G.field, G.n)
+    gens = []
+    for x in order_ell_elements(G):
+        for c in one_param_subgroup(x):
+            if c not in group:
+                gens.append(c)
+                group = FinMatGroup(G.field, gens)
+    return group
+
+
+@pytest.mark.parametrize("make,order,plus_order", [
+    (lambda: sl2_group(5), 120, 120),
+    (lambda: sl2_group(7), 336, 336),
+    (lambda: sym2_so3_group(7), 336, 168),
+    (lambda: sl3_group(3), 5616, 5616),
+    (lambda: diagonal_torus(11), 100, 1),
+], ids=["SL2(5)", "SL2(7)", "SO3(7)", "SL3(3)", "torus(11)"])
+def test_nori_points_match_one_param_closure(make, order, plus_order):
+    G = make()
+    assert G.order == order
+    result = nori_points(G, collect_warnings=False)
+    assert result.nori_points is result.plus_group
+    assert result.nori_points.order == plus_order
+    assert set(result.nori_points.closure()) == set(one_param_closure(G).closure())
+    assert result.quotient_order == 1

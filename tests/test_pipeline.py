@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from corpus import diagonal_torus, sl2_group, symmetric_group
+from corpus import diagonal_torus, mackey_corpus, sl2_group
 from envlab.errors import UnknownPredicate
 from envlab.fieldcore import FinMatGroup, Mat
 from envlab.gf import field_make
@@ -13,11 +13,16 @@ from envlab.pipeline import derived_subgroup, eliminate_cases, envelope_report
 from envlab.smallrep import table_a
 
 
-def test_derived_subgroup_of_s3_is_a3():
-    G = symmetric_group(3, 7)
+DERIVED_ORDERS = {"S3/F7": 3, "C6/F7": 1, "D4/F5": 2, "Q8/F5": 2,
+                  "D5/F11": 5, "D6/F7": 3, "A4/F7": 4, "S4/F13": 12}
+
+
+@pytest.mark.parametrize("G,order", [pytest.param(G, DERIVED_ORDERS[name], id=name)
+                                     for name, G, _ in mackey_corpus()])
+def test_derived_subgroup_order(G, order):
     D = derived_subgroup(G)
-    assert D.order == 3
-    assert D.is_normal_in(G)
+    assert D.order == order
+    assert D.is_subgroup_of(G) and D.is_normal_in(G)
 
 
 def test_derived_subgroup_of_abelian_is_trivial():
