@@ -23,25 +23,45 @@ DEFAULT_EQUIV_BUDGET = 10 ** 6
 
 # -- small exact rational linear algebra --
 
+def q_rref(rows):
+    """Gauss-Jordan elimination over Q: (the nonzero rows of the reduced
+    row echelon form, as Fractions, and their pivot columns)."""
+    A = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][col]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        piv = Fraction(A[r][col])
+        A[r] = [x / piv for x in A[r]]
+        for i, row in enumerate(A):
+            c = row[col]
+            if i != r and c:
+                A[i] = [x - c * y for x, y in zip(row, A[r])]
+        pivots.append(col)
+        if len(pivots) == len(A):
+            break
+    return A[:len(pivots)], pivots
+
+
+def _rank_q(rows):
+    return len(q_rref(rows)[1])
+
+
 def _q_matinv(M):
     """Inverse of a square matrix of Fractions/ints, or None if singular."""
     n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    row = 0
-    for col in range(n):
-        p = next((r for r in range(row, n) if A[r][col] != 0), None)
-        if p is None:
-            return None
-        A[row], A[p] = A[p], A[row]
-        inv = A[row][col]
-        A[row] = [x / inv for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                c = A[r][col]
-                A[r] = [x - c * y for x, y in zip(A[r], A[row])]
-        row += 1
-    return [r[n:] for r in A]
+    R, pivots = q_rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(M)])
+    return [r[n:] for r in R] if pivots[-1] < n else None
+
+
+def _is_unimodular(T):
+    """An integer matrix is unimodular iff its inverse exists and is integral."""
+    inv = _q_matinv(T)
+    return inv is not None and all(x.denominator == 1 for row in inv for x in row)
 
 
 def _mat_mul(A, B):
@@ -50,26 +70,6 @@ def _mat_mul(A, B):
 
 def _mat_vec(A, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
-
-
-def _det(M):
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        p = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != col:
-            A[col], A[p] = A[p], A[col]
-            det = -det
-        det *= A[col][col]
-        piv = A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                c = A[r][col] / piv
-                A[r] = [x - c * y for x, y in zip(A[r], A[col])]
-    return det
 
 
 def row_hnf(rows):
@@ -222,28 +222,6 @@ def _spanning_subset(weights, s):
     return None
 
 
-def _rank_q(rows):
-    A = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(A[0]) if A else 0
-    col = 0
-    r = 0
-    while r < len(A) and col < ncols:
-        p = next((i for i in range(r, len(A)) if A[i][col] != 0), None)
-        if p is None:
-            col += 1
-            continue
-        A[r], A[p] = A[p], A[r]
-        piv = A[r][col]
-        for i in range(r + 1, len(A)):
-            if A[i][col] != 0:
-                c = A[i][col] / piv
-                A[i] = [x - c * y for x, y in zip(A[i], A[r])]
-        r += 1
-        col += 1
-    return r
-
-
 def _unimodular_match(a_weights, b_weights, s, budget):
     """Yield unimodular integer maps T (s x s, rows) with T * multiset(a)
     == multiset(b).  Consumes from the candidate budget; raises
@@ -267,7 +245,7 @@ def _unimodular_match(a_weights, b_weights, s, budget):
         if any(f.denominator != 1 for f in map(Fraction, flat)):
             continue
         T = [[int(x) for x in row] for row in T]
-        if abs(_det(T)) != 1:
+        if not _is_unimodular(T):
             continue
         mapped = sorted((_mat_vec(T, w) for w in a_weights), key=_grlex_key)
         if mapped == sorted_b:
@@ -383,6 +361,4 @@ def _solve_commuting_map(Ra, Rb, S, s):
     if any(f.denominator != 1 for f in flat):
         return None
     T = [[int(x) for x in row] for row in T]
-    if abs(_det(T)) != 1:
-        return None
-    return T
+    return T if _is_unimodular(T) else None

@@ -28,7 +28,7 @@ from .charlattice import (FormalCharacter, fc_equivalent, fc_normalize,
                           fc_predicates, has_affine_triple)
 from .errors import ResourceError, UsageError, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
-                        ModuleRep, json_int, matrix_from_flat)
+                        ModuleRep, _is_int_list, json_int, matrix_from_flat)
 from .gf import field_make
 from .mackey import clifford_decompose, induce, mackey_irreducible, subgroup_datum
 from .nori import nori_points
@@ -102,10 +102,19 @@ def _cmd_envelope(args):
     _emit(report.to_json(), args)
 
 
+def _formal_char_from(doc):
+    if not isinstance(doc, dict):
+        raise ValidationError("a formal character must be a JSON object")
+    rank = json_int(doc, "rank")
+    weights = doc.get("weights")
+    if not isinstance(weights, list) or not all(map(_is_int_list, weights)):
+        raise ValidationError("weights must be a list of integer lists")
+    return FormalCharacter(rank, tuple(tuple(w) for w in weights))
+
+
 def _cmd_formal_char(args):
     doc = _load_input(args)
-    fc = fc_normalize(FormalCharacter(int(doc["rank"]),
-                                      tuple(tuple(w) for w in doc["weights"])))
+    fc = fc_normalize(_formal_char_from(doc))
     p = fc_predicates(fc)
     out = {
         "rank": fc.rank,
@@ -116,9 +125,7 @@ def _cmd_formal_char(args):
         "affine_triple": has_affine_triple(fc),
     }
     if "other" in doc:
-        other = FormalCharacter(int(doc["other"]["rank"]),
-                                tuple(tuple(w) for w in doc["other"]["weights"]))
-        out["equivalent"] = fc_equivalent(fc, other)
+        out["equivalent"] = fc_equivalent(fc, _formal_char_from(doc["other"]))
     _emit(out, args)
 
 

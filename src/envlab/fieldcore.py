@@ -5,6 +5,11 @@ Modules are given by the action matrices of a free generating set; no
 relations are checked unless a group closure is materialized.  All values
 are immutable after construction; randomized routines take an explicit
 seed and a budget of random algebra elements.
+
+EchelonBasis is the one incremental echelon basis: spin, the Krylov
+minimal polynomial of the MeatAxe and nori.lie_closure grow one row at a
+time on it, while GF.rref stays the batch kernel for whole systems.  The
+MeatAxe's polynomial arithmetic is the kernel in gf.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 
 from .errors import (ClosureOverflow, DimensionMismatch, RandomBudgetExceeded,
                      ValidationError)
-from .gf import GF, field_make
+from .gf import (GF, field_make, poly_divmod, poly_frobenius_gap, poly_gcd,
+                 poly_mul, poly_powmod, poly_sub, poly_trim)
 
 DEFAULT_SEED = 20240901
 DEFAULT_MEATAXE_BUDGET = 200
@@ -186,8 +192,8 @@ class FinMatGroup:
         modulus = doc.get("modulus")
         if modulus is not None and not _is_int_list(modulus):
             raise ValidationError("modulus must be a list of integers")
-        fld = GF(json_int(doc, "ell"), json_int(doc, "d", 1),
-                 tuple(modulus) if modulus is not None else None)
+        ell, d = json_int(doc, "ell"), json_int(doc, "d", 1)
+        fld = field_make(ell, d) if modulus is None else GF(ell, d, tuple(modulus))
         n = json_int(doc, "n")
         flats = doc.get("generators")
         if n < 1 or not isinstance(flats, list) or not flats:
@@ -337,70 +343,13 @@ def invariants_dim(rho: ModuleRep) -> int:
     return fld.nullspace(np.concatenate(rows, axis=0)).shape[0]
 
 
-# -- polynomial machinery over GF(q) for the MeatAxe --
-
-def _poly_mul(fld, a, b):
-    if not a or not b:
-        return []
-    c = [np.int64(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] = fld.add(c[i + j], fld.mul(ai, bj))
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_divmod(fld, a, b):
-    a = list(a)
-    binv = fld.inv(int(b[-1]))
-    quot = [np.int64(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        coef = fld.mul(a[-1], np.int64(binv))
-        off = len(a) - len(b)
-        quot[off] = coef
-        for j in range(len(b)):
-            a[off + j] = fld.sub(a[off + j], fld.mul(coef, b[j]))
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return quot, a
-
-
-def _poly_gcd(fld, a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(fld, a, b)
-        a, b = b, r
-    if a:
-        inv = np.int64(fld.inv(int(a[-1])))
-        a = [fld.mul(c, inv) for c in a]
-    return a
-
-
-def _poly_powmod(fld, a, e, mod):
-    r = [np.int64(1)]
-    a = _poly_divmod(fld, a, mod)[1]
-    while e:
-        if e & 1:
-            r = _poly_divmod(fld, _poly_mul(fld, r, a), mod)[1]
-        a = _poly_divmod(fld, _poly_mul(fld, a, a), mod)[1]
-        e >>= 1
-    return r
-
+# -- the MeatAxe: polynomials from the gf kernel, one echelon basis --
 
 def _irreducible_factor(fld, p, rng):
     """One irreducible factor of the monic polynomial p, of least degree."""
     # distinct-degree stage
-    x = [np.int64(0), np.int64(1)]
     for k in range(1, len(p)):
-        xqk = _poly_powmod(fld, x, fld.q ** k, p)
-        diff = list(xqk) + [np.int64(0)] * max(0, 2 - len(xqk))
-        diff[1] = fld.sub(diff[1], np.int64(1))
-        while diff and not diff[-1]:
-            diff.pop()
-        g = _poly_gcd(fld, p, diff)
+        g = poly_gcd(fld, p, poly_frobenius_gap(fld, k, p))
         if len(g) - 1 > 0:
             return _equal_degree_factor(fld, g, k, rng)
     return p
@@ -410,114 +359,87 @@ def _equal_degree_factor(fld, g, k, rng):
     """Cantor-Zassenhaus on a monic product of irreducibles of degree k."""
     while len(g) - 1 > k:
         deg = len(g) - 1
-        r = [np.int64(int(c)) for c in rng.integers(0, fld.q, size=deg)]
-        while r and not r[-1]:
-            r.pop()
+        r = poly_trim(rng.integers(0, fld.q, size=deg).tolist())
         if len(r) < 2:
             continue
         if fld.ell == 2:
-            # additive trace splits in characteristic 2
-            h = list(r)
-            t = list(r)
+            # additive trace splits in characteristic 2, where + is -
+            h = t = r
             for _ in range(k * fld.d - 1):
-                t = _poly_divmod(fld, _poly_mul(fld, t, t), g)[1]
-                h = [fld.add(a, b) for a, b in
-                     zip(h + [np.int64(0)] * (len(t) - len(h)),
-                         t + [np.int64(0)] * (len(h) - len(t)))]
+                t = poly_divmod(fld, poly_mul(fld, t, t), g)[1]
+                h = poly_sub(fld, h, t)
         else:
-            h = _poly_powmod(fld, r, (fld.q ** k - 1) // 2, g)
-            h = list(h) + [np.int64(0)] * max(0, 1 - len(h))
-            h[0] = fld.sub(h[0], np.int64(1))
-        while h and not h[-1]:
-            h.pop()
+            h = poly_sub(fld, poly_powmod(fld, r, (fld.q ** k - 1) // 2, g), [1])
         if not h:
             continue
-        d = _poly_gcd(fld, g, h)
+        d = poly_gcd(fld, g, h)
         if 0 < len(d) - 1 < len(g) - 1:
-            other = _poly_divmod(fld, g, d)[0]
+            other = poly_divmod(fld, g, d)[0]
             g = d if len(d) <= len(other) else other
     return g
 
 
-def _vector_minpoly(fld, matrices_combo, v):
-    """Monic minimal polynomial of the vector v under the matrix A (Krylov)."""
-    A = matrices_combo
-    cur = v.copy()
-    power = 0
-    reps = []  # (reduced echelon row, pivot, Krylov combination)
-    while True:
-        # reduce cur against current echelon basis, tracking the combination
-        combo = np.zeros(power + 1, dtype=np.int64)
-        combo[power] = 1
-        red = cur.copy()
-        for (prow, ppiv, pcombo) in reps:
-            c = red[ppiv]
-            if c:
-                red = fld.sub(red, fld.mul(np.int64(c), prow))
-                pc = np.zeros(power + 1, dtype=np.int64)
-                pc[:len(pcombo)] = pcombo
-                combo = fld.sub(combo, fld.mul(np.int64(c), pc))
-        nz = np.nonzero(red)[0]
-        if nz.size == 0:
-            # combo gives sum_j combo[j] A^j v = 0 with combo[power] != 0
-            lead = fld.inv(int(combo[power]))
-            poly = [fld.mul(np.int64(lead), np.int64(int(c))) for c in combo]
-            return poly
-        piv = int(nz[0])
-        inv = np.int64(fld.inv(int(red[piv])))
-        red = fld.mul(red, inv)
-        combo = fld.mul(combo, inv)
-        reps.append((red, piv, combo))
-        cur = fld.matmul(A, cur[:, None])[:, 0]
-        power += 1
+class EchelonBasis:
+    """An incrementally echelonized row basis: each row is monic at its
+    pivot and zero at the pivots of the rows added before it."""
 
-
-class SpinBasis:
-    """Incrementally echelonized basis of a spin-closed subspace."""
-
-    def __init__(self, fld, n):
+    def __init__(self, fld):
         self.fld = fld
-        self.n = n
-        self.rows = []   # (vector, pivot) with pivot strictly increasing insert order
-        self.queue = []
+        self.rows = []
+        self.pivots = []
 
-    def add(self, vec) -> bool:
-        v = vec.copy()
+    def reduce(self, v):
+        """v minus the combination of rows that clears it at every pivot."""
         fld = self.fld
-        for row, piv in self.rows:
-            c = v[piv]
+        for row, piv in zip(self.rows, self.pivots):
+            c = int(v[piv])
             if c:
-                v = fld.sub(v, fld.mul(np.int64(int(c)), row))
-        nz = np.nonzero(v)[0]
+                v = fld.sub(v, fld.mul(c, row))
+        return v
+
+    def add(self, v):
+        """Append the reduced v made monic and return it; None if v lies in
+        the span."""
+        v = self.reduce(np.asarray(v, dtype=np.int64))
+        nz = np.flatnonzero(v)
         if nz.size == 0:
-            return False
+            return None
         piv = int(nz[0])
-        v = fld.mul(v, np.int64(fld.inv(int(v[piv]))))
-        self.rows.append((v, piv))
-        self.queue.append(v)
-        return True
+        v = self.fld.mul(v, self.fld.inv(int(v[piv])))
+        self.rows.append(v)
+        self.pivots.append(piv)
+        return v
 
-    @property
-    def dim(self):
-        return len(self.rows)
 
-    def basis_matrix(self):
-        return np.array([r for r, _ in self.rows], dtype=np.int64) \
-            if self.rows else np.zeros((0, self.n), dtype=np.int64)
+def _vector_minpoly(fld, A, v):
+    """Monic minimal polynomial of the vector v under the matrix A.  The rows
+    (A^k v | e_k) are echelonized until the first half of one reduces to
+    zero; its second half is then the relation sum_j c_j A^j v = 0."""
+    n = len(v)
+    basis = EchelonBasis(fld)
+    cur = v
+    for k in range(n + 1):
+        row = np.zeros(2 * n + 1, dtype=np.int64)
+        row[:n], row[n + k] = cur, 1
+        red = basis.add(row)
+        if not red[:n].any():
+            rel = red[n:n + k + 1]
+            return fld.mul(rel, fld.inv(int(rel[k]))).tolist()
+        cur = fld.matmul(A, cur[:, None])[:, 0]
 
 
 def spin(fld, matrices, seeds):
-    """Smallest subspace containing the seed vectors and closed under the
-    (column) action of the given matrices.  Returns a SpinBasis."""
-    n = matrices[0].shape[0] if matrices else seeds[0].shape[0]
-    sb = SpinBasis(fld, n)
-    for s in seeds:
-        sb.add(s)
-    while sb.queue:
-        v = sb.queue.pop()
+    """Echelon basis of the smallest subspace containing the seed vectors
+    and closed under the (column) action of the given matrices."""
+    basis = EchelonBasis(fld)
+    queue = [row for row in map(basis.add, seeds) if row is not None]
+    while queue:
+        v = queue.pop()
         for M in matrices:
-            sb.add(fld.matmul(M, v[:, None])[:, 0])
-    return sb
+            row = basis.add(fld.matmul(M, v[:, None])[:, 0])
+            if row is not None:
+                queue.append(row)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -579,15 +501,15 @@ def meataxe_split(rho: ModuleRep, seed: int = DEFAULT_SEED,
         null = fld.nullspace(theta)
         if null.shape[0] == 0:
             continue
-        w = spin(fld, mats, [null[0]])
-        if 0 < w.dim < n:
-            return w.basis_matrix()
+        w = spin(fld, mats, [null[0]]).rows
+        if 0 < len(w) < n:
+            return np.array(w)
         nullT = fld.nullspace(theta.T)
         matsT = [m.T for m in mats]
-        wT = spin(fld, matsT, [nullT[0]])
-        if 0 < wT.dim < n:
+        wT = spin(fld, matsT, [nullT[0]]).rows
+        if 0 < len(wT) < n:
             # annihilator of a proper dual submodule is a proper submodule
-            return fld.nullspace(wT.basis_matrix())
+            return fld.nullspace(np.array(wT))
         if null.shape[0] == len(p0) - 1:
             return IrreducibleWitness(A, len(p0) - 1)
     raise RandomBudgetExceeded(f"no verdict within {budget} random algebra elements")

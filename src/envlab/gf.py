@@ -11,6 +11,11 @@ The canonical modulus of GF(ell^d) is the monic irreducible polynomial of
 degree d whose coefficient vector (c_0, ..., c_{d-1}) has the least encoded
 value sum(c_j * ell^j).  This makes every field object reproducible from
 (ell, d) alone.
+
+This module also holds envlab's one polynomial kernel, the poly_*
+functions: dense polynomials over a GF instance, as lists of python-int
+encodings, low to high.  The modulus search here runs it over F_ell; the
+MeatAxe (fieldcore) and the tame layer import it.
 """
 
 from __future__ import annotations
@@ -48,83 +53,82 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- dense polynomials over F_ell (python int coefficients, little-endian) --
+# -- the polynomial kernel: results are trimmed of zero leading coefficients --
 
-def _ptrim(a):
-    while a and a[-1] == 0:
+def poly_trim(a):
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _pmulmod(a, b, f, ell):
-    """(a * b) mod f over F_ell, f monic."""
-    n = len(f) - 1
-    c = [0] * (len(a) + len(b) - 1) if a and b else []
+def poly_sub(fld, a, b):
+    n = max(len(a), len(b))
+    pad = lambda p: np.array(list(p) + [0] * (n - len(p)), dtype=np.int64)
+    return poly_trim(fld.sub(pad(a), pad(b)).tolist())
+
+
+def poly_mul(fld, a, b):
+    if not a or not b:
+        return []
+    c = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    bv = np.array(b, dtype=np.int64)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                c[i + j] = (c[i + j] + ai * bj) % ell
-    for k in range(len(c) - 1, n - 1, -1):
-        ck = c[k]
-        if ck:
-            for j in range(n):
-                c[k - n + j] = (c[k - n + j] - ck * f[j]) % ell
-        c.pop()
-    return _ptrim(c)
+            c[i:i + len(b)] = fld.add(c[i:i + len(b)], fld.mul(ai, bv))
+    return poly_trim(c.tolist())
 
 
-def _ppowmod(a, e, f, ell):
-    r = [1]
-    a = list(a)
+def poly_divmod(fld, a, b):
+    """(q, r) with a = q b + r and deg r < deg b, for b trimmed and nonzero."""
+    m = len(b) - 1
+    r = np.array(a, dtype=np.int64)
+    bv = np.array(b, dtype=np.int64)
+    binv = fld.inv(int(b[-1]))
+    quot = [0] * max(0, len(a) - m)
+    for off in range(len(a) - 1 - m, -1, -1):
+        coef = int(fld.mul(r[off + m], binv))
+        if coef:
+            quot[off] = coef
+            r[off:off + m + 1] = fld.sub(r[off:off + m + 1], fld.mul(coef, bv))
+    return poly_trim(quot), poly_trim(r[:m].tolist())
+
+
+def poly_gcd(fld, a, b):
+    """The monic gcd ([] when both are zero)."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        a, b = b, poly_divmod(fld, a, b)[1]
+    if not a:
+        return a
+    return fld.mul(np.array(a, dtype=np.int64), fld.inv(int(a[-1]))).tolist()
+
+
+def poly_powmod(fld, a, e, f):
+    """a^e mod f."""
+    r = poly_divmod(fld, [1], f)[1]
+    a = poly_divmod(fld, a, f)[1]
     while e:
         if e & 1:
-            r = _pmulmod(r, a, f, ell)
-        a = _pmulmod(a, a, f, ell)
+            r = poly_divmod(fld, poly_mul(fld, r, a), f)[1]
+        a = poly_divmod(fld, poly_mul(fld, a, a), f)[1]
         e >>= 1
     return r
 
 
-def _pgcd(a, b, ell):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b, b made monic on the fly
-        inv = pow(b[-1], ell - 2, ell)
-        b = [(c * inv) % ell for c in b]
-        while len(a) >= len(b):
-            lead = a[-1]
-            if lead:
-                off = len(a) - len(b)
-                for j in range(len(b)):
-                    a[off + j] = (a[off + j] - lead * b[j]) % ell
-            a.pop()
-            _ptrim(a)
-            if not a:
-                break
-        a, b = b, _ptrim(a)
-    return a
+def poly_frobenius_gap(fld, k, f):
+    """x^(q^k) - x mod f; f divides it iff every irreducible factor of f
+    has degree dividing k."""
+    return poly_sub(fld, poly_powmod(fld, [0, 1], fld.q ** k, f), [0, 1])
 
 
 def _is_irreducible(f, ell):
     """Deterministic test: x^(ell^d) = x mod f and gcd checks at maximal subfields."""
+    fp = field_make(ell)
     d = len(f) - 1
-    x = [0, 1]
-    xq = _ppowmod(x, ell ** d, f, ell)
-    lhs = list(xq)
-    # xq - x
-    while len(lhs) < 2:
-        lhs.append(0)
-    lhs[1] = (lhs[1] - 1) % ell
-    if _ptrim(lhs):
+    if poly_frobenius_gap(fp, d, f):
         return False
-    for p in prime_factors(d):
-        xk = _ppowmod(x, ell ** (d // p), f, ell)
-        g = list(xk)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % ell
-        if len(_pgcd(f, _ptrim(g), ell)) - 1 != 0:
-            return False
-    return True
+    return all(len(poly_gcd(fp, f, poly_frobenius_gap(fp, d // p, f))) == 1
+               for p in prime_factors(d))
 
 
 def least_irreducible(ell: int, d: int) -> tuple[int, ...]:
@@ -168,11 +172,11 @@ class GF:
         self.modulus = modulus
         if d > 1:
             # x^u mod f for u = 0..2d-2, as a (2d-1) x d integer matrix
+            fp = field_make(ell)
             red = np.zeros((2 * d - 1, d), dtype=np.int64)
             for u in range(2 * d - 1):
-                r = _ppowmod([0, 1], u, list(modulus), ell) if u else [1]
-                for j, c in enumerate(r):
-                    red[u, j] = c
+                r = poly_divmod(fp, [0] * u + [1], list(modulus))[1]
+                red[u, :len(r)] = r
             self._reduce = red
         self._primitive = None
 

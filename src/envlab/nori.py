@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharTooSmall, EmptyAlgebra, NotUnipotent
-from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup, Mat,
-                        generated_subgroup)
+from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, EchelonBasis,
+                        FinMatGroup, Mat, generated_subgroup)
 from .gf import GF
 
 
@@ -145,34 +145,18 @@ def plus_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup
 
 def lie_closure(fld: GF, seeds, n: int):
     """Bracket-and-span closure of a set of n x n matrices, as a basis list."""
-    basis = []      # echelonized flat vectors
-    mats = []
-    def reduce(v):
-        for row, piv in basis:
-            c = v[piv]
-            if c:
-                v = fld.sub(v, fld.mul(np.int64(int(c)), row))
-        return v
-    def add(M):
-        v = reduce(M.reshape(-1).copy())
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = fld.mul(v, np.int64(fld.inv(int(v[piv]))))
-        basis.append((v, piv))
-        mats.append(v.reshape(n, n))
-        return True
+    basis = EchelonBasis(fld)
     for s in seeds:
-        add(np.asarray(s, dtype=np.int64))
+        basis.add(np.reshape(s, -1))
+    mats = basis.rows
     i = 0
     while i < len(mats):
-        for j in range(i + 1):
-            a, b = mats[i], mats[j]
-            br = fld.sub(fld.matmul(a, b), fld.matmul(b, a))
-            add(br)
+        a = mats[i].reshape(n, n)
+        for b in mats[:i + 1]:
+            b = b.reshape(n, n)
+            basis.add(fld.sub(fld.matmul(a, b), fld.matmul(b, a)).reshape(-1))
         i += 1
-    return mats
+    return [m.reshape(n, n) for m in mats]
 
 
 def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP,

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charlattice import FormalCharacter, fc_normalize, fc_predicates
+from .charlattice import FormalCharacter, fc_normalize, fc_predicates, q_rref
 from .errors import NotDominant, OutOfRange, ValidationError
 
 
@@ -83,6 +83,7 @@ class SimpleFactor:
                 fw.append(tuple(F(1, 2) if j < r - 1 else F(-1, 2) for j in range(r)))
                 fw.append(tuple(F(1, 2) for j in range(r)))
                 self.fundamental_weights = fw
+        self.coroots = [self.coroot(a) for a in self.simple_roots]
         self.positive_roots = self._positive_roots()
         self.rho = _vscale(Fraction(1, 2),
                            tuple(sum(c) for c in zip(*self.positive_roots)))
@@ -117,7 +118,7 @@ class SimpleFactor:
         return _vscale(Fraction(2, _dot(alpha, alpha)), alpha)
 
     def dynkin_labels(self, mu):
-        return tuple(_dot(mu, self.coroot(a)) for a in self.simple_roots)
+        return tuple(_dot(mu, c) for c in self.coroots)
 
     def weight_from_labels(self, labels):
         acc = tuple(Fraction(0) for _ in range(self.ambient))
@@ -129,8 +130,8 @@ class SimpleFactor:
         """The dominant Weyl-chamber representative of mu."""
         mu = tuple(mu)
         while True:
-            for a in self.simple_roots:
-                k = _dot(mu, self.coroot(a))
+            for a, c in zip(self.simple_roots, self.coroots):
+                k = _dot(mu, c)
                 if k < 0:
                     mu = _vsub(mu, _vscale(k, a))
                     break
@@ -143,8 +144,8 @@ class SimpleFactor:
         while frontier:
             nxt = []
             for v in frontier:
-                for a in self.simple_roots:
-                    k = _dot(v, self.coroot(a))
+                for a, c in zip(self.simple_roots, self.coroots):
+                    k = _dot(v, c)
                     w = _vsub(v, _vscale(k, a))
                     if w not in seen:
                         seen.add(w)
@@ -227,35 +228,16 @@ class SimpleFactor:
         return coords is not None and all(c >= 0 for c in coords)
 
     def _root_coords(self, v):
-        # solve sum c_i alpha_i = v by Gaussian elimination over Q
-        rows = [list(a) for a in self.simple_roots]
-        n = len(rows)
-        amb = self.ambient
-        A = [[rows[i][j] for i in range(n)] for j in range(amb)]
-        b = list(v)
-        # least-squares-free exact solve
-        piv_rows, piv_cols = [], []
-        M = [row[:] + [b[i]] for i, row in enumerate(A)]
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, amb) if M[i][c] != 0), None)
-            if p is None:
-                continue
-            M[r], M[p] = M[p], M[r]
-            pv = M[r][c]
-            M[r] = [x / pv for x in M[r]]
-            for i in range(amb):
-                if i != r and M[i][c] != 0:
-                    f = M[i][c]
-                    M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-            piv_cols.append(c)
-            r += 1
+        """Coordinates of v in the simple roots, or None if v is not in
+        their span (a pivot in the last column of the augmented system)."""
+        n = len(self.simple_roots)
+        R, pivots = q_rref([[a[j] for a in self.simple_roots] + [v[j]]
+                            for j in range(self.ambient)])
+        if n in pivots:
+            return None
         sol = [Fraction(0)] * n
-        for i, c in enumerate(piv_cols):
-            sol[c] = M[i][n]
-        for i in range(r, amb):
-            if M[i][n] != 0:
-                return None
+        for row, c in zip(R, pivots):
+            sol[c] = row[n]
         return sol
 
 

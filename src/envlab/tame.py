@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotCompatible, NotDivisor,
                      OrderDivisibleByEll, OutOfRange, ValidationError)
-from .fieldcore import (Mat, ModuleRep, _poly_divmod, _poly_gcd, _poly_mul,
-                        _vector_minpoly, composition_factors)
-from .gf import field_make, is_prime
+from .fieldcore import Mat, ModuleRep, _vector_minpoly, composition_factors
+from .gf import field_make, is_prime, poly_divmod, poly_gcd, poly_mul, poly_trim
 
 
 @dataclass(frozen=True)
@@ -132,19 +131,15 @@ def view_over_prime_field(rho) -> ModuleRep:
 
 
 def _poly_lcm(fld, a, b):
-    g = _poly_gcd(fld, a, b)
-    prod = _poly_mul(fld, a, b)
-    q, r = _poly_divmod(fld, prod, g)
-    assert not r
-    lead = fld.inv(int(q[-1]))
-    return [fld.mul(np.int64(lead), np.int64(int(c))) for c in q]
+    """The lcm of monic a and b (monic, as a b / gcd is)."""
+    return poly_divmod(fld, poly_mul(fld, a, b), poly_gcd(fld, a, b))[0]
 
 
 def matrix_minpoly(fld, A):
     """Monic minimal polynomial as the lcm of standard-basis vector
     minimal polynomials, coefficients low to high."""
     n = A.shape[0]
-    poly = [np.int64(1)]
+    poly = [1]
     for i in range(n):
         v = np.zeros(n, dtype=np.int64)
         v[i] = 1
@@ -154,40 +149,23 @@ def matrix_minpoly(fld, A):
     return poly
 
 
-def _poly_derivative(fld, poly):
-    return [fld.mul(np.int64(i % fld.ell), np.int64(int(c)))
-            for i, c in enumerate(poly)][1:]
-
-
 def _is_squarefree(fld, poly):
-    der = _poly_derivative(fld, poly)
-    while der and int(der[-1]) == 0:
-        der.pop()
-    if not der:
-        return False
-    return len(_poly_gcd(fld, poly, der)) == 1
-
-
-def _poly_eval(ext, poly, x):
-    acc = np.int64(0)
-    for c in reversed(poly):
-        acc = ext.add(ext.mul(acc, np.int64(x)), np.int64(int(c)))
-    return int(acc)
+    der = fld.mul(np.arange(len(poly)) % fld.ell, np.array(poly, dtype=np.int64))
+    der = poly_trim(der.tolist()[1:])
+    return bool(der) and len(poly_gcd(fld, poly, der)) == 1
 
 
 def _factor_exponent(ell, poly):
     """For an irreducible degree-e polynomial over F_ell, the discrete log
-    of one of its roots in the canonical F_{ell^e} against the least
+    of its least root in the canonical F_{ell^e} against the least
     primitive element."""
     e = len(poly) - 1
     ext = field_make(ell, e)
-    root = None
-    for x in range(1, ext.q):
-        if _poly_eval(ext, poly, x) == 0:
-            root = x
-            break
-    assert root is not None
-    return e, ext.dlog(root)
+    xs = np.arange(1, ext.q, dtype=np.int64)
+    vals = np.zeros_like(xs)
+    for c in reversed(poly):
+        vals = ext.add(ext.mul(vals, xs), np.full_like(xs, c))
+    return e, ext.dlog(int(xs[np.flatnonzero(vals == 0)[0]]))
 
 
 def tame_weights_of_rep(rho, twist: int = 0) -> TameWeights:

@@ -143,8 +143,14 @@ def _mackey_doc_without_module_field():
     ("mackey", _mackey_doc_without_module_field()),
     ("mackey", dict(_mackey_doc_without_module_field(),
                     module_field={"ell": 7}, module=[[1, 2]])),
+    ("formal-char", {"rank": 1, "weights": 5}),
+    ("formal-char", {"rank": "x", "weights": [[1]]}),
+    ("formal-char", {"rank": 1, "weights": [["a"]]}),
+    ("formal-char", {"rank": 1, "weights": [[1], [-1]], "other": [1, 2]}),
 ], ids=["wrong-length", "no-generators", "non-integer", "float-entry",
-        "not-an-object", "no-module-field", "non-square-module"])
+        "not-an-object", "no-module-field", "non-square-module",
+        "fc-weights-not-a-list", "fc-rank-not-integer", "fc-weight-entry-not-integer",
+        "fc-other-not-an-object"])
 def test_malformed_input_is_validation_error(tmp_path, capsys, command, doc):
     path = write_json(tmp_path / "bad.json", doc)
     assert run([command, "--input", path]) == 1
