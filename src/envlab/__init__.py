@@ -5,7 +5,7 @@ Modules:
     fieldcore   matrix groups, modules, MeatAxe splitting, commutants
     nori        truncated exp/log and exponentially generated subgroups
     charlattice formal characters and bi-characters over Z
-    smallrep    root data, Freudenthal multiplicities, the case table
+    smallrep    root data, Freudenthal over dominant weights, the case table
     tame        tame inertia characters and weight multisets
     mackey      induction, Mackey's criterion, Clifford decomposition
     pipeline    envelope reports and case elimination

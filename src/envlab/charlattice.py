@@ -209,17 +209,10 @@ def has_affine_triple(fc: FormalCharacter) -> bool:
 
 
 def _spanning_subset(weights, s):
-    """Indices of s weights forming a Q-basis of the span (greedy)."""
-    chosen = []
-    rows = []
-    for i, w in enumerate(weights):
-        trial = rows + [w]
-        if _rank_q(trial) == len(trial):
-            chosen.append(i)
-            rows = trial
-            if len(rows) == s:
-                return chosen
-    return None
+    """Indices of s weights forming a Q-basis of the span, taken greedily
+    (the pivot columns of the weights as columns), or None if none do."""
+    pivots = q_rref(list(zip(*weights)))[1]
+    return pivots[:s] if len(pivots) >= s else None
 
 
 def _unimodular_match(a_weights, b_weights, s, budget):
@@ -301,13 +294,6 @@ class FormalBiCharacter:
 
     def restricted(self, w):
         return _mat_vec(self.restriction, w)
-
-    def full_character(self) -> FormalCharacter:
-        return FormalCharacter(self.rank_T, self.weights)
-
-    def restricted_character(self) -> FormalCharacter:
-        return FormalCharacter(self.rank_Tss,
-                               tuple(self.restricted(w) for w in self.weights))
 
 
 def bifc_equivalent(a: FormalBiCharacter, b: FormalBiCharacter,

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .charlattice import fc_predicates, has_affine_triple
-from .errors import EnvlabError, UnknownPredicate
+from .errors import EnvlabError, UnknownPredicate, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
                         commutant, composition_factors, generated_subgroup,
                         module_of_group)
@@ -144,24 +144,40 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
         warnings=warnings, failures=failures)
 
 
+_VALUED_CONSTRAINTS = ("rank", "zero_weight_count")
+_FLAG_CONSTRAINTS = ("self_dual", "symmetric", "antipodal_free",
+                     "affine_triple", "no_affine_triple")
+
+
 def _parse_constraint(text: str):
-    if "=" in text:
-        name, _, value = text.partition("=")
-        return name.strip(), int(value)
-    return text.strip(), None
+    """(name, value): a valued name needs an integer value, a flag takes
+    none and gets None."""
+    name, eq, value = text.partition("=")
+    name = name.strip()
+    if name in _FLAG_CONSTRAINTS:
+        if eq:
+            raise ValidationError(f"constraint {name!r} takes no value")
+        return name, None
+    if name not in _VALUED_CONSTRAINTS:
+        raise UnknownPredicate(f"unknown constraint {name!r}")
+    try:
+        return name, int(value)
+    except ValueError:
+        raise ValidationError(
+            f"constraint {name!r} needs an integer value, got {value!r}") from None
 
 
 def eliminate_cases(n: int, constraints):
     """Filter table_a(n) by named predicates on each row's formal
     character.  Vocabulary: rank=k, zero_weight_count=k, self_dual,
     symmetric, antipodal_free, affine_triple, no_affine_triple."""
+    parsed = [_parse_constraint(raw) for raw in constraints]
     rows = table_a(n)
     out = []
     for row in rows:
         p = fc_predicates(row.formal_char)
         keep = True
-        for raw in constraints:
-            name, value = _parse_constraint(raw)
+        for name, value in parsed:
             if name == "rank":
                 ok = row.formal_char.rank == value
             elif name == "zero_weight_count":
@@ -174,10 +190,8 @@ def eliminate_cases(n: int, constraints):
                 ok = p.antipodal_pair_free
             elif name == "affine_triple":
                 ok = has_affine_triple(row.formal_char)
-            elif name == "no_affine_triple":
+            else:  # no_affine_triple, the last name _parse_constraint admits
                 ok = not has_affine_triple(row.formal_char)
-            else:
-                raise UnknownPredicate(f"unknown constraint {name!r}")
             if not ok:
                 keep = False
                 break

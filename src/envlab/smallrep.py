@@ -1,8 +1,8 @@
-"""Root data of classical type and small rank, Freudenthal weight
-multiplicities, the Weyl dimension formula, self-duality, and the
-enumeration of connected semisimple subgroups of GL_n (2 <= n <= 6) that
-act irreducibly, with the standard case labels such as (4B2) or
-(2A1x3A1).
+"""Root data of classical type and small rank, weight multiplicities by
+Freudenthal over dominant weights, the Weyl dimension formula,
+self-duality, and the enumeration of connected semisimple subgroups of
+GL_n (2 <= n <= 6) that act irreducibly, with the standard case labels
+such as (4B2) or (2A1x3A1).
 
 Simple factors are realized in orthogonal coordinates (exact Fraction
 arithmetic); weights are exported to the lattice layer in the basis of
@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charlattice import FormalCharacter, fc_normalize, fc_predicates, q_rref
+from .charlattice import FormalCharacter, fc_normalize, fc_predicates
 from .errors import NotDominant, OutOfRange, ValidationError
 
 
@@ -166,79 +166,45 @@ class SimpleFactor:
         return int(dim)
 
     def weight_multiplicities(self, labels):
-        """Freudenthal recursion.  Returns {orthogonal weight: multiplicity}."""
+        """Freudenthal's formula over the dominant weights only, expanded to
+        all weights by the Weyl group.  Returns {orthogonal weight:
+        multiplicity}."""
         if any(m < 0 for m in labels):
             raise NotDominant(f"labels {labels} are not dominant")
         lam = self.weight_from_labels(labels)
-        lam_rho = _vadd(lam, self.rho)
-        norm_lam = _dot(lam_rho, lam_rho)
+        # Subtracting positive roots while staying dominant reaches every
+        # dominant mu <= lam (Stembridge 1998, Cor. 2.7), and each of them is
+        # a weight of V(lam).
+        dominant, stack = {lam}, [lam]
+        while stack:
+            v = stack.pop()
+            for a in self.positive_roots:
+                mu = _vsub(v, a)
+                if mu not in dominant and min(self.dynkin_labels(mu)) >= 0:
+                    dominant.add(mu)
+                    stack.append(mu)
+
+        def norm_rho(mu):
+            mu_rho = _vadd(mu, self.rho)
+            return _dot(mu_rho, mu_rho)
+
+        norm_lam = norm_rho(lam)
         mults = {lam: 1}
-        # generate dominant candidates lam - sum c_i alpha_i, by level
-        level = [lam]
-        all_weights = {lam: 1}
-        frontier = [lam]
-        while frontier:
-            candidates = set()
-            for v in frontier:
-                for a in self.simple_roots:
-                    candidates.add(_vsub(v, a))
-            nxt = []
-            for mu in sorted(candidates):
-                if mu in all_weights:
-                    continue
-                mu_rho = _vadd(mu, self.rho)
-                denom = norm_lam - _dot(mu_rho, mu_rho)
-                if denom == 0:
-                    continue
-                total = Fraction(0)
-                for a in self.positive_roots:
-                    k = 1
-                    while True:
-                        up = _vadd(mu, _vscale(k, a))
-                        dom = self.make_dominant(up)
-                        m_up = all_weights.get(dom, 0)
-                        if m_up == 0 and not self._maybe_weight(lam, up):
-                            break
-                        total += 2 * m_up * _dot(up, a)
-                        k += 1
-                m = total / denom
-                assert m.denominator == 1
-                m = int(m)
-                if m > 0:
-                    all_weights[mu] = m
-                    nxt.append(mu)
-            frontier = nxt
-        # close under the Weyl group (multiplicity is Weyl-invariant)
-        full = {}
-        for mu, m in all_weights.items():
-            dom = self.make_dominant(mu)
-            if dom != mu:
-                continue
-            for v in self.weyl_orbit(mu):
-                full[v] = m
-        return full
-
-    def _maybe_weight(self, lam, mu):
-        """Cheap upper filter: mu can only be a weight if lam - mu is a
-        non-negative root-lattice combination."""
-        diff = _vsub(lam, mu)
-        # express in simple-root coordinates via coroot pairing with
-        # fundamental coweights; for these realizations solve directly
-        coords = self._root_coords(diff)
-        return coords is not None and all(c >= 0 for c in coords)
-
-    def _root_coords(self, v):
-        """Coordinates of v in the simple roots, or None if v is not in
-        their span (a pivot in the last column of the augmented system)."""
-        n = len(self.simple_roots)
-        R, pivots = q_rref([[a[j] for a in self.simple_roots] + [v[j]]
-                            for j in range(self.ambient)])
-        if n in pivots:
-            return None
-        sol = [Fraction(0)] * n
-        for row, c in zip(R, pivots):
-            sol[c] = row[n]
-        return sol
+        # Every term mu + k alpha has a dominant conjugate with a larger
+        # |. + rho|^2, so it is already in the table when mu comes up; and
+        # alpha-strings are unbroken, so the first term missing from the
+        # table ends the string.
+        for mu in sorted(dominant - {lam}, key=norm_rho, reverse=True):
+            total = Fraction(0)
+            for a in self.positive_roots:
+                up = _vadd(mu, a)
+                while (m_up := mults.get(self.make_dominant(up))) is not None:
+                    total += 2 * m_up * _dot(up, a)
+                    up = _vadd(up, a)
+            m = total / (norm_lam - norm_rho(mu))
+            assert m.denominator == 1
+            mults[mu] = int(m)
+        return {v: m for mu, m in mults.items() for v in self.weyl_orbit(mu)}
 
 
 _FACTOR_CACHE = {}
@@ -355,25 +321,22 @@ class TableARow:
 
 
 def _factor_reps_up_to(factor: SimpleFactor, max_dim: int):
-    """All nonzero dominant labels with Weyl dimension <= max_dim.  The
-    dimension is monotone in each label coordinate, so a DFS with pruning
-    is exhaustive."""
+    """All nonzero dominant labels with Weyl dimension <= max_dim, in
+    lexicographic order.  The dimension is monotone in each label
+    coordinate, so a DFS that stops at the first zero-padded probe above
+    max_dim is exhaustive; at the last coordinate the probe is the leaf."""
     out = []
     r = factor.rank
     def rec(prefix):
-        if len(prefix) == r:
-            if any(prefix):
-                d = factor.weyl_dimension(prefix)
-                if d <= max_dim:
-                    out.append((tuple(prefix), d))
-            return
-        m = 0
-        while True:
-            trial = prefix + [m] + [0] * (r - len(prefix) - 1)
-            if factor.weyl_dimension(trial) > max_dim:
-                break
-            rec(prefix + [m])
-            m += 1
+        for m in itertools.count():
+            labels = prefix + [m] + [0] * (r - len(prefix) - 1)
+            d = factor.weyl_dimension(labels)
+            if d > max_dim:
+                return
+            if len(prefix) + 1 < r:
+                rec(prefix + [m])
+            elif any(labels):
+                out.append((tuple(labels), d))
     rec([])
     return out
 
@@ -438,14 +401,13 @@ def table_a(n: int):
         raise OutOfRange(f"n must be in 2..6, got {n}")
     rows = []
     seen = set()
+    factor_reps = {}
     for factors in _root_data_up_to_rank(n - 1):
         datum = RootDatum(factors)
-        parts = datum.parts()
-        choices = []
-        for part in parts:
-            reps = [(lab, d) for lab, d in _factor_reps_up_to(part, n)]
-            choices.append(reps)
-        for combo in itertools.product(*choices):
+        for key in datum.factors:
+            if key not in factor_reps:
+                factor_reps[key] = _factor_reps_up_to(simple_factor(*key), n)
+        for combo in itertools.product(*(factor_reps[key] for key in datum.factors)):
             dims = [d for _, d in combo]
             total = 1
             for d in dims:

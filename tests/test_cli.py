@@ -1,8 +1,12 @@
 """Command-line round trips, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import diagonal_torus, heisenberg_mod3_group, sl2_group
 from envlab.cli import run
@@ -117,6 +121,35 @@ def test_eliminate_subcommand(capsys):
                 "--constraints", "self_dual,rank=3"]) == 0
     out = json.loads(read_lines(capsys))
     assert out["surviving"] == ["(6A3)", "(6C3)"]
+
+
+@pytest.mark.parametrize("constraints", [
+    "rank=x", "rank=2.5", "affine_triple=", "bogus=2.5", "rank",
+    "zero_weight_count", "self_dual=0", "self_dual,rank=",
+])
+def test_malformed_constraint_is_validation_error(capsys, constraints):
+    assert run(["eliminate", "--n", "6", "--constraints", constraints]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("ValidationError", "UnknownPredicate")
+
+
+CONSTRAINT_TOKENS = ["rank", "zero_weight_count", "self_dual", "symmetric",
+                     "antipodal_free", "affine_triple", "no_affine_triple",
+                     "=", "=1", "=0", "=-2", "=2.5", "=x", " ", ","]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(CONSTRAINT_TOKENS), st.text(max_size=6)),
+                max_size=6).map("".join))
+def test_eliminate_constraints_fuzz_never_raises(constraints):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["eliminate", "--n", "4", f"--constraints={constraints}"])
+    assert code in (0, 1)
+    if code == 0:
+        assert json.loads(out.getvalue())["n"] == 4
+    else:
+        assert "error" in json.loads(err.getvalue())
 
 
 def test_missing_input_is_validation_error(tmp_path):

@@ -1,8 +1,9 @@
 """The three shared kernels against independent oracles: the gf polynomial
 kernel against sympy over prime fields and against its defining identities
 over GF(9) and GF(25), q_rref and the unimodularity test against sympy's
-exact matrices, and the echelon-based vector minimal polynomial against
-the rank of its Krylov matrix.  sympy is a test-only dependency."""
+exact matrices, the one-elimination spanning subset against the greedy
+rank test it replaced, and the echelon-based vector minimal polynomial
+against the rank of its Krylov matrix.  sympy is a test-only dependency."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab.charlattice import _is_unimodular, q_rref
+from envlab.charlattice import _is_unimodular, _rank_q, _spanning_subset, q_rref
 from envlab.fieldcore import _vector_minpoly
 from envlab.gf import (field_make, poly_divmod, poly_gcd, poly_mul, poly_powmod,
                        poly_sub, poly_trim)
@@ -85,6 +86,26 @@ def test_q_rref_matches_sympy(rows):
     st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_unimodular_iff_determinant_is_a_unit(T):
     assert _is_unimodular(T) == (abs(sympy.Matrix(T).det()) == 1)
+
+
+def _greedy_spanning_subset(weights, s):
+    chosen, rows = [], []
+    for i, w in enumerate(weights):
+        if _rank_q(rows + [w]) == len(rows) + 1:
+            chosen.append(i)
+            rows.append(w)
+            if len(rows) == s:
+                return chosen
+    return None
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.integers(1, r),
+    st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r), max_size=7))))
+def test_spanning_subset_matches_greedy_rank_test(case):
+    s, weights = case
+    assert _spanning_subset(weights, s) == _greedy_spanning_subset(weights, s)
 
 
 @pytest.mark.parametrize("ell,d", [(7, 1), (3, 2)])

@@ -1,15 +1,22 @@
 """Root data, Weyl dimensions, Freudenthal multiplicities, and the
-regenerated case table."""
+regenerated case table.  The dominant-weight Freudenthal recursion is
+checked against the all-weights recursion it replaced, and the pruned
+enumeration of small representations against a brute-force box."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from envlab.charlattice import fc_equivalent, fc_predicates
+from envlab import smallrep
+from envlab.charlattice import fc_equivalent, fc_predicates, q_rref
 from envlab.errors import NotDominant, OutOfRange, ValidationError
-from envlab.smallrep import (IrrepLabel, RootDatum, dual_highest_weight,
-                             freudenthal_weights, is_self_dual, simple_factor,
-                             table_a, weyl_dimension)
+from envlab.smallrep import (IrrepLabel, RootDatum, _factor_reps_up_to,
+                             dual_highest_weight, freudenthal_weights,
+                             is_self_dual, simple_factor, table_a,
+                             weyl_dimension)
 
 
 def test_family_rank_floors():
@@ -167,3 +174,118 @@ def test_dual_pairs_appear_once():
     # SL_4 std and its dual are one row, not two
     labels = [r.label for r in table_a(4)]
     assert labels.count("(4A3)") == 1
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _in_positive_root_cone(f, v):
+    """v is a non-negative combination of the simple roots."""
+    n = len(f.simple_roots)
+    R, pivots = q_rref([[a[j] for a in f.simple_roots] + [v[j]]
+                        for j in range(f.ambient)])
+    return n not in pivots and all(row[n] >= 0 for row in R)
+
+
+def _all_weights_freudenthal(f, labels):
+    """The reference: Freudenthal at every candidate lam - sum c_i alpha_i,
+    level by level, each alpha-string ending at the first term that is
+    neither a known weight nor below lam in the root cone."""
+    lam = f.weight_from_labels(labels)
+    lam_rho = tuple(x + y for x, y in zip(lam, f.rho))
+    norm_lam = _dot(lam_rho, lam_rho)
+    known = {lam: 1}
+    frontier = [lam]
+    while frontier:
+        candidates = {tuple(x - y for x, y in zip(v, a))
+                      for v in frontier for a in f.simple_roots}
+        nxt = []
+        for mu in sorted(candidates):
+            if mu in known:
+                continue
+            mu_rho = tuple(x + y for x, y in zip(mu, f.rho))
+            denom = norm_lam - _dot(mu_rho, mu_rho)
+            if denom == 0:
+                continue
+            total = Fraction(0)
+            for a in f.positive_roots:
+                k = 1
+                while True:
+                    up = tuple(x + k * y for x, y in zip(mu, a))
+                    m_up = known.get(f.make_dominant(up), 0)
+                    if m_up == 0 and not _in_positive_root_cone(
+                            f, tuple(x - y for x, y in zip(lam, up))):
+                        break
+                    total += 2 * m_up * _dot(up, a)
+                    k += 1
+            m = total / denom
+            assert m.denominator == 1
+            if m > 0:
+                known[mu] = int(m)
+                nxt.append(mu)
+        frontier = nxt
+    return {v: m for mu, m in known.items() if f.make_dominant(mu) == mu
+            for v in f.weyl_orbit(mu)}
+
+
+@pytest.mark.parametrize("fam,r,labels", [
+    ("A", 1, (5,)), ("A", 2, (1, 1)), ("A", 2, (2, 1)), ("A", 3, (1, 0, 1)),
+    ("B", 2, (1, 1)), ("B", 2, (2, 0)), ("C", 3, (1, 0, 0)), ("B", 3, (0, 0, 1)),
+])
+def test_dominant_freudenthal_matches_all_weights_reference(fam, r, labels):
+    f = simple_factor(fam, r)
+    assert f.weight_multiplicities(labels) == _all_weights_freudenthal(f, labels)
+
+
+@pytest.mark.parametrize("max_dim", [4, 6])
+@pytest.mark.parametrize("fam,r", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                   ("B", 2), ("B", 3), ("C", 3), ("D", 4)])
+def test_factor_reps_match_brute_force_box(fam, r, max_dim):
+    # V(lam) has the distinct weights lam - k alpha_i (0 <= k <= m_i), so its
+    # dimension is at least 1 + sum(m_i): labels summing to >= max_dim are out
+    f = simple_factor(fam, r)
+    expect = []
+    for labels in itertools.product(range(max_dim), repeat=r):
+        if 0 < sum(labels) < max_dim:
+            d = f.weyl_dimension(labels)
+            if d <= max_dim:
+                expect.append((labels, d))
+    assert _factor_reps_up_to(f, max_dim) == expect
+
+
+def test_table_a_enumerates_each_factor_once(monkeypatch):
+    calls = []
+
+    def counted(factor, max_dim):
+        calls.append((factor.family, factor.rank, max_dim))
+        return _factor_reps_up_to(factor, max_dim)
+
+    monkeypatch.setattr(smallrep, "_factor_reps_up_to", counted)
+    table_a.cache_clear()
+    try:
+        for n in range(2, 7):
+            table_a(n)
+    finally:
+        table_a.cache_clear()
+    assert len(calls) == len(set(calls)) == 34
+
+
+SMALL_REPS = [(fam, r, labels)
+              for fam, ranks in (("A", range(1, 6)), ("B", range(2, 5)),
+                                 ("C", range(3, 5)), ("D", range(4, 6)))
+              for r in ranks
+              for labels, _ in _factor_reps_up_to(simple_factor(fam, r), 40)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_REPS))
+def test_multiplicities_sum_to_weyl_dimension_and_are_weyl_invariant(case):
+    fam, r, labels = case
+    f = simple_factor(fam, r)
+    mults = f.weight_multiplicities(labels)
+    assert sum(mults.values()) == f.weyl_dimension(labels)
+    for mu, m in mults.items():
+        for a, c in zip(f.simple_roots, f.coroots):
+            k = _dot(mu, c)
+            assert mults[tuple(x - k * y for x, y in zip(mu, a))] == m
