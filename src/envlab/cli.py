@@ -85,9 +85,13 @@ def _module_from(doc, key="module"):
         raise ValidationError("the input needs a module_field object")
     fld = field_make(json_int(mf, "ell"), json_int(mf, "d", 1))
     flats = doc[key]
-    if not isinstance(flats, list) or not flats or not isinstance(flats[0], list):
-        raise ValidationError(f"{key} must be a non-empty list of matrices")
-    return ModuleRep(fld, tuple(_mats_from(fld, math.isqrt(len(flats[0])), flats)))
+    if not isinstance(flats, list) or not flats or not isinstance(flats[0], list) \
+            or not flats[0]:
+        raise ValidationError(f"{key} must be a non-empty list of non-empty matrices")
+    mats = _mats_from(fld, math.isqrt(len(flats[0])), flats)
+    if not all(m.is_invertible() for m in mats):
+        raise ValidationError("a group module's action matrices must be invertible")
+    return ModuleRep(fld, tuple(mats))
 
 
 def _cmd_nori(args):

@@ -1,5 +1,11 @@
-"""Matrices and modules over finite fields: commutants, MeatAxe splitting,
-composition factors, semisimplification.
+"""Matrices and modules over finite fields: group closure, commutants,
+MeatAxe splitting, composition factors, semisimplification.
+
+FinMatGroup.closure is envlab's one closure engine: a breadth-first search
+over whole frontiers, one stacked GF.matmul per layer, that keeps the
+group as an (N, n, n) element stack with a parent vector for words.  Mat
+objects for the elements are built only when a caller iterates the
+closure; bulk callers (the unipotence scan in nori) read the stack.
 
 Modules are given by the action matrices of a free generating set; no
 relations are checked unless a group closure is materialized.  All values
@@ -15,6 +21,7 @@ MeatAxe's polynomial arithmetic is the kernel in gf.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -101,8 +108,43 @@ class Mat:
         return Mat(fld, np.eye(n, dtype=np.int64))
 
 
+def _keys(stack) -> list:
+    """_key of every matrix in an (N, n, n) int64 stack, in one pass."""
+    flat = np.ascontiguousarray(stack, dtype=np.int64).reshape(len(stack), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel().tolist()
+
+
+class _Elements(Sequence):
+    """The elements of a closed group, in closure order, as Mat objects
+    built the first time a caller indexes or iterates."""
+
+    def __init__(self, fld, stack):
+        self._field = fld
+        self._stack = stack
+        self._mats = None
+
+    def __len__(self):
+        return len(self._stack)
+
+    def _materialize(self):
+        if self._mats is None:
+            self._mats = [Mat(self._field, a) for a in self._stack]
+        return self._mats
+
+    def __getitem__(self, i):
+        return self._materialize()[i]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+
 class FinMatGroup:
-    """A finite matrix group presented by generators, with explicit closure."""
+    """A finite matrix group presented by generators, with explicit closure.
+
+    The closure is kept as an (N, n, n) element stack in breadth-first
+    order, with a parent vector: element i > 0 is element parent[i] times
+    generator gen[i] (a Schreier vector, Seress 2003), so words come from
+    walking the parents."""
 
     def __init__(self, fld: GF, generators):
         self.field = fld
@@ -112,38 +154,55 @@ class FinMatGroup:
                 raise ValidationError("generator is not invertible")
         self.n = self.generators[0].n if self.generators else None
         self._elements = None
-        self._words = None
+        self._stack = None
+        self._parent = None
+        self._gen = None
         self._index = None
 
     def closure(self, cap: int = DEFAULT_CLOSURE_CAP):
-        """BFS closure.  Returns the element list; caches words in the generators."""
+        """Breadth-first closure over whole frontiers: each layer multiplies
+        every frontier element by every generator in one stacked product
+        and keeps the new products in (element, generator) order.  Returns
+        the elements as a sized sequence of Mat; ClosureOverflow once more
+        than cap elements are found."""
         if self._elements is not None:
             return self._elements
         if self.n is None:
             raise ValidationError("group has no generators and no dimension")
-        ident = Mat.identity(self.field, self.n)
-        elements = [ident]
-        words = [()]
-        index = {_key(ident.array): 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for ei in frontier:
-                for gi, g in enumerate(self.generators):
-                    prod = elements[ei] @ g
-                    k = _key(prod.array)
-                    if k not in index:
-                        if len(elements) >= cap:
-                            raise ClosureOverflow(f"closure exceeded cap {cap}")
-                        index[k] = len(elements)
-                        elements.append(prod)
-                        words.append(words[ei] + (gi,))
-                        nxt.append(index[k])
-            frontier = nxt
-        self._elements = elements
-        self._words = words
+        fld, n = self.field, self.n
+        gens = np.stack([g.array for g in self.generators])
+        k = len(gens)
+        frontier = fld.eye(n)[None]
+        index = {_key(frontier[0]): 0}
+        layers, parents, gen_idx = [frontier], [np.array([0])], [np.array([-1])]
+        base = 0  # stack position of frontier[0]
+        while len(frontier):
+            prods = fld.matmul(frontier[:, None], gens[None]).reshape(-1, n, n)
+            fresh = []
+            for j, key in enumerate(_keys(prods)):
+                if key not in index:
+                    index[key] = len(index)
+                    fresh.append(j)
+            if fresh and len(index) > cap:
+                raise ClosureOverflow(f"closure exceeded cap {cap}")
+            fresh = np.array(fresh, dtype=np.int64)
+            parents.append(base + fresh // k)
+            gen_idx.append(fresh % k)
+            base += len(frontier)
+            frontier = prods[fresh]
+            layers.append(frontier)
+        self._stack = np.concatenate(layers)
+        self._stack.setflags(write=False)
+        self._parent = np.concatenate(parents)
+        self._gen = np.concatenate(gen_idx)
         self._index = index
-        return elements
+        self._elements = _Elements(fld, self._stack)
+        return self._elements
+
+    def element_stack(self, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
+        """The closure as a read-only (N, n, n) array, in closure order."""
+        self.closure(cap)
+        return self._stack
 
     @property
     def order(self) -> int:
@@ -158,9 +217,14 @@ class FinMatGroup:
         return self._index[_key(m.array)]
 
     def word_for(self, m: Mat):
-        """A word in the generators (indices) evaluating to m."""
-        self.closure()
-        return self._words[self.element_index(m)]
+        """A word in the generators (indices) evaluating to m: the
+        generators along the parent path from the identity."""
+        i = self.element_index(m)
+        word = []
+        while i:
+            word.append(int(self._gen[i]))
+            i = int(self._parent[i])
+        return tuple(reversed(word))
 
     def is_subgroup_of(self, other: "FinMatGroup") -> bool:
         other.closure()
@@ -221,6 +285,7 @@ def generated_subgroup(fld: GF, n: int, candidates, cap: int = DEFAULT_CLOSURE_C
     far is skipped, so a long list inside a small group costs a membership
     test each; each new generator queues its conjugates by the conjugators."""
     group = FinMatGroup.trivial(fld, n)
+    group.closure(cap)
     gens = []
     conj = [(g, g.inverse()) for g in conjugators]
     work = list(candidates)

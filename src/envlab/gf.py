@@ -240,16 +240,18 @@ class GF:
         return self._encode(planes)
 
     def matmul(self, A, B):
+        """A @ B, broadcasting over leading axes like numpy: (..., m, k)
+        times (..., k, n) stacks of matrices multiply pairwise."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.d == 1:
             return (A @ B) % self.ell
         pa, pb = self._planes(A), self._planes(B)
-        conv = np.zeros((2 * self.d - 1, A.shape[0], B.shape[1]), dtype=np.int64)
+        conv = [0] * (2 * self.d - 1)
         for s in range(self.d):
             for t in range(self.d):
                 conv[s + t] = (conv[s + t] + pa[s] @ pb[t]) % self.ell
-        planes = np.tensordot(self._reduce.T, conv, axes=1) % self.ell
+        planes = np.tensordot(self._reduce.T, np.stack(conv), axes=1) % self.ell
         return self._encode(planes)
 
     def inv(self, a: int) -> int:

@@ -36,6 +36,8 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
     """The module of G viewed over the generators of a subgroup H."""
     if not H.is_subgroup_of(G):
         raise ValidationError("H is not a subgroup of G")
+    if len(V.action) != len(G.generators):
+        raise DimensionMismatch("one action matrix per generator of G")
     return ModuleRep(V.field, tuple(module_value(V, G, h) for h in H.generators))
 
 

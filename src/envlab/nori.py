@@ -6,6 +6,10 @@ generated closure together with its matrix Lie algebra.
 Requires ell >= n so that the truncated series terminate and invert each
 other on unipotent matrices.  Then exp(t log x) = x^t, so the closure
 generated by all one-parameter subgroups over G[ell] is G+ itself.
+
+G[ell] is found by one test (g - 1)^n = 0 over the whole element stack of
+the closure, and its logs are one stacked series; lie_closure reduces all
+seeds at once.
 """
 
 from __future__ import annotations
@@ -79,18 +83,25 @@ def unipotent_log(x: Mat) -> NilpotentMat:
     fld = x.field
     n = x.n
     _check_char(fld, n)
-    one_minus = fld.sub(fld.eye(n), x.array)
-    idx = _nilpotency_index(fld, one_minus, n) if one_minus.any() else 1
-    if one_minus.any() and idx is None:
+    if not is_unipotent(x):
         raise NotUnipotent("(x - 1)^n != 0")
-    acc = np.zeros((n, n), dtype=np.int64)
+    acc = _log_stack(fld, x.array)
+    nil_idx = _nilpotency_index(fld, acc, n) if acc.any() else 1
+    return NilpotentMat(Mat(fld, acc), nil_idx or n)
+
+
+def _log_stack(fld, X):
+    """The truncated log series of unipotent_log on a (..., n, n) stack:
+    (1 - x)^n = 0, so the terms i >= n vanish."""
+    n = X.shape[-1]
+    one_minus = fld.sub(fld.eye(n), X)
+    acc = np.zeros_like(one_minus)
     term = fld.eye(n)
     for i in range(1, n):
         term = fld.matmul(term, one_minus)
         coef = np.int64(fld.neg(fld.inv(i % fld.ell)))
         acc = fld.add(acc, fld.mul(coef, term))
-    nil_idx = _nilpotency_index(fld, acc, n) if acc.any() else 1
-    return NilpotentMat(Mat(fld, acc), nil_idx or n)
+    return acc
 
 
 def nilpotent_exp(N: NilpotentMat | Mat) -> Mat:
@@ -111,20 +122,28 @@ def nilpotent_exp(N: NilpotentMat | Mat) -> Mat:
     return Mat(fld, acc)
 
 
+def _unipotent_mask(fld, X):
+    """(x - 1)^n == 0 for every x of a (..., n, n) stack, at once."""
+    n = X.shape[-1]
+    N = fld.sub(X, fld.eye(n))
+    power = N
+    for _ in range(n - 1):
+        power = fld.matmul(power, N)
+    return ~power.any(axis=(-2, -1))
+
+
 def is_unipotent(x: Mat) -> bool:
-    fld = x.field
-    one_minus = fld.sub(fld.eye(x.n), x.array)
-    return (not one_minus.any()) or _nilpotency_index(fld, one_minus, x.n) is not None
+    return bool(_unipotent_mask(x.field, x.array))
 
 
 def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP):
-    """G[ell]: the non-trivial unipotent elements of G."""
+    """G[ell]: the non-trivial unipotent elements of G, in closure order,
+    found by one stacked test over the element stack."""
     _check_char(G.field, G.n)
-    out = []
-    for g in G.closure(cap):
-        if not g.is_identity() and is_unipotent(g):
-            out.append(g)
-    return out
+    X = G.element_stack(cap)
+    unipotent = _unipotent_mask(G.field, X)
+    unipotent[0] = False  # the identity heads the closure order
+    return [Mat(G.field, x) for x in X[unipotent]]
 
 
 def one_param_subgroup(x: Mat):
@@ -144,10 +163,17 @@ def plus_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup
 
 
 def lie_closure(fld: GF, seeds, n: int):
-    """Bracket-and-span closure of a set of n x n matrices, as a basis list."""
+    """Bracket-and-span closure of a set of n x n matrices, as a basis list.
+
+    The seeds are reduced all at once: each step adds the first seed whose
+    residual is nonzero and clears the new pivot from the seeds after it,
+    so the rows are those of adding every seed in order."""
     basis = EchelonBasis(fld)
-    for s in seeds:
-        basis.add(np.reshape(s, -1))
+    rest = np.asarray(seeds, dtype=np.int64).reshape(-1, n * n)
+    while (live := np.flatnonzero(rest.any(axis=1))).size:
+        row = basis.add(rest[live[0]])
+        rest = rest[live[0] + 1:]
+        rest = fld.sub(rest, fld.mul(rest[:, basis.pivots[-1], None], row))
     mats = basis.rows
     i = 0
     while i < len(mats):
@@ -179,7 +205,8 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP,
             warnings.warn(msg)
     unis = order_ell_elements(G, cap)
     plus = generated_subgroup(fld, n, unis, cap)
-    algebra = lie_closure(fld, [unipotent_log(x).mat.array for x in unis], n)
+    logs = _log_stack(fld, np.array([x.array for x in unis], dtype=np.int64).reshape(-1, n, n))
+    algebra = lie_closure(fld, logs, n)
     return NoriResult(plus_group=plus, nori_points=plus, lie_algebra=algebra,
                       warnings=warns)
 
@@ -200,22 +227,6 @@ class LieRankReport:
     derived_dim: int
     rank_estimate: int
     sample_count: int
-
-
-def _coords_in_span(fld, basis_mats, M):
-    """Coordinates of M in the span of basis_mats (list), or None."""
-    if not basis_mats:
-        return None if M.any() else np.zeros(0, dtype=np.int64)
-    B = np.array([b.reshape(-1) for b in basis_mats], dtype=np.int64)
-    aug = np.concatenate([B.T, M.reshape(-1, 1)], axis=1)
-    R, pivots = fld.rref(aug)
-    k = len(basis_mats)
-    if k in pivots:
-        return None
-    coords = np.zeros(k, dtype=np.int64)
-    for r, p in enumerate(pivots):
-        coords[p] = R[r, k]
-    return coords
 
 
 def lie_rank_estimate(basis, fld: GF, samples: int = 25,
@@ -239,6 +250,7 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     ddim = len(derived)
     if ddim == 0:
         return LieRankReport(dim, 0, 0, 0)
+    D = np.array(derived)
     rng = np.random.default_rng(seed)
     best = ddim
     for _ in range(samples):
@@ -246,18 +258,13 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
         x = np.zeros((n, n), dtype=np.int64)
         for c, b in zip(coeffs, derived):
             x = fld.add(x, fld.mul(np.int64(int(c)), b))
-        # ad x as a matrix on the derived algebra
-        ad = np.zeros((ddim, ddim), dtype=np.int64)
-        ok = True
-        for j, b in enumerate(derived):
-            br = fld.sub(fld.matmul(x, b), fld.matmul(b, x))
-            coords = _coords_in_span(fld, derived, br)
-            if coords is None:
-                ok = False
-                break
-            ad[:, j] = coords
-        if not ok:
+        # ad x as a matrix on the derived algebra: the coordinates of every
+        # [x, b] from one rref of [B^T | brackets]; the derived basis is
+        # independent, so its columns are the first ddim pivots
+        brs = fld.sub(fld.matmul(x, D), fld.matmul(D, x)).reshape(ddim, -1)
+        R, pivots = fld.rref(np.concatenate([D.reshape(ddim, -1).T, brs.T], axis=1))
+        if len(pivots) > ddim:
             continue
-        ker = ddim - fld.rank(ad)
+        ker = ddim - fld.rank(R[:, ddim:])
         best = min(best, ker)
     return LieRankReport(dim, ddim, best, samples)

@@ -23,12 +23,12 @@ from .tame import tame_weights_of_rep
 REPORT_VERSION = 1
 
 
-def derived_subgroup(G: FinMatGroup) -> FinMatGroup:
+def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
     """Normal closure of the generator commutators (the derived subgroup,
     since the commutators normally generate it)."""
     comms = [a @ b @ a.inverse() @ b.inverse()
              for a in G.generators for b in G.generators]
-    return generated_subgroup(G.field, G.n, comms, conjugators=G.generators)
+    return generated_subgroup(G.field, G.n, comms, cap, conjugators=G.generators)
 
 
 @dataclass
@@ -100,10 +100,13 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
     c_nori = None
     if result is not None and result.nori_points.order > 1:
         c_nori = commutant(module_of_group(result.nori_points))[1]
-    derived = derived_subgroup(G)
     c_derived = None
-    if derived.order > 1:
-        c_derived = commutant(module_of_group(derived))[1]
+    try:
+        derived = derived_subgroup(G, cap)
+        if derived.order > 1:
+            c_derived = commutant(module_of_group(derived))[1]
+    except EnvlabError as ex:
+        failures.append(f"derived: {type(ex).__name__}: {ex}")
     try:
         factors = composition_factors(rho, seed=seed)
         factor_dims = sorted(

@@ -19,6 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .charlattice import FormalCharacter, fc_normalize, fc_predicates
 from .errors import NotDominant, OutOfRange, ValidationError
@@ -87,6 +88,13 @@ class SimpleFactor:
         self.positive_roots = self._positive_roots()
         self.rho = _vscale(Fraction(1, 2),
                            tuple(sum(c) for c in zip(*self.positive_roots)))
+        # each positive coroot in the simple coroots: <omega_i, alpha^vee> =
+        # c_i, so <lam + rho, alpha^vee> = sum (m_i + 1) c_i; rho has all
+        # labels 1, so the Weyl denominator is prod sum c_i
+        self._coroot_coords = [
+            tuple(int(_dot(w, self.coroot(a))) for w in self.fundamental_weights)
+            for a in self.positive_roots]
+        self._weyl_denominator = prod(map(sum, self._coroot_coords))
 
     def _positive_roots(self):
         """Close the simple roots under addition within the root system."""
@@ -156,14 +164,11 @@ class SimpleFactor:
     def weyl_dimension(self, labels) -> int:
         if any(m < 0 for m in labels):
             raise NotDominant(f"labels {labels} are not dominant")
-        lam = self.weight_from_labels(labels)
-        num = den = Fraction(1)
-        for a in self.positive_roots:
-            num *= _dot(_vadd(lam, self.rho), a)
-            den *= _dot(self.rho, a)
-        dim = num / den
-        assert dim.denominator == 1
-        return int(dim)
+        num = prod(sum((m + 1) * ci for m, ci in zip(labels, c))
+                   for c in self._coroot_coords)
+        dim, rem = divmod(num, self._weyl_denominator)
+        assert rem == 0
+        return dim
 
     def weight_multiplicities(self, labels):
         """Freudenthal's formula over the dominant weights only, expanded to

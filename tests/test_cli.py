@@ -180,15 +180,26 @@ def _mackey_doc_without_module_field():
     ("formal-char", {"rank": "x", "weights": [[1]]}),
     ("formal-char", {"rank": 1, "weights": [["a"]]}),
     ("formal-char", {"rank": 1, "weights": [[1], [-1]], "other": [1, 2]}),
+    ("mackey", dict(_mackey_doc_without_module_field(),
+                    module_field={"ell": 7}, module=[[0]])),
+    ("clifford", {"group": {"ell": 3, "n": 1, "generators": [[2]]}, "normal": [[2]],
+                  "module_field": {"ell": 3}, "module": [[]]}),
 ], ids=["wrong-length", "no-generators", "non-integer", "float-entry",
         "not-an-object", "no-module-field", "non-square-module",
         "fc-weights-not-a-list", "fc-rank-not-integer", "fc-weight-entry-not-integer",
-        "fc-other-not-an-object"])
+        "fc-other-not-an-object", "singular-module", "empty-module-matrix"])
 def test_malformed_input_is_validation_error(tmp_path, capsys, command, doc):
     path = write_json(tmp_path / "bad.json", doc)
     assert run([command, "--input", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
+
+
+def test_clifford_module_needs_one_matrix_per_generator(tmp_path, capsys):
+    doc = {"group": {"ell": 3, "n": 1, "generators": [[1], [2]]}, "normal": [[2]],
+           "module_field": {"ell": 3}, "module": [[1]]}
+    assert run(["clifford", "--input", write_json(tmp_path / "cl.json", doc)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -206,3 +217,134 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     assert run(["tame", "--ell", "5", "--d", "2", "--e", "13"]) == 0
     out = read_lines(capsys)
     assert "digits" in out and not out.startswith("{")
+
+
+# -- fuzzing the JSON inputs: any document exits 0, 1 or 2, never a traceback --
+
+def json_values(max_int):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, max_int) | st.floats(-2, 2, width=16)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=8)
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def corrupted(draw, doc, max_int=40):
+    """The valid doc itself, or with one value anywhere in it replaced by an
+    arbitrary JSON value, or with one key or entry removed, or replaced
+    whole."""
+    how = draw(st.sampled_from(["keep", "keep", "replace", "drop", "whole"]))
+    paths = list(_paths(doc))
+    if how == "whole":
+        return draw(json_values(max_int))
+    if how == "keep" or not paths:
+        return doc
+    *head, last = draw(st.sampled_from(paths))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if how == "drop":
+        del parent[last]
+    else:
+        parent[last] = draw(json_values(max_int))
+    return doc
+
+
+@st.composite
+def invertible(draw, q, n):
+    """A row-permuted upper triangular matrix with a nonzero diagonal, as a
+    row-major list of encodings."""
+    rows = [[draw(st.integers(1, q - 1)) if j == i else
+             draw(st.integers(0, q - 1)) if j > i else 0 for j in range(n)]
+            for i in range(n)]
+    return [x for i in draw(st.permutations(range(n))) for x in rows[i]]
+
+
+def matrices(q, n, count):
+    return st.lists(invertible(q, n), min_size=count, max_size=count)
+
+
+# (ell, d, largest n).  mackey and clifford do not take --cap and enumerate
+# double cosets, so SMALL_FUZZ_FIELDS keeps their groups to a few hundred
+# elements
+FUZZ_FIELDS = [(2, 1, 3), (3, 1, 3), (5, 1, 3), (7, 1, 2), (11, 1, 2), (13, 1, 2),
+               (2, 2, 2), (2, 3, 2), (3, 2, 2), (5, 2, 1)]
+SMALL_FUZZ_FIELDS = [(2, 1, 3), (3, 1, 2), (5, 1, 1), (7, 1, 1), (2, 2, 1)]
+
+
+@st.composite
+def group_docs(draw, fields=FUZZ_FIELDS, count=None):
+    ell, d, top = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, top))
+    doc = {"ell": ell, "n": n,
+           "generators": draw(matrices(ell ** d, n, count or draw(st.integers(1, 3))))}
+    if d > 1 or draw(st.booleans()):
+        doc["d"] = d
+    return doc
+
+
+@st.composite
+def module_problems(draw, sub_key):
+    """A group, a subset of its generators (a subgroup; for clifford, a
+    normal one when the subset is all of them) and a module with one
+    matrix per subgroup (mackey) or group (clifford) generator."""
+    group = draw(group_docs(SMALL_FUZZ_FIELDS))
+    gens = group["generators"]
+    sub = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens)))
+    ell = group["ell"]
+    count = len(sub) if sub_key == "subgroup" else len(gens)
+    doc = {"group": group, sub_key: sub, "module_field": {"ell": ell, "d": 1},
+           "module": draw(matrices(ell, draw(st.integers(1, 2)), count))}
+    return draw(corrupted(doc, max_int=4))
+
+
+@st.composite
+def formal_chars(draw, depth=1):
+    rank = draw(st.integers(0, 3))
+    doc = {"rank": rank, "weights": draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank), max_size=6))}
+    if depth and draw(st.booleans()):
+        doc["other"] = draw(formal_chars(depth=0))
+    return doc
+
+
+FUZZ_INPUTS = {
+    "nori": group_docs().flatmap(corrupted),
+    "envelope": group_docs().flatmap(corrupted),
+    "tame": group_docs(count=1).flatmap(corrupted),
+    "formal-char": formal_chars().flatmap(corrupted),
+    "mackey": module_problems("subgroup"),
+    "clifford": module_problems("normal"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:ell=")  # envelope's threshold warning
+@pytest.mark.parametrize("command", sorted(FUZZ_INPUTS))
+def test_json_input_fuzz_never_raises(tmp_path_factory, command):
+    path = tmp_path_factory.mktemp(command) / "input.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(FUZZ_INPUTS[command])
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--input", str(path), "--cap", "500"])
+        assert code in (0, 1, 2)
+        if code:
+            assert "error" in json.loads(err.getvalue())
+        else:
+            json.loads(out.getvalue())
+
+    check()

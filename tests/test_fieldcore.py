@@ -1,16 +1,17 @@
-"""Matrix groups, modules, MeatAxe splitting, commutants, and scalar
+"""Matrix groups (the closure engine against the one-element-at-a-time BFS
+it replaced), modules, MeatAxe splitting, commutants, and scalar
 extension."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import (alternating_group_4, cyclic_group, diagonal_torus,
                     dihedral_group, perm_mat, quaternion_group, sl2_group,
                     symmetric_group)
-from envlab.errors import ValidationError
-from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
+from envlab.errors import ClosureOverflow, ValidationError
+from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep, _key,
                               commutant, composition_factors, extend_scalars,
                               generated_subgroup, intertwiners, invariants_dim,
                               is_absolutely_irreducible, is_irreducible,
@@ -189,3 +190,78 @@ def test_generated_subgroup_matches_closure(data):
     N = generated_subgroup(G.field, G.n, subset, conjugators=G.generators)
     conjugates = [g @ s @ g.inverse() for g in elements for s in subset]
     assert set(N.closure()) == set(FinMatGroup(G.field, conjugates).closure())
+
+
+def reference_closure(G, cap):
+    """The closure as it was first written: a BFS one Mat at a time, a
+    word tuple per element, ClosureOverflow on the first new element found
+    with cap elements already listed.  Returns (elements, words)."""
+    ident = Mat.identity(G.field, G.n)
+    elements, words = [ident], [()]
+    index = {_key(ident.array): 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ei in frontier:
+            for gi, g in enumerate(G.generators):
+                prod = elements[ei] @ g
+                k = _key(prod.array)
+                if k not in index:
+                    if len(elements) >= cap:
+                        raise ClosureOverflow(f"closure exceeded cap {cap}")
+                    index[k] = len(elements)
+                    elements.append(prod)
+                    words.append(words[ei] + (gi,))
+                    nxt.append(index[k])
+        frontier = nxt
+    return elements, words
+
+
+# small prime fields and GF(4), GF(8), GF(9): closures of a few hundred elements
+CLOSURE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@st.composite
+def small_groups(draw):
+    ell, d = draw(st.sampled_from(CLOSURE_FIELDS))
+    fld = field_make(ell, d)
+    n = draw(st.integers(1, 3 if fld.q <= 3 else 2))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        M = np.array(draw(st.lists(st.integers(0, fld.q - 1), min_size=n * n,
+                                   max_size=n * n)), dtype=np.int64).reshape(n, n)
+        assume(fld.rank(M) == n)
+        gens.append(M)
+    return FinMatGroup(fld, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_groups(), st.integers(1, 400))
+def test_closure_matches_reference_bfs(G, cap):
+    try:
+        elements, words = reference_closure(G, cap)
+    except ClosureOverflow:
+        with pytest.raises(ClosureOverflow):
+            G.closure(cap)
+        return
+    closed = G.closure(cap)
+    assert len(closed) == len(elements)
+    assert list(closed) == elements
+    assert (G.element_stack() == np.array([e.array for e in elements])).all()
+    assert [G.word_for(e) for e in elements] == words
+    # the cap is exact: order elements fit, one fewer does not
+    assert len(FinMatGroup(G.field, G.generators).closure(len(elements))) == len(elements)
+    if len(elements) > 1:
+        with pytest.raises(ClosureOverflow):
+            FinMatGroup(G.field, G.generators).closure(len(elements) - 1)
+
+
+def test_closure_elements_are_built_on_demand():
+    G = sl2_group(7)
+    assert G._elements is None
+    closed = G.closure()
+    assert closed._mats is None and len(closed) == 336
+    assert G.element_stack().shape == (336, 2, 2)
+    assert closed._mats is None
+    assert closed[5] == Mat(G.field, G.element_stack()[5])
+    assert all(G.element_index(g) == i for i, g in enumerate(closed))

@@ -106,6 +106,25 @@ def test_extension_matmul_against_polynomial_oracle():
     assert int(fld.mul(np.int64(a), np.int64(b))) == expect
 
 
+@pytest.mark.parametrize("ell,d", [(7, 1), (2, 3), (3, 2), (5, 2)])
+def test_stacked_matmul_matches_per_matrix_products(ell, d):
+    fld = field_make(ell, d)
+    rng = np.random.default_rng(ell * 10 + d)
+    A = rng.integers(0, fld.q, size=(4, 3, 2)).astype(np.int64)
+    B = rng.integers(0, fld.q, size=(5, 2, 3)).astype(np.int64)
+    # (element, generator) pairs, as the closure multiplies a frontier
+    pairs = fld.matmul(A[:, None], B[None])
+    assert pairs.shape == (4, 5, 3, 3)
+    for i in range(4):
+        for j in range(5):
+            assert np.array_equal(pairs[i, j], fld.matmul(A[i], B[j]))
+    # one stack against one matrix, on either side
+    C = B[0]
+    assert np.array_equal(fld.matmul(A, C), np.stack([fld.matmul(a, C) for a in A]))
+    D = A[0]
+    assert np.array_equal(fld.matmul(B, D), np.stack([fld.matmul(b, D) for b in B]))
+
+
 def test_kron_mixed_product():
     fld = field_make(7, 1)
     rng = np.random.default_rng(5)

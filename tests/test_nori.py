@@ -3,10 +3,13 @@ closures."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import diagonal_torus, sl2_group
 from envlab.errors import CharTooSmall, NotUnipotent
-from envlab.fieldcore import FinMatGroup, Mat, commutant, module_of_group
+from envlab.fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, Mat, commutant,
+                              module_of_group)
 from envlab.gf import field_make
 from envlab.nori import (default_ell_threshold, is_unipotent, lie_closure,
                          lie_rank_estimate, nilpotent_exp, nori_points,
@@ -179,3 +182,113 @@ def test_nori_points_match_one_param_closure(make, order, plus_order):
     assert result.nori_points.order == plus_order
     assert set(result.nori_points.closure()) == set(one_param_closure(G).closure())
     assert result.quotient_order == 1
+
+
+NORI_CORPUS = [
+    pytest.param(lambda: sl2_group(11), id="SL2(11)"),
+    pytest.param(lambda: sym2_so3_group(7), id="SO3(7)"),
+    pytest.param(lambda: sym2_so3_group(11), id="SO3(11)"),
+    pytest.param(lambda: sl3_group(3), id="SL3(3)"),
+    pytest.param(lambda: diagonal_torus(11), id="torus(11)"),
+]
+
+
+def reference_is_unipotent(fld, x):
+    """(x - 1)^k for k = 1..n, one matrix at a time."""
+    N = fld.sub(x, fld.eye(len(x)))
+    acc = N
+    for _ in range(len(x) - 1):
+        acc = fld.matmul(acc, N)
+    return not acc.any()
+
+
+def reference_lie_closure(fld, seeds, n):
+    """lie_closure as first written: every seed added to the basis in turn."""
+    basis = EchelonBasis(fld)
+    for s in seeds:
+        basis.add(np.reshape(s, -1))
+    mats = basis.rows
+    i = 0
+    while i < len(mats):
+        a = mats[i].reshape(n, n)
+        for b in mats[:i + 1]:
+            b = b.reshape(n, n)
+            basis.add(fld.sub(fld.matmul(a, b), fld.matmul(b, a)).reshape(-1))
+        i += 1
+    return [m.reshape(n, n) for m in mats]
+
+
+@pytest.mark.parametrize("make", NORI_CORPUS)
+def test_stacked_scan_and_logs_match_per_element(make):
+    G = make()
+    fld = G.field
+    expect = [g for g in G.closure()
+              if not g.is_identity() and reference_is_unipotent(fld, g.array)]
+    unis = order_ell_elements(G)
+    assert unis == expect
+    assert all(is_unipotent(g) for g in unis)
+    logs = [unipotent_log(x).mat.array for x in unis]
+    result = nori_points(G, collect_warnings=False)
+    algebra = reference_lie_closure(fld, logs, G.n)
+    assert len(result.lie_algebra) == len(algebra)
+    assert all(np.array_equal(a, b) for a, b in zip(result.lie_algebra, algebra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+def test_lie_closure_rows_match_seeds_added_in_order(ell, n, data):
+    fld = field_make(ell, 1)
+    seeds = [np.array(data.draw(st.lists(st.integers(0, ell - 1), min_size=n * n,
+                                         max_size=n * n)), dtype=np.int64).reshape(n, n)
+             for _ in range(data.draw(st.integers(0, 8)))]
+    got = lie_closure(fld, seeds, n)
+    want = reference_lie_closure(fld, seeds, n)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
+    """lie_rank_estimate as first written: the coordinates of each bracket
+    [x, b] from its own rref."""
+    def coords_in_span(basis_mats, M):
+        B = np.array([b.reshape(-1) for b in basis_mats], dtype=np.int64)
+        R, pivots = fld.rref(np.concatenate([B.T, M.reshape(-1, 1)], axis=1))
+        k = len(basis_mats)
+        if k in pivots:
+            return None
+        coords = np.zeros(k, dtype=np.int64)
+        for r, p in enumerate(pivots):
+            coords[p] = R[r, k]
+        return coords
+
+    n = basis[0].shape[0]
+    brackets = [fld.sub(fld.matmul(basis[i], basis[j]), fld.matmul(basis[j], basis[i]))
+                for i in range(len(basis)) for j in range(i)]
+    derived = lie_closure(fld, brackets, n)
+    ddim = len(derived)
+    rng = np.random.default_rng(seed)
+    best = ddim
+    for _ in range(samples):
+        coeffs = rng.integers(0, fld.q, size=ddim)
+        x = np.zeros((n, n), dtype=np.int64)
+        for c, b in zip(coeffs, derived):
+            x = fld.add(x, fld.mul(np.int64(int(c)), b))
+        ad = np.zeros((ddim, ddim), dtype=np.int64)
+        for j, b in enumerate(derived):
+            coords = coords_in_span(derived, fld.sub(fld.matmul(x, b), fld.matmul(b, x)))
+            if coords is None:
+                break
+            ad[:, j] = coords
+        else:
+            best = min(best, ddim - fld.rank(ad))
+    return (len(basis), ddim, best, samples)
+
+
+@pytest.mark.parametrize("make", NORI_CORPUS[:4])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_lie_rank_estimate_matches_per_bracket_coordinates(make, seed):
+    G = make()
+    algebra = nori_points(G, collect_warnings=False).lie_algebra
+    report = lie_rank_estimate(algebra, G.field, seed=seed)
+    assert (report.dim, report.derived_dim, report.rank_estimate,
+            report.sample_count) == reference_lie_rank_estimate(algebra, G.field, seed=seed)

@@ -29,6 +29,26 @@ def test_derived_subgroup_of_abelian_is_trivial():
     assert derived_subgroup(diagonal_torus(11)).order == 1
 
 
+def test_envelope_cap_bounds_every_closure(monkeypatch):
+    cold_caps, sizes = [], []
+    original = FinMatGroup.closure
+
+    def recorded(self, *cap):
+        if self._elements is None:
+            cold_caps.append(cap[0] if cap else "default")
+        out = original(self, *cap)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(FinMatGroup, "closure", recorded)
+    report = envelope_report(sl2_group(11), cap=100)
+    assert set(cold_caps) == {100}
+    assert max(sizes) <= 100
+    assert report.commutant_dims["derived_subgroup"] is None
+    assert [f.split(":")[0] for f in report.failures] == ["nori", "derived"]
+    assert all("ClosureOverflow" in f for f in report.failures)
+
+
 def test_sl2_report():
     report = envelope_report(sl2_group(11))
     assert report.failures == []

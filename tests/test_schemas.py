@@ -38,3 +38,13 @@ def test_cli_output_matches_schema(tmp_path, capsys, make, command, schema_id):
     path.write_text(json.dumps(group))
     assert run([command, "--input", str(path)]) == 0
     validate(json.loads(capsys.readouterr().out), schema_id)
+
+
+def test_envelope_report_under_a_low_cap_matches_schema(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(sl2_group(11).to_json()))
+    assert run(["envelope", "--input", str(path), "--cap", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, "envlab/envelope-report")
+    assert doc["commutant_dims"]["derived_subgroup"] is None
+    assert any(f.startswith("derived: ClosureOverflow") for f in doc["failures"])

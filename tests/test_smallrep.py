@@ -289,3 +289,44 @@ def test_multiplicities_sum_to_weyl_dimension_and_are_weyl_invariant(case):
         for a, c in zip(f.simple_roots, f.coroots):
             k = _dot(mu, c)
             assert mults[tuple(x - k * y for x, y in zip(mu, a))] == m
+
+
+def _fraction_weyl_dimension(f, labels):
+    """The Weyl dimension formula in orthogonal coordinates, with exact
+    fractions: the reference for the integer coroot-pairing version."""
+    lam = f.weight_from_labels(labels)
+    num = den = Fraction(1)
+    for a in f.positive_roots:
+        num *= _dot(tuple(x + y for x, y in zip(lam, f.rho)), a)
+        den *= _dot(f.rho, a)
+    assert (num / den).denominator == 1
+    return int(num / den)
+
+
+def _labels_up_to(f, max_dim):
+    """Every dominant label (zero included) with reference Weyl dimension
+    <= max_dim, by a DFS that stops at the first probe above it (the
+    dimension is monotone in each label)."""
+    out = []
+
+    def rec(prefix):
+        for m in itertools.count():
+            labels = tuple(prefix + [m] + [0] * (f.rank - len(prefix) - 1))
+            if _fraction_weyl_dimension(f, labels) > max_dim:
+                out.append(labels)  # the first probe above, checked too
+                return
+            if len(prefix) + 1 < f.rank:
+                rec(prefix + [m])
+            else:
+                out.append(labels)
+    rec([])
+    return out
+
+
+@pytest.mark.parametrize("fam,r", [(fam, r) for fam, ranks in (
+    ("A", range(1, 7)), ("B", range(2, 6)), ("C", range(3, 6)), ("D", range(4, 6)))
+    for r in ranks])
+def test_weyl_dimension_matches_fraction_formula(fam, r):
+    f = simple_factor(fam, r)
+    for labels in _labels_up_to(f, 120):
+        assert f.weyl_dimension(labels) == _fraction_weyl_dimension(f, labels)
