@@ -96,7 +96,7 @@ def _module_from(doc, key="module"):
 
 def _cmd_nori(args):
     G = FinMatGroup.from_json(_load_input(args))
-    result = nori_points(G, cap=args.cap, collect_warnings=False)
+    result = nori_points(G, cap=args.cap)
     _emit(result.to_json(), args)
 
 
@@ -167,6 +167,7 @@ def _cmd_tame(args):
 def _cmd_mackey(args):
     doc = _load_input(args)
     G = FinMatGroup.from_json(doc["group"])
+    G.closure(args.cap)  # every later closure is of a subgroup of G
     sub_gens = _mats_from(G.field, G.n, doc["subgroup"])
     sub = subgroup_datum(G, sub_gens)
     W = _module_from(doc)
@@ -183,6 +184,7 @@ def _cmd_mackey(args):
 def _cmd_clifford(args):
     doc = _load_input(args)
     G = FinMatGroup.from_json(doc["group"])
+    G.closure(args.cap)
     n_gens = _mats_from(G.field, G.n, doc["normal"])
     V = _module_from(doc)
     shape = clifford_decompose(G, n_gens, V, seed=args.seed)

@@ -2,10 +2,10 @@
 MeatAxe splitting, composition factors, semisimplification.
 
 FinMatGroup.closure is envlab's one closure engine: a breadth-first search
-over whole frontiers, one stacked GF.matmul per layer, that keeps the
-group as an (N, n, n) element stack with a parent vector for words.  Mat
-objects for the elements are built only when a caller iterates the
-closure; bulk callers (the unipotence scan in nori) read the stack.
+over whole frontiers, one stacked GF.matmul per layer, that returns the
+group as a read-only (N, n, n) element stack, with a parent vector for
+words.  FinMatGroup.indices, the one membership lookup, maps any stack to
+closure indices; nori and mackey work on these arrays, not on Mats.
 
 Modules are given by the action matrices of a free generating set; no
 relations are checked unless a group closure is materialized.  All values
@@ -21,7 +21,6 @@ MeatAxe's polynomial arithmetic is the kernel in gf.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -35,10 +34,6 @@ from .gf import (GF, field_make, poly_divmod, poly_frobenius_gap, poly_gcd,
 DEFAULT_SEED = 20240901
 DEFAULT_MEATAXE_BUDGET = 200
 DEFAULT_CLOSURE_CAP = 10 ** 7
-
-
-def _key(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype=np.int64).tobytes()
 
 
 class Mat:
@@ -75,7 +70,7 @@ class Mat:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(_key(self.array))
+            self._hash = hash(self.array.tobytes())
         return self._hash
 
     def __repr__(self):
@@ -109,33 +104,11 @@ class Mat:
 
 
 def _keys(stack) -> list:
-    """_key of every matrix in an (N, n, n) int64 stack, in one pass."""
-    flat = np.ascontiguousarray(stack, dtype=np.int64).reshape(len(stack), -1)
-    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel().tolist()
-
-
-class _Elements(Sequence):
-    """The elements of a closed group, in closure order, as Mat objects
-    built the first time a caller indexes or iterates."""
-
-    def __init__(self, fld, stack):
-        self._field = fld
-        self._stack = stack
-        self._mats = None
-
-    def __len__(self):
-        return len(self._stack)
-
-    def _materialize(self):
-        if self._mats is None:
-            self._mats = [Mat(self._field, a) for a in self._stack]
-        return self._mats
-
-    def __getitem__(self, i):
-        return self._materialize()[i]
-
-    def __iter__(self):
-        return iter(self._materialize())
+    """The byte key of every matrix in an (..., n, n) stack, in one pass:
+    the one key format of the closure index."""
+    a = np.ascontiguousarray(stack, dtype=np.int64)
+    width = a.shape[-2] * a.shape[-1]
+    return a.reshape(-1, width).view(f"V{width * 8}").ravel().tolist()
 
 
 class FinMatGroup:
@@ -144,27 +117,24 @@ class FinMatGroup:
     The closure is kept as an (N, n, n) element stack in breadth-first
     order, with a parent vector: element i > 0 is element parent[i] times
     generator gen[i] (a Schreier vector, Seress 2003), so words come from
-    walking the parents."""
+    walking the parents.  Generators must be invertible; from_json checks
+    those that come from outside."""
 
     def __init__(self, fld: GF, generators):
         self.field = fld
         self.generators = [g if isinstance(g, Mat) else Mat(fld, g) for g in generators]
-        for g in self.generators:
-            if not g.is_invertible():
-                raise ValidationError("generator is not invertible")
         self.n = self.generators[0].n if self.generators else None
         self._elements = None
-        self._stack = None
         self._parent = None
         self._gen = None
         self._index = None
 
-    def closure(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def closure(self, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
         """Breadth-first closure over whole frontiers: each layer multiplies
         every frontier element by every generator in one stacked product
         and keeps the new products in (element, generator) order.  Returns
-        the elements as a sized sequence of Mat; ClosureOverflow once more
-        than cap elements are found."""
+        the elements as a read-only (N, n, n) stack in that order;
+        ClosureOverflow once more than cap elements are found."""
         if self._elements is not None:
             return self._elements
         if self.n is None:
@@ -173,7 +143,7 @@ class FinMatGroup:
         gens = np.stack([g.array for g in self.generators])
         k = len(gens)
         frontier = fld.eye(n)[None]
-        index = {_key(frontier[0]): 0}
+        index = dict.fromkeys(_keys(frontier), 0)
         layers, parents, gen_idx = [frontier], [np.array([0])], [np.array([-1])]
         base = 0  # stack position of frontier[0]
         while len(frontier):
@@ -191,35 +161,36 @@ class FinMatGroup:
             base += len(frontier)
             frontier = prods[fresh]
             layers.append(frontier)
-        self._stack = np.concatenate(layers)
-        self._stack.setflags(write=False)
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_idx)
         self._index = index
-        self._elements = _Elements(fld, self._stack)
+        self._elements = np.concatenate(layers)
+        self._elements.setflags(write=False)
         return self._elements
-
-    def element_stack(self, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
-        """The closure as a read-only (N, n, n) array, in closure order."""
-        self.closure(cap)
-        return self._stack
 
     @property
     def order(self) -> int:
         return len(self.closure())
 
-    def __contains__(self, m: Mat) -> bool:
+    def indices(self, stack) -> np.ndarray:
+        """The closure index of every matrix in an (..., n, n) stack, as an
+        array of shape stack.shape[:-2]; -1 marks a matrix outside the
+        group."""
         self.closure()
-        return _key(m.array) in self._index
+        stack = np.asarray(stack, dtype=np.int64)
+        get = self._index.get
+        return np.array([get(key, -1) for key in _keys(stack)],
+                        dtype=np.int64).reshape(stack.shape[:-2])
 
-    def element_index(self, m: Mat) -> int:
-        self.closure()
-        return self._index[_key(m.array)]
+    def __contains__(self, m: Mat) -> bool:
+        return int(self.indices(m.array)) >= 0
 
     def word_for(self, m: Mat):
         """A word in the generators (indices) evaluating to m: the
         generators along the parent path from the identity."""
-        i = self.element_index(m)
+        i = int(self.indices(m.array))
+        if i < 0:
+            raise ValidationError("the element does not lie in the group")
         word = []
         while i:
             word.append(int(self._gen[i]))
@@ -227,12 +198,11 @@ class FinMatGroup:
         return tuple(reversed(word))
 
     def is_subgroup_of(self, other: "FinMatGroup") -> bool:
-        other.closure()
         return all(g in other for g in self.generators)
 
     def is_normal_in(self, other: "FinMatGroup") -> bool:
         """Checked on generators; assumes self is a subgroup of other."""
-        self.closure()
+        self.closure()  # a group without generators fails here
         for g in other.generators:
             gi = g.inverse()
             for u in self.generators:
@@ -262,7 +232,10 @@ class FinMatGroup:
         flats = doc.get("generators")
         if n < 1 or not isinstance(flats, list) or not flats:
             raise ValidationError("a group needs n >= 1 and at least one generator")
-        return FinMatGroup(fld, [matrix_from_flat(fld, n, flat) for flat in flats])
+        gens = [matrix_from_flat(fld, n, flat) for flat in flats]
+        if not all(g.is_invertible() for g in gens):
+            raise ValidationError("generator is not invertible")
+        return FinMatGroup(fld, gens)
 
     def to_json(self) -> dict:
         fld = self.field

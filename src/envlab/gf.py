@@ -25,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DegreeZero, NotPrime
+from .errors import DegreeZero, NotPrime, ValidationError
 
 
 def is_prime(n: int) -> bool:
@@ -150,12 +150,15 @@ class GF:
     """The finite field GF(ell^d) with the canonical modulus.
 
     All array-valued methods accept and return numpy int64 arrays of
-    encoded elements and broadcast like ordinary numpy arithmetic.
+    encoded elements and broadcast like ordinary numpy arithmetic, so a
+    product of two elements must fit: (q - 1)^2 < 2^63.
     """
 
     def __init__(self, ell: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if d < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {d}")
+        if d >= 63 or (ell ** d - 1) ** 2 >= 2 ** 63:  # d first: ell ** d may be huge
+            raise ValidationError(f"{ell}^{d} is too large a field order for int64 products")
         if not is_prime(ell):
             raise NotPrime(f"{ell} is not prime")
         self.ell = ell
@@ -245,6 +248,8 @@ class GF:
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.d == 1:
+            if A.shape[-1] * (self.ell - 1) ** 2 >= 2 ** 63:
+                raise ValidationError(f"a sum of {A.shape[-1]} products overflows over {self}")
             return (A @ B) % self.ell
         pa, pb = self._planes(A), self._planes(B)
         conv = [0] * (2 * self.d - 1)

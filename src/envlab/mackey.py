@@ -4,9 +4,11 @@ certificates, and Clifford decomposition of a restriction to a normal
 subgroup.
 
 A subgroup module is a ModuleRep whose action matrices are indexed by the
-subgroup's generator list; values at arbitrary elements come from the
-cached closure words, so everything here assumes the groups are small
-enough to enumerate.
+subgroup's generator list; values at arbitrary elements come from closure
+words.  Cosets, double cosets (unions of left cosets), conjugates and the
+regular representation are stacked products over the closures, read back
+by FinMatGroup.indices; a SubgroupDatum labels each ambient element with
+its left coset.  There is no |G| x |G| Cayley table.
 """
 
 from __future__ import annotations
@@ -17,10 +19,22 @@ import numpy as np
 
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
-from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _key,
+from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep,
                         composition_factors, intertwiners, invariants_dim,
                         is_irreducible, modules_isomorphic)
 from .gf import GF
+
+
+def _inverses(fld: GF, stack, order: int) -> np.ndarray:
+    """x^-1 = x^(order - 1) for every x in a stack of elements of a group
+    of the given order, by repeated squaring of the whole stack."""
+    out, e = np.broadcast_to(fld.eye(stack.shape[-1]), stack.shape), order - 1
+    while e:
+        if e & 1:
+            out = fld.matmul(out, stack)
+        stack = fld.matmul(stack, stack)
+        e >>= 1
+    return out
 
 
 def module_value(W: ModuleRep, H: FinMatGroup, h: Mat) -> np.ndarray:
@@ -43,11 +57,14 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
 
 @dataclass
 class SubgroupDatum:
-    """A subgroup with a left transversal of its ambient group."""
+    """A subgroup with a left transversal of its ambient group; coset[i]
+    is the position in the transversal of the left coset that holds
+    ambient element i."""
 
     ambient: FinMatGroup
     subgroup: FinMatGroup
     transversal: list
+    coset: np.ndarray
 
     @property
     def index(self) -> int:
@@ -57,46 +74,43 @@ class SubgroupDatum:
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
     """Build the datum, choosing left coset representatives greedily from
     the closure order (the identity represents the subgroup itself)."""
-    H = FinMatGroup(ambient.field, list(subgroup_gens))
+    fld = ambient.field
+    H = FinMatGroup(fld, list(subgroup_gens))
     if not H.is_subgroup_of(ambient):
         raise ValidationError("generators do not lie in the ambient group")
-    covered = set()
+    hs = H.closure()
+    coset = np.full(ambient.order, -1)
     reps = []
-    h_elems = H.closure()
-    for t in ambient.closure():
-        k = _key(t.array)
-        if k in covered:
-            continue
-        reps.append(t)
-        for h in h_elems:
-            covered.add(_key((t @ h).array))
-    datum = SubgroupDatum(ambient, H, reps)
+    for i, t in enumerate(ambient.closure()):
+        if coset[i] < 0:
+            coset[ambient.indices(fld.matmul(t, hs))] = len(reps)
+            reps.append(Mat(fld, t))
+    datum = SubgroupDatum(ambient, H, reps, coset)
     assert datum.index * H.order == ambient.order
     return datum
 
 
 def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
     """Ind_H^G W as block matrices over the transversal: the (i, j) block
-    of g is W(t_i^{-1} g t_j) when that element lies in H, else zero."""
-    G, H, T = sub.ambient, sub.subgroup, sub.transversal
-    fld = W.field
+    of g is W(t_i^{-1} g t_j) for the one i whose coset t_i H holds g t_j,
+    else zero."""
+    G, H = sub.ambient, sub.subgroup
+    fld, gf = W.field, G.field
     if len(W.action) != len(H.generators):
         raise DimensionMismatch("one action matrix per subgroup generator")
     k = sub.index
     if fld.ell and k % fld.ell == 0:
         raise CharDividesIndex(f"characteristic {fld.ell} divides the index {k}")
     m = W.dim
-    t_inv = [t.inverse() for t in T]
+    ts = np.stack([t.array for t in sub.transversal])
+    t_inv = _inverses(gf, ts, G.order)
     mats = []
     for g in G.generators:
+        gt = gf.matmul(g.array, ts)
+        rows = sub.coset[G.indices(gt)]
         big = np.zeros((k * m, k * m), dtype=np.int64)
-        for j in range(k):
-            gt = g @ T[j]
-            for i in range(k):
-                h = t_inv[i] @ gt
-                if h in H:
-                    big[i * m:(i + 1) * m, j * m:(j + 1) * m] = module_value(W, H, h)
-                    break
+        for j, (i, h) in enumerate(zip(rows, gf.matmul(t_inv[rows], gt))):
+            big[i * m:(i + 1) * m, j * m:(j + 1) * m] = module_value(W, H, Mat(gf, h))
         mats.append(big)
     return ModuleRep(fld, tuple(mats))
 
@@ -118,19 +132,17 @@ def dual_module(W: ModuleRep) -> ModuleRep:
 
 
 def double_coset_reps(sub: SubgroupDatum):
-    """One representative per double coset H g H, identity first."""
-    G, H = sub.ambient, sub.subgroup
-    h_elems = H.closure()
-    covered = set()
+    """One representative per double coset H g H, identity first: its first
+    element in the ambient closure order, which heads its left coset and so
+    is in the transversal.  H g H is the union of the cosets h g H."""
+    G, fld = sub.ambient, sub.ambient.field
+    hs = sub.subgroup.closure()
+    covered = np.zeros(sub.index, dtype=bool)
     reps = []
-    for g in G.closure():
-        if _key(g.array) in covered:
-            continue
-        reps.append(g)
-        for a in h_elems:
-            ag = a @ g
-            for b in h_elems:
-                covered.add(_key((ag @ b).array))
+    for j, t in enumerate(sub.transversal):
+        if not covered[j]:
+            covered[sub.coset[G.indices(fld.matmul(hs, t.array))]] = True
+            reps.append(t)
     return reps
 
 
@@ -151,25 +163,20 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     and, for every double-coset representative g outside H, the module
     gW (x) W^dual over gHg^-1 n H has no invariants."""
     G, H = sub.ambient, sub.subgroup
-    fld = W.field
+    fld, gf = W.field, G.field
     if fld.ell and G.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {G.order}")
     if not is_irreducible(W, seed=seed):
         return MackeyVerdict(False, "W is reducible over H")
     wdual = dual_module(W)
-    h_elems = H.closure()
-    for g in double_coset_reps(sub):
-        if g in H:
-            continue
-        ginv = g.inverse()
-        # gHg^-1 n H, listed in full (these groups are tiny)
-        k_elems = [x for x in h_elems if (ginv @ x @ g) in H]
-        mats = []
-        for x in k_elems:
-            left = module_value(W, H, ginv @ x @ g)
-            right = module_value(wdual, H, x)
-            mats.append(fld.kron(left, right))
+    hs = H.closure()
+    for g in double_coset_reps(sub)[1:]:  # the first, the identity, spans H
+        # x in gHg^-1 n H, listed in full, with g^-1 x g
+        conj = gf.matmul(gf.matmul(g.inverse().array, hs), g.array)
+        inside = H.indices(conj) >= 0
+        mats = [fld.kron(module_value(W, H, Mat(gf, c)), module_value(wdual, H, Mat(gf, x)))
+                for c, x in zip(conj[inside], hs[inside])]
         inv = invariants_dim(ModuleRep(fld, tuple(mats)))
         if inv > 0:
             return MackeyVerdict(False, "condition (II') fails", g, inv)
@@ -240,19 +247,17 @@ def clifford_blocks_transitive(G: FinMatGroup, n_gens,
 def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     """Every subgroup of a small group, found by closing the cyclic
     subgroups under pairwise joins; optionally one per conjugacy class."""
-    elems = G.closure()
+    fld, elems = G.field, G.closure()
     subs = {}  # frozenset of element indices -> generator list
 
     def record(gens):
-        H = FinMatGroup(G.field, gens)
-        key = frozenset(G.element_index(x) for x in H.closure())
+        key = frozenset(G.indices(FinMatGroup(fld, gens).closure()).tolist())
         if key not in subs:
             subs[key] = gens
-        return key
 
-    record([Mat.identity(G.field, G.n)])
-    for g in elems:
-        record([g])
+    record([Mat.identity(fld, G.n)])
+    for x in elems:
+        record([Mat(fld, x)])
     while True:
         before = len(subs)
         pairs = list(subs.items())
@@ -263,18 +268,16 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
                 record(gens + ogens)
         if len(subs) == before:
             break
-    groups = [FinMatGroup(G.field, gens) for gens in subs.values()]
+    groups = [FinMatGroup(fld, gens) for gens in subs.values()]
     if not up_to_conjugacy:
         return groups
+    inverses = _inverses(fld, elems, len(elems))
     seen = set()
     out = []
     for H in groups:
-        orbit = []
-        for g in elems:
-            gi = g.inverse()
-            conj = frozenset(G.element_index(g @ x @ gi) for x in H.closure())
-            orbit.append(conj)
-        canon = min(orbit, key=lambda s: tuple(sorted(s)))
+        # row g: the indices of g H g^-1; the class is named by its least
+        conj = fld.matmul(fld.matmul(elems[:, None], H.closure()[None]), inverses[:, None])
+        canon = min(tuple(sorted(row)) for row in G.indices(conj).tolist())
         if canon not in seen:
             seen.add(canon)
             out.append(H)
@@ -289,8 +292,7 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
     mats = []
     for g in H.generators:
         P = np.zeros((n, n), dtype=np.int64)
-        for j, x in enumerate(elems):
-            P[H.element_index(g @ x), j] = 1
+        P[H.indices(H.field.matmul(g.array, elems)), np.arange(n)] = 1
         mats.append(P)
     return ModuleRep(fld, tuple(mats))
 

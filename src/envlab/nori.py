@@ -14,7 +14,6 @@ seeds at once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +139,7 @@ def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP):
     """G[ell]: the non-trivial unipotent elements of G, in closure order,
     found by one stacked test over the element stack."""
     _check_char(G.field, G.n)
-    X = G.element_stack(cap)
+    X = G.closure(cap)
     unipotent = _unipotent_mask(G.field, X)
     unipotent[0] = False  # the identity heads the closure order
     return [Mat(G.field, x) for x in X[unipotent]]
@@ -185,8 +184,7 @@ def lie_closure(fld: GF, seeds, n: int):
     return [m.reshape(n, n) for m in mats]
 
 
-def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP,
-                collect_warnings: bool = True) -> NoriResult:
+def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> NoriResult:
     """F_ell-points of the group generated by the one-parameter subgroups
     over G[ell], with the associated Lie algebra and the order of the
     quotient by its own plus-subgroup.
@@ -198,11 +196,8 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP,
     n = G.n
     warns = []
     if fld.ell < default_ell_threshold(n):
-        msg = (f"ell={fld.ell} is below the default threshold {default_ell_threshold(n)} "
-               f"for n={n}; exponential-generation properties are only asserted above it")
-        warns.append(msg)
-        if collect_warnings:
-            warnings.warn(msg)
+        warns.append(f"ell={fld.ell} is below the default threshold {default_ell_threshold(n)} "
+                     f"for n={n}; exponential-generation properties are only asserted above it")
     unis = order_ell_elements(G, cap)
     plus = generated_subgroup(fld, n, unis, cap)
     logs = _log_stack(fld, np.array([x.array for x in unis], dtype=np.int64).reshape(-1, n, n))

@@ -20,6 +20,11 @@ def perm_mat(fld, perm):
     return Mat(fld, M)
 
 
+def closure_mats(G):
+    """The closure of G as a list of Mat, in closure order."""
+    return [Mat(G.field, x) for x in G.closure()]
+
+
 def cyclic_group(n, ell):
     fld = field_make(ell, 1)
     return FinMatGroup(fld, [perm_mat(fld, [(i + 1) % n for i in range(n)])])

@@ -55,10 +55,10 @@ def test_criterion_2_nori_correctness(capfd):
     for ell in (5, 7, 11, 13):
         G = sl2_group(ell)
         ok &= plus_subgroup(G).order == G.order
-        result = nori_points(G, collect_warnings=False)
+        result = nori_points(G)
         ok &= result.nori_points.order == G.order
         ok &= result.quotient_order == 1 <= 2 ** (2 - 1)
-    torus = nori_points(diagonal_torus(11), collect_warnings=False)
+    torus = nori_points(diagonal_torus(11))
     ok &= torus.nori_points.order == 1
     ok &= (time.perf_counter() - start) < 120.0
     report(capfd, 2, "Nori correctness", ok)

@@ -1,0 +1,34 @@
+"""The benchmark tracer's contract with the library.  bench/spans.py wraps
+envlab functions by name and counts the closures that enumerate through
+FinMatGroup._elements, so a rename or a deletion in src/ fails here rather
+than in a traced benchmark run.  Reads bench/ and changes nothing in it."""
+
+import importlib.util
+import os
+
+from corpus import sl2_group
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench", "spans.py")
+_spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
+
+
+def test_every_traced_name_resolves():
+    # Installed swaps owner.__dict__[attr], so the attribute must be the
+    # owner's own, not inherited
+    missing = [name for name, owner, attr in spans.TRACED
+               if not callable(vars(owner).get(attr))]
+    assert missing == []
+
+
+def test_recorder_counts_cold_closures_on_the_element_stack():
+    G = sl2_group(7)
+    assert G._elements is None
+    rec = spans.Recorder()
+    with spans.Installed(rec):
+        closed = G.closure()
+        G.closure()
+    assert len(closed) == G.order == 336
+    assert (rec.cold_calls, rec.cold_elements) == (1, 336)

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -184,10 +186,18 @@ def _mackey_doc_without_module_field():
                     module_field={"ell": 7}, module=[[0]])),
     ("clifford", {"group": {"ell": 3, "n": 1, "generators": [[2]]}, "normal": [[2]],
                   "module_field": {"ell": 3}, "module": [[]]}),
+    ("envelope", {"ell": 7, "n": 2, "generators": [[1, 1, 1, 1]]}),
+    ("mackey", dict(_mackey_doc_without_module_field(),
+                    group={"ell": 7, "n": 2, "generators": [[1, 1, 1, 1]]},
+                    module_field={"ell": 7})),
+    ("clifford", {"group": {"ell": 7, "n": 2, "generators": [[0, 1, 1, 0]]},
+                  "normal": [], "module_field": {"ell": 7}, "module": [[1]]}),
 ], ids=["wrong-length", "no-generators", "non-integer", "float-entry",
         "not-an-object", "no-module-field", "non-square-module",
         "fc-weights-not-a-list", "fc-rank-not-integer", "fc-weight-entry-not-integer",
-        "fc-other-not-an-object", "singular-module", "empty-module-matrix"])
+        "fc-other-not-an-object", "singular-module", "empty-module-matrix",
+        "singular-generator", "mackey-singular-generator",
+        "empty-normal"])
 def test_malformed_input_is_validation_error(tmp_path, capsys, command, doc):
     path = write_json(tmp_path / "bad.json", doc)
     assert run([command, "--input", path]) == 1
@@ -209,6 +219,40 @@ def test_unknown_subcommand_is_usage_error():
 def test_cap_exhaustion_is_resource_error(tmp_path):
     path = write_json(tmp_path / "sl2.json", sl2_group(11).to_json())
     assert run(["nori", "--input", path, "--cap", "10"]) == 2
+
+
+@pytest.mark.parametrize("command,key", [("mackey", "subgroup"), ("clifford", "normal")])
+def test_mackey_and_clifford_honour_cap(tmp_path, capsys, command, key):
+    # SL2(F_37) has 50,616 elements; the cap stops its closure at 100
+    doc = {"group": {"ell": 37, "n": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]},
+           key: [[1, 1, 0, 1]], "module_field": {"ell": 37}, "module": [[1]]}
+    path = write_json(tmp_path / "sl2.json", doc)
+    assert run([command, "--input", path, "--cap", "100"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ClosureOverflow"
+
+
+def test_huge_ell_fails_fast(tmp_path, capsys):
+    doc = {"ell": 1000000000000000003, "n": 2, "generators": [[1, 1, 0, 1]]}
+    start = time.perf_counter()
+    assert run(["nori", "--input", write_json(tmp_path / "big.json", doc)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+def test_envelope_threshold_warning_stays_in_the_report(tmp_path, capsys):
+    # SO3(F_7): Sym^2 of the SL2 unit transvections and diag(3, 1, 5)
+    so3 = {"ell": 7, "n": 3, "generators": [[1, 2, 1, 0, 1, 1, 0, 0, 1],
+                                            [1, 0, 0, 1, 1, 0, 1, 2, 1],
+                                            [3, 0, 0, 0, 1, 0, 0, 0, 5]]}
+    path = write_json(tmp_path / "so3.json", so3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["envelope", "--input", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["warnings"] == [
+        "ell=7 is below the default threshold 12 for n=3; "
+        "exponential-generation properties are only asserted above it"]
 
 
 def test_env_overrides(tmp_path, monkeypatch, capsys):
@@ -275,9 +319,8 @@ def matrices(q, n, count):
     return st.lists(invertible(q, n), min_size=count, max_size=count)
 
 
-# (ell, d, largest n).  mackey and clifford do not take --cap and enumerate
-# double cosets, so SMALL_FUZZ_FIELDS keeps their groups to a few hundred
-# elements
+# (ell, d, largest n).  SMALL_FUZZ_FIELDS keeps the mackey and clifford
+# groups to a few hundred elements, so each example stays fast
 FUZZ_FIELDS = [(2, 1, 3), (3, 1, 3), (5, 1, 3), (7, 1, 2), (11, 1, 2), (13, 1, 2),
                (2, 2, 2), (2, 3, 2), (3, 2, 2), (5, 2, 1)]
 SMALL_FUZZ_FIELDS = [(2, 1, 3), (3, 1, 2), (5, 1, 1), (7, 1, 1), (2, 2, 1)]
@@ -329,7 +372,6 @@ FUZZ_INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:ell=")  # envelope's threshold warning
 @pytest.mark.parametrize("command", sorted(FUZZ_INPUTS))
 def test_json_input_fuzz_never_raises(tmp_path_factory, command):
     path = tmp_path_factory.mktemp(command) / "input.json"

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import (alternating_group_4, cyclic_group, diagonal_torus,
-                    dihedral_group, perm_mat, quaternion_group, sl2_group,
-                    symmetric_group)
+from corpus import (alternating_group_4, closure_mats, cyclic_group,
+                    diagonal_torus, dihedral_group, perm_mat, quaternion_group,
+                    sl2_group, symmetric_group)
 from envlab.errors import ClosureOverflow, ValidationError
-from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep, _key,
+from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               commutant, composition_factors, extend_scalars,
                               generated_subgroup, intertwiners, invariants_dim,
                               is_absolutely_irreducible, is_irreducible,
@@ -55,6 +55,8 @@ def test_group_membership_and_words():
     for gi in word:
         acc = acc @ G.generators[gi]
     assert acc == elem
+    with pytest.raises(ValidationError):
+        G.word_for(Mat(fld, 2 * np.eye(3, dtype=np.int64)))
 
 
 def test_group_json_roundtrip():
@@ -181,15 +183,15 @@ SMALL_GROUPS = [symmetric_group(3, 7), dihedral_group(4, 5), quaternion_group(5)
 @given(st.data())
 def test_generated_subgroup_matches_closure(data):
     G = data.draw(st.sampled_from(SMALL_GROUPS))
-    elements = G.closure()
+    elements = closure_mats(G)
     picks = data.draw(st.lists(st.integers(0, len(elements) - 1),
                                min_size=1, max_size=4))
     subset = [elements[i] for i in picks]
     H = generated_subgroup(G.field, G.n, subset)
-    assert set(H.closure()) == set(FinMatGroup(G.field, subset).closure())
+    assert set(closure_mats(H)) == set(closure_mats(FinMatGroup(G.field, subset)))
     N = generated_subgroup(G.field, G.n, subset, conjugators=G.generators)
     conjugates = [g @ s @ g.inverse() for g in elements for s in subset]
-    assert set(N.closure()) == set(FinMatGroup(G.field, conjugates).closure())
+    assert set(closure_mats(N)) == set(closure_mats(FinMatGroup(G.field, conjugates)))
 
 
 def reference_closure(G, cap):
@@ -198,21 +200,20 @@ def reference_closure(G, cap):
     with cap elements already listed.  Returns (elements, words)."""
     ident = Mat.identity(G.field, G.n)
     elements, words = [ident], [()]
-    index = {_key(ident.array): 0}
+    index = {ident: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for ei in frontier:
             for gi, g in enumerate(G.generators):
                 prod = elements[ei] @ g
-                k = _key(prod.array)
-                if k not in index:
+                if prod not in index:
                     if len(elements) >= cap:
                         raise ClosureOverflow(f"closure exceeded cap {cap}")
-                    index[k] = len(elements)
+                    index[prod] = len(elements)
                     elements.append(prod)
                     words.append(words[ei] + (gi,))
-                    nxt.append(index[k])
+                    nxt.append(index[prod])
         frontier = nxt
     return elements, words
 
@@ -246,8 +247,7 @@ def test_closure_matches_reference_bfs(G, cap):
         return
     closed = G.closure(cap)
     assert len(closed) == len(elements)
-    assert list(closed) == elements
-    assert (G.element_stack() == np.array([e.array for e in elements])).all()
+    assert closure_mats(G) == elements
     assert [G.word_for(e) for e in elements] == words
     # the cap is exact: order elements fit, one fewer does not
     assert len(FinMatGroup(G.field, G.generators).closure(len(elements))) == len(elements)
@@ -256,12 +256,32 @@ def test_closure_matches_reference_bfs(G, cap):
             FinMatGroup(G.field, G.generators).closure(len(elements) - 1)
 
 
-def test_closure_elements_are_built_on_demand():
+def test_closure_is_a_read_only_stack_that_indices_inverts():
     G = sl2_group(7)
     assert G._elements is None
     closed = G.closure()
-    assert closed._mats is None and len(closed) == 336
-    assert G.element_stack().shape == (336, 2, 2)
-    assert closed._mats is None
-    assert closed[5] == Mat(G.field, G.element_stack()[5])
-    assert all(G.element_index(g) == i for i, g in enumerate(closed))
+    assert closed.shape == (336, 2, 2) and not closed.flags.writeable
+    assert G.closure() is closed
+    assert (G.indices(closed) == np.arange(336)).all()
+    assert G.indices(closed[::-1].reshape(6, 56, 2, 2)).reshape(-1).tolist() \
+        == list(range(335, -1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.data())
+def test_indices_match_per_mat_membership(G, data):
+    """indices against a dict of Mats, on members, non-members (-1) and the
+    empty stack."""
+    closed = G.closure()
+    members = {Mat(G.field, x): i for i, x in enumerate(closed)}
+    q, n = G.field.q, G.n
+    member = st.integers(0, len(closed) - 1).map(lambda i: Mat(G.field, closed[i]))
+    anything = st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n).map(
+        lambda flat: Mat(G.field, np.reshape(flat, (n, n))))
+    mats = data.draw(st.lists(member | anything, max_size=6))
+    stack = np.array([m.array for m in mats], dtype=np.int64).reshape(-1, n, n)
+    expect = [members.get(m, -1) for m in mats]
+    assert G.indices(stack).tolist() == expect
+    assert [m in G for m in mats] == [i >= 0 for i in expect]
+    assert G.indices(stack.reshape(1, -1, n, n)).shape == (1, len(mats))
+    assert G.indices(np.zeros((0, n, n), dtype=np.int64)).shape == (0,)

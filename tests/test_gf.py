@@ -4,7 +4,7 @@ logs over GF(ell^d)."""
 import numpy as np
 import pytest
 
-from envlab.errors import NotPrime
+from envlab.errors import NotPrime, ValidationError
 from envlab.gf import GF, field_make, is_prime, least_irreducible, prime_factors
 
 
@@ -21,6 +21,25 @@ def test_prime_factors():
 def test_field_requires_prime():
     with pytest.raises(NotPrime):
         field_make(6, 1)
+
+
+def test_field_order_is_bounded_by_int64_products():
+    # (p - 1)^2 >= 2^63: the 1 x 1 product of p - 1 with itself used to
+    # come back as 4294967087, not 1
+    with pytest.raises(ValidationError):
+        GF(4294967311)
+    with pytest.raises(ValidationError):
+        GF(3, 40)  # rejected before any modulus search
+    with pytest.raises(ValidationError):
+        GF(2, 10 ** 9)  # without computing 2^(10^9)
+
+
+def test_matmul_rejects_an_overflowing_inner_dimension():
+    fld = GF(2147483659)  # (p - 1)^2 < 2^63 <= 4 (p - 1)^2
+    p = fld.ell
+    assert fld.matmul([[p - 1]], [[p - 1]]).tolist() == [[1]]
+    with pytest.raises(ValidationError):
+        fld.matmul(np.full((1, 4), p - 1), np.full((4, 1), p - 1))
 
 
 def test_canonical_moduli():

@@ -4,8 +4,9 @@ decomposition on small groups."""
 import numpy as np
 import pytest
 
-from corpus import (cyclic_group, dihedral_group, heisenberg_mod3_group,
-                    perm_mat, symmetric_group)
+from corpus import (closure_mats, cyclic_group, dihedral_group,
+                    heisenberg_mod3_group, mackey_corpus, perm_mat,
+                    symmetric_group)
 from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple
 from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, commutant,
                               composition_factors, modules_isomorphic)
@@ -14,7 +15,7 @@ from envlab.mackey import (all_subgroups, clifford_blocks_transitive,
                            clifford_decompose, double_coset_reps, dual_module,
                            frobenius_reciprocity_dim, induce,
                            irreducible_modules, mackey_irreducible,
-                           regular_rep, restrict, subgroup_datum)
+                           module_value, regular_rep, restrict, subgroup_datum)
 
 
 def char_rep(ell, value):
@@ -207,3 +208,121 @@ def test_restrict_composes_with_words():
     # restricting the permutation module to A_3 splits into three characters
     factors = composition_factors(res)
     assert sorted(m.dim for m, k in factors for _ in range(k)) == [1, 1, 1]
+
+
+# -- the Mat-at-a-time versions of the coset routines, kept as oracles --
+
+def reference_transversal(G, H):
+    """Left coset representatives, greedy in the closure order of G."""
+    h_elems = closure_mats(H)
+    covered, reps = set(), []
+    for t in closure_mats(G):
+        if t not in covered:
+            reps.append(t)
+            covered.update(t @ h for h in h_elems)
+    return reps
+
+
+def reference_double_coset_reps(G, H):
+    """Double coset representatives, greedy, covering H g H pair by pair."""
+    h_elems = closure_mats(H)
+    covered, reps = set(), []
+    for g in closure_mats(G):
+        if g not in covered:
+            reps.append(g)
+            for a in h_elems:
+                ag = a @ g
+                covered.update(ag @ b for b in h_elems)
+    return reps
+
+
+def reference_induce(G, H, T, W):
+    """Ind_H^G W with each (i, j) block found by testing t_i^-1 g t_j in H."""
+    k, m = len(T), W.dim
+    t_inv = [t.inverse() for t in T]
+    mats = []
+    for g in G.generators:
+        big = np.zeros((k * m, k * m), dtype=np.int64)
+        for j in range(k):
+            gt = g @ T[j]
+            for i in range(k):
+                h = t_inv[i] @ gt
+                if h in H:
+                    big[i * m:(i + 1) * m, j * m:(j + 1) * m] = module_value(W, H, h)
+                    break
+        mats.append(big)
+    return mats
+
+
+def reference_all_subgroups(G, up_to_conjugacy=True):
+    """Cyclic subgroups closed under pairwise joins, keyed by element sets;
+    conjugacy classes named by the least sorted conjugate."""
+    elems = closure_mats(G)
+    index = {x: i for i, x in enumerate(elems)}
+    subs = {}
+
+    def record(gens):
+        key = frozenset(index[x] for x in closure_mats(FinMatGroup(G.field, gens)))
+        if key not in subs:
+            subs[key] = gens
+
+    record([Mat.identity(G.field, G.n)])
+    for g in elems:
+        record([g])
+    while True:
+        before = len(subs)
+        pairs = list(subs.items())
+        for key, gens in pairs:
+            for other, ogens in pairs:
+                if not (key <= other or other <= key):
+                    record(gens + ogens)
+        if len(subs) == before:
+            break
+    groups = [FinMatGroup(G.field, gens) for gens in subs.values()]
+    if not up_to_conjugacy:
+        return groups
+    seen, out = set(), []
+    for H in groups:
+        orbit = [frozenset(index[g @ x @ g.inverse()] for x in closure_mats(H))
+                 for g in elems]
+        canon = min(orbit, key=lambda s: tuple(sorted(s)))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(H)
+    return out
+
+
+def reference_regular_rep(H, fld):
+    elems = closure_mats(H)
+    index = {x: i for i, x in enumerate(elems)}
+    mats = []
+    for g in H.generators:
+        P = np.zeros((len(elems), len(elems)), dtype=np.int64)
+        for j, x in enumerate(elems):
+            P[index[g @ x], j] = 1
+        mats.append(P)
+    return mats
+
+
+def same_matrices(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_stack_routines_match_mat_oracles(G, fld):
+    subs = all_subgroups(G, up_to_conjugacy=False)
+    for mine, ref in [(subs, reference_all_subgroups(G, up_to_conjugacy=False)),
+                      (all_subgroups(G), reference_all_subgroups(G))]:
+        assert [H.generators for H in mine] == [H.generators for H in ref]
+    for H in subs:
+        sub = subgroup_datum(G, H.generators)
+        assert sub.transversal == reference_transversal(G, sub.subgroup)
+        assert [sub.transversal[c] for c in sub.coset] == [
+            next(t for t in sub.transversal if t.inverse() @ x in sub.subgroup)
+            for x in closure_mats(G)]
+        assert double_coset_reps(sub) == reference_double_coset_reps(G, sub.subgroup)
+        assert same_matrices(regular_rep(H, fld).matrices, reference_regular_rep(H, fld))
+        for W in irreducible_modules(H, fld):
+            assert same_matrices(induce(sub, W).matrices,
+                                 reference_induce(G, sub.subgroup, sub.transversal, W))

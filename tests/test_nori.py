@@ -1,12 +1,14 @@
 """Truncated exp/log, one-parameter subgroups, and exponentially generated
 closures."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import diagonal_torus, sl2_group
+from corpus import closure_mats, diagonal_torus, sl2_group
 from envlab.errors import CharTooSmall, NotUnipotent
 from envlab.fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, Mat, commutant,
                               module_of_group)
@@ -78,11 +80,8 @@ def test_sl2_is_exponentially_generated(ell):
     G = sl2_group(ell)
     plus = plus_subgroup(G)
     assert plus.order == G.order
-    if ell < default_ell_threshold(2):
-        with pytest.warns(UserWarning):
-            result = nori_points(G)
-    else:
-        result = nori_points(G)
+    result = nori_points(G)
+    assert bool(result.warnings) == (ell < default_ell_threshold(2))
     assert result.nori_points.order == G.order
     assert result.quotient_order == 1
     assert len(result.lie_algebra) == 3  # sl_2
@@ -99,9 +98,11 @@ def test_torus_has_no_unipotents():
 
 def test_threshold_warning_content():
     assert default_ell_threshold(2) == 8
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the message goes to the result only
         result = nori_points(sl2_group(5))
-    assert result.warnings
+    assert result.warnings == ["ell=5 is below the default threshold 8 for n=2; "
+                               "exponential-generation properties are only asserted above it"]
     # at or above the threshold no warning fires
     result = nori_points(sl2_group(13))
     assert not result.warnings
@@ -177,10 +178,10 @@ def one_param_closure(G):
 def test_nori_points_match_one_param_closure(make, order, plus_order):
     G = make()
     assert G.order == order
-    result = nori_points(G, collect_warnings=False)
+    result = nori_points(G)
     assert result.nori_points is result.plus_group
     assert result.nori_points.order == plus_order
-    assert set(result.nori_points.closure()) == set(one_param_closure(G).closure())
+    assert set(closure_mats(result.nori_points)) == set(closure_mats(one_param_closure(G)))
     assert result.quotient_order == 1
 
 
@@ -222,13 +223,13 @@ def reference_lie_closure(fld, seeds, n):
 def test_stacked_scan_and_logs_match_per_element(make):
     G = make()
     fld = G.field
-    expect = [g for g in G.closure()
+    expect = [g for g in closure_mats(G)
               if not g.is_identity() and reference_is_unipotent(fld, g.array)]
     unis = order_ell_elements(G)
     assert unis == expect
     assert all(is_unipotent(g) for g in unis)
     logs = [unipotent_log(x).mat.array for x in unis]
-    result = nori_points(G, collect_warnings=False)
+    result = nori_points(G)
     algebra = reference_lie_closure(fld, logs, G.n)
     assert len(result.lie_algebra) == len(algebra)
     assert all(np.array_equal(a, b) for a, b in zip(result.lie_algebra, algebra))
@@ -288,7 +289,7 @@ def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 def test_lie_rank_estimate_matches_per_bracket_coordinates(make, seed):
     G = make()
-    algebra = nori_points(G, collect_warnings=False).lie_algebra
+    algebra = nori_points(G).lie_algebra
     report = lie_rank_estimate(algebra, G.field, seed=seed)
     assert (report.dim, report.derived_dim, report.rank_estimate,
             report.sample_count) == reference_lie_rank_estimate(algebra, G.field, seed=seed)
