@@ -5,7 +5,9 @@ FinMatGroup.closure is envlab's one closure engine: a breadth-first search
 over whole frontiers, one stacked GF.matmul per layer, that returns the
 group as a read-only (N, n, n) element stack, with a parent vector for
 words.  FinMatGroup.indices, the one membership lookup, maps any stack to
-closure indices; nori and mackey work on these arrays, not on Mats.
+closure indices.  Stages pass each other such stacks (FinMatGroup.gens,
+the candidates of generated_subgroup, G[ell], induced blocks); a Mat is
+built only where a public function takes or returns one matrix.
 
 Modules are given by the action matrices of a free generating set; no
 relations are checked unless a group closure is materialized.  All values
@@ -117,13 +119,16 @@ class FinMatGroup:
     The closure is kept as an (N, n, n) element stack in breadth-first
     order, with a parent vector: element i > 0 is element parent[i] times
     generator gen[i] (a Schreier vector, Seress 2003), so words come from
-    walking the parents.  Generators must be invertible; from_json checks
+    walking the parents.  gens holds the generators as one read-only
+    (k, n, n) stack.  Generators must be invertible; from_json checks
     those that come from outside."""
 
     def __init__(self, fld: GF, generators):
         self.field = fld
         self.generators = [g if isinstance(g, Mat) else Mat(fld, g) for g in generators]
         self.n = self.generators[0].n if self.generators else None
+        self.gens = np.array([g.array for g in self.generators], dtype=np.int64)
+        self.gens.setflags(write=False)
         self._elements = None
         self._parent = None
         self._gen = None
@@ -139,8 +144,7 @@ class FinMatGroup:
             return self._elements
         if self.n is None:
             raise ValidationError("group has no generators and no dimension")
-        fld, n = self.field, self.n
-        gens = np.stack([g.array for g in self.generators])
+        fld, n, gens = self.field, self.n, self.gens
         k = len(gens)
         frontier = fld.eye(n)[None]
         index = dict.fromkeys(_keys(frontier), 0)
@@ -203,12 +207,10 @@ class FinMatGroup:
     def is_normal_in(self, other: "FinMatGroup") -> bool:
         """Checked on generators; assumes self is a subgroup of other."""
         self.closure()  # a group without generators fails here
-        for g in other.generators:
-            gi = g.inverse()
-            for u in self.generators:
-                if (g @ u @ gi) not in self:
-                    return False
-        return True
+        fld = self.field
+        conj = fld.matmul(fld.matmul(other.gens[:, None], self.gens[None]),
+                          _inverse_stack(fld, other.gens)[:, None])
+        return bool((self.indices(conj) >= 0).all())
 
     @staticmethod
     def trivial(fld: GF, n: int) -> "FinMatGroup":
@@ -251,24 +253,41 @@ class FinMatGroup:
         return doc
 
 
+def _inverse_stack(fld: GF, stack) -> np.ndarray:
+    """The inverse of every matrix in a (k, n, n) stack, one rref each."""
+    inv = [fld.inv_matrix(m) for m in stack]
+    return np.array(inv, dtype=np.int64).reshape(np.shape(stack))
+
+
+def generator_commutators(G: FinMatGroup) -> np.ndarray:
+    """a b a^-1 b^-1 for every ordered pair (a, b) of generators, a outer,
+    as a (k^2, n, n) stack: one stacked product per factor."""
+    fld, gens = G.field, G.gens
+    inv = _inverse_stack(fld, gens)
+    ab = fld.matmul(gens[:, None], gens[None])
+    return fld.matmul(fld.matmul(ab, inv[:, None]), inv[None]).reshape(-1, G.n, G.n)
+
+
 def generated_subgroup(fld: GF, n: int, candidates, cap: int = DEFAULT_CLOSURE_CAP,
                        conjugators=()) -> FinMatGroup:
-    """The subgroup generated by the candidates; with conjugators, its
-    normal closure under them.  A candidate already in the closure built so
-    far is skipped, so a long list inside a small group costs a membership
-    test each; each new generator queues its conjugates by the conjugators."""
+    """The subgroup generated by a (k, n, n) stack of candidates; with a
+    stack of conjugators, its normal closure under them.  The next
+    generator is the first remaining candidate outside the closure built
+    so far, found with one indices call; each new generator appends its
+    conjugates by the conjugators to the candidates."""
     group = FinMatGroup.trivial(fld, n)
     group.closure(cap)
     gens = []
-    conj = [(g, g.inverse()) for g in conjugators]
-    work = list(candidates)
-    for c in work:
-        if c in group:
-            continue
-        gens.append(c)
+    conj = np.asarray(conjugators, dtype=np.int64).reshape(-1, n, n)
+    conj_inv = _inverse_stack(fld, conj)
+    work = np.asarray(candidates, dtype=np.int64).reshape(-1, n, n)
+    while (outside := np.flatnonzero(group.indices(work) < 0)).size:
+        c = work[outside[0]]
+        gens.append(Mat(fld, c))
         group = FinMatGroup(fld, gens)
         group.closure(cap)
-        work.extend(g @ c @ gi for g, gi in conj)
+        conjugates = fld.matmul(fld.matmul(conj, c), conj_inv)
+        work = np.concatenate([work[outside[0] + 1:], conjugates])
     return group
 
 

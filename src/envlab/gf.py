@@ -341,12 +341,14 @@ class GF:
         return R[:, n:]
 
     def kron(self, A, B):
+        """The Kronecker product, broadcasting over leading axes like
+        matmul: (..., m, n) and (..., p, q) stacks pair up."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        m, n = A.shape
-        p, q = B.shape
-        K = self.mul(A[:, None, :, None], B[None, :, None, :])
-        return K.reshape(m * p, n * q)
+        m, n = A.shape[-2:]
+        p, q = B.shape[-2:]
+        K = self.mul(A[..., :, None, :, None], B[..., None, :, None, :])
+        return K.reshape(K.shape[:-4] + (m * p, n * q))
 
     # -- multiplicative structure --
 

@@ -4,11 +4,12 @@ certificates, and Clifford decomposition of a restriction to a normal
 subgroup.
 
 A subgroup module is a ModuleRep whose action matrices are indexed by the
-subgroup's generator list; values at arbitrary elements come from closure
-words.  Cosets, double cosets (unions of left cosets), conjugates and the
-regular representation are stacked products over the closures, read back
-by FinMatGroup.indices; a SubgroupDatum labels each ambient element with
-its left coset.  There is no |G| x |G| Cayley table.
+subgroup's generator list; module_value evaluates it on a whole stack of
+elements along their closure words.  Cosets, double cosets (unions of left
+cosets), conjugates, induced blocks and the regular representation are
+stacked products over the closures, read back by FinMatGroup.indices; a
+SubgroupDatum labels each ambient element with its left coset.  There is
+no |G| x |G| Cayley table.
 """
 
 from __future__ import annotations
@@ -37,22 +38,31 @@ def _inverses(fld: GF, stack, order: int) -> np.ndarray:
     return out
 
 
-def module_value(W: ModuleRep, H: FinMatGroup, h: Mat) -> np.ndarray:
-    """W evaluated at an arbitrary element of H, via a closure word."""
+def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
+    """W at every element of an (..., n, n) stack of elements of H, as an
+    (..., m, m) stack: the product of W over each word_for word, all walked
+    at once up the parent vector, applying W(gen[x]) on the left."""
     fld = W.field
-    out = fld.eye(W.dim)
-    for gi in H.word_for(h):
-        out = fld.matmul(out, W.matrices[gi])
+    idx = H.indices(stack)
+    if (idx < 0).any():
+        raise ValidationError("the element does not lie in the group")
+    # gen[0] = -1 at the identity selects the identity appended here
+    mats = np.concatenate([np.stack(W.matrices), fld.eye(W.dim)[None]])
+    out = mats[H._gen[idx]]
+    idx = H._parent[idx]
+    while idx.any():
+        out = fld.matmul(mats[H._gen[idx]], out)
+        idx = H._parent[idx]
     return out
 
 
 def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
     """The module of G viewed over the generators of a subgroup H."""
-    if not H.is_subgroup_of(G):
+    if not H.generators or not H.is_subgroup_of(G):
         raise ValidationError("H is not a subgroup of G")
     if len(V.action) != len(G.generators):
         raise DimensionMismatch("one action matrix per generator of G")
-    return ModuleRep(V.field, tuple(module_value(V, G, h) for h in H.generators))
+    return ModuleRep(V.field, tuple(module_value(V, G, H.gens)))
 
 
 @dataclass
@@ -105,13 +115,13 @@ def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
     ts = np.stack([t.array for t in sub.transversal])
     t_inv = _inverses(gf, ts, G.order)
     mats = []
-    for g in G.generators:
-        gt = gf.matmul(g.array, ts)
+    for g in G.gens:
+        gt = gf.matmul(g, ts)
         rows = sub.coset[G.indices(gt)]
-        big = np.zeros((k * m, k * m), dtype=np.int64)
-        for j, (i, h) in enumerate(zip(rows, gf.matmul(t_inv[rows], gt))):
-            big[i * m:(i + 1) * m, j * m:(j + 1) * m] = module_value(W, H, Mat(gf, h))
-        mats.append(big)
+        big = np.zeros((k, m, k, m), dtype=np.int64)
+        # block (rows[j], j) for every j in one scatter
+        big[rows, :, np.arange(k), :] = module_value(W, H, gf.matmul(t_inv[rows], gt))
+        mats.append(big.reshape(k * m, k * m))
     return ModuleRep(fld, tuple(mats))
 
 
@@ -173,10 +183,9 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     hs = H.closure()
     for g in double_coset_reps(sub)[1:]:  # the first, the identity, spans H
         # x in gHg^-1 n H, listed in full, with g^-1 x g
-        conj = gf.matmul(gf.matmul(g.inverse().array, hs), g.array)
+        conj = gf.matmul(gf.matmul(gf.inv_matrix(g.array), hs), g.array)
         inside = H.indices(conj) >= 0
-        mats = [fld.kron(module_value(W, H, Mat(gf, c)), module_value(wdual, H, Mat(gf, x)))
-                for c, x in zip(conj[inside], hs[inside])]
+        mats = fld.kron(module_value(W, H, conj[inside]), module_value(wdual, H, hs[inside]))
         inv = invariants_dim(ModuleRep(fld, tuple(mats)))
         if inv > 0:
             return MackeyVerdict(False, "condition (II') fails", g, inv)
@@ -220,9 +229,9 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
 def conjugate_module(U: ModuleRep, G: FinMatGroup, N: FinMatGroup,
                      g: Mat) -> ModuleRep:
     """The g-conjugate of an N-module: x acts by U(g^-1 x g)."""
-    ginv = g.inverse()
-    return ModuleRep(U.field, tuple(
-        module_value(U, N, ginv @ n @ g) for n in N.generators))
+    fld = G.field
+    conj = fld.matmul(fld.matmul(fld.inv_matrix(g.array), N.gens), g.array)
+    return ModuleRep(U.field, tuple(module_value(U, N, conj)))
 
 
 def clifford_blocks_transitive(G: FinMatGroup, n_gens,

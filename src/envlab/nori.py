@@ -7,20 +7,22 @@ Requires ell >= n so that the truncated series terminate and invert each
 other on unipotent matrices.  Then exp(t log x) = x^t, so the closure
 generated by all one-parameter subgroups over G[ell] is G+ itself.
 
-G[ell] is found by one test (g - 1)^n = 0 over the whole element stack of
-the closure, and its logs are one stacked series; lie_closure reduces all
-seeds at once.
+G[ell] is found by one test (g - 1)^n = 0 over the closure's element stack
+and stays a stack: the candidates of G+ and the input of the stacked log
+series.  exp is a stacked series too; lie_closure reduces all seeds at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from .errors import CharTooSmall, EmptyAlgebra, NotUnipotent
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, EchelonBasis,
-                        FinMatGroup, Mat, generated_subgroup)
+                        FinMatGroup, Mat, generated_subgroup,
+                        generator_commutators)
 from .gf import GF
 
 
@@ -29,12 +31,6 @@ def default_ell_threshold(n: int) -> int:
     asserted by the tests.  The true constant is not effective here; 4n is
     a workable desk-scale default."""
     return 4 * n
-
-
-@dataclass(frozen=True)
-class NilpotentMat:
-    mat: Mat
-    index: int  # least k with mat^k = 0
 
 
 @dataclass
@@ -66,94 +62,80 @@ def _check_char(fld: GF, n: int):
         raise CharTooSmall(f"need ell >= n, got ell={fld.ell}, n={n}")
 
 
-def _nilpotency_index(fld, N, n):
-    acc = N.copy()
-    k = 1
-    while acc.any():
-        if k >= n:
-            return None
-        acc = fld.matmul(acc, N)
-        k += 1
-    return k
-
-
-def unipotent_log(x: Mat) -> NilpotentMat:
-    """Truncated series -sum_{i=1}^{ell-1} (1-x)^i / i on a unipotent x."""
-    fld = x.field
-    n = x.n
-    _check_char(fld, n)
-    if not is_unipotent(x):
-        raise NotUnipotent("(x - 1)^n != 0")
-    acc = _log_stack(fld, x.array)
-    nil_idx = _nilpotency_index(fld, acc, n) if acc.any() else 1
-    return NilpotentMat(Mat(fld, acc), nil_idx or n)
-
-
-def _log_stack(fld, X):
-    """The truncated log series of unipotent_log on a (..., n, n) stack:
-    (1 - x)^n = 0, so the terms i >= n vanish."""
-    n = X.shape[-1]
-    one_minus = fld.sub(fld.eye(n), X)
-    acc = np.zeros_like(one_minus)
-    term = fld.eye(n)
-    for i in range(1, n):
-        term = fld.matmul(term, one_minus)
-        coef = np.int64(fld.neg(fld.inv(i % fld.ell)))
-        acc = fld.add(acc, fld.mul(coef, term))
-    return acc
-
-
-def nilpotent_exp(N: NilpotentMat | Mat) -> Mat:
-    """Truncated series sum_{i=0}^{ell-1} N^i / i! on a nilpotent N."""
-    arr = N.mat.array if isinstance(N, NilpotentMat) else N.array
-    fld = N.mat.field if isinstance(N, NilpotentMat) else N.field
-    n = arr.shape[0]
-    _check_char(fld, n)
-    if arr.any() and _nilpotency_index(fld, arr, n) is None:
-        raise NotUnipotent("N^n != 0")
-    acc = fld.eye(n)
-    term = fld.eye(n)
-    fact = 1
-    for i in range(1, n):
-        term = fld.matmul(term, arr)
-        fact = (fact * i) % fld.ell
-        acc = fld.add(acc, fld.mul(np.int64(fld.inv(fact)), term))
-    return Mat(fld, acc)
-
-
-def _unipotent_mask(fld, X):
-    """(x - 1)^n == 0 for every x of a (..., n, n) stack, at once."""
-    n = X.shape[-1]
-    N = fld.sub(X, fld.eye(n))
+def _nilpotent_mask(fld, N):
+    """N^n == 0 for every N of a (..., n, n) stack, at once."""
     power = N
-    for _ in range(n - 1):
+    for _ in range(N.shape[-1] - 1):
         power = fld.matmul(power, N)
     return ~power.any(axis=(-2, -1))
 
 
+def unipotent_log(x: Mat) -> Mat:
+    """Truncated series -sum_{i=1}^{ell-1} (1-x)^i / i on a unipotent x."""
+    fld = x.field
+    _check_char(fld, x.n)
+    if not is_unipotent(x):
+        raise NotUnipotent("(x - 1)^n != 0")
+    return Mat(fld, _log_stack(fld, x.array))
+
+
+def nilpotent_exp(N: Mat) -> Mat:
+    """Truncated series sum_{i=0}^{ell-1} N^i / i! on a nilpotent N."""
+    fld = N.field
+    _check_char(fld, N.n)
+    if not _nilpotent_mask(fld, N.array):
+        raise NotUnipotent("N^n != 0")
+    return Mat(fld, _exp_stack(fld, N.array))
+
+
+def _series(fld, X, coefs):
+    """sum_i coefs[i] X^i, i < n, on a (..., n, n) stack of nilpotent X:
+    the truncated exp and log series, whose terms i >= n vanish."""
+    term = fld.eye(X.shape[-1])
+    acc = np.broadcast_to(fld.mul(np.int64(coefs[0]), term), X.shape)
+    for c in coefs[1:]:
+        term = fld.matmul(term, X)
+        acc = fld.add(acc, fld.mul(np.int64(c), term))
+    return acc
+
+
+def _log_stack(fld, X):
+    """The series of unipotent_log on a (..., n, n) stack of unipotents."""
+    n = X.shape[-1]
+    coefs = [0] + [fld.neg(fld.inv(i)) for i in range(1, n)]
+    return _series(fld, fld.sub(fld.eye(n), X), coefs)
+
+
+def _exp_stack(fld, N):
+    """The series of nilpotent_exp on a (..., n, n) stack of nilpotents."""
+    return _series(fld, N, [fld.inv(factorial(i) % fld.ell) for i in range(N.shape[-1])])
+
+
 def is_unipotent(x: Mat) -> bool:
-    return bool(_unipotent_mask(x.field, x.array))
+    fld = x.field
+    return bool(_nilpotent_mask(fld, fld.sub(x.array, fld.eye(x.n))))
 
 
-def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP):
+def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
     """G[ell]: the non-trivial unipotent elements of G, in closure order,
-    found by one stacked test over the element stack."""
-    _check_char(G.field, G.n)
+    as a read-only (k, n, n) stack found by one stacked test over the
+    element stack."""
+    fld = G.field
+    _check_char(fld, G.n)
     X = G.closure(cap)
-    unipotent = _unipotent_mask(G.field, X)
+    unipotent = _nilpotent_mask(fld, fld.sub(X, fld.eye(G.n)))
     unipotent[0] = False  # the identity heads the closure order
-    return [Mat(G.field, x) for x in X[unipotent]]
+    unis = X[unipotent]
+    unis.setflags(write=False)
+    return unis
 
 
 def one_param_subgroup(x: Mat):
     """The ell matrices x^t = exp(t log x) for t in F_ell."""
     fld = x.field
-    N = unipotent_log(x)
-    out = []
-    for t in range(fld.ell):
-        scaled = Mat(fld, fld.mul(np.int64(t), N.mat.array))
-        out.append(nilpotent_exp(NilpotentMat(scaled, N.index)))
-    return out
+    N = unipotent_log(x).array
+    ts = np.arange(fld.ell, dtype=np.int64)[:, None, None]
+    return [Mat(fld, e) for e in _exp_stack(fld, fld.mul(ts, N))]
 
 
 def plus_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
@@ -200,20 +182,14 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> NoriResult:
                      f"for n={n}; exponential-generation properties are only asserted above it")
     unis = order_ell_elements(G, cap)
     plus = generated_subgroup(fld, n, unis, cap)
-    logs = _log_stack(fld, np.array([x.array for x in unis], dtype=np.int64).reshape(-1, n, n))
-    algebra = lie_closure(fld, logs, n)
+    algebra = lie_closure(fld, _log_stack(fld, unis), n)
     return NoriResult(plus_group=plus, nori_points=plus, lie_algebra=algebra,
                       warnings=warns)
 
 
 def quotient_is_abelian(S: FinMatGroup, S_plus: FinMatGroup) -> bool:
     """S/S_plus abelian, checked via generator commutators (S_plus normal)."""
-    for a in S.generators:
-        for b in S.generators:
-            comm = a @ b @ a.inverse() @ b.inverse()
-            if comm not in S_plus and not comm.is_identity():
-                return False
-    return True
+    return bool((S_plus.indices(generator_commutators(S)) >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -236,12 +212,10 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
         raise EmptyAlgebra("zero Lie algebra")
     n = basis[0].shape[0]
     dim = len(basis)
-    brackets = []
-    for i in range(dim):
-        for j in range(i):
-            brackets.append(fld.sub(fld.matmul(basis[i], basis[j]),
-                                    fld.matmul(basis[j], basis[i])))
-    derived = lie_closure(fld, brackets, n)
+    B = np.array(basis, dtype=np.int64)
+    products = fld.matmul(B[:, None], B[None])  # [i, j] = b_i b_j
+    i, j = np.tril_indices(dim, -1)  # the pairs j < i, by i then j
+    derived = lie_closure(fld, fld.sub(products[i, j], products[j, i]), n)
     ddim = len(derived)
     if ddim == 0:
         return LieRankReport(dim, 0, 0, 0)
@@ -250,9 +224,7 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     best = ddim
     for _ in range(samples):
         coeffs = rng.integers(0, fld.q, size=ddim)
-        x = np.zeros((n, n), dtype=np.int64)
-        for c, b in zip(coeffs, derived):
-            x = fld.add(x, fld.mul(np.int64(int(c)), b))
+        x = fld.matmul(coeffs[None], D.reshape(ddim, -1)).reshape(n, n)
         # ad x as a matrix on the derived algebra: the coordinates of every
         # [x, b] from one rref of [B^T | brackets]; the derived basis is
         # independent, so its columns are the first ddim pivots

@@ -15,7 +15,7 @@ from .charlattice import fc_predicates, has_affine_triple
 from .errors import EnvlabError, UnknownPredicate, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
                         commutant, composition_factors, generated_subgroup,
-                        module_of_group)
+                        generator_commutators, module_of_group)
 from .nori import lie_rank_estimate, nori_points, quotient_is_abelian
 from .smallrep import table_a
 from .tame import tame_weights_of_rep
@@ -26,9 +26,8 @@ REPORT_VERSION = 1
 def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
     """Normal closure of the generator commutators (the derived subgroup,
     since the commutators normally generate it)."""
-    comms = [a @ b @ a.inverse() @ b.inverse()
-             for a in G.generators for b in G.generators]
-    return generated_subgroup(G.field, G.n, comms, cap, conjugators=G.generators)
+    return generated_subgroup(G.field, G.n, generator_commutators(G), cap,
+                              conjugators=G.gens)
 
 
 @dataclass

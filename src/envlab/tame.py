@@ -115,18 +115,12 @@ def view_over_prime_field(rho) -> ModuleRep:
     if fld.d == 1:
         return ModuleRep(fld, (g,))
     sub = field_make(fld.ell, 1)
-    n = g.n
-    d = fld.d
-    big = np.zeros((n * d, n * d), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            a = int(g.array[i, j])
-            for c in range(d):
-                prod = fld.mul(np.int64(a), np.int64(fld.ell ** c))
-                e = int(prod)
-                for r in range(d):
-                    big[i * d + r, j * d + c] = e % fld.ell
-                    e //= fld.ell
+    n, d, ell = g.n, fld.d, fld.ell
+    # [i, j, c, r]: digit r of entry (i, j) times x^c, every entry at once
+    powers = ell ** np.arange(d, dtype=np.int64)
+    prods = fld.mul(g.array[:, :, None], powers)
+    digits = prods[..., None] // powers % ell
+    big = digits.transpose(0, 3, 1, 2).reshape(n * d, n * d)
     return ModuleRep(sub, (Mat(sub, big),))
 
 

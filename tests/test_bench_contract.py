@@ -7,6 +7,8 @@ import importlib.util
 import os
 
 from corpus import sl2_group
+from envlab.nori import nori_points, order_ell_elements
+from envlab.pipeline import envelope_report
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench", "spans.py")
@@ -32,3 +34,28 @@ def test_recorder_counts_cold_closures_on_the_element_stack():
         G.closure()
     assert len(closed) == G.order == 336
     assert (rec.cold_calls, rec.cold_elements) == (1, 336)
+
+
+def traced(fn):
+    """fn() under the recorder: (per-name calls, cold closures, elements)."""
+    rec = spans.Recorder()
+    with spans.Installed(rec):
+        fn()
+    layers, _ = spans.summarize(rec)
+    return ({name: v["calls"] for name, v in layers.items()},
+            rec.cold_calls, rec.cold_elements)
+
+
+def test_envelope_closes_the_same_subgroups():
+    # SL2(F_11): G (1,320 elements), then G+ and G' each closed from the
+    # trivial group through one cyclic step (11, then 5) to all 1,320
+    _, cold, elements = traced(lambda: envelope_report(sl2_group(11)))
+    assert (cold, elements) == (7, 3978)
+
+
+def test_nori_points_passes_g_ell_as_a_stack():
+    G = sl2_group(11)
+    assert len(order_ell_elements(G)) == 120
+    calls, _, _ = traced(lambda: nori_points(sl2_group(11)))
+    assert calls["nori.order_ell_elements"] == 1
+    assert calls["fieldcore.Mat.new"] < 120

@@ -73,6 +73,9 @@ def test_normality():
     c2 = FinMatGroup(s3.field, [perm_mat(s3.field, [1, 0, 2])])
     assert a3.is_subgroup_of(s3) and a3.is_normal_in(s3)
     assert c2.is_subgroup_of(s3) and not c2.is_normal_in(s3)
+    # a group without generators has no closure to test against
+    with pytest.raises(ValidationError):
+        FinMatGroup(s3.field, []).is_normal_in(s3)
 
 
 def test_s3_permutation_module_splits():
@@ -187,11 +190,48 @@ def test_generated_subgroup_matches_closure(data):
     picks = data.draw(st.lists(st.integers(0, len(elements) - 1),
                                min_size=1, max_size=4))
     subset = [elements[i] for i in picks]
-    H = generated_subgroup(G.field, G.n, subset)
+    stack = np.array([s.array for s in subset])
+    H = generated_subgroup(G.field, G.n, stack)
     assert set(closure_mats(H)) == set(closure_mats(FinMatGroup(G.field, subset)))
-    N = generated_subgroup(G.field, G.n, subset, conjugators=G.generators)
+    N = generated_subgroup(G.field, G.n, stack, conjugators=G.gens)
     conjugates = [g @ s @ g.inverse() for g in elements for s in subset]
     assert set(closure_mats(N)) == set(closure_mats(FinMatGroup(G.field, conjugates)))
+
+
+def reference_generated_subgroup(fld, n, candidates, conjugators=()):
+    """generated_subgroup as first written: a loop over Mats that tests
+    each candidate against the group built so far and queues the
+    conjugates of every new generator."""
+    group = FinMatGroup.trivial(fld, n)
+    gens = []
+    conj = [(g, g.inverse()) for g in conjugators]
+    work = list(candidates)
+    for c in work:
+        if c in group:
+            continue
+        gens.append(c)
+        group = FinMatGroup(fld, gens)
+        work.extend(g @ c @ gi for g, gi in conj)
+    return group
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generated_subgroup_matches_mat_loop(data):
+    """Same generator list as the Mat loop, with and without conjugators,
+    from candidates and conjugators drawn from one small group."""
+    G = data.draw(st.sampled_from(SMALL_GROUPS))
+    elements = closure_mats(G)
+    element = st.integers(0, len(elements) - 1).map(elements.__getitem__)
+    subset = data.draw(st.lists(element, max_size=6))
+    conjugators = data.draw(st.lists(element, max_size=3))
+    stack = np.array([s.array for s in subset], dtype=np.int64).reshape(-1, G.n, G.n)
+    for conj in ([], conjugators):
+        want = reference_generated_subgroup(G.field, G.n, subset, conj)
+        got = generated_subgroup(G.field, G.n, stack, conjugators=np.array(
+            [g.array for g in conj], dtype=np.int64).reshape(-1, G.n, G.n))
+        assert got.generators == want.generators
+        assert set(closure_mats(got)) == set(closure_mats(want))
 
 
 def reference_closure(G, cap):

@@ -153,6 +153,28 @@ def test_kron_mixed_product():
     assert np.array_equal(left, right)
 
 
+@pytest.mark.parametrize("ell,d", [(7, 1), (5, 2), (2, 3)])
+def test_stacked_kron_matches_per_pair_products(ell, d):
+    fld = field_make(ell, d)
+    rng = np.random.default_rng(ell * 10 + d)
+    A = rng.integers(0, fld.q, size=(4, 2, 3)).astype(np.int64)
+    B = rng.integers(0, fld.q, size=(4, 3, 2)).astype(np.int64)
+    # entry (i p + r, j q + s) of A kron B is a_ij b_rs
+    for a, b in zip(A, B):
+        want = np.array([[int(fld.mul(a[i, j], b[r, s])) for j in range(3) for s in range(2)]
+                         for i in range(2) for r in range(3)], dtype=np.int64)
+        assert np.array_equal(fld.kron(a, b), want)
+    stacked = fld.kron(A, B)
+    assert stacked.shape == (4, 6, 6)
+    assert all(np.array_equal(k, fld.kron(a, b)) for k, a, b in zip(stacked, A, B))
+    # pairs broadcast like matmul: every A against every B, one B against all A
+    pairs = fld.kron(A[:, None], B[None])
+    assert pairs.shape == (4, 4, 6, 6)
+    assert all(np.array_equal(pairs[i, j], fld.kron(A[i], B[j]))
+               for i in range(4) for j in range(4))
+    assert np.array_equal(fld.kron(A, B[0]), np.stack([fld.kron(a, B[0]) for a in A]))
+
+
 def test_least_primitive_and_dlog():
     f25 = field_make(5, 2)
     g = f25.least_primitive()

@@ -7,7 +7,7 @@ import pytest
 from corpus import (closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat,
                     symmetric_group)
-from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple
+from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, ValidationError
 from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, commutant,
                               composition_factors, modules_isomorphic)
 from envlab.gf import field_make
@@ -208,6 +208,9 @@ def test_restrict_composes_with_words():
     # restricting the permutation module to A_3 splits into three characters
     factors = composition_factors(res)
     assert sorted(m.dim for m, k in factors for _ in range(k)) == [1, 1, 1]
+    # a group without generators has no generator stack to restrict to
+    with pytest.raises(ValidationError):
+        restrict(rho, G, FinMatGroup(G.field, []))
 
 
 # -- the Mat-at-a-time versions of the coset routines, kept as oracles --
@@ -236,6 +239,15 @@ def reference_double_coset_reps(G, H):
     return reps
 
 
+def word_value(W, H, h):
+    """W at one element h of H: the product of W over the closure word of
+    h, left to right, one Mat at a time."""
+    acc = Mat.identity(W.field, W.dim)
+    for gi in H.word_for(h):
+        acc = acc @ W.action[gi]
+    return acc.array
+
+
 def reference_induce(G, H, T, W):
     """Ind_H^G W with each (i, j) block found by testing t_i^-1 g t_j in H."""
     k, m = len(T), W.dim
@@ -248,7 +260,7 @@ def reference_induce(G, H, T, W):
             for i in range(k):
                 h = t_inv[i] @ gt
                 if h in H:
-                    big[i * m:(i + 1) * m, j * m:(j + 1) * m] = module_value(W, H, h)
+                    big[i * m:(i + 1) * m, j * m:(j + 1) * m] = word_value(W, H, h)
                     break
         mats.append(big)
     return mats
@@ -326,3 +338,33 @@ def test_stack_routines_match_mat_oracles(G, fld):
         for W in irreducible_modules(H, fld):
             assert same_matrices(induce(sub, W).matrices,
                                  reference_induce(G, sub.subgroup, sub.transversal, W))
+
+
+def random_invertible(fld, m, rng):
+    while True:
+        M = rng.integers(0, fld.q, size=(m, m)).astype(np.int64)
+        if fld.rank(M) == m:
+            return M
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_stacked_module_value_matches_word_walk(G, fld):
+    """On every element of every subgroup, for each irreducible W of H and
+    for random invertible matrices that satisfy no relation of H, where
+    the value depends on the word itself."""
+    rng = np.random.default_rng(len(G.generators) * 100 + G.order)
+    for H in all_subgroups(G, up_to_conjugacy=False):
+        elems = H.closure()
+        k = len(H.generators)
+        noise = ModuleRep(fld, tuple(random_invertible(fld, 3, rng) for _ in range(k)))
+        for W in irreducible_modules(H, fld) + [noise]:
+            got = module_value(W, H, elems)
+            assert got.shape == (len(elems), W.dim, W.dim)
+            assert all(np.array_equal(v, word_value(W, H, Mat(H.field, x)))
+                       for v, x in zip(got, elems))
+            # any leading shape, and one matrix alone
+            assert np.array_equal(module_value(W, H, elems[None]), got[None])
+            assert np.array_equal(module_value(W, H, elems[-1]), got[-1])
+    with pytest.raises(ValidationError):
+        module_value(noise, H, 2 * G.field.eye(G.n))

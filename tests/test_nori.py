@@ -36,7 +36,7 @@ def test_explicit_log_example():
     N = unipotent_log(x)
     assert nilpotent_exp(N) == x
     # log of unitriangular stays strictly upper triangular
-    assert not np.tril(N.mat.array).any()
+    assert not np.tril(N.array).any()
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11])
@@ -90,7 +90,7 @@ def test_sl2_is_exponentially_generated(ell):
 
 def test_torus_has_no_unipotents():
     G = diagonal_torus(11)
-    assert order_ell_elements(G) == []
+    assert order_ell_elements(G).shape == (0, 2, 2)
     result = nori_points(G)
     assert result.nori_points.order == 1
     assert result.lie_algebra == []
@@ -161,7 +161,7 @@ def one_param_closure(G):
     group = FinMatGroup.trivial(G.field, G.n)
     gens = []
     for x in order_ell_elements(G):
-        for c in one_param_subgroup(x):
+        for c in one_param_subgroup(Mat(G.field, x)):
             if c not in group:
                 gens.append(c)
                 group = FinMatGroup(G.field, gens)
@@ -226,9 +226,10 @@ def test_stacked_scan_and_logs_match_per_element(make):
     expect = [g for g in closure_mats(G)
               if not g.is_identity() and reference_is_unipotent(fld, g.array)]
     unis = order_ell_elements(G)
-    assert unis == expect
-    assert all(is_unipotent(g) for g in unis)
-    logs = [unipotent_log(x).mat.array for x in unis]
+    assert not unis.flags.writeable
+    assert np.array_equal(unis, np.array([g.array for g in expect]).reshape(-1, G.n, G.n))
+    assert all(is_unipotent(g) for g in expect)
+    logs = [unipotent_log(x).array for x in expect]
     result = nori_points(G)
     algebra = reference_lie_closure(fld, logs, G.n)
     assert len(result.lie_algebra) == len(algebra)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envlab.errors import (NotCompatible, NotDivisor, OrderDivisibleByEll,
                            OutOfRange)
@@ -122,6 +124,33 @@ def test_extension_field_viewing():
     assert prim.dim == 2 and prim.field.d == 1
     # theta_2^1 contributes the digits of 1 at level 2
     assert tame_weights_of_rep(h).digits == (0, 1)
+
+
+def reference_view_over_prime_field(g):
+    """view_over_prime_field as first written: n^2 d scalar products, each
+    split into its base-ell digits one at a time."""
+    fld = g.field
+    n, d = g.n, fld.d
+    big = np.zeros((n * d, n * d), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            for c in range(d):
+                e = int(fld.mul(np.int64(int(g.array[i, j])), np.int64(fld.ell ** c)))
+                for r in range(d):
+                    big[i * d + r, j * d + c] = e % fld.ell
+                    e //= fld.ell
+    return big
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]), st.integers(1, 3), st.data())
+def test_view_over_prime_field_matches_scalar_loop(field, n, data):
+    fld = field_make(*field)
+    flat = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=n * n, max_size=n * n))
+    g = Mat(fld, np.reshape(flat, (n, n)))
+    prim = view_over_prime_field(g)
+    assert prim.field == field_make(fld.ell, 1)
+    assert np.array_equal(prim.matrices[0], reference_view_over_prime_field(g))
 
 
 def test_twist_and_bound():
