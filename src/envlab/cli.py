@@ -91,7 +91,7 @@ def _module_from(doc, key="module"):
     mats = _mats_from(fld, math.isqrt(len(flats[0])), flats)
     if not all(m.is_invertible() for m in mats):
         raise ValidationError("a group module's action matrices must be invertible")
-    return ModuleRep(fld, tuple(mats))
+    return ModuleRep(fld, [m.array for m in mats])
 
 
 def _cmd_nori(args):

@@ -9,10 +9,13 @@ closure indices.  Stages pass each other such stacks (FinMatGroup.gens,
 the candidates of generated_subgroup, G[ell], induced blocks); a Mat is
 built only where a public function takes or returns one matrix.
 
-Modules are given by the action matrices of a free generating set; no
-relations are checked unless a group closure is materialized.  All values
-are immutable after construction; randomized routines take an explicit
-seed and a budget of random algebra elements.
+Modules are given by the action matrices of a free generating set, held
+as one read-only (k, m, m) stack, ModuleRep.action, in the encoding that
+_canonical gives every matrix; direct sums, intertwiners, invariants and
+the MeatAxe's submodule and quotient actions are stacked operations on
+it.  No relations are checked unless a group closure is materialized.
+All values are immutable after construction; randomized routines take an
+explicit seed and a budget of random algebra elements.
 
 EchelonBasis is the one incremental echelon basis: spin, the Krylov
 minimal polynomial of the MeatAxe and nori.lie_closure grow one row at a
@@ -38,25 +41,30 @@ DEFAULT_MEATAXE_BUDGET = 200
 DEFAULT_CLOSURE_CAP = 10 ** 7
 
 
-class Mat:
-    """An n x n matrix over a finite field.  Hashable and immutable.
+def _canonical(fld: GF, array) -> np.ndarray:
+    """A read-only int64 copy of an array of field entries, in the one
+    encoding: over a prime field entries are reduced mod ell; over
+    GF(ell^d), d > 1, they must already be encodings in [0, ell^d), since
+    reducing mod ell^d would not be field arithmetic."""
+    a = np.array(array, dtype=np.int64)
+    if fld.d == 1:
+        a %= fld.ell
+    elif a.size and a.view(np.uint64).max() >= fld.q:
+        # one comparison: negative entries view as huge unsigned values
+        raise ValidationError(f"entries over {fld} must lie in [0, {fld.q})")
+    a.setflags(write=False)
+    return a
 
-    Over a prime field entries are reduced mod ell; over GF(ell^d), d > 1,
-    they must already be encodings in [0, ell^d), since reducing mod ell^d
-    would not be field arithmetic."""
+
+class Mat:
+    """An n x n matrix over a finite field, canonical as _canonical makes
+    it.  Hashable and immutable."""
 
     __slots__ = ("field", "array", "_hash")
 
     def __init__(self, fld: GF, array):
         self.field = fld
-        a = np.array(array, dtype=np.int64)
-        if fld.d == 1:
-            a %= fld.ell
-        elif a.size and a.view(np.uint64).max() >= fld.q:
-            # one comparison: negative entries view as huge unsigned values
-            raise ValidationError(f"entries over {fld} must lie in [0, {fld.q})")
-        a.setflags(write=False)
-        self.array = a
+        self.array = _canonical(fld, array)
         self._hash = None
 
     @property
@@ -202,7 +210,7 @@ class FinMatGroup:
         return tuple(reversed(word))
 
     def is_subgroup_of(self, other: "FinMatGroup") -> bool:
-        return all(g in other for g in self.generators)
+        return not self.generators or bool((other.indices(self.gens) >= 0).all())
 
     def is_normal_in(self, other: "FinMatGroup") -> bool:
         """Checked on generators; assumes self is a subgroup of other."""
@@ -321,40 +329,39 @@ def matrix_from_flat(fld: GF, n: int, flat) -> Mat:
     return Mat(fld, np.array(entries, dtype=np.int64).reshape(n, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleRep:
-    """A module over a free presentation: one action matrix per generator."""
+    """A module over a free presentation: action[i] is the matrix of
+    generator i, all held as one read-only int64 (k, m, m) stack with
+    k, m >= 1.  modules_isomorphic is the comparison."""
 
     field: GF
-    action: tuple
+    action: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "action", tuple(
-            m if isinstance(m, Mat) else Mat(self.field, m) for m in self.action))
+        a = _canonical(self.field, self.action)
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.size:
+            raise ValidationError(f"a module action must be a nonempty (k, m, m) "
+                                  f"stack, got shape {a.shape}")
+        object.__setattr__(self, "action", a)
 
     @property
     def dim(self) -> int:
-        return self.action[0].n if self.action else 0
-
-    @property
-    def matrices(self):
-        return [m.array for m in self.action]
+        return self.action.shape[1]
 
     def direct_sum(self, other: "ModuleRep") -> "ModuleRep":
         if self.field != other.field or len(self.action) != len(other.action):
             raise DimensionMismatch("direct sum needs matching field and generator count")
-        blocks = []
-        for a, b in zip(self.action, other.action):
-            m = np.zeros((a.n + b.n, a.n + b.n), dtype=np.int64)
-            m[:a.n, :a.n] = a.array
-            m[a.n:, a.n:] = b.array
-            blocks.append(m)
-        return ModuleRep(self.field, tuple(blocks))
+        a, b = self.dim, other.dim
+        out = np.zeros((len(self.action), a + b, a + b), dtype=np.int64)
+        out[:, :a, :a] = self.action
+        out[:, a:, a:] = other.action
+        return ModuleRep(self.field, out)
 
 
 def module_of_group(G: FinMatGroup) -> ModuleRep:
     """The natural module of a matrix group (generators acting as themselves)."""
-    return ModuleRep(G.field, tuple(G.generators))
+    return ModuleRep(G.field, G.gens)
 
 
 # -- intertwiners and commutants --
@@ -371,16 +378,10 @@ def intertwiners(rho: ModuleRep, sigma: ModuleRep):
         raise DimensionMismatch("generator lists differ in length")
     fld = rho.field
     n, m = rho.dim, sigma.dim
-    if not rho.action:
-        raise DimensionMismatch("empty generator list")
-    rows = []
-    Im = fld.eye(m)
-    In = fld.eye(n)
-    for R, S in zip(rho.action, sigma.action):
-        # row-major vec: vec(R X) = (R kron I) vec, vec(X S) = (I kron S^T) vec
-        rows.append(fld.sub(fld.kron(R.array, Im), fld.kron(In, S.array.T)))
-    system = np.concatenate(rows, axis=0)
-    basis = fld.nullspace(system)
+    # row-major vec: vec(R X) = (R kron I) vec, vec(X S) = (I kron S^T) vec
+    system = fld.sub(fld.kron(rho.action, fld.eye(m)),
+                     fld.kron(fld.eye(n), sigma.action.transpose(0, 2, 1)))
+    basis = fld.nullspace(system.reshape(-1, n * m))
     return [b.reshape(n, m) for b in basis]
 
 
@@ -392,12 +393,8 @@ def commutant(rho: ModuleRep):
 
 def invariants_dim(rho: ModuleRep) -> int:
     """Dimension of the simultaneous fixed space of all action matrices."""
-    fld = rho.field
-    n = rho.dim
-    rows = [fld.sub(m.array, fld.eye(n)) for m in rho.action]
-    if not rows:
-        return n
-    return fld.nullspace(np.concatenate(rows, axis=0)).shape[0]
+    fld, n = rho.field, rho.dim
+    return fld.nullspace(fld.sub(rho.action, fld.eye(n)).reshape(-1, n)).shape[0]
 
 
 # -- the MeatAxe: polynomials from the gf kernel, one echelon basis --
@@ -539,11 +536,7 @@ def meataxe_split(rho: ModuleRep, seed: int = DEFAULT_SEED,
     n = rho.dim
     if n == 1:
         return IrreducibleWitness(None, 1)
-    mats = rho.matrices
-    if not mats:
-        e1 = np.zeros((1, n), dtype=np.int64)
-        e1[0, 0] = 1
-        return e1
+    mats = rho.action
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         A = _random_algebra_element(fld, mats, n, rng)
@@ -562,8 +555,7 @@ def meataxe_split(rho: ModuleRep, seed: int = DEFAULT_SEED,
         if 0 < len(w) < n:
             return np.array(w)
         nullT = fld.nullspace(theta.T)
-        matsT = [m.T for m in mats]
-        wT = spin(fld, matsT, [nullT[0]]).rows
+        wT = spin(fld, mats.transpose(0, 2, 1), [nullT[0]]).rows
         if 0 < len(wT) < n:
             # annihilator of a proper dual submodule is a proper submodule
             return fld.nullspace(np.array(wT))
@@ -577,9 +569,9 @@ def is_irreducible(rho: ModuleRep, seed: int = DEFAULT_SEED,
     return isinstance(meataxe_split(rho, seed, budget), IrreducibleWitness)
 
 
-def _submodule_action(fld, mats, basis):
-    """Restrict a module to the invariant row-space `basis` and form the
-    quotient.  Returns (sub_mats, quot_mats)."""
+def _submodule_action(fld, action, basis):
+    """Restrict a (k, n, n) action stack to the invariant row-space `basis`
+    and form the quotient.  Returns the (sub, quotient) action stacks."""
     k, n = basis.shape
     # complete basis to a full one with unit vectors at the free columns
     R, pivots = fld.rref(basis)
@@ -590,15 +582,10 @@ def _submodule_action(fld, mats, basis):
         Q[k + i, c] = 1
     # columns of Q^T are the new basis vectors
     QT = Q.T
-    QTinv = fld.inv_matrix(QT)
-    subs, quots = [], []
-    for M in mats:
-        Mp = fld.matmul(QTinv, fld.matmul(M, QT))
-        if Mp[k:, :k].any():
-            raise ValidationError("claimed subspace is not invariant")
-        subs.append(Mp[:k, :k])
-        quots.append(Mp[k:, k:])
-    return subs, quots
+    conj = fld.matmul(fld.inv_matrix(QT), fld.matmul(action, QT))
+    if conj[:, k:, :k].any():
+        raise ValidationError("claimed subspace is not invariant")
+    return conj[:, :k, :k], conj[:, k:, k:]
 
 
 def modules_isomorphic(a: ModuleRep, b: ModuleRep) -> bool:
@@ -613,19 +600,16 @@ def composition_factors(rho: ModuleRep, seed: int = DEFAULT_SEED,
     """Multiset of irreducible factors, as a list of (ModuleRep, multiplicity)."""
     fld = rho.field
     irreducibles = []
-    stack = [tuple(rho.matrices)]
+    stack = [rho.action]
     salt = 0
     while stack:
-        mats = stack.pop()
-        sub = ModuleRep(fld, mats)
+        sub = ModuleRep(fld, stack.pop())
         verdict = meataxe_split(sub, seed + salt, budget)
         salt += 1
         if isinstance(verdict, IrreducibleWitness):
             irreducibles.append(sub)
         else:
-            subs, quots = _submodule_action(fld, list(mats), verdict)
-            stack.append(tuple(subs))
-            stack.append(tuple(quots))
+            stack.extend(_submodule_action(fld, sub.action, verdict))
     classes = []
     for m in irreducibles:
         for entry in classes:
@@ -671,4 +655,4 @@ def extend_scalars(rho: ModuleRep, d: int) -> ModuleRep:
     if rho.field.d != 1:
         raise ValidationError("extend_scalars starts from a prime field")
     big = field_make(rho.field.ell, d)
-    return ModuleRep(big, tuple(m.array for m in rho.action))
+    return ModuleRep(big, rho.action)

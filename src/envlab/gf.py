@@ -218,11 +218,13 @@ class GF:
     def add(self, a, b):
         if self.d == 1:
             return (np.asarray(a) + np.asarray(b)) % self.ell
+        a, b = np.broadcast_arrays(a, b)  # the digit axis goes in front
         return self._encode((self._planes(a) + self._planes(b)) % self.ell)
 
     def sub(self, a, b):
         if self.d == 1:
             return (np.asarray(a) - np.asarray(b)) % self.ell
+        a, b = np.broadcast_arrays(a, b)
         return self._encode((self._planes(a) - self._planes(b)) % self.ell)
 
     def neg(self, a):

@@ -3,13 +3,15 @@ Frobenius reciprocity, Mackey's irreducibility criterion with double-coset
 certificates, and Clifford decomposition of a restriction to a normal
 subgroup.
 
-A subgroup module is a ModuleRep whose action matrices are indexed by the
+A subgroup module is a ModuleRep whose action stack is indexed by the
 subgroup's generator list; module_value evaluates it on a whole stack of
 elements along their closure words.  Cosets, double cosets (unions of left
-cosets), conjugates, induced blocks and the regular representation are
-stacked products over the closures, read back by FinMatGroup.indices; a
-SubgroupDatum labels each ambient element with its left coset.  There is
-no |G| x |G| Cayley table.
+cosets), conjugates, induced blocks, duals and the regular representation
+are stacked products over the closures, read back by FinMatGroup.indices;
+a SubgroupDatum labels each ambient element with its left coset and keeps
+its transversal as a stack.  Modules and transversals stay stacks; a Mat
+is built only where a public value is one matrix, as when the failing_rep
+of a MackeyVerdict is read.  There is no |G| x |G| Cayley table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
-from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep,
+from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _inverse_stack,
                         composition_factors, intertwiners, invariants_dim,
                         is_irreducible, modules_isomorphic)
 from .gf import GF
@@ -47,7 +49,7 @@ def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
     if (idx < 0).any():
         raise ValidationError("the element does not lie in the group")
     # gen[0] = -1 at the identity selects the identity appended here
-    mats = np.concatenate([np.stack(W.matrices), fld.eye(W.dim)[None]])
+    mats = np.concatenate([W.action, fld.eye(W.dim)[None]])
     out = mats[H._gen[idx]]
     idx = H._parent[idx]
     while idx.any():
@@ -62,18 +64,18 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
         raise ValidationError("H is not a subgroup of G")
     if len(V.action) != len(G.generators):
         raise DimensionMismatch("one action matrix per generator of G")
-    return ModuleRep(V.field, tuple(module_value(V, G, H.gens)))
+    return ModuleRep(V.field, module_value(V, G, H.gens))
 
 
 @dataclass
 class SubgroupDatum:
-    """A subgroup with a left transversal of its ambient group; coset[i]
-    is the position in the transversal of the left coset that holds
-    ambient element i."""
+    """A subgroup with a left transversal of its ambient group, as a
+    read-only (index, n, n) stack; coset[i] is the position in the
+    transversal of the left coset that holds ambient element i."""
 
     ambient: FinMatGroup
     subgroup: FinMatGroup
-    transversal: list
+    transversal: np.ndarray
     coset: np.ndarray
 
     @property
@@ -88,14 +90,16 @@ def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
     H = FinMatGroup(fld, list(subgroup_gens))
     if not H.is_subgroup_of(ambient):
         raise ValidationError("generators do not lie in the ambient group")
-    hs = H.closure()
+    hs, elems = H.closure(), ambient.closure()
     coset = np.full(ambient.order, -1)
     reps = []
-    for i, t in enumerate(ambient.closure()):
+    for i, t in enumerate(elems):
         if coset[i] < 0:
             coset[ambient.indices(fld.matmul(t, hs))] = len(reps)
-            reps.append(Mat(fld, t))
-    datum = SubgroupDatum(ambient, H, reps, coset)
+            reps.append(i)
+    transversal = elems[reps]
+    transversal.setflags(write=False)
+    datum = SubgroupDatum(ambient, H, transversal, coset)
     assert datum.index * H.order == ambient.order
     return datum
 
@@ -111,18 +115,14 @@ def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
     k = sub.index
     if fld.ell and k % fld.ell == 0:
         raise CharDividesIndex(f"characteristic {fld.ell} divides the index {k}")
-    m = W.dim
-    ts = np.stack([t.array for t in sub.transversal])
-    t_inv = _inverses(gf, ts, G.order)
-    mats = []
-    for g in G.gens:
-        gt = gf.matmul(g, ts)
-        rows = sub.coset[G.indices(gt)]
-        big = np.zeros((k, m, k, m), dtype=np.int64)
-        # block (rows[j], j) for every j in one scatter
-        big[rows, :, np.arange(k), :] = module_value(W, H, gf.matmul(t_inv[rows], gt))
-        mats.append(big.reshape(k * m, k * m))
-    return ModuleRep(fld, tuple(mats))
+    m, r, ts = W.dim, len(G.gens), sub.transversal
+    gt = gf.matmul(G.gens[:, None], ts)
+    rows = sub.coset[G.indices(gt)]
+    blocks = module_value(W, H, gf.matmul(_inverses(gf, ts, G.order)[rows], gt))
+    big = np.zeros((r, k, m, k, m), dtype=np.int64)
+    # block (rows[x, j], j) of generator x, for every x and j in one scatter
+    big[np.arange(r)[:, None], rows, :, np.arange(k), :] = blocks
+    return ModuleRep(fld, big.reshape(r, k * m, k * m))
 
 
 def frobenius_reciprocity_dim(sub: SubgroupDatum, W: ModuleRep,
@@ -136,32 +136,38 @@ def frobenius_reciprocity_dim(sub: SubgroupDatum, W: ModuleRep,
 
 
 def dual_module(W: ModuleRep) -> ModuleRep:
-    fld = W.field
-    return ModuleRep(fld, tuple(
-        fld.inv_matrix(m).T.copy() for m in W.matrices))
+    return ModuleRep(W.field, _inverse_stack(W.field, W.action).transpose(0, 2, 1))
 
 
 def double_coset_reps(sub: SubgroupDatum):
-    """One representative per double coset H g H, identity first: its first
-    element in the ambient closure order, which heads its left coset and so
-    is in the transversal.  H g H is the union of the cosets h g H."""
+    """One representative per double coset H g H, identity first, as a
+    stack: its first element in the ambient closure order, which heads its
+    left coset and so is in the transversal.  H g H is the union of the
+    cosets h g H."""
     G, fld = sub.ambient, sub.ambient.field
     hs = sub.subgroup.closure()
     covered = np.zeros(sub.index, dtype=bool)
     reps = []
     for j, t in enumerate(sub.transversal):
         if not covered[j]:
-            covered[sub.coset[G.indices(fld.matmul(hs, t.array))]] = True
-            reps.append(t)
-    return reps
+            covered[sub.coset[G.indices(fld.matmul(hs, t))]] = True
+            reps.append(j)
+    return sub.transversal[reps]
 
 
 @dataclass
 class MackeyVerdict:
+    """failing is the (field, array) of the double-coset representative
+    where condition (II') fails; failing_rep is that one matrix as a Mat."""
+
     irreducible: bool
     reason: str
-    failing_rep: Mat | None = None
+    failing: tuple | None = None
     invariant_dim: int | None = None
+
+    @property
+    def failing_rep(self) -> Mat | None:
+        return None if self.failing is None else Mat(*self.failing)
 
     def __bool__(self):
         return self.irreducible
@@ -183,12 +189,12 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     hs = H.closure()
     for g in double_coset_reps(sub)[1:]:  # the first, the identity, spans H
         # x in gHg^-1 n H, listed in full, with g^-1 x g
-        conj = gf.matmul(gf.matmul(gf.inv_matrix(g.array), hs), g.array)
+        conj = gf.matmul(gf.matmul(gf.inv_matrix(g), hs), g)
         inside = H.indices(conj) >= 0
         mats = fld.kron(module_value(W, H, conj[inside]), module_value(wdual, H, hs[inside]))
-        inv = invariants_dim(ModuleRep(fld, tuple(mats)))
+        inv = invariants_dim(ModuleRep(fld, mats))
         if inv > 0:
-            return MackeyVerdict(False, "condition (II') fails", g, inv)
+            return MackeyVerdict(False, "condition (II') fails", (gf, g), inv)
     return MackeyVerdict(True, "criterion satisfied")
 
 
@@ -231,7 +237,7 @@ def conjugate_module(U: ModuleRep, G: FinMatGroup, N: FinMatGroup,
     """The g-conjugate of an N-module: x acts by U(g^-1 x g)."""
     fld = G.field
     conj = fld.matmul(fld.matmul(fld.inv_matrix(g.array), N.gens), g.array)
-    return ModuleRep(U.field, tuple(module_value(U, N, conj)))
+    return ModuleRep(U.field, module_value(U, N, conj))
 
 
 def clifford_blocks_transitive(G: FinMatGroup, n_gens,
@@ -297,13 +303,11 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
     """Left-regular representation of H over an arbitrary coefficient
     field (permutation matrices on the element list)."""
     elems = H.closure()
-    n = len(elems)
-    mats = []
-    for g in H.generators:
-        P = np.zeros((n, n), dtype=np.int64)
-        P[H.indices(H.field.matmul(g.array, elems)), np.arange(n)] = 1
-        mats.append(P)
-    return ModuleRep(fld, tuple(mats))
+    k, n = len(H.gens), len(elems)
+    P = np.zeros((k, n, n), dtype=np.int64)
+    P[np.arange(k)[:, None], H.indices(H.field.matmul(H.gens[:, None], elems)),
+      np.arange(n)] = 1
+    return ModuleRep(fld, P)
 
 
 def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):

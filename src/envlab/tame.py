@@ -97,31 +97,30 @@ def level_lower(chi: TameCharacter, d: int) -> TameCharacter:
     return TameCharacter(chi.ell, d, chi.exponent // factor)
 
 
-def _as_single_matrix(rho) -> Mat:
+def _as_single_matrix(rho):
+    """(field, array) of a Mat or of a one-generator ModuleRep."""
     if isinstance(rho, Mat):
-        return rho
+        return rho.field, rho.array
     if isinstance(rho, ModuleRep):
         if len(rho.action) != 1:
             raise DimensionMismatch("expected a representation of one generator")
-        return rho.action[0]
+        return rho.field, rho.action[0]
     raise ValidationError("expected a Mat or one-generator ModuleRep")
 
 
 def view_over_prime_field(rho) -> ModuleRep:
     """An n-dim representation over F_{ell^d} as an nd-dim one over F_ell,
     each entry replaced by its multiplication matrix in the power basis."""
-    g = _as_single_matrix(rho)
-    fld = g.field
+    fld, g = _as_single_matrix(rho)
     if fld.d == 1:
-        return ModuleRep(fld, (g,))
+        return ModuleRep(fld, g[None])
     sub = field_make(fld.ell, 1)
-    n, d, ell = g.n, fld.d, fld.ell
+    n, d, ell = len(g), fld.d, fld.ell
     # [i, j, c, r]: digit r of entry (i, j) times x^c, every entry at once
     powers = ell ** np.arange(d, dtype=np.int64)
-    prods = fld.mul(g.array[:, :, None], powers)
+    prods = fld.mul(g[:, :, None], powers)
     digits = prods[..., None] // powers % ell
-    big = digits.transpose(0, 3, 1, 2).reshape(n * d, n * d)
-    return ModuleRep(sub, (Mat(sub, big),))
+    return ModuleRep(sub, digits.transpose(0, 3, 1, 2).reshape(1, n * d, n * d))
 
 
 def _poly_lcm(fld, a, b):
@@ -175,16 +174,15 @@ def tame_weights_of_rep(rho, twist: int = 0) -> TameWeights:
     prim = view_over_prime_field(rho)
     fld = prim.field
     g = prim.action[0]
-    if not g.is_invertible():
+    if fld.rank(g) < len(g):
         raise ValidationError("generator image must be invertible")
-    mp = matrix_minpoly(fld, g.array)
+    mp = matrix_minpoly(fld, g)
     if not _is_squarefree(fld, mp):
         raise OrderDivisibleByEll(
             "generator is not semisimple; its order is divisible by ell")
     digits = []
     for factor, mult in composition_factors(prim):
-        A = factor.matrices[0]
-        fpoly = matrix_minpoly(fld, A)
+        fpoly = matrix_minpoly(fld, factor.action[0])
         e, c = _factor_exponent(fld.ell, fpoly)
         if twist:
             shift = twist * (fld.ell ** e - 1) // (fld.ell - 1)

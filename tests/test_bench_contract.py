@@ -6,7 +6,9 @@ than in a traced benchmark run.  Reads bench/ and changes nothing in it."""
 import importlib.util
 import os
 
-from corpus import sl2_group
+from corpus import sl2_group, symmetric_group
+from envlab.mackey import (all_subgroups, irreducible_modules, mackey_irreducible,
+                           subgroup_datum)
 from envlab.nori import nori_points, order_ell_elements
 from envlab.pipeline import envelope_report
 
@@ -59,3 +61,25 @@ def test_nori_points_passes_g_ell_as_a_stack():
     calls, _, _ = traced(lambda: nori_points(sl2_group(11)))
     assert calls["nori.order_ell_elements"] == 1
     assert calls["fieldcore.Mat.new"] < 120
+
+
+def test_mackey_sweep_builds_no_mat():
+    # S4 over F_13: every subgroup class, each irreducible W of it.  Module
+    # actions, transversals and double-coset representatives are stacks,
+    # and a verdict's failing_rep becomes a Mat only when read (432 Mats
+    # here when each action matrix was a Mat)
+    G = symmetric_group(4, 13)
+    subs = all_subgroups(G)
+    verdicts = []
+
+    def sweep():
+        for H in subs:
+            sub = subgroup_datum(G, H.generators)
+            verdicts.extend(mackey_irreducible(sub, W)
+                            for W in irreducible_modules(H, G.field))
+
+    calls, _, _ = traced(sweep)
+    assert calls["fieldcore.Mat.new"] == 0
+    assert len(verdicts) == 37
+    failing = [v.failing_rep for v in verdicts if not v]
+    assert failing and all(g in G for g in failing)

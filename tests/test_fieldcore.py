@@ -12,12 +12,13 @@ from corpus import (alternating_group_4, closure_mats, cyclic_group,
                     sl2_group, symmetric_group)
 from envlab.errors import ClosureOverflow, ValidationError
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
-                              commutant, composition_factors, extend_scalars,
-                              generated_subgroup, intertwiners, invariants_dim,
-                              is_absolutely_irreducible, is_irreducible,
-                              meataxe_split, modules_isomorphic,
+                              _submodule_action, commutant, composition_factors,
+                              extend_scalars, generated_subgroup, intertwiners,
+                              invariants_dim, is_absolutely_irreducible,
+                              is_irreducible, meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
 from envlab.gf import field_make
+from envlab.mackey import dual_module
 
 
 def test_mat_basic_ops():
@@ -325,3 +326,112 @@ def test_indices_match_per_mat_membership(G, data):
     assert [m in G for m in mats] == [i >= 0 for i in expect]
     assert G.indices(stack.reshape(1, -1, n, n)).shape == (1, len(mats))
     assert G.indices(np.zeros((0, n, n), dtype=np.int64)).shape == (0,)
+
+
+# -- modules: one (k, m, m) action stack --
+
+@pytest.mark.parametrize("call", [meataxe_split, is_irreducible,
+                                  composition_factors, invariants_dim])
+def test_empty_module_is_rejected_at_construction(call):
+    # these raised IndexError, and invariants_dim returned 0, on ()
+    with pytest.raises(ValidationError):
+        call(ModuleRep(field_make(7, 1), ()))
+
+
+@pytest.mark.parametrize("action", [
+    np.zeros((0, 2, 2)), np.zeros((2, 0, 0)), np.eye(2), np.zeros((1, 2, 3)),
+    np.zeros((1, 1, 2, 2))], ids=["no-generators", "dim-0", "one-matrix",
+                                  "not-square", "four-axes"])
+def test_module_action_must_be_a_stack(action):
+    with pytest.raises(ValidationError):
+        ModuleRep(field_make(7, 1), action.astype(np.int64))
+
+
+def test_module_action_is_a_canonical_read_only_stack():
+    rho = ModuleRep(field_make(7, 1), ([[8, -1], [0, 1]], [[1, 0], [0, 1]]))
+    assert rho.action.shape == (2, 2, 2) and rho.action.dtype == np.int64
+    assert rho.action[0].tolist() == [[1, 6], [0, 1]]
+    assert not rho.action.flags.writeable
+    assert not hasattr(rho, "matrices")
+    with pytest.raises(ValidationError):
+        ModuleRep(field_make(5, 2), [[[25]]])
+
+
+def test_submodule_action_rejects_a_non_invariant_basis():
+    rho = module_of_group(symmetric_group(3, 7))
+    fld = rho.field
+    sub, quot = _submodule_action(fld, rho.action, np.array([[1, 1, 1]]))
+    assert sub.shape == (2, 1, 1) and quot.shape == (2, 2, 2)
+    with pytest.raises(ValidationError, match="claimed subspace is not invariant"):
+        _submodule_action(fld, rho.action, np.array([[1, 0, 0]]))
+
+
+def test_is_subgroup_of_matches_per_generator_membership():
+    s3 = symmetric_group(3, 7)
+    fld = s3.field
+    a3 = FinMatGroup(fld, [perm_mat(fld, [1, 2, 0])])
+    cases = [(a3, s3, True), (s3, a3, False), (FinMatGroup(fld, []), s3, True),
+             (FinMatGroup(fld, [2 * np.eye(3, dtype=np.int64)]), s3, False),
+             (cyclic_group(4, 7), s3, False), (s3, s3, True)]
+    for H, G, want in cases:
+        assert H.is_subgroup_of(G) == all(g in G for g in H.generators) == want
+
+
+# the per-matrix loops that the stacked module operations replaced
+
+def reference_intertwiners(rho, sigma):
+    fld, n, m = rho.field, rho.dim, sigma.dim
+    rows = [fld.sub(fld.kron(R, fld.eye(m)), fld.kron(fld.eye(n), S.T))
+            for R, S in zip(rho.action, sigma.action)]
+    return [b.reshape(n, m) for b in fld.nullspace(np.concatenate(rows, axis=0))]
+
+
+def reference_invariants_dim(rho):
+    fld, n = rho.field, rho.dim
+    rows = [fld.sub(M, fld.eye(n)) for M in rho.action]
+    return fld.nullspace(np.concatenate(rows, axis=0)).shape[0]
+
+
+def reference_direct_sum(rho, sigma):
+    blocks = []
+    for a, b in zip(rho.action, sigma.action):
+        M = np.zeros((len(a) + len(b),) * 2, dtype=np.int64)
+        M[:len(a), :len(a)] = a
+        M[len(a):, len(a):] = b
+        blocks.append(M)
+    return blocks
+
+
+def reference_dual(W):
+    return [W.field.inv_matrix(M).T for M in W.action]
+
+
+@st.composite
+def module_pairs(draw):
+    """Two modules of the same k generators over GF(7) or GF(3^2), of
+    dimensions 1..3, with uniformly drawn (not always invertible) entries."""
+    fld = field_make(*draw(st.sampled_from([(7, 1), (3, 2)])))
+    k = draw(st.integers(1, 3))
+
+    def module(dim):
+        flat = draw(st.lists(st.integers(0, fld.q - 1),
+                             min_size=k * dim * dim, max_size=k * dim * dim))
+        return ModuleRep(fld, np.reshape(flat, (k, dim, dim)))
+
+    return module(draw(st.integers(1, 3))), module(draw(st.integers(1, 3)))
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(module_pairs())
+def test_stacked_module_operations_match_per_matrix_loops(pair):
+    rho, sigma = pair
+    for a, b in [(rho, sigma), (sigma, rho), (rho, rho)]:
+        assert same_arrays(intertwiners(a, b), reference_intertwiners(a, b))
+        assert same_arrays(a.direct_sum(b).action, reference_direct_sum(a, b))
+    assert invariants_dim(rho) == reference_invariants_dim(rho)
+    if all(rho.field.rank(M) == rho.dim for M in rho.action):
+        assert same_arrays(dual_module(rho).action, reference_dual(rho))

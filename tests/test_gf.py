@@ -144,6 +144,19 @@ def test_stacked_matmul_matches_per_matrix_products(ell, d):
     assert np.array_equal(fld.matmul(B, D), np.stack([fld.matmul(b, D) for b in B]))
 
 
+@pytest.mark.parametrize("ell,d", [(7, 1), (3, 2), (2, 3)])
+def test_add_and_sub_broadcast_a_stack_against_one_matrix(ell, d):
+    # over GF(ell^d), d > 1, a (k, n, n) stack against an (n, n) matrix
+    # used to fail: the digit planes misaligned the leading axes
+    fld = field_make(ell, d)
+    rng = np.random.default_rng(ell * 10 + d)
+    A = rng.integers(0, fld.q, size=(4, 3, 3)).astype(np.int64)
+    B = rng.integers(0, fld.q, size=(3, 3)).astype(np.int64)
+    for op in (fld.add, fld.sub):
+        assert np.array_equal(op(A, B), np.stack([op(a, B) for a in A]))
+        assert np.array_equal(op(B, A), np.stack([op(B, a) for a in A]))
+
+
 def test_kron_mixed_product():
     fld = field_make(7, 1)
     rng = np.random.default_rng(5)

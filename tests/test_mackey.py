@@ -33,7 +33,7 @@ def test_subgroup_datum_invariant():
     G, sub = s3_setup()
     assert sub.index * sub.subgroup.order == G.order
     assert sub.index == 2
-    assert sub.transversal[0].is_identity()
+    assert np.array_equal(sub.transversal[0], G.field.eye(3))
 
 
 def test_induce_from_whole_group_is_identity():
@@ -50,7 +50,7 @@ def test_regular_representation_of_c2():
     sub = subgroup_datum(c2, [Mat.identity(c2.field, 2)])
     reg = induce(sub, char_rep(7, 1))
     assert reg.dim == 2
-    chars = sorted(int(m.matrices[0][0, 0])
+    chars = sorted(int(m.action[0, 0, 0])
                    for m, _ in composition_factors(reg))
     assert chars == [1, 6]  # trivial and sign
 
@@ -102,7 +102,9 @@ def test_mackey_trivial_character_fails():
     verdict = mackey_irreducible(sub, char_rep(7, 1))
     assert not verdict
     assert verdict.reason == "condition (II') fails"
-    assert verdict.failing_rep is not None
+    # a double-coset representative outside H, one Mat when read
+    g = verdict.failing_rep
+    assert isinstance(g, Mat) and g in G and g not in sub.subgroup
     assert verdict.invariant_dim >= 1
 
 
@@ -133,7 +135,7 @@ def test_dihedral_faithful_character():
 def test_double_cosets_partition():
     G, sub = s3_setup()
     reps = double_coset_reps(sub)
-    assert reps[0].is_identity()
+    assert np.array_equal(reps[0], G.field.eye(3))
     assert len(reps) == 2  # A_3 and its complement
 
 
@@ -142,7 +144,7 @@ def test_dual_module_inverts_transpose():
     rho = ModuleRep(G.field, tuple(g.array for g in G.generators))
     dual = dual_module(rho)
     fld = G.field
-    for m, md in zip(rho.matrices, dual.matrices):
+    for m, md in zip(rho.action, dual.action):
         assert np.array_equal(fld.matmul(m.T, md), fld.eye(rho.dim))
 
 
@@ -151,7 +153,7 @@ def test_clifford_s3():
     V = induce(sub, char_rep(7, 2))
     shape = clifford_decompose(G, [perm_mat(G.field, [1, 2, 0])], V)
     assert (shape.e, shape.f) == (2, 1)
-    chars = sorted(int(m.matrices[0][0, 0]) for m in shape.factors)
+    chars = sorted(int(m.action[0, 0, 0]) for m in shape.factors)
     assert chars == [2, 4]  # the two conjugate cubic characters
     assert clifford_blocks_transitive(G, [perm_mat(G.field, [1, 2, 0])], shape)
 
@@ -244,7 +246,7 @@ def word_value(W, H, h):
     h, left to right, one Mat at a time."""
     acc = Mat.identity(W.field, W.dim)
     for gi in H.word_for(h):
-        acc = acc @ W.action[gi]
+        acc = acc @ Mat(W.field, W.action[gi])
     return acc.array
 
 
@@ -320,6 +322,10 @@ def same_matrices(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def arrays(mats):
+    return np.array([m.array for m in mats])
+
+
 @pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
                                    for name, G, fld in mackey_corpus()])
 def test_stack_routines_match_mat_oracles(G, fld):
@@ -329,15 +335,17 @@ def test_stack_routines_match_mat_oracles(G, fld):
         assert [H.generators for H in mine] == [H.generators for H in ref]
     for H in subs:
         sub = subgroup_datum(G, H.generators)
-        assert sub.transversal == reference_transversal(G, sub.subgroup)
-        assert [sub.transversal[c] for c in sub.coset] == [
-            next(t for t in sub.transversal if t.inverse() @ x in sub.subgroup)
+        assert np.array_equal(sub.transversal, arrays(reference_transversal(G, sub.subgroup)))
+        T = [Mat(G.field, t) for t in sub.transversal]
+        assert [T[c] for c in sub.coset] == [
+            next(t for t in T if t.inverse() @ x in sub.subgroup)
             for x in closure_mats(G)]
-        assert double_coset_reps(sub) == reference_double_coset_reps(G, sub.subgroup)
-        assert same_matrices(regular_rep(H, fld).matrices, reference_regular_rep(H, fld))
+        assert np.array_equal(double_coset_reps(sub),
+                              arrays(reference_double_coset_reps(G, sub.subgroup)))
+        assert same_matrices(regular_rep(H, fld).action, reference_regular_rep(H, fld))
         for W in irreducible_modules(H, fld):
-            assert same_matrices(induce(sub, W).matrices,
-                                 reference_induce(G, sub.subgroup, sub.transversal, W))
+            assert same_matrices(induce(sub, W).action,
+                                 reference_induce(G, sub.subgroup, T, W))
 
 
 def random_invertible(fld, m, rng):

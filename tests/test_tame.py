@@ -101,7 +101,7 @@ def test_direct_sum_union():
     f5 = field_make(5, 1)
     m = order_two_char_matrix()
     g = scalar_rep(5, f5.least_primitive())
-    rep = ModuleRep(f5, (m,)).direct_sum(ModuleRep(f5, (g,)))
+    rep = ModuleRep(f5, (m.array,)).direct_sum(ModuleRep(f5, (g.array,)))
     assert tame_weights_of_rep(rep).digits == (1, 2, 3)
 
 
@@ -150,7 +150,7 @@ def test_view_over_prime_field_matches_scalar_loop(field, n, data):
     g = Mat(fld, np.reshape(flat, (n, n)))
     prim = view_over_prime_field(g)
     assert prim.field == field_make(fld.ell, 1)
-    assert np.array_equal(prim.matrices[0], reference_view_over_prime_field(g))
+    assert np.array_equal(prim.action[0], reference_view_over_prime_field(g))
 
 
 def test_twist_and_bound():
