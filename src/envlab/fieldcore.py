@@ -237,7 +237,7 @@ class FinMatGroup:
         if modulus is not None and not _is_int_list(modulus):
             raise ValidationError("modulus must be a list of integers")
         ell, d = json_int(doc, "ell"), json_int(doc, "d", 1)
-        fld = field_make(ell, d) if modulus is None else GF(ell, d, tuple(modulus))
+        fld = field_make(ell, d, modulus)
         n = json_int(doc, "n")
         flats = doc.get("generators")
         if n < 1 or not isinstance(flats, list) or not flats:

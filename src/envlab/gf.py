@@ -3,9 +3,13 @@
 A field element is stored as a plain integer in [0, ell^d): its base-ell
 digits are the coefficients of the element with respect to the power basis
 of the canonical modulus.  Matrices and vectors are numpy int64 arrays of
-such encodings.  Prime-field work (d = 1) is fully vectorized; extension
-fields decompose into d digit planes, so a matrix product costs d^2
-prime-field products plus one reduction step.
+such encodings, and every operation is vectorized over them.  A prime
+field (d = 1) computes on the integers mod ell.  An extension field
+(d > 1, q <= 2^16) builds exp, log and Zech-logarithm tables once, to the
+base of its least primitive element: a product is one gather at a sum of
+logs, a sum one Zech lookup, and a matrix product takes one gathered
+product and one Zech sum per step of the inner dimension.  The encodings
+do not depend on the tables.
 
 The canonical modulus of GF(ell^d) is the monic irreducible polynomial of
 degree d whose coefficient vector (c_0, ..., c_{d-1}) has the least encoded
@@ -150,8 +154,14 @@ class GF:
     """The finite field GF(ell^d) with the canonical modulus.
 
     All array-valued methods accept and return numpy int64 arrays of
-    encoded elements and broadcast like ordinary numpy arithmetic, so a
-    product of two elements must fit: (q - 1)^2 < 2^63.
+    encoded elements and broadcast like ordinary numpy arithmetic.  A
+    prime field computes on the integers mod ell, so a product of two
+    elements must fit: (q - 1)^2 < 2^63.  GF(ell^d), d > 1, computes on
+    logarithms to the base g of its least primitive element (the MeatAxe
+    convention: Parker 1984; Holt & Rees 1994), with three tables built
+    once: exp (g^i for 0 <= i < 2(q - 1)), log, and the Zech logarithms
+    Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)); zeros are
+    masked.  The tables hold O(q) entries, so d > 1 needs q <= 2^16.
     """
 
     def __init__(self, ell: int, d: int = 1, modulus: tuple[int, ...] | None = None):
@@ -159,6 +169,9 @@ class GF:
             raise DegreeZero(f"extension degree must be >= 1, got {d}")
         if d >= 63 or (ell ** d - 1) ** 2 >= 2 ** 63:  # d first: ell ** d may be huge
             raise ValidationError(f"{ell}^{d} is too large a field order for int64 products")
+        if d > 1 and ell ** d > 2 ** 16:  # the log tables hold O(q) entries
+            raise ValidationError(f"{ell}^{d} is too large a field order for log tables "
+                                  f"(d > 1 needs q <= 2^16)")
         if not is_prime(ell):
             raise NotPrime(f"{ell} is not prime")
         self.ell = ell
@@ -173,15 +186,43 @@ class GF:
             if not _is_irreducible(list(modulus), ell):
                 raise NotPrime(f"modulus {modulus} is reducible over F_{ell}")
         self.modulus = modulus
-        if d > 1:
-            # x^u mod f for u = 0..2d-2, as a (2d-1) x d integer matrix
-            fp = field_make(ell)
-            red = np.zeros((2 * d - 1, d), dtype=np.int64)
-            for u in range(2 * d - 1):
-                r = poly_divmod(fp, [0] * u + [1], list(modulus))[1]
-                red[u, :len(r)] = r
-            self._reduce = red
         self._primitive = None
+        if d > 1:
+            self._build_tables()
+
+    def _build_tables(self):
+        """The exp, log and Zech tables, built without a field product.
+        "Times g" is the F_ell-linear map sum_j g_j C^j, for C the
+        companion matrix of the modulus.  The cycle of 1 under it doubles
+        in length with each stacked product (g^(i + L) = g^L g^i), so a
+        candidate costs its order; the least g whose cycle has length
+        q - 1 is primitive, and its cycle is the exp table."""
+        ell, d, n = self.ell, self.d, self.q - 1
+        place = ell ** np.arange(d, dtype=np.int64)
+        companion = np.eye(d, k=-1, dtype=np.int64)  # column j: x * x^j
+        companion[:, -1] = np.negative(self.modulus[:d]) % ell
+        for g in range(ell, self.q):  # F_ell holds no generator when d > 1
+            jump, power = np.zeros((d, d), dtype=np.int64), np.eye(d, dtype=np.int64)
+            for c in self.coeffs(g):
+                jump = (jump + c * power) % ell
+                power = companion @ power % ell
+            cycle = np.eye(1, d, dtype=np.int64)  # digit rows of g^0, ..., g^(L - 1)
+            while len(cycle) < n:
+                more = (cycle @ jump.T % ell)[:n - len(cycle)]  # jump = times g^L
+                if (more @ place == 1).any():
+                    break  # the cycle closes early: g is not primitive
+                cycle = np.concatenate([cycle, more])
+                jump = jump @ jump % ell
+            else:
+                break
+        self._primitive = g
+        powers = cycle @ place
+        self._exp = np.concatenate([powers, powers])
+        self._log = np.zeros(self.q, dtype=np.int64)  # log 0 is never read unmasked
+        self._log[powers] = np.arange(n)
+        self._zech = self._log[powers - powers % ell + (powers + 1) % ell]
+        self._log_minus_one = int(self._log[ell - 1])  # -1 is the encoding ell - 1
+        self._zech[self._log_minus_one] = -1  # 1 + g^k = 0: the sum is zero
 
     # -- identity / representation --
 
@@ -202,47 +243,39 @@ class GF:
     def from_coeffs(self, cs) -> int:
         return sum((int(c) % self.ell) * self.ell ** j for j, c in enumerate(cs))
 
-    def _planes(self, a):
-        """Decode an encoded array into a stack of d digit planes."""
-        a = np.asarray(a, dtype=np.int64)
-        return np.stack([(a // self.ell ** j) % self.ell for j in range(self.d)])
-
-    def _encode(self, planes):
-        out = np.zeros(planes.shape[1:], dtype=np.int64)
-        for j in range(self.d):
-            out += planes[j] * self.ell ** j
-        return out
-
     # -- elementwise arithmetic --
+
+    def _zech_sum(self, a, b):
+        """a + b over GF(ell^d), d > 1, for int64 arrays of encodings."""
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative difference wraps: Z has period q - 1
+        s = np.asarray(self._exp[la + z])
+        s[z < 0] = 0
+        np.copyto(s, b, where=a == 0)
+        np.copyto(s, a, where=b == 0)
+        return s
 
     def add(self, a, b):
         if self.d == 1:
             return (np.asarray(a) + np.asarray(b)) % self.ell
-        a, b = np.broadcast_arrays(a, b)  # the digit axis goes in front
-        return self._encode((self._planes(a) + self._planes(b)) % self.ell)
+        return self._zech_sum(np.asarray(a), np.asarray(b))
 
     def sub(self, a, b):
         if self.d == 1:
             return (np.asarray(a) - np.asarray(b)) % self.ell
-        a, b = np.broadcast_arrays(a, b)
-        return self._encode((self._planes(a) - self._planes(b)) % self.ell)
+        return self._zech_sum(np.asarray(a), self.neg(b))
 
     def neg(self, a):
         if self.d == 1:
             return (-np.asarray(a)) % self.ell
-        return self._encode((-self._planes(a)) % self.ell)
+        a = np.asarray(a)
+        return np.where(a == 0, 0, self._exp[self._log[a] + self._log_minus_one])
 
     def mul(self, a, b):
         if self.d == 1:
             return (np.asarray(a) * np.asarray(b)) % self.ell
-        pa, pb = self._planes(a), self._planes(b)
-        shape = np.broadcast_shapes(pa.shape[1:], pb.shape[1:])
-        conv = np.zeros((2 * self.d - 1,) + shape, dtype=np.int64)
-        for s in range(self.d):
-            for t in range(self.d):
-                conv[s + t] = (conv[s + t] + pa[s] * pb[t]) % self.ell
-        planes = np.tensordot(self._reduce.T, conv, axes=1) % self.ell
-        return self._encode(planes)
+        a, b = np.asarray(a), np.asarray(b)
+        return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
 
     def matmul(self, A, B):
         """A @ B, broadcasting over leading axes like numpy: (..., m, k)
@@ -253,13 +286,23 @@ class GF:
             if A.shape[-1] * (self.ell - 1) ** 2 >= 2 ** 63:
                 raise ValidationError(f"a sum of {A.shape[-1]} products overflows over {self}")
             return (A @ B) % self.ell
-        pa, pb = self._planes(A), self._planes(B)
-        conv = [0] * (2 * self.d - 1)
-        for s in range(self.d):
-            for t in range(self.d):
-                conv[s + t] = (conv[s + t] + pa[s] @ pb[t]) % self.ell
-        planes = np.tensordot(self._reduce.T, np.stack(conv), axes=1) % self.ell
-        return self._encode(planes)
+        if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
+            raise ValueError(f"matmul of shapes {A.shape} and {B.shape}")
+        # one gathered product and one Zech sum per step of the inner
+        # dimension; log 0 becomes 2(q - 1), so a product with a zero
+        # factor is exactly a log sum past the end of the exp table
+        past = 2 * (self.q - 1)
+        LA, LB = self._log[A], self._log[B]
+        LA[A == 0] = past
+        LB[B == 0] = past
+        out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                       + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+        for t in range(A.shape[-1]):
+            logs = LA[..., :, t, None] + LB[..., None, t, :]
+            p = self._exp.take(logs, mode="clip")
+            p[logs >= past] = 0
+            out = self._zech_sum(out, p) if t else p
+        return out
 
     def inv(self, a: int) -> int:
         a = int(a)
@@ -267,7 +310,7 @@ class GF:
             raise ZeroDivisionError("inverse of zero field element")
         if self.d == 1:
             return pow(a, self.ell - 2, self.ell)
-        return self.pow(a, self.q - 2)
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def pow(self, a: int, e: int) -> int:
         if not a:
@@ -275,13 +318,7 @@ class GF:
         e %= self.q - 1
         if self.d == 1:
             return pow(int(a), e, self.ell)
-        r, base = 1, int(a)
-        while e:
-            if e & 1:
-                r = int(self.mul(np.int64(r), np.int64(base)))
-            base = int(self.mul(np.int64(base), np.int64(base)))
-            e >>= 1
-        return r
+        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     # -- matrix utilities --
 
@@ -328,10 +365,8 @@ class GF:
         R, pivots = self.rref(M)
         free = [c for c in range(n) if c not in pivots]
         basis = np.zeros((len(free), n), dtype=np.int64)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[i, pc] = self.neg(R[r, fc])
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.neg(R[:, free].T)  # R has one row per pivot
         return basis
 
     def inv_matrix(self, M):
@@ -396,7 +431,12 @@ class GF:
         raise ValueError(f"{b} is not a power of {base} in {self}")
 
 
+def field_make(ell: int, d: int = 1, modulus=None) -> GF:
+    """GF(ell^d), cached: with the canonical modulus by default, else with
+    the given one, so a field and its tables are built once per process."""
+    return _field_make(ell, d, None if modulus is None else tuple(modulus))
+
+
 @functools.lru_cache(maxsize=None)
-def field_make(ell: int, d: int = 1) -> GF:
-    """The canonical GF(ell^d) (deterministic modulus, cached)."""
-    return GF(ell, d)
+def _field_make(ell, d, modulus):
+    return GF(ell, d, modulus)

@@ -239,6 +239,17 @@ def test_huge_ell_fails_fast(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
+def test_extension_field_above_the_table_bound_fails_fast(tmp_path, capsys):
+    # GF(2^17): q > 2^16 is rejected before the modulus search
+    doc = {"ell": 2, "d": 17, "n": 2, "generators": [[1, 1, 0, 1]]}
+    start = time.perf_counter()
+    assert run(["envelope", "--input", write_json(tmp_path / "gf2_17.json", doc)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 def test_envelope_threshold_warning_stays_in_the_report(tmp_path, capsys):
     # SO3(F_7): Sym^2 of the SL2 unit transvections and diag(3, 1, 5)
     so3 = {"ell": 7, "n": 3, "generators": [[1, 2, 1, 0, 1, 1, 0, 0, 1],

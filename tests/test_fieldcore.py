@@ -68,6 +68,22 @@ def test_group_json_roundtrip():
     assert all(g in G for g in H.generators)
 
 
+def test_from_json_builds_an_explicit_modulus_field_once():
+    # to_json writes the modulus of GF(ell^d), d > 1, so every round trip
+    # names one; the field and its tables come from the field_make cache
+    f9 = field_make(3, 2)
+    G = FinMatGroup(f9, [Mat(f9, [[1, 1], [0, 1]]), Mat(f9, [[4, 0], [0, 1]])])
+    doc = G.to_json()
+    assert doc["modulus"] == [1, 0, 1]
+    first = FinMatGroup.from_json(doc)
+    assert first.field is FinMatGroup.from_json(doc).field
+    assert first.field == f9
+    assert first.order == G.order
+    other = dict(doc, modulus=[2, 2, 1])  # x^2 + 2x + 2, also irreducible over F_3
+    assert FinMatGroup.from_json(other).field is FinMatGroup.from_json(other).field
+    assert FinMatGroup.from_json(other).field != f9
+
+
 def test_normality():
     s3 = symmetric_group(3, 7)
     a3 = FinMatGroup(s3.field, [perm_mat(s3.field, [1, 2, 0])])

@@ -3,6 +3,9 @@ logs over GF(ell^d)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from envlab.errors import NotPrime, ValidationError
 from envlab.gf import GF, field_make, is_prime, least_irreducible, prime_factors
@@ -103,6 +106,42 @@ def test_rref_nullspace_rank(ell, d):
         for v in ns:
             prod = fld.matmul(M, v[:, None])
             assert not prod.any()
+
+
+def nullspace_by_entries(fld, M):
+    """The per-entry loop GF.nullspace used to run: free columns get a 1,
+    pivot columns the negated entries of the reduced rows."""
+    R, pivots = fld.rref(M)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = fld.neg(R[r, fc])
+    return basis
+
+
+@pytest.mark.parametrize("ell,d", [(7, 1), (3, 2), (2, 3)])
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(0, 4), st.integers(0, 5)), data=st.data())
+def test_stacked_nullspace_matches_the_entry_loop(ell, d, shape, data):
+    fld = field_make(ell, d)
+    M = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, fld.q - 1)))
+    basis = fld.nullspace(M)
+    assert np.array_equal(basis, nullspace_by_entries(fld, M))
+    assert basis.shape == (shape[1] - fld.rank(M), shape[1])
+    assert not fld.matmul(M, basis.T).any()
+
+
+@pytest.mark.parametrize("ell,d", [(7, 1), (3, 2), (2, 3)])
+def test_nullspace_of_empty_and_full_rank_matrices(ell, d):
+    fld = field_make(ell, d)
+    for M in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64),
+              np.zeros((0, 0), dtype=np.int64), fld.eye(3),
+              np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int64)):
+        basis = fld.nullspace(M)
+        assert np.array_equal(basis, nullspace_by_entries(fld, M))
+        assert basis.shape == (M.shape[1] - fld.rank(M), M.shape[1])
 
 
 def test_matrix_inverse():
