@@ -141,6 +141,16 @@ class FinMatGroup:
         self._parent = None
         self._gen = None
         self._index = None
+        self._gens_inv = None
+
+    @property
+    def gens_inv(self) -> np.ndarray:
+        """The inverse of every generator, as a read-only (k, n, n) stack
+        in the order of gens, computed once."""
+        if self._gens_inv is None:
+            self._gens_inv = _inverse_stack(self.field, self.gens)
+            self._gens_inv.setflags(write=False)
+        return self._gens_inv
 
     def closure(self, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
         """Breadth-first closure over whole frontiers: each layer multiplies
@@ -217,7 +227,7 @@ class FinMatGroup:
         self.closure()  # a group without generators fails here
         fld = self.field
         conj = fld.matmul(fld.matmul(other.gens[:, None], self.gens[None]),
-                          _inverse_stack(fld, other.gens)[:, None])
+                          other.gens_inv[:, None])
         return bool((self.indices(conj) >= 0).all())
 
     @staticmethod
@@ -270,8 +280,7 @@ def _inverse_stack(fld: GF, stack) -> np.ndarray:
 def generator_commutators(G: FinMatGroup) -> np.ndarray:
     """a b a^-1 b^-1 for every ordered pair (a, b) of generators, a outer,
     as a (k^2, n, n) stack: one stacked product per factor."""
-    fld, gens = G.field, G.gens
-    inv = _inverse_stack(fld, gens)
+    fld, gens, inv = G.field, G.gens, G.gens_inv
     ab = fld.matmul(gens[:, None], gens[None])
     return fld.matmul(fld.matmul(ab, inv[:, None]), inv[None]).reshape(-1, G.n, G.n)
 

@@ -11,7 +11,9 @@ are stacked products over the closures, read back by FinMatGroup.indices;
 a SubgroupDatum labels each ambient element with its left coset and keeps
 its transversal as a stack.  Modules and transversals stay stacks; a Mat
 is built only where a public value is one matrix, as when the failing_rep
-of a MackeyVerdict is read.  There is no |G| x |G| Cayley table.
+of a MackeyVerdict is read.  all_subgroups enumerates subgroups as sets of
+closure indices of the ambient group, which is the only group it closes.
+There is no |G| x |G| Cayley table.
 """
 
 from __future__ import annotations
@@ -261,42 +263,71 @@ def clifford_blocks_transitive(G: FinMatGroup, n_gens,
 
 def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     """Every subgroup of a small group, found by closing the cyclic
-    subgroups under pairwise joins; optionally one per conjugacy class."""
+    subgroups under pairwise joins; optionally one per conjugacy class.
+
+    Subgroups are sets of closure indices of G, the only group closed.
+    The powers of all elements take one stacked product per step; a join
+    is a search from the union of two subgroups under right
+    multiplication by their generators, one index row per generator
+    element.  Each unordered, non-nested pair is joined once, and a new
+    subgroup keeps the generators of the first pair that reaches it."""
     fld, elems = G.field, G.closure()
-    subs = {}  # frozenset of element indices -> generator list
+    N = len(elems)
+    # powers[k][x]: the index of x^(k+1), until every x has reached 1
+    powers, step, done = [np.arange(N)], elems, np.arange(N) == 0
+    while not done.all():
+        step = fld.matmul(step, elems)
+        powers.append(G.indices(step))
+        done |= powers[-1] == 0
+    subs = {}  # frozenset of element indices -> generator element indices
+    for x, cyclic in enumerate(np.array(powers).T.tolist()):
+        subs.setdefault(frozenset(cyclic), [x])
+    rows = {}  # generator element x -> index of y x for every y
 
-    def record(gens):
-        key = frozenset(G.indices(FinMatGroup(fld, gens).closure()).tolist())
-        if key not in subs:
-            subs[key] = gens
+    def join(start, gens):
+        for x in gens:
+            if x not in rows:
+                rows[x] = G.indices(fld.matmul(elems, elems[x]))
+        right = np.array([rows[x] for x in gens])
+        mask = np.zeros(N, dtype=bool)
+        mask[list(start)] = True
+        frontier = np.flatnonzero(mask)
+        while len(frontier):
+            grown = mask.copy()
+            grown[right[:, frontier]] = True
+            frontier = np.flatnonzero(grown & ~mask)
+            mask = grown
+        return frozenset(np.flatnonzero(mask).tolist())
 
-    record([Mat.identity(fld, G.n)])
-    for x in elems:
-        record([Mat(fld, x)])
-    while True:
-        before = len(subs)
-        pairs = list(subs.items())
-        for key, gens in pairs:
-            for other, ogens in pairs:
+    joined = 0  # pairs among the first `joined` subgroups are done
+    while len(subs) > joined:
+        keys = list(subs)
+        for i, key in enumerate(keys):
+            for other in keys[max(i + 1, joined):]:
                 if key <= other or other <= key:
                     continue
-                record(gens + ogens)
-        if len(subs) == before:
-            break
-    groups = [FinMatGroup(fld, gens) for gens in subs.values()]
-    if not up_to_conjugacy:
-        return groups
-    inverses = _inverses(fld, elems, len(elems))
-    seen = set()
-    out = []
-    for H in groups:
-        # row g: the indices of g H g^-1; the class is named by its least
-        conj = fld.matmul(fld.matmul(elems[:, None], H.closure()[None]), inverses[:, None])
-        canon = min(tuple(sorted(row)) for row in G.indices(conj).tolist())
-        if canon not in seen:
-            seen.add(canon)
-            out.append(H)
-    return out
+                gens = subs[key] + subs[other]
+                new = join(key | other, gens)
+                if new not in subs:
+                    subs[new] = gens
+        joined = len(keys)
+    if up_to_conjugacy:
+        # the first subgroup of each class in the order above; the rest
+        # are among the conjugates g H g^-1 of one already kept
+        inverses = _inverses(fld, elems, N)
+        seen, kept = set(), {}
+        for key, gens in subs.items():
+            if key in seen:
+                continue
+            conj = fld.matmul(fld.matmul(elems[:, None], elems[sorted(key)][None]),
+                              inverses[:, None])
+            seen.update(map(frozenset, G.indices(conj).tolist()))
+            kept[key] = gens
+        subs = kept
+    # one Mat per generator element, shared by the generator lists
+    mats = {x: Mat(fld, elems[x])
+            for x in dict.fromkeys(x for gens in subs.values() for x in gens)}
+    return [FinMatGroup(fld, [mats[x] for x in gens]) for gens in subs.values()]
 
 
 def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:

@@ -83,3 +83,15 @@ def test_mackey_sweep_builds_no_mat():
     assert len(verdicts) == 37
     failing = [v.failing_rep for v in verdicts if not v]
     assert failing and all(g in G for g in failing)
+
+
+def test_all_subgroups_closes_only_the_ambient_group():
+    # S4 over F_13: every subgroup is an index set of G's one closure (920
+    # cold closures with classes, 890 without, when each cyclic subgroup
+    # and each join was closed as its own group), and each generator
+    # element is one Mat shared by the generator lists (25 Mats then)
+    for up_to_conjugacy in (True, False):
+        G = symmetric_group(4, 13)
+        calls, cold, elements = traced(lambda: all_subgroups(G, up_to_conjugacy))
+        assert (cold, elements) == (1, 24)
+        assert calls["fieldcore.Mat.new"] < 25

@@ -12,8 +12,9 @@ from corpus import (alternating_group_4, closure_mats, cyclic_group,
                     sl2_group, symmetric_group)
 from envlab.errors import ClosureOverflow, ValidationError
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
-                              _submodule_action, commutant, composition_factors,
-                              extend_scalars, generated_subgroup, intertwiners,
+                              _inverse_stack, _submodule_action, commutant,
+                              composition_factors, extend_scalars,
+                              generated_subgroup, intertwiners,
                               invariants_dim, is_absolutely_irreducible,
                               is_irreducible, meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
@@ -93,6 +94,25 @@ def test_normality():
     # a group without generators has no closure to test against
     with pytest.raises(ValidationError):
         FinMatGroup(s3.field, []).is_normal_in(s3)
+
+
+def test_gens_inv_is_computed_once(monkeypatch):
+    s4 = symmetric_group(4, 13)
+    fld = s4.field
+    inverted = []
+    inv_matrix = type(fld).inv_matrix
+    monkeypatch.setattr(type(fld), "inv_matrix",
+                        lambda self, m: inverted.append(1) or inv_matrix(self, m))
+    v4 = FinMatGroup(fld, [perm_mat(fld, [1, 0, 3, 2]), perm_mat(fld, [2, 3, 0, 1])])
+    assert v4.is_normal_in(s4)
+    assert len(inverted) == 2  # one per generator of S4
+    assert v4.is_normal_in(s4)
+    assert len(inverted) == 2
+    inv = s4.gens_inv
+    assert np.array_equal(inv, _inverse_stack(fld, s4.gens))
+    assert s4.gens_inv is inv and not inv.flags.writeable
+    with pytest.raises(AttributeError):
+        s4.gens_inv = inv
 
 
 def test_s3_permutation_module_splits():

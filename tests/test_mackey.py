@@ -3,6 +3,8 @@ decomposition on small groups."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import (closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat,
@@ -304,6 +306,45 @@ def reference_all_subgroups(G, up_to_conjugacy=True):
             seen.add(canon)
             out.append(H)
     return out
+
+
+@st.composite
+def conjugated_s4_subgroups(draw):
+    """A subgroup of S4 over F_13 generated by one to three permutation
+    matrices, all conjugated by one random P in GL4(F_13)."""
+    fld = field_make(13, 1)
+    perms = draw(st.lists(st.permutations(range(4)), min_size=1, max_size=3))
+    P = np.array(draw(st.lists(st.integers(0, 12), min_size=16, max_size=16)),
+                 dtype=np.int64).reshape(4, 4)
+    assume(fld.rank(P) == 4)
+    P_inv = fld.inv_matrix(P)
+    return FinMatGroup(fld, [fld.matmul(fld.matmul(P, perm_mat(fld, p).array), P_inv)
+                             for p in perms])
+
+
+def same_subgroup_lists(G):
+    for up_to_conjugacy in (False, True):
+        mine = all_subgroups(G, up_to_conjugacy)
+        ref = reference_all_subgroups(G, up_to_conjugacy)
+        assert [H.generators for H in mine] == [H.generators for H in ref]
+        assert [H.order for H in mine] == [H.order for H in ref]
+
+
+@settings(max_examples=10, deadline=None)
+@given(conjugated_s4_subgroups())
+def test_all_subgroups_matches_reference_on_s4_subgroups(G):
+    same_subgroup_lists(G)
+
+
+def test_all_subgroups_of_trivial_and_cyclic_groups():
+    fld = field_make(13, 1)
+    trivial = FinMatGroup(fld, [Mat.identity(fld, 4)])
+    assert [H.generators for H in all_subgroups(trivial)] == [trivial.generators]
+    same_subgroup_lists(trivial)
+    # C_12: one subgroup, and so one class, per divisor of 12
+    c12 = cyclic_group(12, 13)
+    assert [H.order for H in all_subgroups(c12)] == [1, 12, 6, 4, 3, 2]
+    same_subgroup_lists(c12)
 
 
 def reference_regular_rep(H, fld):
