@@ -14,27 +14,38 @@ as one read-only (k, m, m) stack, ModuleRep.action, in the encoding that
 _canonical gives every matrix; direct sums, intertwiners, invariants and
 the MeatAxe's submodule and quotient actions are stacked operations on
 it.  No relations are checked unless a group closure is materialized.
-All values are immutable after construction; randomized routines take an
-explicit seed and a budget of random algebra elements.
+All values are immutable after construction, apart from the witness a
+ModuleRep may store (below); randomized routines take an explicit seed
+and a budget of random algebra elements.
 
 EchelonBasis is the one incremental echelon basis: spin, the Krylov
 minimal polynomial of the MeatAxe and nori.lie_closure grow one row at a
 time on it, while GF.rref stays the batch kernel for whole systems.  The
 MeatAxe's polynomial arithmetic is the kernel in gf.
+
+Each irreducible is certified once.  meataxe_split stores the
+IrreducibleWitness it finds on that ModuleRep object, and a later call on
+the same object returns it without drawing from the rng, whatever seed
+and budget it is given.  A witness is a proof, so the verdict does not
+depend on the seed; the stored witness is the one the first call's seed
+found.  The factors that composition_factors returns arrive certified.
+A module that split stores nothing, and a fresh ModuleRep with the same
+action is tested afresh, so a verdict never depends on which objects
+were tested before.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral
 
 import numpy as np
 
 from .errors import (ClosureOverflow, DimensionMismatch, RandomBudgetExceeded,
                      ValidationError)
-from .gf import (GF, field_make, poly_divmod, poly_frobenius_gap, poly_gcd,
-                 poly_mul, poly_powmod, poly_sub, poly_trim)
+from .gf import (GF, field_make, poly_divmod, poly_gcd, poly_mul, poly_powmod,
+                 poly_sub, poly_trim)
 
 DEFAULT_SEED = 20240901
 DEFAULT_MEATAXE_BUDGET = 200
@@ -342,10 +353,13 @@ def matrix_from_flat(fld: GF, n: int, flat) -> Mat:
 class ModuleRep:
     """A module over a free presentation: action[i] is the matrix of
     generator i, all held as one read-only int64 (k, m, m) stack with
-    k, m >= 1.  modules_isomorphic is the comparison."""
+    k, m >= 1.  modules_isomorphic is the comparison.  meataxe_split
+    stores the IrreducibleWitness it finds in _witness."""
 
     field: GF
     action: np.ndarray
+    _witness: IrreducibleWitness | None = dataclass_field(default=None, init=False,
+                                                          repr=False)
 
     def __post_init__(self):
         a = _canonical(self.field, self.action)
@@ -410,9 +424,13 @@ def invariants_dim(rho: ModuleRep) -> int:
 
 def _irreducible_factor(fld, p, rng):
     """One irreducible factor of the monic polynomial p, of least degree."""
-    # distinct-degree stage
+    if len(p) == 2:
+        return p  # monic linear
+    # distinct-degree stage, carrying h = x^(q^k) mod p from k to k + 1
+    h = [0, 1]
     for k in range(1, len(p)):
-        g = poly_gcd(fld, p, poly_frobenius_gap(fld, k, p))
+        h = poly_powmod(fld, h, fld.q, p)
+        g = poly_gcd(fld, p, poly_sub(fld, h, [0, 1]))
         if len(g) - 1 > 0:
             return _equal_degree_factor(fld, g, k, rng)
     return p
@@ -509,7 +527,9 @@ def spin(fld, matrices, seeds):
 class IrreducibleWitness:
     """Norton certificate: p(A) has nullity deg p for an irreducible p, a
     kernel vector spins to the whole space and a transpose-kernel vector
-    spins to the whole dual space."""
+    spins to the whole dual space.  meataxe_split stores it on the module
+    it certifies (ModuleRep._witness) and returns the stored one to any
+    later call on that module, for every seed."""
 
     algebra_element: object
     factor_degree: int
@@ -540,7 +560,17 @@ def _eval_poly_at_matrix(fld, poly, A):
 def meataxe_split(rho: ModuleRep, seed: int = DEFAULT_SEED,
                   budget: int = DEFAULT_MEATAXE_BUDGET):
     """Either an IrreducibleWitness or the row basis of a proper nonzero
-    invariant subspace (as a numpy array)."""
+    invariant subspace (as a numpy array).  A witness is stored on rho,
+    and a later call on rho returns it for any seed and budget."""
+    if rho._witness is None:
+        verdict = _meataxe_search(rho, seed, budget)
+        if not isinstance(verdict, IrreducibleWitness):
+            return verdict
+        object.__setattr__(rho, "_witness", verdict)
+    return rho._witness
+
+
+def _meataxe_search(rho, seed, budget):
     fld = rho.field
     n = rho.dim
     if n == 1:

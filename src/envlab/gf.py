@@ -18,8 +18,13 @@ value sum(c_j * ell^j).  This makes every field object reproducible from
 
 This module also holds envlab's one polynomial kernel, the poly_*
 functions: dense polynomials over a GF instance, as lists of python-int
-encodings, low to high.  The modulus search here runs it over F_ell; the
-MeatAxe (fieldcore) and the tame layer import it.
+encodings, low to high, computed one coefficient at a time through the
+field's scalar add, mul and neg (GF.scalar_ops): integer operations mod
+ell over a prime field, reads of python-list views of the exp, log and
+Zech tables otherwise.  The MeatAxe's polynomials mostly have degree at
+most 3, where per-coefficient numpy calls cost more than the arithmetic.
+The modulus search here runs the kernel over F_ell; the MeatAxe
+(fieldcore) and the tame layer import it.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- the polynomial kernel: results are trimmed of zero leading coefficients --
+# -- the polynomial kernel: lists of python-int encodings, low to high, one
+# coefficient at a time through GF.scalar_ops; results are trimmed of zero
+# leading coefficients --
 
 def poly_trim(a):
     while a and not a[-1]:
@@ -66,35 +73,41 @@ def poly_trim(a):
 
 
 def poly_sub(fld, a, b):
-    n = max(len(a), len(b))
-    pad = lambda p: np.array(list(p) + [0] * (n - len(p)), dtype=np.int64)
-    return poly_trim(fld.sub(pad(a), pad(b)).tolist())
+    add, _, neg = fld.scalar_ops
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        if c:
+            out[i] = add(out[i], neg(c))
+    return poly_trim(out)
 
 
 def poly_mul(fld, a, b):
     if not a or not b:
         return []
-    c = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    bv = np.array(b, dtype=np.int64)
+    add, mul, _ = fld.scalar_ops
+    c = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            c[i:i + len(b)] = fld.add(c[i:i + len(b)], fld.mul(ai, bv))
-    return poly_trim(c.tolist())
+            for j, bj in enumerate(b, i):
+                c[j] = add(c[j], mul(ai, bj))
+    return poly_trim(c)
 
 
 def poly_divmod(fld, a, b):
     """(q, r) with a = q b + r and deg r < deg b, for b trimmed and nonzero."""
+    add, mul, neg = fld.scalar_ops
     m = len(b) - 1
-    r = np.array(a, dtype=np.int64)
-    bv = np.array(b, dtype=np.int64)
-    binv = fld.inv(int(b[-1]))
+    r = list(a)
+    binv = fld.inv(b[-1])
     quot = [0] * max(0, len(a) - m)
     for off in range(len(a) - 1 - m, -1, -1):
-        coef = int(fld.mul(r[off + m], binv))
+        coef = mul(r[off + m], binv)
         if coef:
             quot[off] = coef
-            r[off:off + m + 1] = fld.sub(r[off:off + m + 1], fld.mul(coef, bv))
-    return poly_trim(quot), poly_trim(r[:m].tolist())
+            minus = neg(coef)  # r[off + m] becomes 0 and is not read again
+            for j in range(m):
+                r[off + j] = add(r[off + j], mul(minus, b[j]))
+    return poly_trim(quot), poly_trim(r[:m])
 
 
 def poly_gcd(fld, a, b):
@@ -104,7 +117,8 @@ def poly_gcd(fld, a, b):
         a, b = b, poly_divmod(fld, a, b)[1]
     if not a:
         return a
-    return fld.mul(np.array(a, dtype=np.int64), fld.inv(int(a[-1]))).tolist()
+    mul, lead = fld.scalar_ops[1], fld.inv(a[-1])
+    return [mul(c, lead) for c in a]
 
 
 def poly_powmod(fld, a, e, f):
@@ -277,6 +291,34 @@ class GF:
         a, b = np.asarray(a), np.asarray(b)
         return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
 
+    @functools.cached_property
+    def scalar_ops(self):
+        """(add, mul, neg) on single python-int encodings, for the
+        polynomial kernel and dlog.  Over a prime field they are integer
+        operations mod ell; over GF(ell^d), d > 1, they read python-list
+        views of the exp, log and Zech tables, made on first use."""
+        ell = self.ell
+        if self.d == 1:
+            return (lambda a, b: (a + b) % ell, lambda a, b: a * b % ell,
+                    lambda a: -a % ell)
+        exp, log, zech = self._exp.tolist(), self._log.tolist(), self._zech.tolist()
+        minus_one = self._log_minus_one
+
+        def add(a, b):
+            if not (a and b):
+                return a or b
+            la = log[a]
+            z = zech[log[b] - la]  # a negative index wraps: Z has period q - 1
+            return exp[la + z] if z >= 0 else 0
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def neg(a):
+            return exp[log[a] + minus_one] if a else 0
+
+        return add, mul, neg
+
     def matmul(self, A, B):
         """A @ B, broadcasting over leading axes like numpy: (..., m, k)
         times (..., k, n) stacks of matrices multiply pairwise."""
@@ -417,17 +459,18 @@ class GF:
             raise ZeroDivisionError("discrete log of zero")
         n = self.q - 1
         m = int(n ** 0.5) + 1
+        mul = self.scalar_ops[1]
         table = {}
         e = 1
         for j in range(m):
             table.setdefault(e, j)
-            e = int(self.mul(np.int64(e), np.int64(base)))
+            e = mul(e, base)
         factor = self.inv(self.pow(base, m))
         gamma = int(b)
         for i in range(m + 1):
             if gamma in table:
                 return (i * m + table[gamma]) % n
-            gamma = int(self.mul(np.int64(gamma), np.int64(factor)))
+            gamma = mul(gamma, factor)
         raise ValueError(f"{b} is not a power of {base} in {self}")
 
 

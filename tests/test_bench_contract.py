@@ -1,10 +1,17 @@
 """The benchmark tracer's contract with the library.  bench/spans.py wraps
 envlab functions by name and counts the closures that enumerate through
 FinMatGroup._elements, so a rename or a deletion in src/ fails here rather
-than in a traced benchmark run.  Reads bench/ and changes nothing in it."""
+than in a traced benchmark run.  The mackey session of bench/workloads.py
+must re-prove no irreducible module.  Reads bench/ and changes nothing in
+it."""
 
 import importlib.util
 import os
+import sys
+
+import envlab.fieldcore
+import envlab.gf
+import envlab.mackey
 
 from corpus import sl2_group, symmetric_group
 from envlab.mackey import (all_subgroups, irreducible_modules, mackey_irreducible,
@@ -12,11 +19,18 @@ from envlab.mackey import (all_subgroups, irreducible_modules, mackey_irreducibl
 from envlab.nori import nori_points, order_ell_elements
 from envlab.pipeline import envelope_report
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench", "spans.py")
-_spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-spans = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(spans)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
 
 
 def test_every_traced_name_resolves():
@@ -95,3 +109,53 @@ def test_all_subgroups_closes_only_the_ambient_group():
         calls, cold, elements = traced(lambda: all_subgroups(G, up_to_conjugacy))
         assert (cold, elements) == (1, 24)
         assert calls["fieldcore.Mat.new"] < 25
+
+
+def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
+    # S4 over F_13: every W and V reaching is_irreducible in mackey_irreducible
+    # and clifford_decompose comes from composition_factors, which stored its
+    # witness, so those checks draw no random algebra element; and the
+    # polynomial kernel works on python ints, never through GF.mul/GF.add
+    fc, gf = envlab.fieldcore, envlab.gf
+    draws, inside, factor_calls = [], [], []
+    draw, factor, check = (fc._random_algebra_element, fc._irreducible_factor,
+                           envlab.mackey.is_irreducible)
+    kernel = {getattr(gf, name).__code__ for name in dir(gf) if name.startswith("poly_")}
+    kernel_arith = []
+
+    def in_kernel():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code in kernel:
+                return True
+            frame = frame.f_back
+        return False
+
+    def guarded(name):
+        method = vars(gf.GF)[name]
+
+        def wrapper(self, *args):
+            if in_kernel():
+                kernel_arith.append(name)
+            return method(self, *args)
+        return wrapper
+
+    def checked(*args, **kwargs):
+        before = len(draws)
+        out = check(*args, **kwargs)
+        inside.append(len(draws) - before)
+        return out
+
+    monkeypatch.setattr(fc, "_random_algebra_element",
+                        lambda *a: draws.append(1) or draw(*a))
+    monkeypatch.setattr(fc, "_irreducible_factor",
+                        lambda *a: factor_calls.append(1) or factor(*a))
+    monkeypatch.setattr(envlab.mackey, "is_irreducible", checked)
+    for name in ("mul", "add"):
+        monkeypatch.setattr(gf.GF, name, guarded(name))
+    out = _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
+    calls = (sum(len(row) for _, _, row in out["mackey"])
+             + sum(len(row) for _, row in out["clifford"]))
+    assert len(inside) == calls > 37 and set(inside) == {0}
+    assert draws and factor_calls  # the MeatAxe ran, in composition_factors
+    assert kernel_arith == []

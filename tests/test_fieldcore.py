@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from corpus import (alternating_group_4, closure_mats, cyclic_group,
                     diagonal_torus, dihedral_group, perm_mat, quaternion_group,
                     sl2_group, symmetric_group)
+from envlab import fieldcore
 from envlab.errors import ClosureOverflow, ValidationError
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               _inverse_stack, _submodule_action, commutant,
@@ -19,7 +20,7 @@ from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               is_irreducible, meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
 from envlab.gf import field_make
-from envlab.mackey import dual_module
+from envlab.mackey import dual_module, regular_rep
 
 
 def test_mat_basic_ops():
@@ -142,6 +143,42 @@ def test_meataxe_verdicts():
     verdict = meataxe_split(red)
     assert not isinstance(verdict, IrreducibleWitness)
     assert np.asarray(verdict).shape[1] == 2
+
+
+def counting_draws(monkeypatch):
+    """Count _random_algebra_element calls, the MeatAxe's draws."""
+    calls, draw = [], fieldcore._random_algebra_element
+    monkeypatch.setattr(fieldcore, "_random_algebra_element",
+                        lambda *args: calls.append(1) or draw(*args))
+    return calls
+
+
+def test_composition_factors_arrive_certified(monkeypatch):
+    factors = composition_factors(regular_rep(symmetric_group(3, 7), field_make(7)))
+    assert max(m.dim for m, _ in factors) == 2
+    draws = counting_draws(monkeypatch)
+    for m, _ in factors:
+        witness = m._witness
+        assert isinstance(witness, IrreducibleWitness)
+        # any seed and budget: the stored witness is a proof
+        assert meataxe_split(m, seed=1, budget=1) is witness
+        assert is_irreducible(m)
+    assert draws == []
+    for m, _ in factors:
+        fresh = ModuleRep(m.field, m.action)
+        assert fresh._witness is None and is_irreducible(fresh)
+    assert len(draws) > 0  # the 2-dim factor is tested afresh
+
+
+def test_a_split_module_is_never_marked_irreducible(monkeypatch):
+    red = ModuleRep(field_make(11, 1), (np.diag(np.array([2, 3], dtype=np.int64)),))
+    draws = counting_draws(monkeypatch)
+    first = meataxe_split(red)
+    assert not isinstance(first, IrreducibleWitness) and red._witness is None
+    n = len(draws)
+    assert np.array_equal(meataxe_split(red), first)  # the same seed splits the same way
+    assert len(draws) == 2 * n > 0
+    assert not is_irreducible(red) and red._witness is None
 
 
 def test_commutant_schur():

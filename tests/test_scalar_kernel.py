@@ -1,0 +1,161 @@
+"""The scalar polynomial kernel and the MeatAxe's factor search against the
+references they replaced: gf.poly_* against the numpy kernel of
+tests/numpy_poly.py over prime and extension fields, GF.scalar_ops against
+GF.add/mul/neg, composition factors with the old kernel patched in (the
+random stream must not change), _irreducible_factor against sympy's
+factorization, and GF.dlog against the BSGS on one-element numpy products.
+sympy is a test-only dependency."""
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import numpy_poly
+from corpus import dihedral_group, symmetric_group
+from envlab import fieldcore, gf
+from envlab.fieldcore import _irreducible_factor, composition_factors
+from envlab.gf import field_make
+from envlab.mackey import regular_rep
+
+FIELDS = [(2, 1), (7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]  # GF(2, 7, 13, 8, 9, 25)
+SETTINGS = settings(max_examples=60, deadline=None)
+X = sympy.Symbol("x")
+
+
+def raw_polys(q, max_len=7):
+    """Coefficient lists as callers may pass them: empty, constant, or with
+    zero leading coefficients."""
+    return st.lists(st.integers(0, q - 1), max_size=max_len) | st.lists(
+        st.integers(0, q - 1), min_size=1, max_size=3).map(lambda p: p + [0, 0])
+
+
+def divisors(q, max_len=5):
+    return st.lists(st.integers(0, q - 1), min_size=1, max_size=max_len).map(
+        gf.poly_trim).filter(bool)
+
+
+def as_ints(p):
+    assert all(type(c) is int for c in p)
+    return p
+
+
+@pytest.mark.parametrize("ell,d", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_scalar_kernel_matches_numpy_kernel(ell, d, data):
+    fld = field_make(ell, d)
+    a, b = data.draw(raw_polys(fld.q)), data.draw(raw_polys(fld.q))
+    f = data.draw(divisors(fld.q))
+    add, mul, neg = fld.scalar_ops
+    for x, y in zip(a, b):
+        assert add(x, y) == int(fld.add(x, y))
+        assert mul(x, y) == int(fld.mul(x, y))
+        assert neg(x) == int(fld.neg(x))
+    assert as_ints(gf.poly_trim(list(a))) == numpy_poly.poly_trim(list(a))
+    assert as_ints(gf.poly_sub(fld, a, b)) == numpy_poly.poly_sub(fld, a, b)
+    assert as_ints(gf.poly_mul(fld, a, b)) == numpy_poly.poly_mul(fld, a, b)
+    q, r = gf.poly_divmod(fld, a, f)
+    assert (as_ints(q), as_ints(r)) == numpy_poly.poly_divmod(fld, a, f)
+    assert as_ints(gf.poly_gcd(fld, a, b)) == numpy_poly.poly_gcd(fld, a, b)
+    e = data.draw(st.integers(0, 40))
+    assert as_ints(gf.poly_powmod(fld, a, e, f)) == numpy_poly.poly_powmod(fld, a, e, f)
+    k = data.draw(st.integers(1, 2))
+    assert (as_ints(gf.poly_frobenius_gap(fld, k, f))
+            == numpy_poly.poly_frobenius_gap(fld, k, f))
+
+
+@pytest.mark.parametrize("ell,d", FIELDS)
+def test_scalar_ops_match_the_array_operations_everywhere(ell, d):
+    fld = field_make(ell, d)
+    add, mul, neg = fld.scalar_ops
+    a, b = np.arange(fld.q)[:, None], np.arange(fld.q)[None, :]
+    pairs = [(x, y) for x in range(fld.q) for y in range(fld.q)]
+    assert [add(x, y) for x, y in pairs] == fld.add(a, b).ravel().tolist()
+    assert [mul(x, y) for x, y in pairs] == fld.mul(a, b).ravel().tolist()
+    assert [neg(x) for x in range(fld.q)] == fld.neg(np.arange(fld.q)).tolist()
+    assert fld.scalar_ops is fld.scalar_ops  # built once per field
+
+
+def factor_classes(module):
+    return [(m.action.tobytes(), m.dim, k) for m, k in composition_factors(module)]
+
+
+@pytest.mark.parametrize("group,ell,d", [(symmetric_group(4, 13), 13, 1),
+                                         (dihedral_group(5, 3), 3, 2)])
+def test_composition_factors_draw_the_same_stream_as_the_numpy_kernel(
+        group, ell, d, monkeypatch):
+    fld = field_make(ell, d)
+    new = factor_classes(regular_rep(group, fld))
+    for name in numpy_poly.KERNEL:
+        if hasattr(fieldcore, name):
+            monkeypatch.setattr(fieldcore, name, getattr(numpy_poly, name))
+    monkeypatch.setattr(fieldcore, "_irreducible_factor", lambda fld, p, rng: (
+        numpy_poly.irreducible_factor(fld, p, rng, fieldcore._equal_degree_factor)))
+    old = factor_classes(regular_rep(group, fld))
+    assert new == old
+    assert len(new) > 1
+
+
+def sym(ell, coeffs):
+    return sympy.Poly(list(reversed(coeffs)), X, modulus=ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 13])
+@SETTINGS
+@given(data=st.data())
+def test_irreducible_factor_is_a_least_degree_factor(ell, data):
+    fld = field_make(ell)
+    deg = data.draw(st.integers(1, 8))
+    p = data.draw(st.lists(st.integers(0, ell - 1), min_size=deg, max_size=deg)) + [1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    f = _irreducible_factor(fld, p, rng)
+    assert f[-1] == 1
+    assert sym(ell, f).is_irreducible
+    assert sym(ell, p).rem(sym(ell, f)).is_zero
+    assert len(f) - 1 == min(g.degree() for g, _ in sym(ell, p).factor_list()[1])
+
+
+def numpy_dlog(fld, b, base):
+    """GF.dlog as it was: BSGS on one-element numpy products."""
+    n = fld.q - 1
+    m = int(n ** 0.5) + 1
+    table = {}
+    e = 1
+    for j in range(m):
+        table.setdefault(e, j)
+        e = int(fld.mul(np.int64(e), np.int64(base)))
+    factor = fld.inv(fld.pow(base, m))
+    gamma = int(b)
+    for i in range(m + 1):
+        if gamma in table:
+            return (i * m + table[gamma]) % n
+        gamma = int(fld.mul(np.int64(gamma), np.int64(factor)))
+    return None
+
+
+@pytest.mark.parametrize("ell,d", [(3, 2), (5, 2), (2, 8)])
+def test_dlog_matches_numpy_products(ell, d):
+    fld = field_make(ell, d)
+    g = fld.least_primitive()
+    # the least primitive element, a non-primitive base and -1
+    for base in (g, fld.pow(g, 3), fld.ell - 1):
+        for b in range(1, fld.q):
+            want = numpy_dlog(fld, b, base)
+            if want is None:
+                with pytest.raises(ValueError):
+                    fld.dlog(b, base)
+            else:
+                assert fld.dlog(b, base) == want
+    assert [fld.dlog(b) for b in range(1, fld.q)] == [
+        numpy_dlog(fld, b, g) for b in range(1, fld.q)]
+
+
+def test_linear_factor_is_returned_at_once():
+    fld = field_make(7)
+    rng = np.random.default_rng(0)
+    p = [3, 1]
+    assert _irreducible_factor(fld, p, rng) is p
+    assert rng.integers(0, 2 ** 32) == np.random.default_rng(0).integers(0, 2 ** 32)
+
