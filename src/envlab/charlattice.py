@@ -309,10 +309,8 @@ def bifc_equivalent(a: FormalBiCharacter, b: FormalBiCharacter,
     if a.rank_T == 0:
         return True
     # combined vectors (w, res w) must match under a block map diag(S, T)
-    a_comb = [w + a.restricted(w) for w in a.weights]
     b_comb = [w + b.restricted(w) for w in b.weights]
     r = a.rank_T
-    used = 0
     # search S on the full weights; for each match derive T from the
     # commuting condition T Ra = Rb S and verify it on the combined data
     for S in _unimodular_match(list(a.weights), list(b.weights), r, budget):

@@ -30,7 +30,7 @@ from .errors import ResourceError, UsageError, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
                         ModuleRep, _is_int_list, json_int, matrix_from_flat)
 from .gf import field_make
-from .mackey import clifford_decompose, induce, mackey_irreducible, subgroup_datum
+from .mackey import clifford_decompose, mackey_irreducible, subgroup_datum
 from .nori import nori_points
 from .pipeline import eliminate_cases, envelope_report
 from .smallrep import table_a

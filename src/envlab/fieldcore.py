@@ -18,10 +18,13 @@ All values are immutable after construction, apart from the witness a
 ModuleRep may store (below); randomized routines take an explicit seed
 and a budget of random algebra elements.
 
-EchelonBasis is the one incremental echelon basis: spin, the Krylov
-minimal polynomial of the MeatAxe and nori.lie_closure grow one row at a
-time on it, while GF.rref stays the batch kernel for whole systems.  The
-MeatAxe's polynomial arithmetic is the kernel in gf.
+EchelonBasis is the one incremental echelon basis: spin and
+nori.lie_closure grow one row at a time on it.  Every other rank or
+coordinate question is answered by one GF.rref: a dimension is a rank, a
+coordinate is a read at the pivots (the submodule and quotient actions),
+and a minimal polynomial is the first relation of a Krylov sequence,
+read at the first non-pivot column (_first_relation).  The MeatAxe's
+polynomial arithmetic is the kernel in gf.
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -104,11 +107,7 @@ class Mat:
         return (self.array == np.eye(self.n, dtype=np.int64)).all()
 
     def is_invertible(self):
-        try:
-            self.field.inv_matrix(self.array)
-            return True
-        except ZeroDivisionError:
-            return False
+        return self.field.rank(self.array) == self.n
 
     def order(self, cap: int = 10 ** 6) -> int:
         acc, k = self, 1
@@ -417,7 +416,7 @@ def commutant(rho: ModuleRep):
 def invariants_dim(rho: ModuleRep) -> int:
     """Dimension of the simultaneous fixed space of all action matrices."""
     fld, n = rho.field, rho.dim
-    return fld.nullspace(fld.sub(rho.action, fld.eye(n)).reshape(-1, n)).shape[0]
+    return n - fld.rank(fld.sub(rho.action, fld.eye(n)).reshape(-1, n))
 
 
 # -- the MeatAxe: polynomials from the gf kernel, one echelon basis --
@@ -492,21 +491,29 @@ class EchelonBasis:
         return v
 
 
+def _first_relation(fld, rows):
+    """The monic relation sum_{j <= k} c_j rows[j] = 0 at the first row k
+    in the span of the rows before it, for a sequence in which that row
+    exists and every later row is dependent too (a Krylov sequence): one
+    rref of the rows as columns, whose pivots are then the first k
+    columns, read at column k.  Coefficients low to high."""
+    R, pivots = fld.rref(np.asarray(rows).T)
+    return fld.neg(R[:, len(pivots)]).tolist() + [1]
+
+
+def _krylov(fld, A, X):
+    """The rows X, A X, ..., A^n X, each flattened, for an n x n matrix A
+    and an array X of n rows."""
+    seq = [np.asarray(X, dtype=np.int64)]
+    for _ in range(len(A)):
+        seq.append(fld.matmul(A, seq[-1]))
+    return np.reshape(seq, (len(seq), -1))
+
+
 def _vector_minpoly(fld, A, v):
-    """Monic minimal polynomial of the vector v under the matrix A.  The rows
-    (A^k v | e_k) are echelonized until the first half of one reduces to
-    zero; its second half is then the relation sum_j c_j A^j v = 0."""
-    n = len(v)
-    basis = EchelonBasis(fld)
-    cur = v
-    for k in range(n + 1):
-        row = np.zeros(2 * n + 1, dtype=np.int64)
-        row[:n], row[n + k] = cur, 1
-        red = basis.add(row)
-        if not red[:n].any():
-            rel = red[n:n + k + 1]
-            return fld.mul(rel, fld.inv(int(rel[k]))).tolist()
-        cur = fld.matmul(A, cur[:, None])[:, 0]
+    """Monic minimal polynomial of the vector v under the matrix A: the
+    first relation among v, Av, ..., A^n v."""
+    return _first_relation(fld, _krylov(fld, A, np.reshape(v, (-1, 1))))
 
 
 def spin(fld, matrices, seeds):
@@ -610,21 +617,20 @@ def is_irreducible(rho: ModuleRep, seed: int = DEFAULT_SEED,
 
 def _submodule_action(fld, action, basis):
     """Restrict a (k, n, n) action stack to the invariant row-space `basis`
-    and form the quotient.  Returns the (sub, quotient) action stacks."""
-    k, n = basis.shape
-    # complete basis to a full one with unit vectors at the free columns
+    and form the quotient, in the basis of the rref rows R of `basis`
+    followed by the unit vectors at its free columns.  R is the identity
+    at its pivot columns, so every coordinate is a read there: the
+    submodule action is (A R^T)[pivots], and the quotient action is
+    A[free, free] - R[:, free]^T A[pivots, free].  Returns the (sub,
+    quotient) action stacks."""
     R, pivots = fld.rref(basis)
-    free = [c for c in range(n) if c not in pivots]
-    Q = np.zeros((n, n), dtype=np.int64)
-    Q[:k] = R
-    for i, c in enumerate(free):
-        Q[k + i, c] = 1
-    # columns of Q^T are the new basis vectors
-    QT = Q.T
-    conj = fld.matmul(fld.inv_matrix(QT), fld.matmul(action, QT))
-    if conj[:, k:, :k].any():
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    image = fld.matmul(action, R.T)
+    sub = image[:, pivots]
+    if not np.array_equal(image, fld.matmul(R.T, sub)):
         raise ValidationError("claimed subspace is not invariant")
-    return conj[:, :k, :k], conj[:, k:, k:]
+    above = fld.matmul(R[:, free].T, action[:, pivots][:, :, free])
+    return sub, fld.sub(action[:, free][:, :, free], above)
 
 
 def modules_isomorphic(a: ModuleRep, b: ModuleRep) -> bool:

@@ -30,7 +30,6 @@ The modulus search here runs the kernel over F_ell; the MeatAxe
 from __future__ import annotations
 
 import functools
-from math import prod
 
 import numpy as np
 
@@ -402,9 +401,8 @@ class GF:
 
     def nullspace(self, M):
         """Basis of the right kernel, as rows of the returned array."""
-        M = np.asarray(M, dtype=np.int64)
-        m, n = M.shape
         R, pivots = self.rref(M)
+        n = R.shape[1]
         free = [c for c in range(n) if c not in pivots]
         basis = np.zeros((len(free), n), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1

@@ -205,8 +205,10 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     """(dim, derived dim, sampled rank upper bound) of a matrix Lie algebra.
 
     rank_estimate is min over sampled x in the derived algebra of
-    dim ker(ad x | derived); it is an upper bound for the reductive rank,
-    not a certificate.
+    dim ker(ad x | derived), which is the derived dimension minus the rank
+    of the brackets [x, b] over the derived basis b, one GF.rank per
+    sample; it is an upper bound for the reductive rank, not a
+    certificate.
     """
     if not basis:
         raise EmptyAlgebra("zero Lie algebra")
@@ -225,13 +227,8 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     for _ in range(samples):
         coeffs = rng.integers(0, fld.q, size=ddim)
         x = fld.matmul(coeffs[None], D.reshape(ddim, -1)).reshape(n, n)
-        # ad x as a matrix on the derived algebra: the coordinates of every
-        # [x, b] from one rref of [B^T | brackets]; the derived basis is
-        # independent, so its columns are the first ddim pivots
+        # the derived algebra is closed under brackets, so ad x maps it into
+        # itself and the rank of ad x is the rank of the brackets [x, b]
         brs = fld.sub(fld.matmul(x, D), fld.matmul(D, x)).reshape(ddim, -1)
-        R, pivots = fld.rref(np.concatenate([D.reshape(ddim, -1).T, brs.T], axis=1))
-        if len(pivots) > ddim:
-            continue
-        ker = ddim - fld.rank(R[:, ddim:])
-        best = min(best, ker)
+        best = min(best, ddim - fld.rank(brs))
     return LieRankReport(dim, ddim, best, samples)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotCompatible, NotDivisor,
                      OrderDivisibleByEll, OutOfRange, ValidationError)
-from .fieldcore import Mat, ModuleRep, _vector_minpoly, composition_factors
-from .gf import field_make, is_prime, poly_divmod, poly_gcd, poly_mul, poly_trim
+from .fieldcore import Mat, ModuleRep, _first_relation, _krylov, composition_factors
+from .gf import field_make, is_prime, poly_gcd, poly_trim
 
 
 @dataclass(frozen=True)
@@ -123,23 +123,10 @@ def view_over_prime_field(rho) -> ModuleRep:
     return ModuleRep(sub, digits.transpose(0, 3, 1, 2).reshape(1, n * d, n * d))
 
 
-def _poly_lcm(fld, a, b):
-    """The lcm of monic a and b (monic, as a b / gcd is)."""
-    return poly_divmod(fld, poly_mul(fld, a, b), poly_gcd(fld, a, b))[0]
-
-
 def matrix_minpoly(fld, A):
-    """Monic minimal polynomial as the lcm of standard-basis vector
-    minimal polynomials, coefficients low to high."""
-    n = A.shape[0]
-    poly = [1]
-    for i in range(n):
-        v = np.zeros(n, dtype=np.int64)
-        v[i] = 1
-        poly = _poly_lcm(fld, poly, _vector_minpoly(fld, A, v))
-        if len(poly) == n + 1:
-            break
-    return poly
+    """Monic minimal polynomial of the matrix A, coefficients low to high:
+    the first relation among I, A, ..., A^n, flattened."""
+    return _first_relation(fld, _krylov(fld, A, fld.eye(len(A))))
 
 
 def _is_squarefree(fld, poly):
