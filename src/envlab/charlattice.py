@@ -15,53 +15,81 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import SearchBudgetExceeded, ValidationError
 
 DEFAULT_EQUIV_BUDGET = 10 ** 6
 
 
-# -- small exact rational linear algebra --
+# -- small exact linear algebra over Z (and Q) --
 
-def q_rref(rows):
-    """Gauss-Jordan elimination over Q: (the nonzero rows of the reduced
-    row echelon form, as Fractions, and their pivot columns)."""
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss, Math. Comp.
+    22, 1968): (the nonzero rows of an echelon form, and their pivot
+    columns).  Each step divides exactly by the previous pivot, so every
+    entry stays an integer minor of the input.  When it completes, every
+    pivot equals the last one, which is +-det for a nonsingular square
+    input (the sign of the row swaps)."""
     A = [list(r) for r in rows]
-    pivots = []
+    pivots, prev = [], 1
     for col in range(len(A[0]) if A else 0):
         r = len(pivots)
         p = next((i for i in range(r, len(A)) if A[i][col]), None)
         if p is None:
             continue
         A[r], A[p] = A[p], A[r]
-        piv = Fraction(A[r][col])
-        A[r] = [x / piv for x in A[r]]
+        top = A[r]
+        piv = top[col]
         for i, row in enumerate(A):
-            c = row[col]
-            if i != r and c:
-                A[i] = [x - c * y for x, y in zip(row, A[r])]
+            if i != r:
+                c = row[col]
+                A[i] = [(piv * x - c * y) // prev for x, y in zip(row, top)]
+        prev = piv
         pivots.append(col)
         if len(pivots) == len(A):
             break
     return A[:len(pivots)], pivots
 
 
+def q_rref(rows):
+    """Gauss-Jordan elimination over Q: (the nonzero rows of the reduced
+    row echelon form, as Fractions, and their pivot columns).  Each row is
+    scaled to integers, which leaves the row space alone, and eliminated
+    by _bareiss."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    R, pivots = _bareiss(scaled)
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(R, pivots)], pivots
+
+
 def _rank_q(rows):
-    return len(q_rref(rows)[1])
+    return len(_bareiss(rows)[1])
 
 
-def _q_matinv(M):
-    """Inverse of a square matrix of Fractions/ints, or None if singular."""
+def _det(M):
+    """+-det M for a square integer matrix."""
+    R, pivots = _bareiss(M)
+    return R[-1][pivots[-1]] if len(pivots) == len(M) else 0
+
+
+def _adjugate(M):
+    """(d, B) with d = +-det M and B = d M^-1, for a square integer matrix,
+    from one fraction-free elimination of [M | I]; (0, None) if M is
+    singular.  The signs agree, so B / d is the inverse."""
     n = len(M)
-    R, pivots = q_rref([list(row) + [int(i == j) for j in range(n)]
-                        for i, row in enumerate(M)])
-    return [r[n:] for r in R] if pivots[-1] < n else None
+    R, pivots = _bareiss([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(M)])
+    if pivots[-1] >= n:
+        return 0, None
+    return R[-1][pivots[-1]], [r[n:] for r in R]
 
 
 def _is_unimodular(T):
-    """An integer matrix is unimodular iff its inverse exists and is integral."""
-    inv = _q_matinv(T)
-    return inv is not None and all(x.denominator == 1 for row in inv for x in row)
+    """An integer matrix is unimodular iff its determinant is +-1."""
+    return abs(_det(T)) == 1
 
 
 def _mat_mul(A, B):
@@ -109,17 +137,18 @@ def row_hnf(rows):
     return [tuple(r) for r in basis]
 
 
-def _coords_in_basis(basis, w):
-    """Integer coordinates of w in a HNF basis (rows), or raises."""
+def _coords_in_basis(basis, pivots, w):
+    """Integer coordinates of w in a HNF basis (rows) with the given pivot
+    columns, or raises."""
     coords = [0] * len(basis)
     rem = list(map(int, w))
-    for i, b in enumerate(basis):
-        piv = next(j for j, x in enumerate(b) if x != 0)
-        if rem[piv] % b[piv] != 0:
+    for i, (b, piv) in enumerate(zip(basis, pivots)):
+        c, r = divmod(rem[piv], b[piv])
+        if r:
             raise ValidationError("weight not in lattice spanned by basis")
-        c = rem[piv] // b[piv]
-        coords[i] = c
-        rem = [x - c * y for x, y in zip(rem, b)]
+        if c:
+            coords[i] = c
+            rem = [x - c * y for x, y in zip(rem, b)]
     if any(rem):
         raise ValidationError("weight not in lattice spanned by basis")
     return tuple(coords)
@@ -159,7 +188,8 @@ def fc_normalize(fc: FormalCharacter) -> FormalCharacter:
     s = len(basis)
     if s == 0:
         return FormalCharacter(0, tuple(() for _ in fc.weights))
-    new = [_coords_in_basis(basis, w) for w in fc.weights]
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    new = [_coords_in_basis(basis, pivots, w) for w in fc.weights]
     new.sort(key=_grlex_key)
     return FormalCharacter(s, tuple(new))
 
@@ -211,19 +241,22 @@ def has_affine_triple(fc: FormalCharacter) -> bool:
 def _spanning_subset(weights, s):
     """Indices of s weights forming a Q-basis of the span, taken greedily
     (the pivot columns of the weights as columns), or None if none do."""
-    pivots = q_rref(list(zip(*weights)))[1]
+    pivots = _bareiss(list(zip(*weights)))[1]
     return pivots[:s] if len(pivots) >= s else None
 
 
 def _unimodular_match(a_weights, b_weights, s, budget):
     """Yield unimodular integer maps T (s x s, rows) with T * multiset(a)
     == multiset(b).  Consumes from the candidate budget; raises
-    SearchBudgetExceeded when it runs out before any decision."""
+    SearchBudgetExceeded when it runs out before any decision.
+
+    A candidate sends the basis columns A of a to columns U of b, so
+    T = U A^-1 = U adj / d with d = +-det A: T is integral iff d divides
+    U adj, and unimodular iff |det U| = |d|."""
     base_idx = _spanning_subset(a_weights, s)
     if base_idx is None:
         raise ValidationError("weights do not span the stated rank")
-    A_cols = [[a_weights[i][r] for i in base_idx] for r in range(s)]  # s x s, cols = basis weights
-    Ainv = _q_matinv(A_cols)
+    d, adj = _adjugate([[a_weights[i][r] for i in base_idx] for r in range(s)])
     sorted_b = sorted(b_weights, key=_grlex_key)
     tried = 0
     b_list = list(b_weights)
@@ -233,13 +266,12 @@ def _unimodular_match(a_weights, b_weights, s, budget):
             raise SearchBudgetExceeded(
                 f"equivalence search exhausted {budget} candidates; verdict undecided")
         U_cols = [[b_list[c][r] for c in combo] for r in range(s)]
-        T = _mat_mul(U_cols, Ainv)
-        flat = [x for row in T for x in row]
-        if any(f.denominator != 1 for f in map(Fraction, flat)):
+        if abs(_det(U_cols)) != abs(d):
             continue
-        T = [[int(x) for x in row] for row in T]
-        if not _is_unimodular(T):
+        UA = _mat_mul(U_cols, adj)
+        if any(x % d for row in UA for x in row):
             continue
+        T = [[x // d for x in row] for row in UA]
         mapped = sorted((_mat_vec(T, w) for w in a_weights), key=_grlex_key)
         if mapped == sorted_b:
             yield T
@@ -329,20 +361,17 @@ def _solve_commuting_map(Ra, Rb, S, s):
     """Unimodular T with T Ra = Rb S, if one exists."""
     if s == 0:
         return []
-    RbS = _mat_mul([list(r) for r in Rb], S)
-    RaT = [[Fraction(Ra[i][j]) for i in range(len(Ra))] for j in range(len(Ra[0]))]
-    # right inverse of Ra: Ra^T (Ra Ra^T)^{-1}
-    RaRaT = _mat_mul([list(r) for r in Ra], RaT)
-    inv = _q_matinv(RaRaT)
-    if inv is None:
+    RbS = _mat_mul(Rb, S)
+    # through the right inverse Ra^T (Ra Ra^T)^-1 = Ra^T adj / d
+    RaT = [list(col) for col in zip(*Ra)]
+    d, adj = _adjugate(_mat_mul(Ra, RaT))
+    if d == 0:
         return None
-    Rplus = _mat_mul(RaT, inv)
-    T = _mat_mul(RbS, Rplus)
-    # exactness and integrality
-    if _mat_mul(T, [list(r) for r in Ra]) != [[Fraction(x) for x in row] for row in RbS]:
+    N = _mat_mul(_mat_mul(RbS, RaT), adj)
+    # integrality and exactness
+    if any(x % d for row in N for x in row):
         return None
-    flat = [Fraction(x) for row in T for x in row]
-    if any(f.denominator != 1 for f in flat):
+    T = [[x // d for x in row] for row in N]
+    if _mat_mul(T, Ra) != RbS:
         return None
-    T = [[int(x) for x in row] for row in T]
     return T if _is_unimodular(T) else None

@@ -12,13 +12,15 @@
 
 Exit codes: 0 success, 1 validation error, 2 resource cap hit, 64 usage.
 Flags --seed/--cap/--format/--output fall back to ENVLAB_SEED,
-ENVLAB_CAP, ENVLAB_FORMAT, ENVLAB_OUTPUT.  Reports are deterministic:
-same input and seed give byte-identical JSON.
+ENVLAB_CAP, ENVLAB_FORMAT, ENVLAB_OUTPUT, read on every run; a malformed
+value is a usage error, as the same bad flag is.  Reports are
+deterministic: same input and seed give byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,11 +39,31 @@ from .smallrep import table_a
 from .tame import TameCharacter, ell_restricted_digits, tame_weights_of_rep
 
 
-def _env_default(name, fallback, cast):
-    raw = os.environ.get("ENVLAB_" + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+_FORMATS = ("json", "text", "csv")
+# (flag, type, default) of the flags that fall back to ENVLAB_<FLAG>
+_ENV_FLAGS = (("output", str, None), ("seed", int, DEFAULT_SEED),
+              ("cap", int, DEFAULT_CLOSURE_CAP), ("format", str, "json"))
+
+
+def _resolve_env(args):
+    """Fill each of those flags left unset from its environment variable,
+    else from its default."""
+    for flag, cast, default in _ENV_FLAGS:
+        if getattr(args, flag) is not None:
+            continue
+        name = "ENVLAB_" + flag.upper()
+        raw = os.environ.get(name)
+        if raw is None:
+            value = default
+        else:
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise UsageError(f"{name}: invalid {cast.__name__} value: {raw!r}") from None
+            if flag == "format" and value not in _FORMATS:
+                raise UsageError(f"{name}: invalid choice: {raw!r} "
+                                 f"(choose from {', '.join(_FORMATS)})")
+        setattr(args, flag, value)
 
 
 def _emit(doc, args, csv_rows=None, text_lines=None):
@@ -203,19 +225,18 @@ def _cmd_eliminate(args):
           text_lines=[d["case"] for d in docs] or ["(none)"])
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; flags that fall back to
+    the environment default to None and are resolved by run()."""
     parser = argparse.ArgumentParser(prog="envlab")
     sub = parser.add_subparsers(dest="command")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input")
-    common.add_argument("--output",
-                        default=_env_default("OUTPUT", None, str))
-    common.add_argument("--seed", type=int,
-                        default=_env_default("SEED", DEFAULT_SEED, int))
-    common.add_argument("--cap", type=int,
-                        default=_env_default("CAP", DEFAULT_CLOSURE_CAP, int))
-    common.add_argument("--format", choices=("json", "text", "csv"),
-                        default=_env_default("FORMAT", "json", str))
+    common.add_argument("--output")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--cap", type=int)
+    common.add_argument("--format", choices=_FORMATS)
     sub.add_parser("nori", parents=[common]).set_defaults(func=_cmd_nori)
     sub.add_parser("envelope", parents=[common]).set_defaults(func=_cmd_envelope)
     sub.add_parser("formal-char", parents=[common]).set_defaults(func=_cmd_formal_char)
@@ -247,6 +268,7 @@ def run(argv=None) -> int:
         parser.print_help()
         return 64
     try:
+        _resolve_env(args)
         args.func(args)
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)

@@ -128,8 +128,8 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
     predicates = {
         "irreducible": c_group == 1,
         "commutant_match": c_nori is not None and c_group == c_nori,
-        "quotient_prime_to_ell": quotient_order % G.field.ell != 0
-        if quotient_order else True,
+        "quotient_prime_to_ell": None if result is None
+        else quotient_order % G.field.ell != 0,
     }
     if result is not None:
         predicates["quotient_abelian"] = quotient_is_abelian(

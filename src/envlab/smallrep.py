@@ -4,9 +4,12 @@ self-duality, and the enumeration of connected semisimple subgroups of
 GL_n (2 <= n <= 6) that act irreducibly, with the standard case labels
 such as (4B2) or (2A1x3A1).
 
-Simple factors are realized in orthogonal coordinates (exact Fraction
-arithmetic); weights are exported to the lattice layer in the basis of
-fundamental weights, so every exported coordinate vector is integral.
+Every weight is an integer vector of Dynkin labels (coordinates in the
+basis of fundamental weights): reflections use the Cartan matrix, and
+Freudenthal's formula uses the Gram matrix of the fundamental weights
+scaled to integers, so the per-representation work is on Python ints.
+The orthogonal realization of each simple factor, in exact Fractions, is
+used once per process to derive these tables.
 Families are restricted to A_r (r>=1), B_r (r>=2), C_r (r>=3), D_r (r>=4)
 to avoid the low-rank coincidences (B1=C1=A1, C2=B2, D2=A1A1, D3=A3); the
 classical isogeny names (SO_4, SO_5, SO_6, Sp_4) enter through a fixed
@@ -19,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .charlattice import FormalCharacter, fc_normalize, fc_predicates
 from .errors import NotDominant, OutOfRange, ValidationError
@@ -42,7 +45,9 @@ def _vscale(c, a):
 
 
 class SimpleFactor:
-    """One simple factor (family, rank) in its orthogonal realization."""
+    """One simple factor (family, rank).  Its orthogonal realization
+    (`simple_roots`, `fundamental_weights`, as Fractions) is construction
+    data only: every method takes and returns integer Dynkin labels."""
 
     def __init__(self, family: str, rank: int):
         if family not in "ABCD":
@@ -84,20 +89,34 @@ class SimpleFactor:
                 fw.append(tuple(F(1, 2) if j < r - 1 else F(-1, 2) for j in range(r)))
                 fw.append(tuple(F(1, 2) for j in range(r)))
                 self.fundamental_weights = fw
-        self.coroots = [self.coroot(a) for a in self.simple_roots]
-        self.positive_roots = self._positive_roots()
-        self.rho = _vscale(Fraction(1, 2),
-                           tuple(sum(c) for c in zip(*self.positive_roots)))
-        # each positive coroot in the simple coroots: <omega_i, alpha^vee> =
-        # c_i, so <lam + rho, alpha^vee> = sum (m_i + 1) c_i; rho has all
-        # labels 1, so the Weyl denominator is prod sum c_i
-        self._coroot_coords = [
-            tuple(int(_dot(w, self.coroot(a))) for w in self.fundamental_weights)
-            for a in self.positive_roots]
-        self._weyl_denominator = prod(map(sum, self._coroot_coords))
+        coroots = [_vscale(F(2, _dot(a, a)), a) for a in self.simple_roots]
+        to_labels = lambda v: tuple(int(_dot(v, c)) for c in coroots)
+        # row i is alpha_i in labels, C[i][j] = <alpha_i, alpha_j^vee>, so the
+        # simple reflection is s_i(mu) = mu - mu_i C[i]
+        self.cartan = [to_labels(a) for a in self.simple_roots]
+        self.positive_roots = [to_labels(a) for a in self._positive_roots()]
+        # the Gram matrix of the fundamental weights times the lcm of its
+        # denominators: Freudenthal's quotient only needs inner products up
+        # to one common scale, and with it they are all integers
+        fw = self.fundamental_weights
+        gram = [[_dot(u, v) for v in fw] for u in fw]
+        scale = lcm(*(x.denominator for row in gram for x in row))
+        self._gram = [tuple(int(x * scale) for x in row) for row in gram]
+        # scale * (omega_i, alpha) for each positive root alpha, and
+        # <omega_i, alpha^vee> = 2 (omega_i, alpha) / (alpha, alpha), column
+        # i over all alpha.  <lam + rho, alpha^vee> = sum (m_i + 1) <omega_i,
+        # alpha^vee>, so the Weyl denominator is prod <rho, alpha^vee>
+        self._root_pairings = [tuple(_dot(row, a) for row in self._gram)
+                               for a in self.positive_roots]
+        coroot_coords = [tuple(2 * x // _dot(a, ga) for x in ga)
+                         for a, ga in zip(self.positive_roots, self._root_pairings)]
+        self._coroot_columns = list(zip(*coroot_coords))
+        self._rho_pairings = [sum(c) for c in coroot_coords]
+        self._weyl_denominator = prod(self._rho_pairings)
 
     def _positive_roots(self):
-        """Close the simple roots under addition within the root system."""
+        """Close the simple roots under addition within the root system
+        (orthogonal coordinates)."""
         roots = set(self.simple_roots)
         frontier = list(roots)
         while frontier:
@@ -122,26 +141,18 @@ class SimpleFactor:
             return sorted(map(abs, nz)) in ([2], [1, 1])
         return sorted(map(abs, nz)) == [1, 1]
 
-    def coroot(self, alpha):
-        return _vscale(Fraction(2, _dot(alpha, alpha)), alpha)
-
-    def dynkin_labels(self, mu):
-        return tuple(_dot(mu, c) for c in self.coroots)
-
-    def weight_from_labels(self, labels):
-        acc = tuple(Fraction(0) for _ in range(self.ambient))
-        for m, w in zip(labels, self.fundamental_weights):
-            acc = _vadd(acc, _vscale(Fraction(m), w))
-        return acc
+    def _norm_rho(self, mu):
+        """scale * |mu + rho|^2; rho has all labels 1."""
+        shifted = [m + 1 for m in mu]
+        return _dot(shifted, [_dot(row, shifted) for row in self._gram])
 
     def make_dominant(self, mu):
         """The dominant Weyl-chamber representative of mu."""
         mu = tuple(mu)
         while True:
-            for a, c in zip(self.simple_roots, self.coroots):
-                k = _dot(mu, c)
+            for k, row in zip(mu, self.cartan):
                 if k < 0:
-                    mu = _vsub(mu, _vscale(k, a))
+                    mu = tuple(x - k * c for x, c in zip(mu, row))
                     break
             else:
                 return mu
@@ -152,9 +163,8 @@ class SimpleFactor:
         while frontier:
             nxt = []
             for v in frontier:
-                for a, c in zip(self.simple_roots, self.coroots):
-                    k = _dot(v, c)
-                    w = _vsub(v, _vscale(k, a))
+                for k, row in zip(v, self.cartan):
+                    w = tuple(x - k * c for x, c in zip(v, row))
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -162,21 +172,23 @@ class SimpleFactor:
         return seen
 
     def weyl_dimension(self, labels) -> int:
-        if any(m < 0 for m in labels):
+        if min(labels) < 0:
             raise NotDominant(f"labels {labels} are not dominant")
-        num = prod(sum((m + 1) * ci for m, ci in zip(labels, c))
-                   for c in self._coroot_coords)
-        dim, rem = divmod(num, self._weyl_denominator)
+        pairings = self._rho_pairings
+        for m, column in zip(labels, self._coroot_columns):
+            if m:
+                pairings = [p + m * c for p, c in zip(pairings, column)]
+        dim, rem = divmod(prod(pairings), self._weyl_denominator)
         assert rem == 0
         return dim
 
     def weight_multiplicities(self, labels):
         """Freudenthal's formula over the dominant weights only, expanded to
-        all weights by the Weyl group.  Returns {orthogonal weight:
+        all weights by the Weyl group.  Returns {Dynkin labels:
         multiplicity}."""
-        if any(m < 0 for m in labels):
+        if min(labels) < 0:
             raise NotDominant(f"labels {labels} are not dominant")
-        lam = self.weight_from_labels(labels)
+        lam = tuple(labels)
         # Subtracting positive roots while staying dominant reaches every
         # dominant mu <= lam (Stembridge 1998, Cor. 2.7), and each of them is
         # a weight of V(lam).
@@ -185,30 +197,27 @@ class SimpleFactor:
             v = stack.pop()
             for a in self.positive_roots:
                 mu = _vsub(v, a)
-                if mu not in dominant and min(self.dynkin_labels(mu)) >= 0:
+                if mu not in dominant and min(mu) >= 0:
                     dominant.add(mu)
                     stack.append(mu)
-
-        def norm_rho(mu):
-            mu_rho = _vadd(mu, self.rho)
-            return _dot(mu_rho, mu_rho)
-
-        norm_lam = norm_rho(lam)
+        norm = {mu: self._norm_rho(mu) for mu in dominant}
+        norm_lam = norm[lam]
         mults = {lam: 1}
         # Every term mu + k alpha has a dominant conjugate with a larger
         # |. + rho|^2, so it is already in the table when mu comes up; and
         # alpha-strings are unbroken, so the first term missing from the
-        # table ends the string.
-        for mu in sorted(dominant - {lam}, key=norm_rho, reverse=True):
-            total = Fraction(0)
-            for a in self.positive_roots:
+        # table ends the string.  Both sides carry the Gram scale, so the
+        # quotient is exact.
+        for mu in sorted(dominant - {lam}, key=norm.get, reverse=True):
+            total = 0
+            for a, pairing in zip(self.positive_roots, self._root_pairings):
                 up = _vadd(mu, a)
                 while (m_up := mults.get(self.make_dominant(up))) is not None:
-                    total += 2 * m_up * _dot(up, a)
+                    total += 2 * m_up * _dot(up, pairing)
                     up = _vadd(up, a)
-            m = total / (norm_lam - norm_rho(mu))
-            assert m.denominator == 1
-            mults[mu] = int(m)
+            m, rem = divmod(total, norm_lam - norm[mu])
+            assert rem == 0
+            mults[mu] = m
         return {v: m for mu, m in mults.items() for v in self.weyl_orbit(mu)}
 
 
@@ -266,35 +275,21 @@ def weyl_dimension(rep: IrrepLabel) -> int:
 
 
 def freudenthal_weights(rep: IrrepLabel) -> FormalCharacter:
-    """All weights with multiplicity, exported in fundamental-weight
-    (Dynkin label) coordinates, concatenated across factors."""
-    per_factor = []
+    """All weights with multiplicity, in fundamental-weight (Dynkin label)
+    coordinates, concatenated across factors."""
+    combined = [((), 1)]
     for factor, labels in zip(rep.datum.parts(), rep.highest_weight):
         mults = factor.weight_multiplicities(labels)
-        per_factor.append([(factor.dynkin_labels(mu), m) for mu, m in mults.items()])
-    combined = [((), 1)]
-    for fw in per_factor:
-        combined = [(w + lw, m * lm) for w, m in combined for lw, lm in fw]
-    weights = []
-    for w, m in combined:
-        assert all(x.denominator == 1 for x in map(_as_fraction, w))
-        weights.extend([tuple(int(x) for x in w)] * m)
+        combined = [(w + lw, m * lm) for w, m in combined for lw, lm in mults.items()]
+    weights = [w for w, m in combined for _ in range(m)]
     return FormalCharacter(rep.datum.rank, tuple(weights))
-
-
-def _as_fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def dual_highest_weight(rep: IrrepLabel) -> tuple:
     """Per-factor labels of the dual representation: the dominant
     representative of minus the highest weight."""
-    out = []
-    for factor, labels in zip(rep.datum.parts(), rep.highest_weight):
-        lam = factor.weight_from_labels(labels)
-        dual = factor.make_dominant(_vscale(Fraction(-1), lam))
-        out.append(tuple(int(x) for x in factor.dynkin_labels(dual)))
-    return tuple(out)
+    return tuple(factor.make_dominant(tuple(-m for m in labels))
+                 for factor, labels in zip(rep.datum.parts(), rep.highest_weight))
 
 
 def is_self_dual(rep: IrrepLabel) -> bool:
@@ -397,6 +392,16 @@ def _row_label(datum, dims):
     return "(" + "⊗".join(toks) + ")"
 
 
+def _combos_of_dim(reps, n):
+    """The tuples taking one (labels, dim) from each list in reps whose
+    dimensions multiply to n, in itertools.product order: a rep is kept
+    only while its dimension divides what is left of n."""
+    if not reps:
+        return [()] if n == 1 else []
+    return [(rep,) + rest for rep in reps[0] if n % rep[1] == 0
+            for rest in _combos_of_dim(reps[1:], n // rep[1])]
+
+
 @functools.lru_cache(maxsize=None)
 def table_a(n: int):
     """All connected semisimple subgroups of GL_n acting irreducibly, up to
@@ -412,13 +417,8 @@ def table_a(n: int):
         for key in datum.factors:
             if key not in factor_reps:
                 factor_reps[key] = _factor_reps_up_to(simple_factor(*key), n)
-        for combo in itertools.product(*(factor_reps[key] for key in datum.factors)):
+        for combo in _combos_of_dim([factor_reps[key] for key in datum.factors], n):
             dims = [d for _, d in combo]
-            total = 1
-            for d in dims:
-                total *= d
-            if total != n:
-                continue
             labels = tuple(lab for lab, _ in combo)
             rep = IrrepLabel(datum, labels)
             dual = dual_highest_weight(rep)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import diagonal_torus, heisenberg_mod3_group, sl2_group
-from envlab.cli import run
+from envlab.cli import build_parser, run
 
 
 def write_json(path, doc):
@@ -268,10 +268,52 @@ def test_envelope_threshold_warning_stays_in_the_report(tmp_path, capsys):
 
 def test_env_overrides(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ENVLAB_FORMAT", "text")
-    # parser defaults are read at build time, so rebuild through run()
+    # the environment is read on every run()
     assert run(["tame", "--ell", "5", "--d", "2", "--e", "13"]) == 0
     out = read_lines(capsys)
     assert "digits" in out and not out.startswith("{")
+
+
+TAME = ["tame", "--ell", "5", "--d", "2", "--e", "13"]
+TAME_JSON = '{"d":2,"digits":[3,2],"e":13,"ell":5}\n'
+
+
+def test_env_changes_between_runs_are_honoured(tmp_path, monkeypatch, capsys):
+    assert run(TAME) == 0
+    assert read_lines(capsys) == TAME_JSON
+    monkeypatch.setenv("ENVLAB_FORMAT", "text")
+    assert run(TAME) == 0
+    assert read_lines(capsys) == "d: 2\ndigits: [3, 2]\ne: 13\nell: 5\n"
+    assert run(TAME + ["--format", "json"]) == 0  # a flag beats the environment
+    assert read_lines(capsys) == TAME_JSON
+    monkeypatch.setenv("ENVLAB_FORMAT", "json")
+    out = tmp_path / "out.json"
+    monkeypatch.setenv("ENVLAB_OUTPUT", str(out))
+    assert run(TAME) == 0
+    assert read_lines(capsys) == "" and out.read_text() == TAME_JSON
+    monkeypatch.delenv("ENVLAB_OUTPUT")
+    group = write_json(tmp_path / "sl2.json", sl2_group(11).to_json())
+    assert run(["envelope", "--input", group, "--seed", "5", "--cap", "100"]) == 0
+    by_flags = read_lines(capsys)
+    monkeypatch.setenv("ENVLAB_SEED", "5")
+    monkeypatch.setenv("ENVLAB_CAP", "100")
+    assert run(["envelope", "--input", group]) == 0
+    assert read_lines(capsys) == by_flags
+    assert json.loads(by_flags)["seed"] == 5 and json.loads(by_flags)["cap"] == 100
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("flag,value", [("seed", "abc"), ("cap", "1e3"),
+                                        ("format", "yaml"), ("seed", "")])
+def test_malformed_env_value_is_usage_error(monkeypatch, capsys, flag, value):
+    assert run(TAME + [f"--{flag}", value]) == 64
+    capsys.readouterr()
+    monkeypatch.setenv(f"ENVLAB_{flag.upper()}", value)
+    assert run(TAME) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: ENVLAB_{flag.upper()}: invalid")
+    assert "Traceback" not in captured.err
 
 
 # -- fuzzing the JSON inputs: any document exits 0, 1 or 2, never a traceback --

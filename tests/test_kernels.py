@@ -1,7 +1,7 @@
 """The three shared kernels against independent oracles: the gf polynomial
 kernel against sympy over prime fields and against its defining identities
-over GF(9) and GF(25), q_rref and the unimodularity test against sympy's
-exact matrices, the one-elimination spanning subset against the greedy
+over GF(9) and GF(25), q_rref, the fraction-free adjugate and the
+unimodularity test against sympy's exact matrices, the one-elimination spanning subset against the greedy
 rank test it replaced, and the echelon-based vector minimal polynomial
 against the rank of its Krylov matrix.  sympy is a test-only dependency."""
 
@@ -11,7 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab.charlattice import _is_unimodular, _rank_q, _spanning_subset, q_rref
+from envlab.charlattice import (_adjugate, _is_unimodular, _rank_q, _spanning_subset,
+                                q_rref)
 from envlab.fieldcore import _vector_minpoly
 from envlab.gf import (field_make, poly_divmod, poly_gcd, poly_mul, poly_powmod,
                        poly_sub, poly_trim)
@@ -86,6 +87,19 @@ def test_q_rref_matches_sympy(rows):
     st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_unimodular_iff_determinant_is_a_unit(T):
     assert _is_unimodular(T) == (abs(sympy.Matrix(T).det()) == 1)
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_adjugate_is_the_scaled_inverse(M):
+    d, B = _adjugate(M)
+    det = sympy.Matrix(M).det()
+    assert abs(d) == abs(det)
+    if det:
+        assert sympy.Matrix(B) == d * sympy.Matrix(M).inv()
+    else:
+        assert B is None
 
 
 def _greedy_spanning_subset(weights, s):

@@ -10,6 +10,7 @@ from referencing import Registry, Resource
 
 from corpus import diagonal_torus, sl2_group
 from envlab.cli import run
+from envlab.gf import field_make
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 SCHEMAS = {doc["$id"]: doc for doc in
@@ -48,3 +49,18 @@ def test_envelope_report_under_a_low_cap_matches_schema(tmp_path, capsys):
     validate(doc, "envlab/envelope-report")
     assert doc["commutant_dims"]["derived_subgroup"] is None
     assert any(f.startswith("derived: ClosureOverflow") for f in doc["failures"])
+
+
+def test_failed_nori_stage_leaves_quotient_predicate_null(tmp_path, capsys):
+    # SL2(GF(9)): the upper and lower transvections and diag(w, w^-1)
+    fld = field_make(3, 2)
+    w = fld.least_primitive()
+    gens = [[1, 1, 0, 1], [1, 0, 1, 1], [w, 0, 0, fld.inv(w)]]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"ell": 3, "d": 2, "n": 2, "generators": gens}))
+    assert run(["envelope", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, "envlab/envelope-report")
+    assert any(f.startswith("nori:") for f in doc["failures"])
+    assert doc["quotient_order"] == 0
+    assert doc["predicates"]["quotient_prime_to_ell"] is None
