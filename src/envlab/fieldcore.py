@@ -19,11 +19,14 @@ ModuleRep may store (below); randomized routines take an explicit seed
 and a budget of random algebra elements.
 
 EchelonBasis is the one incremental echelon basis: spin and
-nori.lie_closure grow one row at a time on it.  Every other rank or
-coordinate question is answered by one GF.rref: a dimension is a rank, a
-coordinate is a read at the pivots (the submodule and quotient actions),
-and a minimal polynomial is the first relation of a Krylov sequence,
-read at the first non-pivot column (_first_relation).  The MeatAxe's
+nori.lie_closure grow one row at a time on it, reducing each row as a
+list of python ints through GF.row_ops, the row operations of GF.rref;
+spin multiplies each vector it takes from its queue by all generators
+in one stacked GF.matmul.  Every other rank or coordinate question is
+answered by one GF.rref: a dimension is a rank, a coordinate is a read
+at the pivots (the submodule and quotient actions), and a minimal
+polynomial is the first relation of a Krylov sequence, read at the
+first non-pivot column (_first_relation).  The MeatAxe's
 polynomial arithmetic is the kernel in gf.
 
 Each irreducible is certified once.  meataxe_split stores the
@@ -461,34 +464,39 @@ def _equal_degree_factor(fld, g, k, rng):
 
 class EchelonBasis:
     """An incrementally echelonized row basis: each row is monic at its
-    pivot and zero at the pivots of the rows added before it."""
+    pivot and zero at the pivots of the rows added before it.  The rows
+    are reduced as lists of python ints through GF.row_ops; rows holds
+    each added row once more as an int64 array."""
 
     def __init__(self, fld):
         self.fld = fld
         self.rows = []
         self.pivots = []
+        self._lists = []
 
     def reduce(self, v):
-        """v minus the combination of rows that clears it at every pivot."""
-        fld = self.fld
-        for row, piv in zip(self.rows, self.pivots):
-            c = int(v[piv])
-            if c:
-                v = fld.sub(v, fld.mul(c, row))
+        """v (a list of python ints) minus the combination of rows that
+        clears it at every pivot, as a list."""
+        axpy, neg = self.fld.row_ops[0], self.fld.scalar_ops[2]
+        for row, piv in zip(self._lists, self.pivots):
+            if v[piv]:
+                v = axpy(neg(v[piv]), row, v)
         return v
 
     def add(self, v):
-        """Append the reduced v made monic and return it; None if v lies in
-        the span."""
-        v = self.reduce(np.asarray(v, dtype=np.int64))
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+        """Append the reduced v made monic and return it as an int64 array;
+        None if v lies in the span."""
+        v = self.reduce(np.asarray(v, dtype=np.int64).tolist())
+        for piv, c in enumerate(v):
+            if c:
+                break
+        else:
             return None
-        piv = int(nz[0])
-        v = self.fld.mul(v, self.fld.inv(int(v[piv])))
-        self.rows.append(v)
+        v = self.fld.row_ops[1](self.fld.inv(v[piv]), v)
+        self._lists.append(v)
         self.pivots.append(piv)
-        return v
+        self.rows.append(np.array(v, dtype=np.int64))
+        return self.rows[-1]
 
 
 def _first_relation(fld, rows):
@@ -522,11 +530,8 @@ def spin(fld, matrices, seeds):
     basis = EchelonBasis(fld)
     queue = [row for row in map(basis.add, seeds) if row is not None]
     while queue:
-        v = queue.pop()
-        for M in matrices:
-            row = basis.add(fld.matmul(M, v[:, None])[:, 0])
-            if row is not None:
-                queue.append(row)
+        images = fld.matmul(matrices, queue.pop()[:, None])[..., 0]
+        queue.extend(row for row in map(basis.add, images) if row is not None)
     return basis
 
 
@@ -545,22 +550,26 @@ class IrreducibleWitness:
 def _random_algebra_element(fld, matrices, n, rng):
     acc = np.zeros((n, n), dtype=np.int64)
     for _ in range(int(rng.integers(1, 4))):
-        word = fld.eye(n)
-        for _ in range(int(rng.integers(1, 4))):
+        length = int(rng.integers(1, 4))
+        word = matrices[int(rng.integers(0, len(matrices)))]
+        for _ in range(length - 1):
             word = fld.matmul(word, matrices[int(rng.integers(0, len(matrices)))])
         c = np.int64(int(rng.integers(1, fld.q)))
         acc = fld.add(acc, fld.mul(c, word))
     if int(rng.integers(0, 2)):
-        acc = fld.add(acc, fld.mul(np.int64(int(rng.integers(0, fld.q))), fld.eye(n)))
+        diag = np.diag_indices(n)
+        acc[diag] = fld.add(acc[diag], int(rng.integers(0, fld.q)))
     return acc
 
 
 def _eval_poly_at_matrix(fld, poly, A):
-    n = A.shape[0]
-    acc = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(poly):
+    """p(A) by Horner's rule, each coefficient added on the diagonal."""
+    diag = np.diag_indices(A.shape[0])
+    acc = np.zeros(A.shape, dtype=np.int64)
+    acc[diag] = poly[-1]
+    for c in reversed(poly[:-1]):
         acc = fld.matmul(acc, A)
-        acc = fld.add(acc, fld.mul(np.int64(int(c)), fld.eye(n)))
+        acc[diag] = fld.add(acc[diag], c)
     return acc
 
 

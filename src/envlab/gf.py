@@ -25,6 +25,14 @@ Zech tables otherwise.  The MeatAxe's polynomials mostly have degree at
 most 3, where per-coefficient numpy calls cost more than the arithmetic.
 The modulus search here runs the kernel over F_ell; the MeatAxe
 (fieldcore) and the tame layer import it.
+
+The one echelon kernel works the same way: GF.rref, and through it rank,
+nullspace and inv_matrix, eliminate on the rows as lists of python-int
+encodings through the row operations axpy and scale (GF.row_ops), which
+read the same table views for d > 1; fieldcore.EchelonBasis reduces on
+them too.  Nearly all of envlab's echelon inputs have at most 144
+entries, where a numpy call per pivot costs more than the arithmetic;
+above about 12 x 12 the python rows are the slower ones.
 """
 
 from __future__ import annotations
@@ -291,6 +299,12 @@ class GF:
         return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
 
     @functools.cached_property
+    def _table_lists(self):
+        """Python-list views of the exp, log and Zech tables (d > 1), made
+        once for the scalar and row operations."""
+        return self._exp.tolist(), self._log.tolist(), self._zech.tolist()
+
+    @functools.cached_property
     def scalar_ops(self):
         """(add, mul, neg) on single python-int encodings, for the
         polynomial kernel and dlog.  Over a prime field they are integer
@@ -300,7 +314,7 @@ class GF:
         if self.d == 1:
             return (lambda a, b: (a + b) % ell, lambda a, b: a * b % ell,
                     lambda a: -a % ell)
-        exp, log, zech = self._exp.tolist(), self._log.tolist(), self._zech.tolist()
+        exp, log, zech = self._table_lists
         minus_one = self._log_minus_one
 
         def add(a, b):
@@ -317,6 +331,42 @@ class GF:
             return exp[log[a] + minus_one] if a else 0
 
         return add, mul, neg
+
+    @functools.cached_property
+    def row_ops(self):
+        """(axpy, scale) on rows given as lists of python-int encodings,
+        for the echelon kernel: axpy(a, x, y) is the row a x + y and
+        scale(a, x) the row a x, for a nonzero scalar a.  Over a prime
+        field they are integer operations mod ell; over GF(ell^d), d > 1,
+        they read the table views of scalar_ops."""
+        ell = self.ell
+        if self.d == 1:
+            return (lambda a, x, y: [(b + a * c) % ell for c, b in zip(x, y)],
+                    lambda a, x: [a * c % ell for c in x])
+        exp, log, zech = self._table_lists
+        n = self.q - 1
+
+        def axpy(a, x, y):
+            la, out = log[a], list(y)
+            for j, c in enumerate(x):
+                if c:
+                    lp = la + log[c]  # log of a c, reduced below q - 1
+                    if lp >= n:
+                        lp -= n
+                    b = y[j]
+                    if b:
+                        lb = log[b]
+                        z = zech[lp - lb]  # a negative index wraps
+                        out[j] = exp[lb + z] if z >= 0 else 0
+                    else:
+                        out[j] = exp[lp]
+            return out
+
+        def scale(a, x):
+            la = log[a]
+            return [exp[la + log[c]] if c else 0 for c in x]
+
+        return axpy, scale
 
     def matmul(self, A, B):
         """A @ B, broadcasting over leading axes like numpy: (..., m, k)
@@ -351,7 +401,8 @@ class GF:
             raise ZeroDivisionError("inverse of zero field element")
         if self.d == 1:
             return pow(a, self.ell - 2, self.ell)
-        return int(self._exp[self.q - 1 - self._log[a]])
+        exp, log, _ = self._table_lists
+        return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if not a:
@@ -370,31 +421,34 @@ class GF:
         return np.zeros(shape, dtype=np.int64)
 
     def rref(self, M):
-        """Reduced row echelon form.  Returns (R, pivot_columns)."""
-        R = np.array(M, dtype=np.int64)
-        if R.ndim != 2:
+        """Reduced row echelon form.  Returns (R, pivot_columns), R an
+        int64 array.  Gauss-Jordan on the rows as lists of python ints
+        through row_ops: most inputs have a few dozen entries, where a
+        numpy call per pivot costs more than the arithmetic."""
+        M = np.asarray(M, dtype=np.int64)
+        if M.ndim != 2:
             raise ValueError("rref expects a 2-d array")
-        m, n = R.shape
-        pivots = []
-        row = 0
+        m, n = M.shape
+        rows = M.tolist()
+        axpy, scale = self.row_ops
+        neg = self.scalar_ops[2]
+        pivots, row = [], 0
         for col in range(n):
-            if row >= m:
+            if row == m:
                 break
-            nz = np.nonzero(R[row:, col])[0]
-            if nz.size == 0:
+            for p in range(row, m):
+                if rows[p][col]:
+                    break
+            else:
                 continue
-            p = row + int(nz[0])
-            if p != row:
-                R[[row, p]] = R[[p, row]]
-            inv = self.inv(int(R[row, col]))
-            R[row] = self.mul(R[row], np.int64(inv))
-            mask = np.nonzero(R[:, col])[0]
-            mask = mask[mask != row]
-            if mask.size:
-                R[mask] = self.sub(R[mask], self.mul(R[mask, col][:, None], R[row][None, :]))
+            top = scale(self.inv(rows[p][col]), rows[p])
+            rows[p], rows[row] = rows[row], top
+            for i, r in enumerate(rows):
+                if r[col] and i != row:
+                    rows[i] = axpy(neg(r[col]), top, r)
             pivots.append(col)
             row += 1
-        return R[:row], pivots
+        return np.array(rows[:row], dtype=np.int64).reshape(row, n), pivots
 
     def rank(self, M) -> int:
         return self.rref(M)[0].shape[0]
@@ -411,6 +465,8 @@ class GF:
 
     def inv_matrix(self, M):
         M = np.asarray(M, dtype=np.int64)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"inv_matrix expects a square 2-d array, got shape {M.shape}")
         n = M.shape[0]
         R, pivots = self.rref(np.concatenate([M, self.eye(n)], axis=1))
         if pivots[:n] != list(range(n)) or R.shape[0] != n:

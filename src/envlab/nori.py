@@ -148,7 +148,9 @@ def lie_closure(fld: GF, seeds, n: int):
 
     The seeds are reduced all at once: each step adds the first seed whose
     residual is nonzero and clears the new pivot from the seeds after it,
-    so the rows are those of adding every seed in order."""
+    so the rows are those of adding every seed in order.  The brackets of
+    each basis row with the rows up to it are one stacked product, added
+    in order."""
     basis = EchelonBasis(fld)
     rest = np.asarray(seeds, dtype=np.int64).reshape(-1, n * n)
     while (live := np.flatnonzero(rest.any(axis=1))).size:
@@ -158,10 +160,9 @@ def lie_closure(fld: GF, seeds, n: int):
     mats = basis.rows
     i = 0
     while i < len(mats):
-        a = mats[i].reshape(n, n)
-        for b in mats[:i + 1]:
-            b = b.reshape(n, n)
-            basis.add(fld.sub(fld.matmul(a, b), fld.matmul(b, a)).reshape(-1))
+        a, bs = mats[i].reshape(n, n), np.reshape(mats[:i + 1], (-1, n, n))
+        for bracket in fld.sub(fld.matmul(a, bs), fld.matmul(bs, a)).reshape(i + 1, -1):
+            basis.add(bracket)
         i += 1
     return [m.reshape(n, n) for m in mats]
 

@@ -1,15 +1,159 @@
-"""The linear-algebra routines that fieldcore and tame replaced with reads
-of one rref, kept as oracles: the Krylov minimal polynomial by an
-augmented echelon basis, the submodule and quotient actions by a completed
-basis and its inverse, the matrix minimal polynomial as an lcm over unit
-vectors, the fixed-space dimension as the size of a nullspace basis, and
-invertibility as a caught failure of the inverse."""
+"""The linear-algebra routines that envlab replaced, kept as oracles: the
+numpy Gauss-Jordan rref (with the rank, nullspace and inverse read from
+it) and the numpy incremental echelon basis (with spin and lie_closure
+grown on it) that the python-int row kernel replaced; the random algebra
+element and the Horner evaluation that multiplied by the identity; and
+the routines that
+fieldcore and tame replaced with reads of one rref: the Krylov minimal
+polynomial by an augmented echelon basis, the submodule and quotient
+actions by a completed basis and its inverse, the matrix minimal
+polynomial as an lcm over unit vectors, the fixed-space dimension as the
+size of a nullspace basis, and invertibility as a caught failure of the
+inverse."""
 
 import numpy as np
 
 from envlab.errors import ValidationError
-from envlab.fieldcore import EchelonBasis
 from envlab.gf import poly_divmod, poly_gcd, poly_mul
+
+
+def rref(fld, M):
+    """Reduced row echelon form on int64 arrays, one numpy step per pivot:
+    (R, pivot_columns)."""
+    R = np.array(M, dtype=np.int64)
+    if R.ndim != 2:
+        raise ValueError("rref expects a 2-d array")
+    m, n = R.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(R[row:, col])[0]
+        if nz.size == 0:
+            continue
+        p = row + int(nz[0])
+        if p != row:
+            R[[row, p]] = R[[p, row]]
+        inv = fld.inv(int(R[row, col]))
+        R[row] = fld.mul(R[row], np.int64(inv))
+        mask = np.nonzero(R[:, col])[0]
+        mask = mask[mask != row]
+        if mask.size:
+            R[mask] = fld.sub(R[mask], fld.mul(R[mask, col][:, None], R[row][None, :]))
+        pivots.append(col)
+        row += 1
+    return R[:row], pivots
+
+
+def rank(fld, M):
+    return rref(fld, M)[0].shape[0]
+
+
+def nullspace(fld, M):
+    """Basis of the right kernel, as rows, from the oracle rref."""
+    R, pivots = rref(fld, M)
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = fld.neg(R[:, free].T)
+    return basis
+
+
+def inv_matrix(fld, M):
+    """The inverse of a square matrix from the oracle rref of [M | I]."""
+    M = np.asarray(M, dtype=np.int64)
+    n = M.shape[0]
+    R, pivots = rref(fld, np.concatenate([M, fld.eye(n)], axis=1))
+    if pivots[:n] != list(range(n)) or R.shape[0] != n:
+        raise ZeroDivisionError("matrix is singular")
+    return R[:, n:]
+
+
+class EchelonBasis:
+    """An incrementally echelonized row basis on int64 arrays, one numpy
+    GF.mul and GF.sub per pivot."""
+
+    def __init__(self, fld):
+        self.fld = fld
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, v):
+        fld = self.fld
+        for row, piv in zip(self.rows, self.pivots):
+            c = int(v[piv])
+            if c:
+                v = fld.sub(v, fld.mul(c, row))
+        return v
+
+    def add(self, v):
+        v = self.reduce(np.asarray(v, dtype=np.int64))
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return None
+        piv = int(nz[0])
+        v = self.fld.mul(v, self.fld.inv(int(v[piv])))
+        self.rows.append(v)
+        self.pivots.append(piv)
+        return v
+
+
+def spin(fld, matrices, seeds):
+    """The spin on the oracle echelon basis, one GF.matmul per generator."""
+    basis = EchelonBasis(fld)
+    queue = [row for row in map(basis.add, seeds) if row is not None]
+    while queue:
+        v = queue.pop()
+        for M in matrices:
+            row = basis.add(fld.matmul(M, v[:, None])[:, 0])
+            if row is not None:
+                queue.append(row)
+    return basis
+
+
+def lie_closure(fld, seeds, n):
+    """The Lie closure on the oracle echelon basis, one bracket at a time."""
+    basis = EchelonBasis(fld)
+    rest = np.asarray(seeds, dtype=np.int64).reshape(-1, n * n)
+    while (live := np.flatnonzero(rest.any(axis=1))).size:
+        row = basis.add(rest[live[0]])
+        rest = rest[live[0] + 1:]
+        rest = fld.sub(rest, fld.mul(rest[:, basis.pivots[-1], None], row))
+    mats = basis.rows
+    i = 0
+    while i < len(mats):
+        a = mats[i].reshape(n, n)
+        for b in mats[:i + 1]:
+            b = b.reshape(n, n)
+            basis.add(fld.sub(fld.matmul(a, b), fld.matmul(b, a)).reshape(-1))
+        i += 1
+    return [m.reshape(n, n) for m in mats]
+
+
+def random_algebra_element(fld, matrices, n, rng):
+    """A random combination of words, each word started from the identity."""
+    acc = np.zeros((n, n), dtype=np.int64)
+    for _ in range(int(rng.integers(1, 4))):
+        word = fld.eye(n)
+        for _ in range(int(rng.integers(1, 4))):
+            word = fld.matmul(word, matrices[int(rng.integers(0, len(matrices)))])
+        c = np.int64(int(rng.integers(1, fld.q)))
+        acc = fld.add(acc, fld.mul(c, word))
+    if int(rng.integers(0, 2)):
+        acc = fld.add(acc, fld.mul(np.int64(int(rng.integers(0, fld.q))), fld.eye(n)))
+    return acc
+
+
+def eval_poly_at_matrix(fld, poly, A):
+    """Horner's rule with every coefficient times the identity."""
+    n = A.shape[0]
+    acc = np.zeros((n, n), dtype=np.int64)
+    for c in reversed(poly):
+        acc = fld.matmul(acc, A)
+        acc = fld.add(acc, fld.mul(np.int64(int(c)), fld.eye(n)))
+    return acc
 
 
 def vector_minpoly(fld, A, v):
