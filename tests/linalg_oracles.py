@@ -3,13 +3,12 @@ numpy Gauss-Jordan rref (with the rank, nullspace and inverse read from
 it) and the numpy incremental echelon basis (with spin and lie_closure
 grown on it) that the python-int row kernel replaced; the random algebra
 element and the Horner evaluation that multiplied by the identity; and
-the routines that
-fieldcore and tame replaced with reads of one rref: the Krylov minimal
-polynomial by an augmented echelon basis, the submodule and quotient
-actions by a completed basis and its inverse, the matrix minimal
-polynomial as an lcm over unit vectors, the fixed-space dimension as the
-size of a nullspace basis, and invertibility as a caught failure of the
-inverse."""
+the routines that fieldcore and tame replaced with reads of one rref:
+the Krylov minimal polynomial by an augmented echelon basis, the
+submodule and quotient actions by a completed basis and its inverse, the
+matrix minimal polynomial as an lcm over unit vectors, the fixed-space
+dimension as the size of a nullspace basis, and invertibility as a
+caught failure of the inverse."""
 
 import numpy as np
 
