@@ -26,8 +26,11 @@ in one stacked GF.matmul.  Every other rank or coordinate question is
 answered by one GF.rref: a dimension is a rank, a coordinate is a read
 at the pivots (the submodule and quotient actions), and a minimal
 polynomial is the first relation of a Krylov sequence, read at the
-first non-pivot column (_first_relation).  The MeatAxe's
-polynomial arithmetic is the kernel in gf.
+first non-pivot column (_first_relation).  The fixed space of a stack
+(invariants_dim) is the exception: it is cut down one kernel at a time,
+at most once per dimension, so a tall stack of mostly redundant
+matrices costs a few small rrefs.  The MeatAxe's polynomial arithmetic
+is the kernel in gf.
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -155,6 +158,8 @@ class FinMatGroup:
         self._gen = None
         self._index = None
         self._gens_inv = None
+        # subgroups by generator bytes, as mackey.all_subgroups returned them
+        self._subgroups = {}
 
     @property
     def gens_inv(self) -> np.ndarray:
@@ -417,9 +422,19 @@ def commutant(rho: ModuleRep):
 
 
 def invariants_dim(rho: ModuleRep) -> int:
-    """Dimension of the simultaneous fixed space of all action matrices."""
+    """Dimension of the simultaneous fixed space of all action matrices.
+    The rows of K span the vectors fixed so far; the first A_i that moves
+    one cuts K to the kernel of (A_i - I) K^T, and the A_i that moved
+    nothing are dropped, so there are at most n cuts, each one nullspace
+    and one stacked product over the A_i left."""
     fld, n = rho.field, rho.dim
-    return n - fld.rank(fld.sub(rho.action, fld.eye(n)).reshape(-1, n))
+    moved = fld.sub(rho.action, fld.eye(n))
+    K, images = fld.eye(n), moved
+    while (hit := np.flatnonzero(images.any(axis=(1, 2)))).size:
+        K = fld.matmul(fld.nullspace(images[hit[0]]), K)
+        moved = moved[hit[1:]]
+        images = fld.matmul(moved, K.T)
+    return len(K)
 
 
 # -- the MeatAxe: polynomials from the gf kernel, one echelon basis --

@@ -454,14 +454,21 @@ class GF:
         return self.rref(M)[0].shape[0]
 
     def nullspace(self, M):
-        """Basis of the right kernel, as rows of the returned array."""
+        """Basis of the right kernel, as rows of the returned array: one
+        row per free column c of the rref, 1 at c and minus column c of
+        the rref at the pivots, built on python lists."""
         R, pivots = self.rref(M)
-        n = R.shape[1]
-        free = [c for c in range(n) if c not in pivots]
-        basis = np.zeros((len(free), n), dtype=np.int64)
-        basis[np.arange(len(free)), free] = 1
-        basis[:, pivots] = self.neg(R[:, free].T)  # R has one row per pivot
-        return basis
+        rows, n = R.tolist(), R.shape[1]
+        neg = self.scalar_ops[2]
+        basis = []
+        for c in range(n):
+            if c not in pivots:
+                v = [0] * n
+                v[c] = 1
+                for r, p in zip(rows, pivots):
+                    v[p] = neg(r[c])
+                basis.append(v)
+        return np.array(basis, dtype=np.int64).reshape(len(basis), n)
 
     def inv_matrix(self, M):
         M = np.asarray(M, dtype=np.int64)

@@ -12,7 +12,10 @@ a SubgroupDatum labels each ambient element with its left coset and keeps
 its transversal as a stack.  Modules and transversals stay stacks; a Mat
 is built only where a public value is one matrix, as when the failing_rep
 of a MackeyVerdict is read.  all_subgroups enumerates subgroups as sets of
-closure indices of the ambient group, which is the only group it closes.
+closure indices of the ambient group, which is the only group it closes,
+and records each group it returns on the ambient group by its generator
+bytes: subgroup_datum and clifford_decompose, given one of those
+generator lists, take that group and whatever closure it already has.
 There is no |G| x |G| Cayley table.
 """
 
@@ -85,11 +88,19 @@ class SubgroupDatum:
         return len(self.transversal)
 
 
+def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
+    """The subgroup of G on a generator list: the group that all_subgroups
+    returned for that list, with its closure if it has one, else a fresh
+    group."""
+    H = FinMatGroup(G.field, list(gens))
+    return G._subgroups.get(H.gens.tobytes(), H)
+
+
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
     """Build the datum, choosing left coset representatives greedily from
     the closure order (the identity represents the subgroup itself)."""
     fld = ambient.field
-    H = FinMatGroup(fld, list(subgroup_gens))
+    H = _subgroup(ambient, subgroup_gens)
     if not H.is_subgroup_of(ambient):
         raise ValidationError("generators do not lie in the ambient group")
     hs, elems = H.closure(), ambient.closure()
@@ -216,7 +227,7 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
                        seed: int = DEFAULT_SEED) -> CliffordShape:
     """Shape of Res_N V for a normal subgroup N and irreducible V: e
     distinct conjugate factors, each with common multiplicity f."""
-    N = FinMatGroup(G.field, list(n_gens))
+    N = _subgroup(G, n_gens)
     if not N.is_subgroup_of(G) or not N.is_normal_in(G):
         raise NotNormal("N is not a normal subgroup of G")
     if not is_irreducible(V, seed=seed):
@@ -246,7 +257,7 @@ def clifford_blocks_transitive(G: FinMatGroup, n_gens,
                                shape: CliffordShape) -> bool:
     """Whether conjugation by G permutes the iso-classes of factors
     transitively (single orbit)."""
-    N = FinMatGroup(G.field, list(n_gens))
+    N = _subgroup(G, n_gens)
     e = shape.e
     reached = {0}
     frontier = [0]
@@ -327,7 +338,9 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     # one Mat per generator element, shared by the generator lists
     mats = {x: Mat(fld, elems[x])
             for x in dict.fromkeys(x for gens in subs.values() for x in gens)}
-    return [FinMatGroup(fld, [mats[x] for x in gens]) for gens in subs.values()]
+    groups = [FinMatGroup(fld, [mats[x] for x in gens]) for gens in subs.values()]
+    G._subgroups.update((H.gens.tobytes(), H) for H in groups)
+    return groups
 
 
 def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:

@@ -3,6 +3,11 @@ monodromy image, collect its finite-level observables (exponential closure
 orders, commutant dimensions, composition factor dimensions, Lie rank
 estimate, optional tame weights) and evaluate the named predicate checks.
 Also the case-elimination driver over formal-character predicates.
+
+The Nori stage closes G and G+.  The derived stage closes no group:
+derived_commutant_dim finds End_[G,G](V) as the largest subspace of the
+generator commutators' commutant that conjugation by every generator
+maps into itself, so --cap cannot make it fail.
 """
 
 from __future__ import annotations
@@ -11,11 +16,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .charlattice import fc_predicates, has_affine_triple
 from .errors import EnvlabError, UnknownPredicate, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
-                        commutant, composition_factors, generated_subgroup,
-                        generator_commutators, module_of_group)
+                        ModuleRep, commutant, composition_factors,
+                        generated_subgroup, generator_commutators,
+                        module_of_group)
 from .nori import lie_rank_estimate, nori_points, quotient_is_abelian
 from .smallrep import table_a
 from .tame import tame_weights_of_rep
@@ -25,9 +33,37 @@ REPORT_VERSION = 1
 
 def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
     """Normal closure of the generator commutators (the derived subgroup,
-    since the commutators normally generate it)."""
+    since the commutators normally generate it).  envelope_report does not
+    call it: derived_commutant_dim gets the commutant without a closure."""
     return generated_subgroup(G.field, G.n, generator_commutators(G), cap,
                               conjugators=G.gens)
+
+
+def derived_commutant_dim(G: FinMatGroup) -> int | None:
+    """dim End_[G,G](V), or None when [G,G] is trivial, with no group
+    closed.  [G,G] is the normal closure of the generator commutators, so
+    its commutant is the intersection of the conjugates g K0 g^-1 of
+    their commutant K0: the largest subspace of K0 that conjugation by
+    every generator maps into itself.  Each round keeps the X in K with
+    g X g^-1 in K for every generator g, one rref of K and one nullspace,
+    until K stops shrinking."""
+    fld, n = G.field, G.n
+    comms = generator_commutators(G)
+    if (comms == fld.eye(n)).all():
+        return None
+    K = np.reshape(commutant(ModuleRep(fld, comms))[0], (-1, n * n))
+    while True:
+        R, pivots = fld.rref(K)
+        free = [c for c in range(n * n) if c not in pivots]
+        images = fld.matmul(fld.matmul(G.gens[:, None], R.reshape(-1, n, n)),
+                            G.gens_inv[:, None]).reshape(len(G.gens), len(R), n * n)
+        # what each image has outside span K, read at the free columns of R
+        outside = fld.sub(images[:, :, free], fld.matmul(images[:, :, pivots], R[:, free]))
+        # the coefficients a, as rows, with a . outside[g] = 0 for every g
+        keep = fld.nullspace(outside.transpose(0, 2, 1).reshape(-1, len(R)))
+        if len(keep) == len(R):
+            return len(R)
+        K = fld.matmul(keep, R)
 
 
 @dataclass
@@ -99,13 +135,7 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
     c_nori = None
     if result is not None and result.nori_points.order > 1:
         c_nori = commutant(module_of_group(result.nori_points))[1]
-    c_derived = None
-    try:
-        derived = derived_subgroup(G, cap)
-        if derived.order > 1:
-            c_derived = commutant(module_of_group(derived))[1]
-    except EnvlabError as ex:
-        failures.append(f"derived: {type(ex).__name__}: {ex}")
+    c_derived = derived_commutant_dim(G)
     try:
         factors = composition_factors(rho, seed=seed)
         factor_dims = sorted(

@@ -1,6 +1,6 @@
 """The linear-algebra routines that envlab replaced, kept as oracles: the
 numpy Gauss-Jordan rref (with the rank, nullspace and inverse read from
-it) and the numpy incremental echelon basis (with spin and lie_closure
+it), the nullspace basis built with numpy writes on GF.rref's output, and the numpy incremental echelon basis (with spin and lie_closure
 grown on it) that the python-int row kernel replaced; the random algebra
 element and the Horner evaluation that multiplied by the identity; and
 the routines that fieldcore and tame replaced with reads of one rref:
@@ -52,6 +52,18 @@ def rank(fld, M):
 def nullspace(fld, M):
     """Basis of the right kernel, as rows, from the oracle rref."""
     R, pivots = rref(fld, M)
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = fld.neg(R[:, free].T)
+    return basis
+
+
+def nullspace_on_rref(fld, M):
+    """GF.nullspace as it read GF.rref's int64 output: np.zeros, a
+    fancy-index write of the ones and an array neg at the pivots."""
+    R, pivots = fld.rref(M)
     n = R.shape[1]
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)

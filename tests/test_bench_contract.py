@@ -14,10 +14,10 @@ import envlab.gf
 import envlab.mackey
 
 from corpus import sl2_group, symmetric_group
-from envlab.mackey import (all_subgroups, irreducible_modules, mackey_irreducible,
-                           subgroup_datum)
+from envlab.mackey import (all_subgroups, clifford_decompose, irreducible_modules,
+                           mackey_irreducible, subgroup_datum)
 from envlab.nori import nori_points, order_ell_elements
-from envlab.pipeline import envelope_report
+from envlab.pipeline import derived_commutant_dim, envelope_report
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -63,10 +63,22 @@ def traced(fn):
 
 
 def test_envelope_closes_the_same_subgroups():
-    # SL2(F_11): G (1,320 elements), then G+ and G' each closed from the
-    # trivial group through one cyclic step (11, then 5) to all 1,320
+    # SL2(F_11): G (1,320 elements), then G+ closed from the trivial group
+    # through one cyclic step (11) to all 1,320; the derived stage closes
+    # no group
     _, cold, elements = traced(lambda: envelope_report(sl2_group(11)))
-    assert (cold, elements) == (7, 3978)
+    assert (cold, elements) == (4, 2652)
+
+
+def test_derived_stage_closes_no_group():
+    # the commutant of [G, G] is linear algebra on 2 x 2 matrices: no
+    # closure and no derived_subgroup call inside envelope_report
+    G = sl2_group(11)
+    G.closure()
+    calls, cold, _ = traced(lambda: derived_commutant_dim(G))
+    assert calls["fieldcore.closure"] == cold == 0
+    calls, _, _ = traced(lambda: envelope_report(sl2_group(11)))
+    assert calls["pipeline.derived_subgroup"] == 0
 
 
 def test_nori_points_passes_g_ell_as_a_stack():
@@ -109,6 +121,31 @@ def test_all_subgroups_closes_only_the_ambient_group():
         calls, cold, elements = traced(lambda: all_subgroups(G, up_to_conjugacy))
         assert (cold, elements) == (1, 24)
         assert calls["fieldcore.Mat.new"] < 25
+
+
+def test_subgroup_lookup_hands_back_the_closed_subgroup():
+    # S4 over F_13: a generator list that all_subgroups returned maps back
+    # to its group, so clifford_decompose gets the N that is_normal_in
+    # closed and subgroup_datum the H itself; another list gets a fresh
+    # group
+    G = symmetric_group(4, 13)
+    subs = all_subgroups(G)
+    normal = [N for N in subs if N.is_normal_in(G)]
+    irreps = irreducible_modules(G, G.field)
+    _, cold, _ = traced(lambda: [clifford_decompose(G, N.generators, V)
+                                 for N in normal for V in irreps])
+    assert len(normal) == 4 and cold == 0
+    assert all(subgroup_datum(G, H.generators).subgroup is H for H in subs)
+    H = next(H for H in subs if len(H.generators) > 1)
+    assert subgroup_datum(G, H.generators[::-1]).subgroup is not H
+
+
+def test_mackey_session_closes_each_subgroup_once():
+    # S4 over F_13, as bench/workloads.py runs it: G and each of the 11
+    # subgroup classes are closed once
+    session = _load("workloads").mackey_session
+    _, cold, _ = traced(lambda: session(symmetric_group(4, 13).to_json()))
+    assert cold == 1 + 11
 
 
 def test_mackey_session_certifies_each_irreducible_once(monkeypatch):

@@ -43,9 +43,11 @@ def test_envelope_cap_bounds_every_closure(monkeypatch):
     monkeypatch.setattr(FinMatGroup, "closure", recorded)
     report = envelope_report(sl2_group(11), cap=100)
     assert set(cold_caps) == {100}
-    assert max(sizes) <= 100
-    assert report.commutant_dims["derived_subgroup"] is None
-    assert [f.split(":")[0] for f in report.failures] == ["nori", "derived"]
+    # the Nori stage's closure overflows, so none may complete
+    assert max(sizes, default=0) <= 100
+    # the derived stage closes no group, so the cap cannot stop it
+    assert report.commutant_dims["derived_subgroup"] == 1
+    assert [f.split(":")[0] for f in report.failures] == ["nori"]
     assert all("ClosureOverflow" in f for f in report.failures)
 
 

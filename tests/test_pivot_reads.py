@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracles
-from corpus import sl2_group, symmetric_group
+from corpus import mackey_corpus, sl2_group, symmetric_group
 from envlab import fieldcore
 from envlab.errors import ValidationError
 from envlab.fieldcore import (Mat, ModuleRep, _first_relation, _submodule_action,
@@ -158,6 +158,17 @@ def test_invariants_dim_matches_the_nullspace_count(ell, d, data):
             stack[i] = special_matrix(fld, n, kind, data)
     rho = ModuleRep(fld, stack)
     assert invariants_dim(rho) == linalg_oracles.invariants_dim(rho)
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G, _ in mackey_corpus()])
+def test_invariants_dim_over_every_element_of_a_group(G):
+    # V (x) V at every element, as mackey_irreducible lists a group in
+    # full: a tall stack of A_i - I (384 x 16 on S4), most of whose
+    # matrices fix what the first cuts leave
+    fld, elems = G.field, G.closure()
+    rho = ModuleRep(fld, fld.kron(elems, elems))
+    on_gens = ModuleRep(fld, fld.kron(G.gens, G.gens))
+    assert invariants_dim(rho) == linalg_oracles.invariants_dim(rho) == invariants_dim(on_gens)
 
 
 # -- counter guards --

@@ -58,6 +58,25 @@ def test_rref_rank_nullspace_match_the_numpy_oracle(ell, d, m, n, rank, seed):
 
 
 @pytest.mark.parametrize("ell,d", FIELDS)
+@SETTINGS
+@given(m=st.integers(0, 7), n=st.integers(0, 7), rank=st.integers(0, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nullspace_matches_its_numpy_basis_build(ell, d, m, n, rank, seed):
+    fld = field_make(ell, d)
+    M = low_rank(fld, m, n, rank, seed)
+    assert same_bytes(fld.nullspace(M), linalg_oracles.nullspace_on_rref(fld, M))
+
+
+@pytest.mark.parametrize("ell,d", FIELDS)
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_nullspace_on_edge_shapes_matches_its_numpy_basis_build(ell, d, m, n):
+    fld = field_make(ell, d)
+    for rank in {0, 1, min(m, n) // 2, min(m, n)}:
+        M = low_rank(fld, m, n, rank, seed=m * n + rank)
+        assert same_bytes(fld.nullspace(M), linalg_oracles.nullspace_on_rref(fld, M))
+
+
+@pytest.mark.parametrize("ell,d", FIELDS)
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_rref_on_edge_shapes_matches_the_numpy_oracle(ell, d, m, n):
     fld = field_make(ell, d)
