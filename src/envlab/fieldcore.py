@@ -4,10 +4,14 @@ MeatAxe splitting, composition factors, semisimplification.
 FinMatGroup.closure is envlab's one closure engine: a breadth-first search
 over whole frontiers, one stacked GF.matmul per layer, that returns the
 group as a read-only (N, n, n) element stack, with a parent vector for
-words.  FinMatGroup.indices, the one membership lookup, maps any stack to
-closure indices.  Stages pass each other such stacks (FinMatGroup.gens,
-the candidates of generated_subgroup, G[ell], induced blocks); a Mat is
-built only where a public function takes or returns one matrix.
+words and the right Cayley table on the generators that its lookups
+found.  FinMatGroup.indices, the one membership lookup, maps any stack to
+closure indices.  A subgroup of a closed group is found in its index
+space (index_subgroup, grow_mask): a mask over the closure grown under
+right rows read from the table, with no matrix product; G+ and the joins
+of mackey.all_subgroups are such index sets.  Stages pass each other
+stacks (FinMatGroup.gens, G[ell], induced blocks); a Mat is built only
+where a public function takes or returns one matrix.
 
 Modules are given by the action matrices of a free generating set, held
 as one read-only (k, m, m) stack, ModuleRep.action, in the encoding that
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from itertools import count, repeat
 from numbers import Integral
 
 import numpy as np
@@ -137,15 +142,36 @@ def _keys(stack) -> list:
     return a.reshape(-1, width).view(f"V{width * 8}").ravel().tolist()
 
 
+def grow_mask(mask, rows) -> np.ndarray:
+    """The least superset of a boolean mask over a closure that the index
+    maps rows, a (k, N) array, send into itself: a search from the whole
+    mask, one gather per layer.  From a mask holding the identity and the
+    right rows of some elements, that is the subgroup they generate with
+    the mask."""
+    frontier = np.flatnonzero(mask)
+    while len(frontier):
+        grown = mask.copy()
+        grown[rows[:, frontier]] = True
+        frontier = np.flatnonzero(grown & ~mask)
+        mask = grown
+    return mask
+
+
 class FinMatGroup:
     """A finite matrix group presented by generators, with explicit closure.
 
     The closure is kept as an (N, n, n) element stack in breadth-first
     order, with a parent vector: element i > 0 is element parent[i] times
     generator gen[i] (a Schreier vector, Seress 2003), so words come from
-    walking the parents.  gens holds the generators as one read-only
-    (k, n, n) stack.  Generators must be invertible; from_json checks
-    those that come from outside."""
+    walking the parents, and a right Cayley table on the generators:
+    _right[i, j] is the index of element i times generator j.  gens holds
+    the generators as one read-only (k, n, n) stack.  Generators must be
+    invertible; from_json checks those that come from outside.
+
+    A subgroup that index_subgroup found is an index set of its ambient
+    group's closure: its order and membership read that mask, and its
+    own closure, built only when asked for, is the same search run on
+    its generators' right rows, with no product and no key of its own."""
 
     def __init__(self, fld: GF, generators):
         self.field = fld
@@ -157,7 +183,13 @@ class FinMatGroup:
         self._parent = None
         self._gen = None
         self._index = None
+        self._slot = None
+        self._right = None
         self._gens_inv = None
+        # an index_subgroup's ambient group and its members there, as a
+        # boolean mask over the ambient closure
+        self._ambient = None
+        self._mask = None
         # subgroups by generator bytes, as mackey.all_subgroups returned them
         self._subgroups = {}
 
@@ -173,43 +205,76 @@ class FinMatGroup:
     def closure(self, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
         """Breadth-first closure over whole frontiers: each layer multiplies
         every frontier element by every generator in one stacked product
-        and keeps the new products in (element, generator) order.  Returns
-        the elements as a read-only (N, n, n) stack in that order;
-        ClosureOverflow once more than cap elements are found."""
+        and keeps the new products in (element, generator) order.  The
+        closure index of every product is kept as the right Cayley table
+        _right, so no product is looked up twice.  Returns the elements as
+        a read-only (N, n, n) stack in that order; ClosureOverflow once
+        more than cap elements are found.  An index_subgroup runs the same
+        search on indices of its ambient closure, where a layer's products
+        are gathers from its generators' right rows."""
         if self._elements is not None:
             return self._elements
-        if self.n is None:
-            raise ValidationError("group has no generators and no dimension")
-        fld, n, gens = self.field, self.n, self.gens
-        k = len(gens)
-        frontier = fld.eye(n)[None]
-        index = dict.fromkeys(_keys(frontier), 0)
-        layers, parents, gen_idx = [frontier], [np.array([0])], [np.array([-1])]
-        base = 0  # stack position of frontier[0]
+        if self._ambient is not None:
+            G = self._ambient
+            rows = G.right_rows(G.indices(self.gens))
+            found = self._search(np.array([0]), lambda f: rows[:, f].T.ravel(),
+                                 np.ndarray.tolist, cap)
+            self._elements = G.closure()[found]
+        else:
+            if self.n is None:
+                raise ValidationError("group has no generators and no dimension")
+            fld, n, gens = self.field, self.n, self.gens
+            self._elements = self._search(
+                fld.eye(n)[None], lambda f: fld.matmul(f[:, None], gens[None]).reshape(-1, n, n),
+                _keys, cap)
+        self._elements.setflags(write=False)
+        return self._elements
+
+    def _search(self, start, products, keys, cap):
+        """The search of closure from the identity, start (a stack of one):
+        products(frontier) lists every frontier element times every
+        generator in (element, generator) order, and keys(stack) gives the
+        dictionary key of each.  Sets the parent and generator vectors,
+        the index (_index, _slot) and the right Cayley table, and returns
+        what was found, in closure order."""
+        k = len(self.gens)
+        # key -> the number of the first product that had it, the identity
+        # being product 0; one setdefault per product both looks a product
+        # up and numbers it if it is new
+        index = dict.fromkeys(keys(start), 0)
+        layers, parents, gen_idx = [start], [np.array([0])], [np.array([-1])]
+        numbers = []
+        frontier, base, made = start, 0, 1  # base: stack position of frontier[0]
         while len(frontier):
-            prods = fld.matmul(frontier[:, None], gens[None]).reshape(-1, n, n)
-            fresh = []
-            for j, key in enumerate(_keys(prods)):
-                if key not in index:
-                    index[key] = len(index)
-                    fresh.append(j)
-            if fresh and len(index) > cap:
+            prods = products(frontier)
+            got = np.fromiter(map(index.setdefault, keys(prods), count(made)),
+                              np.int64, len(prods))
+            if len(index) > cap:
                 raise ClosureOverflow(f"closure exceeded cap {cap}")
-            fresh = np.array(fresh, dtype=np.int64)
+            fresh = (got == np.arange(made, made + len(prods))).nonzero()[0]
+            numbers.append(got)
+            made += len(prods)
             parents.append(base + fresh // k)
             gen_idx.append(fresh % k)
             base += len(frontier)
             frontier = prods[fresh]
             layers.append(frontier)
+        # product number -> closure index, and -1 at position -1; product p
+        # was new where it kept its own number
+        numbers = np.concatenate(numbers)
+        self._slot = np.full(made + 1, -1)
+        self._slot[0] = 0
+        self._slot[1:made][numbers == np.arange(1, made)] = np.arange(1, len(index))
+        self._right = self._slot[numbers].reshape(-1, k)
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_idx)
         self._index = index
-        self._elements = np.concatenate(layers)
-        self._elements.setflags(write=False)
-        return self._elements
+        return np.concatenate(layers)
 
     @property
     def order(self) -> int:
+        if self._mask is not None:
+            return int(self._mask.sum())
         return len(self.closure())
 
     def indices(self, stack) -> np.ndarray:
@@ -217,13 +282,58 @@ class FinMatGroup:
         array of shape stack.shape[:-2]; -1 marks a matrix outside the
         group."""
         self.closure()
-        stack = np.asarray(stack, dtype=np.int64)
-        get = self._index.get
-        return np.array([get(key, -1) for key in _keys(stack)],
-                        dtype=np.int64).reshape(stack.shape[:-2])
+        if self._ambient is not None:
+            idx = self._ambient.indices(stack)
+            keys, shape = idx.ravel().tolist(), idx.shape
+        else:
+            stack = np.asarray(stack, dtype=np.int64)
+            keys, shape = _keys(stack), stack.shape[:-2]
+        found = np.fromiter(map(self._index.get, keys, repeat(-1)), np.int64, len(keys))
+        return self._slot[found].reshape(shape)
+
+    def members(self, stack) -> np.ndarray:
+        """Whether each matrix of an (..., n, n) stack lies in the group;
+        an index_subgroup reads its mask and closes nothing of its own."""
+        if self._ambient is None:
+            return self.indices(stack) >= 0
+        idx = self._ambient.indices(stack)
+        return (idx >= 0) & self._mask[idx]
+
+    def right_rows(self, xs) -> np.ndarray:
+        """For each closure index x in xs, the row i -> index of element i
+        times element x, as a (len(xs), N) array: the right Cayley table
+        composed along the word of x."""
+        self.closure()
+        rows = []
+        for x in xs:
+            row = np.arange(len(self._right))
+            for j in self._word(x):
+                row = self._right[row, j]
+            rows.append(row)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(self._right))
+
+    def index_subgroup(self, candidates) -> "FinMatGroup":
+        """The subgroup generated by the elements at an array of closure
+        indices, as a mask over this closure.  Its generators are chosen
+        as generated_subgroup chooses them: the next one is the first
+        candidate outside the span so far, and each span grows the last
+        one under the generators' right rows (grow_mask).  With no
+        candidate outside the identity it is the trivial group on the
+        identity."""
+        elems = self.closure()
+        mask = np.zeros(len(elems), dtype=bool)
+        mask[0] = True
+        gens, rest = [], np.asarray(candidates, dtype=np.int64)
+        while (outside := rest[~mask[rest]]).size:
+            gens.append(int(outside[0]))
+            mask = grow_mask(mask, self.right_rows(gens))
+            rest = outside[1:]
+        H = FinMatGroup(self.field, elems[gens or [0]])
+        H._ambient, H._mask = self, mask
+        return H
 
     def __contains__(self, m: Mat) -> bool:
-        return int(self.indices(m.array)) >= 0
+        return bool(self.members(m.array))
 
     def word_for(self, m: Mat):
         """A word in the generators (indices) evaluating to m: the
@@ -231,14 +341,19 @@ class FinMatGroup:
         i = int(self.indices(m.array))
         if i < 0:
             raise ValidationError("the element does not lie in the group")
+        return tuple(self._word(i))
+
+    def _word(self, i) -> list:
+        """The generators along the parent path from the identity to
+        element i, in order."""
         word = []
         while i:
             word.append(int(self._gen[i]))
-            i = int(self._parent[i])
-        return tuple(reversed(word))
+            i = self._parent[i]
+        return word[::-1]
 
     def is_subgroup_of(self, other: "FinMatGroup") -> bool:
-        return not self.generators or bool((other.indices(self.gens) >= 0).all())
+        return not self.generators or bool(other.members(self.gens).all())
 
     def is_normal_in(self, other: "FinMatGroup") -> bool:
         """Checked on generators; assumes self is a subgroup of other."""
@@ -246,7 +361,7 @@ class FinMatGroup:
         fld = self.field
         conj = fld.matmul(fld.matmul(other.gens[:, None], self.gens[None]),
                           other.gens_inv[:, None])
-        return bool((self.indices(conj) >= 0).all())
+        return bool(self.members(conj).all())
 
     @staticmethod
     def trivial(fld: GF, n: int) -> "FinMatGroup":

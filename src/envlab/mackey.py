@@ -16,7 +16,8 @@ closure indices of the ambient group, which is the only group it closes,
 and records each group it returns on the ambient group by its generator
 bytes: subgroup_datum and clifford_decompose, given one of those
 generator lists, take that group and whatever closure it already has.
-There is no |G| x |G| Cayley table.
+G's right Cayley table covers only its generators (N x k); there is no
+|G| x |G| table.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
 from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _inverse_stack,
-                        composition_factors, intertwiners, invariants_dim,
-                        is_irreducible, modules_isomorphic)
+                        composition_factors, grow_mask, intertwiners,
+                        invariants_dim, is_irreducible, modules_isomorphic)
 from .gf import GF
 
 
@@ -278,10 +279,11 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
 
     Subgroups are sets of closure indices of G, the only group closed.
     The powers of all elements take one stacked product per step; a join
-    is a search from the union of two subgroups under right
+    is grow_mask from the union of two subgroups under right
     multiplication by their generators, one index row per generator
-    element.  Each unordered, non-nested pair is joined once, and a new
-    subgroup keeps the generators of the first pair that reaches it."""
+    element, read from G's right Cayley table (FinMatGroup.right_rows).
+    Each unordered, non-nested pair is joined once, and a new subgroup
+    keeps the generators of the first pair that reaches it."""
     fld, elems = G.field, G.closure()
     N = len(elems)
     # powers[k][x]: the index of x^(k+1), until every x has reached 1
@@ -296,18 +298,11 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     rows = {}  # generator element x -> index of y x for every y
 
     def join(start, gens):
-        for x in gens:
-            if x not in rows:
-                rows[x] = G.indices(fld.matmul(elems, elems[x]))
-        right = np.array([rows[x] for x in gens])
+        missing = [x for x in gens if x not in rows]
+        rows.update(zip(missing, G.right_rows(missing)))
         mask = np.zeros(N, dtype=bool)
         mask[list(start)] = True
-        frontier = np.flatnonzero(mask)
-        while len(frontier):
-            grown = mask.copy()
-            grown[right[:, frontier]] = True
-            frontier = np.flatnonzero(grown & ~mask)
-            mask = grown
+        mask = grow_mask(mask, np.array([rows[x] for x in gens]))
         return frozenset(np.flatnonzero(mask).tolist())
 
     joined = 0  # pairs among the first `joined` subgroups are done

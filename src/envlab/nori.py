@@ -8,8 +8,10 @@ other on unipotent matrices.  Then exp(t log x) = x^t, so the closure
 generated by all one-parameter subgroups over G[ell] is G+ itself.
 
 G[ell] is found by one test (g - 1)^n = 0 over the closure's element stack
-and stays a stack: the candidates of G+ and the input of the stacked log
-series.  exp is a stacked series too; lie_closure reduces all seeds at once.
+and stays a stack, the input of the stacked log series.  Its closure
+indices are the candidates of G+, which is an index set of G's closure
+(FinMatGroup.index_subgroup): G is the only group the Nori stage closes.
+exp is a stacked series too; lie_closure reduces all seeds at once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from .errors import CharTooSmall, EmptyAlgebra, NotUnipotent
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, EchelonBasis,
-                        FinMatGroup, Mat, generated_subgroup,
-                        generator_commutators)
+                        FinMatGroup, Mat, generator_commutators)
 from .gf import GF
 
 
@@ -139,8 +140,9 @@ def one_param_subgroup(x: Mat):
 
 
 def plus_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
-    """The subgroup generated by the order-ell elements (normal in G)."""
-    return generated_subgroup(G.field, G.n, order_ell_elements(G, cap), cap)
+    """The subgroup generated by the order-ell elements (normal in G), as
+    an index set of G's closure."""
+    return G.index_subgroup(G.indices(order_ell_elements(G, cap)))
 
 
 def lie_closure(fld: GF, seeds, n: int):
@@ -182,7 +184,7 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> NoriResult:
         warns.append(f"ell={fld.ell} is below the default threshold {default_ell_threshold(n)} "
                      f"for n={n}; exponential-generation properties are only asserted above it")
     unis = order_ell_elements(G, cap)
-    plus = generated_subgroup(fld, n, unis, cap)
+    plus = G.index_subgroup(G.indices(unis))
     algebra = lie_closure(fld, _log_stack(fld, unis), n)
     return NoriResult(plus_group=plus, nori_points=plus, lie_algebra=algebra,
                       warnings=warns)
@@ -190,7 +192,7 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> NoriResult:
 
 def quotient_is_abelian(S: FinMatGroup, S_plus: FinMatGroup) -> bool:
     """S/S_plus abelian, checked via generator commutators (S_plus normal)."""
-    return bool((S_plus.indices(generator_commutators(S)) >= 0).all())
+    return bool(S_plus.members(generator_commutators(S)).all())
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,9 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     dim ker(ad x | derived), which is the derived dimension minus the rank
     of the brackets [x, b] over the derived basis b, one GF.rank per
     sample; it is an upper bound for the reductive rank, not a
-    certificate.
+    certificate.  Every sample is at least 1 (a nonzero x lies in its own
+    centralizer, and x = 0 gives the derived dimension), so sampling stops
+    once the bound reaches 1; sample_count is the number of samples drawn.
     """
     if not basis:
         raise EmptyAlgebra("zero Lie algebra")
@@ -224,12 +228,13 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
         return LieRankReport(dim, 0, 0, 0)
     D = np.array(derived)
     rng = np.random.default_rng(seed)
-    best = ddim
-    for _ in range(samples):
+    best, drawn = ddim, 0
+    while drawn < samples and best > 1:
+        drawn += 1
         coeffs = rng.integers(0, fld.q, size=ddim)
         x = fld.matmul(coeffs[None], D.reshape(ddim, -1)).reshape(n, n)
         # the derived algebra is closed under brackets, so ad x maps it into
         # itself and the rank of ad x is the rank of the brackets [x, b]
         brs = fld.sub(fld.matmul(x, D), fld.matmul(D, x)).reshape(ddim, -1)
         best = min(best, ddim - fld.rank(brs))
-    return LieRankReport(dim, ddim, best, samples)
+    return LieRankReport(dim, ddim, best, drawn)

@@ -4,10 +4,11 @@ orders, commutant dimensions, composition factor dimensions, Lie rank
 estimate, optional tame weights) and evaluate the named predicate checks.
 Also the case-elimination driver over formal-character predicates.
 
-The Nori stage closes G and G+.  The derived stage closes no group:
-derived_commutant_dim finds End_[G,G](V) as the largest subspace of the
-generator commutators' commutant that conjugation by every generator
-maps into itself, so --cap cannot make it fail.
+The Nori stage closes G only; G+ is an index set of G's closure.  The
+derived stage closes no group: derived_commutant_dim finds End_[G,G](V)
+as the largest subspace of the generator commutators' commutant that
+conjugation by every generator maps into itself, so --cap cannot make it
+fail.
 """
 
 from __future__ import annotations

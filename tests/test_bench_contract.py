@@ -63,11 +63,11 @@ def traced(fn):
 
 
 def test_envelope_closes_the_same_subgroups():
-    # SL2(F_11): G (1,320 elements), then G+ closed from the trivial group
-    # through one cyclic step (11) to all 1,320; the derived stage closes
-    # no group
+    # SL2(F_11): G (1,320 elements) only.  G+ is an index set of G's
+    # closure (it was closed from the trivial group through one cyclic
+    # step, 11, to all 1,320: (4, 2652)); the derived stage closes no group
     _, cold, elements = traced(lambda: envelope_report(sl2_group(11)))
-    assert (cold, elements) == (4, 2652)
+    assert (cold, elements) == (1, 1320)
 
 
 def test_derived_stage_closes_no_group():

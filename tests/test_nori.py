@@ -251,7 +251,9 @@ def test_lie_closure_rows_match_seeds_added_in_order(ell, n, data):
 
 def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
     """lie_rank_estimate as first written: the coordinates of each bracket
-    [x, b] from its own rref."""
+    [x, b] from its own rref, every sample drawn.  The sample count is the
+    number of samples at which the running minimum first reaches 1, where
+    lie_rank_estimate stops drawing (all of them if it never does)."""
     def coords_in_span(basis_mats, M):
         B = np.array([b.reshape(-1) for b in basis_mats], dtype=np.int64)
         R, pivots = fld.rref(np.concatenate([B.T, M.reshape(-1, 1)], axis=1))
@@ -270,6 +272,7 @@ def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
     ddim = len(derived)
     rng = np.random.default_rng(seed)
     best = ddim
+    minima = [best]  # the running minimum after each sample
     for _ in range(samples):
         coeffs = rng.integers(0, fld.q, size=ddim)
         x = np.zeros((n, n), dtype=np.int64)
@@ -283,7 +286,8 @@ def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
             ad[:, j] = coords
         else:
             best = min(best, ddim - fld.rank(ad))
-    return (len(basis), ddim, best, samples)
+        minima.append(best)
+    return (len(basis), ddim, best, minima.index(1) if 1 in minima else samples)
 
 
 @pytest.mark.parametrize("make", NORI_CORPUS[:4])
