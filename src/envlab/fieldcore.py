@@ -169,9 +169,9 @@ class FinMatGroup:
     invertible; from_json checks those that come from outside.
 
     A subgroup that index_subgroup found is an index set of its ambient
-    group's closure: its order and membership read that mask, and its
-    own closure, built only when asked for, is the same search run on
-    its generators' right rows, with no product and no key of its own."""
+    group's closure: its order and membership read that mask, with no
+    product and no key of its own.  Asked for its closure, it closes its
+    generators like any other group."""
 
     def __init__(self, fld: GF, generators):
         self.field = fld
@@ -209,45 +209,24 @@ class FinMatGroup:
         closure index of every product is kept as the right Cayley table
         _right, so no product is looked up twice.  Returns the elements as
         a read-only (N, n, n) stack in that order; ClosureOverflow once
-        more than cap elements are found.  An index_subgroup runs the same
-        search on indices of its ambient closure, where a layer's products
-        are gathers from its generators' right rows."""
+        more than cap elements are found."""
         if self._elements is not None:
             return self._elements
-        if self._ambient is not None:
-            G = self._ambient
-            rows = G.right_rows(G.indices(self.gens))
-            found = self._search(np.array([0]), lambda f: rows[:, f].T.ravel(),
-                                 np.ndarray.tolist, cap)
-            self._elements = G.closure()[found]
-        else:
-            if self.n is None:
-                raise ValidationError("group has no generators and no dimension")
-            fld, n, gens = self.field, self.n, self.gens
-            self._elements = self._search(
-                fld.eye(n)[None], lambda f: fld.matmul(f[:, None], gens[None]).reshape(-1, n, n),
-                _keys, cap)
-        self._elements.setflags(write=False)
-        return self._elements
-
-    def _search(self, start, products, keys, cap):
-        """The search of closure from the identity, start (a stack of one):
-        products(frontier) lists every frontier element times every
-        generator in (element, generator) order, and keys(stack) gives the
-        dictionary key of each.  Sets the parent and generator vectors,
-        the index (_index, _slot) and the right Cayley table, and returns
-        what was found, in closure order."""
-        k = len(self.gens)
+        if self.n is None:
+            raise ValidationError("group has no generators and no dimension")
+        fld, n, gens = self.field, self.n, self.gens
+        k = len(gens)
+        frontier = fld.eye(n)[None]
         # key -> the number of the first product that had it, the identity
         # being product 0; one setdefault per product both looks a product
         # up and numbers it if it is new
-        index = dict.fromkeys(keys(start), 0)
-        layers, parents, gen_idx = [start], [np.array([0])], [np.array([-1])]
+        index = dict.fromkeys(_keys(frontier), 0)
+        layers, parents, gen_idx = [frontier], [np.array([0])], [np.array([-1])]
         numbers = []
-        frontier, base, made = start, 0, 1  # base: stack position of frontier[0]
+        base, made = 0, 1  # base: stack position of frontier[0]
         while len(frontier):
-            prods = products(frontier)
-            got = np.fromiter(map(index.setdefault, keys(prods), count(made)),
+            prods = fld.matmul(frontier[:, None], gens[None]).reshape(-1, n, n)
+            got = np.fromiter(map(index.setdefault, _keys(prods), count(made)),
                               np.int64, len(prods))
             if len(index) > cap:
                 raise ClosureOverflow(f"closure exceeded cap {cap}")
@@ -269,7 +248,9 @@ class FinMatGroup:
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_idx)
         self._index = index
-        return np.concatenate(layers)
+        self._elements = np.concatenate(layers)
+        self._elements.setflags(write=False)
+        return self._elements
 
     @property
     def order(self) -> int:
@@ -282,14 +263,10 @@ class FinMatGroup:
         array of shape stack.shape[:-2]; -1 marks a matrix outside the
         group."""
         self.closure()
-        if self._ambient is not None:
-            idx = self._ambient.indices(stack)
-            keys, shape = idx.ravel().tolist(), idx.shape
-        else:
-            stack = np.asarray(stack, dtype=np.int64)
-            keys, shape = _keys(stack), stack.shape[:-2]
+        stack = np.asarray(stack, dtype=np.int64)
+        keys = _keys(stack)
         found = np.fromiter(map(self._index.get, keys, repeat(-1)), np.int64, len(keys))
-        return self._slot[found].reshape(shape)
+        return self._slot[found].reshape(stack.shape[:-2])
 
     def members(self, stack) -> np.ndarray:
         """Whether each matrix of an (..., n, n) stack lies in the group;

@@ -53,7 +53,7 @@ def test_index_subgroup_matches_generated_subgroup(G, data):
     assert H.generators == want.generators
     assert H.order == want.order
     assert np.array_equal(H.members(elems), want.indices(elems) >= 0)
-    # its own closure, built on demand in index space, is the matrix one
+    # asked for its closure, it closes its generators as any group does
     ref = FinMatGroup(G.field, H.generators)
     got = H.closure()
     assert not got.flags.writeable
