@@ -155,13 +155,9 @@ def _cmd_formal_char(args):
     _emit(out, args)
 
 
-def _row_doc(row):
-    return row.to_json()
-
-
 def _cmd_table_a(args):
     rows = table_a(args.n)
-    docs = [_row_doc(r) for r in rows]
+    docs = [r.to_json() for r in rows]
     header = ["case", "group", "rep", "dim", "self_dual", "rank",
               "zero_weight_count"]
     csv_rows = [header] + [[d[k] for k in header] for d in docs]
@@ -217,7 +213,7 @@ def _cmd_clifford(args):
 def _cmd_eliminate(args):
     constraints = [c for c in (args.constraints or "").split(",") if c]
     rows = eliminate_cases(args.n, constraints)
-    docs = [_row_doc(r) for r in rows]
+    docs = [r.to_json() for r in rows]
     csv_rows = [["case"]] + [[d["case"]] for d in docs]
     _emit({"n": args.n, "constraints": constraints,
            "surviving": [d["case"] for d in docs]}, args,

@@ -8,8 +8,8 @@ words and the right Cayley table on the generators that its lookups
 found.  FinMatGroup.indices, the one membership lookup, maps any stack to
 closure indices.  A subgroup of a closed group is found in its index
 space (index_subgroup, grow_mask): a mask over the closure grown under
-right rows read from the table, with no matrix product; G+ and the joins
-of mackey.all_subgroups are such index sets.  Stages pass each other
+right rows read from the table, with no matrix product; G+, [G, G] and
+the joins of mackey.all_subgroups are such index sets.  Stages pass each other
 stacks (FinMatGroup.gens, G[ell], induced blocks); a Mat is built only
 where a public function takes or returns one matrix.
 
@@ -291,10 +291,9 @@ class FinMatGroup:
 
     def index_subgroup(self, candidates) -> "FinMatGroup":
         """The subgroup generated by the elements at an array of closure
-        indices, as a mask over this closure.  Its generators are chosen
-        as generated_subgroup chooses them: the next one is the first
-        candidate outside the span so far, and each span grows the last
-        one under the generators' right rows (grow_mask).  With no
+        indices, as a mask over this closure.  The next generator is the
+        first candidate outside the span so far, and each span grows the
+        last one under the generators' right rows (grow_mask).  With no
         candidate outside the identity it is the trivial group on the
         identity."""
         elems = self.closure()
@@ -393,29 +392,6 @@ def generator_commutators(G: FinMatGroup) -> np.ndarray:
     fld, gens, inv = G.field, G.gens, G.gens_inv
     ab = fld.matmul(gens[:, None], gens[None])
     return fld.matmul(fld.matmul(ab, inv[:, None]), inv[None]).reshape(-1, G.n, G.n)
-
-
-def generated_subgroup(fld: GF, n: int, candidates, cap: int = DEFAULT_CLOSURE_CAP,
-                       conjugators=()) -> FinMatGroup:
-    """The subgroup generated by a (k, n, n) stack of candidates; with a
-    stack of conjugators, its normal closure under them.  The next
-    generator is the first remaining candidate outside the closure built
-    so far, found with one indices call; each new generator appends its
-    conjugates by the conjugators to the candidates."""
-    group = FinMatGroup.trivial(fld, n)
-    group.closure(cap)
-    gens = []
-    conj = np.asarray(conjugators, dtype=np.int64).reshape(-1, n, n)
-    conj_inv = _inverse_stack(fld, conj)
-    work = np.asarray(candidates, dtype=np.int64).reshape(-1, n, n)
-    while (outside := np.flatnonzero(group.indices(work) < 0)).size:
-        c = work[outside[0]]
-        gens.append(Mat(fld, c))
-        group = FinMatGroup(fld, gens)
-        group.closure(cap)
-        conjugates = fld.matmul(fld.matmul(conj, c), conj_inv)
-        work = np.concatenate([work[outside[0] + 1:], conjugates])
-    return group
 
 
 def json_int(doc: dict, key: str, default=None) -> int:

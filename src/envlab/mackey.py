@@ -4,7 +4,8 @@ certificates, and Clifford decomposition of a restriction to a normal
 subgroup.
 
 A subgroup module is a ModuleRep whose action stack is indexed by the
-subgroup's generator list; module_value evaluates it on a whole stack of
+subgroup's generator list, one matrix per generator (else
+DimensionMismatch); module_value evaluates it on a whole stack of
 elements along their closure words.  Cosets, double cosets (unions of left
 cosets), conjugates, induced blocks, duals and the regular representation
 are stacked products over the closures, read back by FinMatGroup.indices;
@@ -34,23 +35,13 @@ from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _inverse_stac
 from .gf import GF
 
 
-def _inverses(fld: GF, stack, order: int) -> np.ndarray:
-    """x^-1 = x^(order - 1) for every x in a stack of elements of a group
-    of the given order, by repeated squaring of the whole stack."""
-    out, e = np.broadcast_to(fld.eye(stack.shape[-1]), stack.shape), order - 1
-    while e:
-        if e & 1:
-            out = fld.matmul(out, stack)
-        stack = fld.matmul(stack, stack)
-        e >>= 1
-    return out
-
-
 def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
     """W at every element of an (..., n, n) stack of elements of H, as an
     (..., m, m) stack: the product of W over each word_for word, all walked
     at once up the parent vector, applying W(gen[x]) on the left."""
     fld = W.field
+    if len(W.action) != len(H.gens):
+        raise DimensionMismatch("one action matrix per generator of the group")
     idx = H.indices(stack)
     if (idx < 0).any():
         raise ValidationError("the element does not lie in the group")
@@ -68,8 +59,6 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
     """The module of G viewed over the generators of a subgroup H."""
     if not H.generators or not H.is_subgroup_of(G):
         raise ValidationError("H is not a subgroup of G")
-    if len(V.action) != len(G.generators):
-        raise DimensionMismatch("one action matrix per generator of G")
     return ModuleRep(V.field, module_value(V, G, H.gens))
 
 
@@ -124,15 +113,13 @@ def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
     else zero."""
     G, H = sub.ambient, sub.subgroup
     fld, gf = W.field, G.field
-    if len(W.action) != len(H.generators):
-        raise DimensionMismatch("one action matrix per subgroup generator")
     k = sub.index
     if fld.ell and k % fld.ell == 0:
         raise CharDividesIndex(f"characteristic {fld.ell} divides the index {k}")
     m, r, ts = W.dim, len(G.gens), sub.transversal
     gt = gf.matmul(G.gens[:, None], ts)
     rows = sub.coset[G.indices(gt)]
-    blocks = module_value(W, H, gf.matmul(_inverses(gf, ts, G.order)[rows], gt))
+    blocks = module_value(W, H, gf.matmul(_inverse_stack(gf, ts)[rows], gt))
     big = np.zeros((r, k, m, k, m), dtype=np.int64)
     # block (rows[x, j], j) of generator x, for every x and j in one scatter
     big[np.arange(r)[:, None], rows, :, np.arange(k), :] = blocks
@@ -194,6 +181,8 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     gW (x) W^dual over gHg^-1 n H has no invariants."""
     G, H = sub.ambient, sub.subgroup
     fld, gf = W.field, G.field
+    if len(W.action) != len(H.gens):  # index 1 evaluates W nowhere
+        raise DimensionMismatch("one action matrix per subgroup generator")
     if fld.ell and G.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {G.order}")
@@ -278,7 +267,8 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     subgroups under pairwise joins; optionally one per conjugacy class.
 
     Subgroups are sets of closure indices of G, the only group closed.
-    The powers of all elements take one stacked product per step; a join
+    The powers of all elements take one stacked product per step, and
+    give each element's inverse for the conjugacy test; a join
     is grow_mask from the union of two subgroups under right
     multiplication by their generators, one index row per generator
     element, read from G's right Cayley table (FinMatGroup.right_rows).
@@ -286,14 +276,16 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     keeps the generators of the first pair that reaches it."""
     fld, elems = G.field, G.closure()
     N = len(elems)
-    # powers[k][x]: the index of x^(k+1), until every x has reached 1
-    powers, step, done = [np.arange(N)], elems, np.arange(N) == 0
+    # powers[k][x]: the index of x^k, from x^0 = 1 until every x has
+    # reached 1 again
+    powers, step, done = [np.zeros(N, np.int64), np.arange(N)], elems, np.arange(N) == 0
     while not done.all():
         step = fld.matmul(step, elems)
         powers.append(G.indices(step))
         done |= powers[-1] == 0
+    powers = np.array(powers)
     subs = {}  # frozenset of element indices -> generator element indices
-    for x, cyclic in enumerate(np.array(powers).T.tolist()):
+    for x, cyclic in enumerate(powers.T.tolist()):
         subs.setdefault(frozenset(cyclic), [x])
     rows = {}  # generator element x -> index of y x for every y
 
@@ -320,7 +312,8 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     if up_to_conjugacy:
         # the first subgroup of each class in the order above; the rest
         # are among the conjugates g H g^-1 of one already kept
-        inverses = _inverses(fld, elems, N)
+        # x^-1 is the power of x just before the first 1 after x^0
+        inverses = elems[powers[(powers[1:] == 0).argmax(0), np.arange(N)]]
         seen, kept = set(), {}
         for key, gens in subs.items():
             if key in seen:

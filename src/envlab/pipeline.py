@@ -4,9 +4,10 @@ orders, commutant dimensions, composition factor dimensions, Lie rank
 estimate, optional tame weights) and evaluate the named predicate checks.
 Also the case-elimination driver over formal-character predicates.
 
-The Nori stage closes G only; G+ is an index set of G's closure.  The
-derived stage closes no group: derived_commutant_dim finds End_[G,G](V)
-as the largest subspace of the generator commutators' commutant that
+The Nori stage closes G only; G+ is an index set of G's closure, as is
+[G, G] when derived_subgroup is asked for it.  The derived stage of the
+report closes no group: derived_commutant_dim finds End_[G,G](V) as the
+largest subspace of the generator commutators' commutant that
 conjugation by every generator maps into itself, so --cap cannot make it
 fail.
 """
@@ -23,8 +24,7 @@ from .charlattice import fc_predicates, has_affine_triple
 from .errors import EnvlabError, UnknownPredicate, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
                         ModuleRep, commutant, composition_factors,
-                        generated_subgroup, generator_commutators,
-                        module_of_group)
+                        generator_commutators, grow_mask, module_of_group)
 from .nori import lie_rank_estimate, nori_points, quotient_is_abelian
 from .smallrep import table_a
 from .tame import tame_weights_of_rep
@@ -33,11 +33,19 @@ REPORT_VERSION = 1
 
 
 def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
-    """Normal closure of the generator commutators (the derived subgroup,
-    since the commutators normally generate it).  envelope_report does not
-    call it: derived_commutant_dim gets the commutant without a closure."""
-    return generated_subgroup(G.field, G.n, generator_commutators(G), cap,
-                              conjugators=G.gens)
+    """[G, G] as an index set of G's closure, which cap bounds.  The
+    generator commutators normally generate it, so it is the least mask
+    holding 1 that right multiplication by them and conjugation by every
+    generator map into itself: one grow_mask, after which index_subgroup
+    picks the generators.  envelope_report does not call it:
+    derived_commutant_dim gets the commutant without a closure."""
+    fld, elems = G.field, G.closure(cap)
+    conj = fld.matmul(fld.matmul(G.gens[:, None], elems), G.gens_inv[:, None])
+    rows = np.concatenate([G.right_rows(G.indices(generator_commutators(G))),
+                           G.indices(conj)])
+    mask = np.zeros(len(elems), dtype=bool)
+    mask[0] = True
+    return G.index_subgroup(np.flatnonzero(grow_mask(mask, rows)))
 
 
 def derived_commutant_dim(G: FinMatGroup) -> int | None:
@@ -114,8 +122,7 @@ def _digest(G: FinMatGroup) -> str:
 
 
 def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
-                    cap: int = DEFAULT_CLOSURE_CAP,
-                    expected_rank: int | None = None) -> EnvelopeReport:
+                    cap: int = DEFAULT_CLOSURE_CAP) -> EnvelopeReport:
     """Run the whole observable battery on one group.  Sub-step errors are
     recorded as failure entries rather than raised, so a report always
     comes back for valid input."""
@@ -165,9 +172,6 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
     if result is not None:
         predicates["quotient_abelian"] = quotient_is_abelian(
             result.nori_points, result.plus_group)
-    if expected_rank is not None:
-        predicates["rank_matches"] = (
-            lie_rank is not None and lie_rank.rank_estimate == expected_rank)
     return EnvelopeReport(
         digest=digest, seed=seed, cap=cap, nori=result,
         commutant_dims={"group": c_group, "nori_points": c_nori,
@@ -177,24 +181,34 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
         warnings=warnings, failures=failures)
 
 
-_VALUED_CONSTRAINTS = ("rank", "zero_weight_count")
-_FLAG_CONSTRAINTS = ("self_dual", "symmetric", "antipodal_free",
-                     "affine_triple", "no_affine_triple")
+# constraint name -> (takes an integer value, test on a Table-A row, the
+# formal-character predicates of its row and the value)
+_CONSTRAINTS = {
+    "rank": (True, lambda row, p, value: row.formal_char.rank == value),
+    "zero_weight_count": (True, lambda row, p, value: p.zero_weight_count == value),
+    "self_dual": (False, lambda row, p, value: row.self_dual),
+    "symmetric": (False, lambda row, p, value: p.is_symmetric),
+    "antipodal_free": (False, lambda row, p, value: p.antipodal_pair_free),
+    "affine_triple": (False, lambda row, p, value: has_affine_triple(row.formal_char)),
+    "no_affine_triple": (False,
+                         lambda row, p, value: not has_affine_triple(row.formal_char)),
+}
 
 
 def _parse_constraint(text: str):
-    """(name, value): a valued name needs an integer value, a flag takes
+    """(test, value): a valued name needs an integer value, a flag takes
     none and gets None."""
     name, eq, value = text.partition("=")
     name = name.strip()
-    if name in _FLAG_CONSTRAINTS:
+    if name not in _CONSTRAINTS:
+        raise UnknownPredicate(f"unknown constraint {name!r}")
+    valued, test = _CONSTRAINTS[name]
+    if not valued:
         if eq:
             raise ValidationError(f"constraint {name!r} takes no value")
-        return name, None
-    if name not in _VALUED_CONSTRAINTS:
-        raise UnknownPredicate(f"unknown constraint {name!r}")
+        return test, None
     try:
-        return name, int(value)
+        return test, int(value)
     except ValueError:
         raise ValidationError(
             f"constraint {name!r} needs an integer value, got {value!r}") from None
@@ -202,32 +216,13 @@ def _parse_constraint(text: str):
 
 def eliminate_cases(n: int, constraints):
     """Filter table_a(n) by named predicates on each row's formal
-    character.  Vocabulary: rank=k, zero_weight_count=k, self_dual,
-    symmetric, antipodal_free, affine_triple, no_affine_triple."""
+    character, each row tested against the constraints in order until one
+    fails.  Vocabulary: the names of _CONSTRAINTS, as rank=3 for a
+    valued one and self_dual for a flag."""
     parsed = [_parse_constraint(raw) for raw in constraints]
-    rows = table_a(n)
     out = []
-    for row in rows:
+    for row in table_a(n):
         p = fc_predicates(row.formal_char)
-        keep = True
-        for name, value in parsed:
-            if name == "rank":
-                ok = row.formal_char.rank == value
-            elif name == "zero_weight_count":
-                ok = p.zero_weight_count == value
-            elif name == "self_dual":
-                ok = row.self_dual
-            elif name == "symmetric":
-                ok = p.is_symmetric
-            elif name == "antipodal_free":
-                ok = p.antipodal_pair_free
-            elif name == "affine_triple":
-                ok = has_affine_triple(row.formal_char)
-            else:  # no_affine_triple, the last name _parse_constraint admits
-                ok = not has_affine_triple(row.formal_char)
-            if not ok:
-                keep = False
-                break
-        if keep:
+        if all(test(row, p, value) for test, value in parsed):
             out.append(row)
     return out

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import diagonal_torus, heisenberg_mod3_group, sl2_group
+from corpus import diagonal_torus, heisenberg_mod3_group, perm_mat, sl2_group, symmetric_group
 from envlab.cli import build_parser, run
 
 
@@ -209,6 +209,20 @@ def test_clifford_module_needs_one_matrix_per_generator(tmp_path, capsys):
     doc = {"group": {"ell": 3, "n": 1, "generators": [[1], [2]]}, "normal": [[2]],
            "module_field": {"ell": 3}, "module": [[1]]}
     assert run(["clifford", "--input", write_json(tmp_path / "cl.json", doc)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("subgroup,module", [
+    ([[1, 0, 2, 3], [0, 1, 3, 2]], [[12]]),
+    ([[1, 0, 2, 3], [0, 1, 3, 2]], [[12], [12], [5]]),
+    ([[1, 0, 2, 3], [1, 2, 3, 0]], [[1]]),
+], ids=["short", "long", "index-1"])
+def test_mackey_module_needs_one_matrix_per_generator(tmp_path, capsys, subgroup, module):
+    G = symmetric_group(4, 13)
+    doc = {"group": G.to_json(),
+           "subgroup": [perm_mat(G.field, p).array.reshape(-1).tolist() for p in subgroup],
+           "module_field": {"ell": 13}, "module": module}
+    assert run(["mackey", "--input", write_json(tmp_path / "mk.json", doc)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
 

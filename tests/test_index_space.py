@@ -1,15 +1,21 @@
 """Subgroups in the ambient index space: the right Cayley table the closure
-keeps, right rows along words, and index_subgroup against generated_subgroup
-and against a matrix closure, on random conjugates of the corpus groups."""
+keeps, right rows along words, index_subgroup and derived_subgroup against
+the subgroup and normal closure that a loop over Mats builds
+(reference_generated_subgroup), and index_subgroup against a matrix
+closure, on random conjugates of the corpus groups."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (alternating_group_4, cyclic_group, diagonal_torus, dihedral_group,
                     heisenberg_mod3_group, quaternion_group, sl2_group, symmetric_group)
-from envlab.fieldcore import FinMatGroup, generated_subgroup
+from envlab.errors import ClosureOverflow
+from envlab.fieldcore import FinMatGroup, Mat
 from envlab.nori import nori_points, quotient_is_abelian
+from envlab.pipeline import derived_subgroup
+from test_fieldcore import reference_generated_subgroup
 from test_nori import sym2_so3_group
 
 CORPUS = [lambda: cyclic_group(6, 7), lambda: dihedral_group(5, 11),
@@ -49,7 +55,8 @@ def test_index_subgroup_matches_generated_subgroup(G, data):
     elems = G.closure()
     picks = data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=6))
     H = G.index_subgroup(np.array(picks, dtype=np.int64))
-    want = generated_subgroup(G.field, G.n, elems[picks].reshape(-1, G.n, G.n))
+    want = reference_generated_subgroup(G.field, G.n,
+                                        [Mat(G.field, elems[i]) for i in picks])
     assert H.generators == want.generators
     assert H.order == want.order
     assert np.array_equal(H.members(elems), want.indices(elems) >= 0)
@@ -61,6 +68,24 @@ def test_index_subgroup_matches_generated_subgroup(G, data):
     assert np.array_equal(H._parent, ref._parent) and np.array_equal(H._gen, ref._gen)
     assert np.array_equal(H._right, ref._right)
     assert np.array_equal(H.indices(elems), ref.indices(elems))
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups)
+def test_derived_subgroup_is_the_normal_closure_of_the_commutators(G):
+    elems, gens = G.closure(), G.generators
+    comms = [a @ b @ a.inverse() @ b.inverse() for a in gens for b in gens]
+    want = reference_generated_subgroup(G.field, G.n, comms, G.generators)
+    D = derived_subgroup(G)
+    assert D.order == want.order
+    assert np.array_equal(D.members(elems), want.indices(elems) >= 0)
+    assert D.is_subgroup_of(G) and D.is_normal_in(G)
+
+
+def test_derived_subgroup_cap_bounds_the_closure_of_g():
+    with pytest.raises(ClosureOverflow):
+        derived_subgroup(symmetric_group(4, 13), cap=23)
+    assert derived_subgroup(symmetric_group(4, 13), cap=24).order == 12
 
 
 def test_so3_plus_group_is_an_index_set():
