@@ -40,8 +40,17 @@ from .tame import TameCharacter, ell_restricted_digits, tame_weights_of_rep
 
 
 _FORMATS = ("json", "text", "csv")
+
+
+def seed(raw: str) -> int:
+    """The type of --seed and ENVLAB_SEED: numpy's generators take no negative seed."""
+    if (value := int(raw)) < 0:
+        raise ValueError(raw)
+    return value
+
+
 # (flag, type, default) of the flags that fall back to ENVLAB_<FLAG>
-_ENV_FLAGS = (("output", str, None), ("seed", int, DEFAULT_SEED),
+_ENV_FLAGS = (("output", str, None), ("seed", seed, DEFAULT_SEED),
               ("cap", int, DEFAULT_CLOSURE_CAP), ("format", str, "json"))
 
 
@@ -230,7 +239,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input")
     common.add_argument("--output")
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=seed)
     common.add_argument("--cap", type=int)
     common.add_argument("--format", choices=_FORMATS)
     sub.add_parser("nori", parents=[common]).set_defaults(func=_cmd_nori)

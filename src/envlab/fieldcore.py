@@ -34,7 +34,8 @@ first non-pivot column (_first_relation).  The fixed space of a stack
 (invariants_dim) is the exception: it is cut down one kernel at a time,
 at most once per dimension, so a tall stack of mostly redundant
 matrices costs a few small rrefs.  The MeatAxe's polynomial arithmetic
-is the kernel in gf.
+is the kernel in gf, and _eval_poly_at_matrix, a Horner on a matrix or
+a stack, is the one evaluation at matrices (also of nori and tame).
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -58,8 +59,8 @@ import numpy as np
 
 from .errors import (ClosureOverflow, DimensionMismatch, RandomBudgetExceeded,
                      ValidationError)
-from .gf import (GF, field_make, poly_divmod, poly_gcd, poly_mul, poly_powmod,
-                 poly_sub, poly_trim)
+from .gf import (GF, field_make, poly_distinct_degree, poly_divmod, poly_gcd,
+                 poly_mul, poly_powmod, poly_sub, poly_trim)
 
 DEFAULT_SEED = 20240901
 DEFAULT_MEATAXE_BUDGET = 200
@@ -333,7 +334,8 @@ class FinMatGroup:
 
     def is_normal_in(self, other: "FinMatGroup") -> bool:
         """Checked on generators; assumes self is a subgroup of other."""
-        self.closure()  # a group without generators fails here
+        if self.n is None:
+            raise ValidationError("group has no generators and no dimension")
         fld = self.field
         conj = fld.matmul(fld.matmul(other.gens[:, None], self.gens[None]),
                           other.gens_inv[:, None])
@@ -408,13 +410,15 @@ def _is_int_list(value) -> bool:
 
 def matrix_from_flat(fld: GF, n: int, flat) -> Mat:
     """An n x n Mat from a row-major JSON list of n*n entries, each an
-    integer (reduced mod q) or, over GF(ell^d), a list of at most d
-    coefficients, low to high."""
+    integer (reduced mod ell over F_ell, an encoding in [0, q) otherwise)
+    or, over GF(ell^d), a list of at most d coefficients, low to high."""
     if not isinstance(flat, list) or len(flat) != n * n:
         raise ValidationError(f"a matrix must be a list of {n * n} entries")
     entries = []
     for e in flat:
         if isinstance(e, Integral):
+            if fld.d > 1 and not 0 <= e < fld.q:
+                raise ValidationError(f"matrix entry {e} lies outside [0, {fld.q}) over {fld}")
             entries.append(int(e) % fld.q)
         elif _is_int_list(e) and len(e) <= fld.d:
             entries.append(fld.from_coeffs(e))
@@ -511,14 +515,8 @@ def _irreducible_factor(fld, p, rng):
     """One irreducible factor of the monic polynomial p, of least degree."""
     if len(p) == 2:
         return p  # monic linear
-    # distinct-degree stage, carrying h = x^(q^k) mod p from k to k + 1
-    h = [0, 1]
-    for k in range(1, len(p)):
-        h = poly_powmod(fld, h, fld.q, p)
-        g = poly_gcd(fld, p, poly_sub(fld, h, [0, 1]))
-        if len(g) - 1 > 0:
-            return _equal_degree_factor(fld, g, k, rng)
-    return p
+    k, g = poly_distinct_degree(fld, p)
+    return _equal_degree_factor(fld, g, k, rng)
 
 
 def _equal_degree_factor(fld, g, k, rng):
@@ -646,13 +644,14 @@ def _random_algebra_element(fld, matrices, n, rng):
 
 
 def _eval_poly_at_matrix(fld, poly, A):
-    """p(A) by Horner's rule, each coefficient added on the diagonal."""
-    diag = np.diag_indices(A.shape[0])
+    """p(A) by Horner's rule, each coefficient added on the diagonal, for
+    a matrix or a (..., n, n) stack of them at once."""
+    i, j = np.diag_indices(A.shape[-1])
     acc = np.zeros(A.shape, dtype=np.int64)
-    acc[diag] = poly[-1]
+    acc[..., i, j] = poly[-1]
     for c in reversed(poly[:-1]):
         acc = fld.matmul(acc, A)
-        acc[diag] = fld.add(acc[diag], c)
+        acc[..., i, j] = fld.add(acc[..., i, j], c)
     return acc
 
 

@@ -23,8 +23,8 @@ field's scalar add, mul and neg (GF.scalar_ops): integer operations mod
 ell over a prime field, reads of python-list views of the exp, log and
 Zech tables otherwise.  The MeatAxe's polynomials mostly have degree at
 most 3, where per-coefficient numpy calls cost more than the arithmetic.
-The modulus search here runs the kernel over F_ell; the MeatAxe
-(fieldcore) and the tame layer import it.
+poly_distinct_degree, the one least-degree factor search, tests moduli
+for irreducibility here; the MeatAxe (fieldcore) and tame import the kernel.
 
 The one echelon kernel works the same way: GF.rref, and through it rank,
 nullspace and inv_matrix, eliminate on the rows as lists of python-int
@@ -140,20 +140,21 @@ def poly_powmod(fld, a, e, f):
     return r
 
 
-def poly_frobenius_gap(fld, k, f):
-    """x^(q^k) - x mod f; f divides it iff every irreducible factor of f
-    has degree dividing k."""
-    return poly_sub(fld, poly_powmod(fld, [0, 1], fld.q ** k, f), [0, 1])
+def poly_distinct_degree(fld, p):
+    """(k, g) for a nonconstant p: the least degree k of an irreducible
+    factor and g = gcd(p, x^(q^k) - x), the product of those factors, with
+    x^(q^k) mod p carried from k to k + 1 (k = deg p at the latest)."""
+    h = [0, 1]
+    for k in range(1, len(p)):
+        h = poly_powmod(fld, h, fld.q, p)
+        g = poly_gcd(fld, p, poly_sub(fld, h, [0, 1]))
+        if len(g) > 1:
+            return k, g
 
 
 def _is_irreducible(f, ell):
-    """Deterministic test: x^(ell^d) = x mod f and gcd checks at maximal subfields."""
-    fp = field_make(ell)
-    d = len(f) - 1
-    if poly_frobenius_gap(fp, d, f):
-        return False
-    return all(len(poly_gcd(fp, f, poly_frobenius_gap(fp, d // p, f))) == 1
-               for p in prime_factors(d))
+    """f, of degree at least 1, has no irreducible factor of lower degree."""
+    return poly_distinct_degree(field_make(ell), f)[0] == len(f) - 1
 
 
 def least_irreducible(ell: int, d: int) -> tuple[int, ...]:
@@ -163,7 +164,7 @@ def least_irreducible(ell: int, d: int) -> tuple[int, ...]:
     is by the encoded value sum(c_j ell^j) of the non-leading coefficients.
     """
     if d == 1:
-        return (0, 1)
+        return (0, 1)  # no search: _is_irreducible builds F_ell, which asks for this
     for enc in range(ell ** d):
         coeffs = [(enc // ell ** j) % ell for j in range(d)] + [1]
         if _is_irreducible(coeffs, ell):
@@ -198,15 +199,14 @@ class GF:
         self.ell = ell
         self.d = d
         self.q = ell ** d
-        if modulus is None:
-            modulus = least_irreducible(ell, d)
-        else:
+        if modulus is not None:
             modulus = tuple(int(c) % ell for c in modulus)
             if len(modulus) != d + 1 or modulus[-1] != 1:
                 raise NotPrime(f"modulus must be monic of degree {d}")
             if not _is_irreducible(list(modulus), ell):
                 raise NotPrime(f"modulus {modulus} is reducible over F_{ell}")
-        self.modulus = modulus
+        # the canonical modulus, also for d = 1: F_ell's encodings do not depend on it
+        self.modulus = least_irreducible(ell, d) if modulus is None or d == 1 else modulus
         self._primitive = None
         if d > 1:
             self._build_tables()

@@ -11,7 +11,8 @@ G[ell] is found by one test (g - 1)^n = 0 over the closure's element stack
 and stays a stack, the input of the stacked log series.  Its closure
 indices are the candidates of G+, which is an index set of G's closure
 (FinMatGroup.index_subgroup): G is the only group the Nori stage closes.
-exp is a stacked series too; lie_closure reduces all seeds at once.
+exp and log are polynomials of degree below n, evaluated on whole stacks
+by fieldcore's Horner; lie_closure reduces all seeds at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import CharTooSmall, EmptyAlgebra, NotUnipotent
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, EchelonBasis,
-                        FinMatGroup, Mat, generator_commutators)
+                        FinMatGroup, Mat, _eval_poly_at_matrix, generator_commutators)
 from .gf import GF
 
 
@@ -89,27 +90,17 @@ def nilpotent_exp(N: Mat) -> Mat:
     return Mat(fld, _exp_stack(fld, N.array))
 
 
-def _series(fld, X, coefs):
-    """sum_i coefs[i] X^i, i < n, on a (..., n, n) stack of nilpotent X:
-    the truncated exp and log series, whose terms i >= n vanish."""
-    term = fld.eye(X.shape[-1])
-    acc = np.broadcast_to(fld.mul(np.int64(coefs[0]), term), X.shape)
-    for c in coefs[1:]:
-        term = fld.matmul(term, X)
-        acc = fld.add(acc, fld.mul(np.int64(c), term))
-    return acc
-
-
 def _log_stack(fld, X):
     """The series of unipotent_log on a (..., n, n) stack of unipotents."""
     n = X.shape[-1]
     coefs = [0] + [fld.neg(fld.inv(i)) for i in range(1, n)]
-    return _series(fld, fld.sub(fld.eye(n), X), coefs)
+    return _eval_poly_at_matrix(fld, coefs, fld.sub(fld.eye(n), X))
 
 
 def _exp_stack(fld, N):
     """The series of nilpotent_exp on a (..., n, n) stack of nilpotents."""
-    return _series(fld, N, [fld.inv(factorial(i) % fld.ell) for i in range(N.shape[-1])])
+    coefs = [fld.inv(factorial(i) % fld.ell) for i in range(N.shape[-1])]
+    return _eval_poly_at_matrix(fld, coefs, N)
 
 
 def is_unipotent(x: Mat) -> bool:

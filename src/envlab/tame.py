@@ -6,7 +6,8 @@ semisimple matrix.
 
 No local fields appear; the inertia group is modeled abstractly by the
 image of a topological generator, which is all the weight multiset
-depends on.
+depends on.  A factor's roots are found by fieldcore's Horner on the
+stack of nonzero elements of F_{ell^e} as 1 x 1 matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotCompatible, NotDivisor,
                      OrderDivisibleByEll, OutOfRange, ValidationError)
-from .fieldcore import Mat, ModuleRep, _first_relation, _krylov, composition_factors
+from .fieldcore import (Mat, ModuleRep, _eval_poly_at_matrix, _first_relation, _krylov,
+                        composition_factors)
 from .gf import field_make, is_prime, poly_gcd, poly_trim
 
 
@@ -141,11 +143,8 @@ def _factor_exponent(ell, poly):
     primitive element."""
     e = len(poly) - 1
     ext = field_make(ell, e)
-    xs = np.arange(1, ext.q, dtype=np.int64)
-    vals = np.zeros_like(xs)
-    for c in reversed(poly):
-        vals = ext.add(ext.mul(vals, xs), np.full_like(xs, c))
-    return e, ext.dlog(int(xs[np.flatnonzero(vals == 0)[0]]))
+    vals = _eval_poly_at_matrix(ext, poly, np.arange(1, ext.q).reshape(-1, 1, 1))
+    return e, ext.dlog(1 + int(np.flatnonzero(vals.ravel() == 0)[0]))
 
 
 def tame_weights_of_rep(rho, twist: int = 0) -> TameWeights:

@@ -2,7 +2,8 @@
 numpy Gauss-Jordan rref (with the rank, nullspace and inverse read from
 it), the nullspace basis built with numpy writes on GF.rref's output, and the numpy incremental echelon basis (with spin and lie_closure
 grown on it) that the python-int row kernel replaced; the random algebra
-element and the Horner evaluation that multiplied by the identity; and
+element and the Horner evaluation that multiplied by the identity; the
+truncated exp/log series summed term by term, which Horner replaced; and
 the routines that fieldcore and tame replaced with reads of one rref:
 the Krylov minimal polynomial by an augmented echelon basis, the
 submodule and quotient actions by a completed basis and its inverse, the
@@ -164,6 +165,18 @@ def eval_poly_at_matrix(fld, poly, A):
     for c in reversed(poly):
         acc = fld.matmul(acc, A)
         acc = fld.add(acc, fld.mul(np.int64(int(c)), fld.eye(n)))
+    return acc
+
+
+def series(fld, X, coefs):
+    """sum_i coefs[i] X^i on a (..., n, n) stack, one power and one scaled
+    term per coefficient: the truncated exp and log series as nori first
+    summed them."""
+    term = fld.eye(X.shape[-1])
+    acc = np.broadcast_to(fld.mul(np.int64(coefs[0]), term), X.shape)
+    for c in coefs[1:]:
+        term = fld.matmul(term, X)
+        acc = fld.add(acc, fld.mul(np.int64(c), term))
     return acc
 
 

@@ -318,7 +318,7 @@ def test_env_changes_between_runs_are_honoured(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("seed", "abc"), ("cap", "1e3"),
-                                        ("format", "yaml"), ("seed", "")])
+                                        ("format", "yaml"), ("seed", ""), ("seed", "-1")])
 def test_malformed_env_value_is_usage_error(monkeypatch, capsys, flag, value):
     assert run(TAME + [f"--{flag}", value]) == 64
     capsys.readouterr()
@@ -328,6 +328,46 @@ def test_malformed_env_value_is_usage_error(monkeypatch, capsys, flag, value):
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: ENVLAB_{flag.upper()}: invalid")
     assert "Traceback" not in captured.err
+
+
+def test_negative_seed_is_usage_error_before_the_meataxe(tmp_path, capsys):
+    # numpy's generators take no negative seed; the envelope draws from one
+    path = write_json(tmp_path / "sl2.json", sl2_group(11).to_json())
+    assert run(["envelope", "--input", path, "--seed", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "invalid seed value: '-1'" in captured.err
+
+
+SL2_11 = {"ell": 11, "d": 1, "n": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}
+
+
+def test_prime_field_modulus_gives_the_same_bytes(tmp_path, capsys):
+    # every monic linear modulus is irreducible; F_11 stores the canonical one
+    assert run(["nori", "--input", write_json(tmp_path / "plain.json", SL2_11)]) == 0
+    want = read_lines(capsys)
+    for modulus in ([0, 1], [4, 1]):
+        path = write_json(tmp_path / "modulus.json", dict(SL2_11, modulus=modulus))
+        assert run(["nori", "--input", path]) == 0
+        assert read_lines(capsys) == want
+
+
+@pytest.mark.parametrize("modulus", [[0, 2], [1, 0, 1]])
+def test_non_monic_or_wrong_degree_modulus_exits_1(tmp_path, capsys, modulus):
+    path = write_json(tmp_path / "modulus.json", dict(SL2_11, modulus=modulus))
+    assert run(["nori", "--input", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NotPrime"
+
+
+@pytest.mark.parametrize("entry", [-1, 9, 10])
+def test_extension_field_integer_entry_outside_the_encodings_exits_1(tmp_path, capsys, entry):
+    # over GF(9) an integer entry is an encoding: -1 is not 8 (= 2 + 2x)
+    doc = {"ell": 3, "d": 2, "n": 2, "generators": [[1, entry, 0, 1]]}
+    assert run(["envelope", "--input", write_json(tmp_path / "gf9.json", doc)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "[0, 9)" in err["message"]
+    doc["generators"] = [[1, 8, 0, 1]]
+    assert run(["envelope", "--input", write_json(tmp_path / "gf9.json", doc)]) == 0
 
 
 # -- fuzzing the JSON inputs: any document exits 0, 1 or 2, never a traceback --

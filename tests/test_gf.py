@@ -53,6 +53,25 @@ def test_canonical_moduli():
     assert field_make(3, 2).modulus == (1, 0, 1)      # x^2 + 1
 
 
+@pytest.mark.parametrize("ell,d,modulus", [
+    (2, 3, (1, 1, 0, 1)), (2, 4, (1, 1, 0, 0, 1)), (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    (3, 2, (1, 0, 1)), (3, 5, (1, 2, 0, 0, 0, 1)), (5, 2, (2, 0, 1)),
+    (7, 4, (1, 1, 0, 0, 1)), (2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,))])
+def test_least_irreducible_of_the_bench_and_test_fields(ell, d, modulus):
+    # the moduli of the Rabin test that the distinct-degree search replaced
+    assert least_irreducible(ell, d) == modulus
+
+
+def test_a_prime_field_stores_the_canonical_modulus():
+    # every monic linear modulus is irreducible and gives the same encodings
+    for modulus in [(0, 1), (3, 1), (10, 1), (14, 12)]:
+        fld = GF(11, 1, modulus)
+        assert fld.modulus == (0, 1) and fld == field_make(11)
+    for bad in [(0, 2), (1, 0, 1), (1,)]:
+        with pytest.raises(NotPrime):
+            GF(11, 1, bad)
+
+
 def test_least_irreducible_is_irreducible():
     for ell, d in [(2, 3), (3, 3), (7, 2), (11, 2)]:
         poly = least_irreducible(ell, d)

@@ -100,6 +100,14 @@ def test_so3_plus_group_is_an_index_set():
     assert int(plus.members(G.closure()).sum()) == 168
 
 
+def test_index_subgroups_answer_is_normal_in_from_the_mask():
+    # G+ of SL2(F_23) is all 6,072 elements; normality reads the mask only
+    sl2, s4 = sl2_group(23), symmetric_group(4, 13)
+    for G, H in [(sl2, nori_points(sl2).plus_group), (s4, derived_subgroup(s4))]:
+        assert H.is_normal_in(G)
+        assert H._elements is None
+
+
 def test_quotient_by_trivial_index_subgroup():
     # no candidate: the trivial group on the identity, so G/1 is G
     for G, abelian in [(cyclic_group(6, 7), True), (symmetric_group(3, 7), False)]:

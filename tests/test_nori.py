@@ -2,19 +2,21 @@
 closures."""
 
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_oracles
 from corpus import closure_mats, diagonal_torus, sl2_group
 from envlab.errors import CharTooSmall, NotUnipotent
 from envlab.fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, Mat, commutant,
                               module_of_group)
 from envlab.gf import field_make
-from envlab.nori import (default_ell_threshold, is_unipotent, lie_closure,
-                         lie_rank_estimate, nilpotent_exp, nori_points,
+from envlab.nori import (_exp_stack, _log_stack, default_ell_threshold, is_unipotent,
+                         lie_closure, lie_rank_estimate, nilpotent_exp, nori_points,
                          one_param_subgroup, order_ell_elements, plus_subgroup,
                          quotient_is_abelian, unipotent_log)
 
@@ -217,6 +219,23 @@ def reference_lie_closure(fld, seeds, n):
             basis.add(fld.sub(fld.matmul(a, b), fld.matmul(b, a)).reshape(-1))
         i += 1
     return [m.reshape(n, n) for m in mats]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_exp_and_log_stacks_match_the_term_by_term_series(ell, n, k, seed):
+    # random nilpotent stacks: conjugated strictly upper triangular matrices
+    fld, n = field_make(ell), min(n, ell)  # the series need ell >= n
+    rng = np.random.default_rng(seed)
+    N = np.stack([fld.sub(random_unipotent(fld, n, rng).array, fld.eye(n))
+                  for _ in range(k)])
+    exp_coefs = [fld.inv(factorial(i) % ell) for i in range(n)]
+    log_coefs = [0] + [int(fld.neg(fld.inv(i))) for i in range(1, n)]
+    X = fld.add(fld.eye(n), N)
+    assert np.array_equal(_exp_stack(fld, N), linalg_oracles.series(fld, N, exp_coefs))
+    assert np.array_equal(_log_stack(fld, X),
+                          linalg_oracles.series(fld, fld.sub(fld.eye(n), X), log_coefs))
 
 
 @pytest.mark.parametrize("make", NORI_CORPUS)

@@ -3,7 +3,8 @@ oracles of tests/linalg_oracles.py: rref, rank, nullspace and inv_matrix,
 the incremental echelon basis, spin and lie_closure must be byte-equal
 over GF(2), GF(7), GF(13), GF(8), GF(9) and GF(25), and the random
 algebra element and Horner evaluation, which no longer multiply by the
-identity, must give the same matrices from the same rng draws.  Counter
+identity, must give the same matrices from the same rng draws, Horner
+on a stack those of a loop over its matrices.  Counter
 guards pin the numpy arithmetic out of the kernel: one GF.matmul per
 vector spin pops, no GF.mul/GF.sub in rref or EchelonBasis."""
 
@@ -174,6 +175,11 @@ def test_algebra_element_and_horner_match_the_identity_products(ell, d, n, k, se
     poly = [c % fld.q for c in poly[:-1]] + [1]  # monic, as the MeatAxe's factors are
     assert same_bytes(_eval_poly_at_matrix(fld, poly, A),
                       linalg_oracles.eval_poly_at_matrix(fld, poly, A))
+    # a (2, k, n, n) stack at once, as the exp/log series and tame evaluate
+    stack = np.stack([mats, fld.matmul(mats, A)])
+    want = [linalg_oracles.eval_poly_at_matrix(fld, poly, m) for m in stack.reshape(-1, n, n)]
+    assert same_bytes(_eval_poly_at_matrix(fld, poly, stack),
+                      np.reshape(want, stack.shape))
 
 
 @pytest.mark.parametrize("ell,d", [(13, 1), (3, 2)])

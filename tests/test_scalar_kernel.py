@@ -2,7 +2,10 @@
 references they replaced: gf.poly_* against the numpy kernel of
 tests/numpy_poly.py over prime and extension fields, GF.scalar_ops against
 GF.add/mul/neg, composition factors with the old kernel patched in (the
-random stream must not change), _irreducible_factor against sympy's
+random stream must not change), the distinct-degree search
+(gf.poly_distinct_degree) against the MeatAxe's first DDF loop and
+sympy's factorization, the irreducibility test against sympy on every
+small monic polynomial, _irreducible_factor against sympy's
 factorization, and GF.dlog against the BSGS on one-element numpy products.
 sympy is a test-only dependency."""
 
@@ -61,9 +64,9 @@ def test_scalar_kernel_matches_numpy_kernel(ell, d, data):
     assert as_ints(gf.poly_gcd(fld, a, b)) == numpy_poly.poly_gcd(fld, a, b)
     e = data.draw(st.integers(0, 40))
     assert as_ints(gf.poly_powmod(fld, a, e, f)) == numpy_poly.poly_powmod(fld, a, e, f)
-    k = data.draw(st.integers(1, 2))
-    assert (as_ints(gf.poly_frobenius_gap(fld, k, f))
-            == numpy_poly.poly_frobenius_gap(fld, k, f))
+    if len(f) > 1:  # the distinct-degree stage as it was first written
+        assert gf.poly_distinct_degree(fld, f) == numpy_poly.irreducible_factor(
+            fld, f, None, lambda fld, g, k, rng: (k, as_ints(g)))
 
 
 @pytest.mark.parametrize("ell,d", FIELDS)
@@ -115,6 +118,33 @@ def test_irreducible_factor_is_a_least_degree_factor(ell, data):
     assert sym(ell, f).is_irreducible
     assert sym(ell, p).rem(sym(ell, f)).is_zero
     assert len(f) - 1 == min(g.degree() for g, _ in sym(ell, p).factor_list()[1])
+
+
+def monic_polys(ell, top):
+    """Every monic polynomial of degree 1 to top over F_ell, low to high."""
+    return [[enc // ell ** j % ell for j in range(d)] + [1]
+            for d in range(1, top + 1) for enc in range(ell ** d)]
+
+
+@pytest.mark.parametrize("ell,top", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_is_irreducible_matches_sympy_on_every_small_monic(ell, top):
+    # degree 1 included: every linear polynomial is irreducible
+    for p in monic_polys(ell, top):
+        assert gf._is_irreducible(p, ell) == sym(ell, p).is_irreducible, p
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 13])
+@SETTINGS
+@given(data=st.data())
+def test_distinct_degree_is_the_least_degree_part_of_sympy_factor_list(ell, data):
+    fld = field_make(ell)
+    deg = data.draw(st.integers(1, 8))
+    p = data.draw(st.lists(st.integers(0, ell - 1), min_size=deg, max_size=deg)) + [1]
+    k, g = gf.poly_distinct_degree(fld, p)
+    factors = [f for f, _ in sym(ell, p).factor_list()[1]]
+    assert k == min(f.degree() for f in factors)
+    want = sympy.prod([f for f in factors if f.degree() == k], start=sym(ell, [1]))
+    assert sym(ell, as_ints(g)) == want.monic()
 
 
 def numpy_dlog(fld, b, base):
