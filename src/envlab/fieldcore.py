@@ -45,7 +45,12 @@ depend on the seed; the stored witness is the one the first call's seed
 found.  The factors that composition_factors returns arrive certified.
 A module that split stores nothing, and a fresh ModuleRep with the same
 action is tested afresh, so a verdict never depends on which objects
-were tested before.
+were tested before.  Nor is a factor certified twice within one
+decomposition: composition_factors first compares each piece with the
+classes it has certified (modules_isomorphic), and an isomorphism to an
+irreducible is itself a proof of irreducibility (Holt & Rees 1994), so
+only a piece that matches none is searched.  A negative seed is a
+ValidationError (checked_seed) at every entry that draws from one.
 """
 
 from __future__ import annotations
@@ -192,7 +197,11 @@ class FinMatGroup:
         self._ambient = None
         self._mask = None
         # subgroups by generator bytes, as mackey.all_subgroups returned them
+        # (the group itself under its own generator list, if that class kept it)
         self._subgroups = {}
+        # irreducible modules by (coefficient field, seed), as
+        # mackey.irreducible_modules found them
+        self._irreducibles = {}
 
     @property
     def gens_inv(self) -> np.ndarray:
@@ -655,11 +664,21 @@ def _eval_poly_at_matrix(fld, poly, A):
     return acc
 
 
+def checked_seed(seed: int) -> int:
+    """The seed, or ValidationError if it is negative: numpy's generators
+    take no negative seed, and a seed is checked before any draw or stored
+    verdict could hide it."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def meataxe_split(rho: ModuleRep, seed: int = DEFAULT_SEED,
                   budget: int = DEFAULT_MEATAXE_BUDGET):
     """Either an IrreducibleWitness or the row basis of a proper nonzero
     invariant subspace (as a numpy array).  A witness is stored on rho,
-    and a later call on rho returns it for any seed and budget."""
+    and a later call on rho returns it for any valid seed and budget."""
+    checked_seed(seed)
     if rho._witness is None:
         verdict = _meataxe_search(rho, seed, budget)
         if not isinstance(verdict, IrreducibleWitness):
@@ -674,7 +693,7 @@ def _meataxe_search(rho, seed, budget):
     if n == 1:
         return IrreducibleWitness(None, 1)
     mats = rho.action
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     for _ in range(budget):
         A = _random_algebra_element(fld, mats, n, rng)
         v = np.asarray(rng.integers(0, fld.q, size=n), dtype=np.int64)
@@ -724,36 +743,58 @@ def _submodule_action(fld, action, basis):
     return sub, fld.sub(action[:, free][:, :, free], above)
 
 
+def _traces(rho: ModuleRep) -> np.ndarray:
+    """The trace of each generator's action, summed with GF.add."""
+    diagonal = np.diagonal(rho.action, axis1=1, axis2=2)
+    trace = diagonal[:, 0]
+    for column in diagonal.T[1:]:
+        trace = rho.field.add(trace, column)
+    return trace
+
+
 def modules_isomorphic(a: ModuleRep, b: ModuleRep) -> bool:
-    """Isomorphism test via a nonzero intertwiner; exact for irreducibles."""
+    """Whether a nonzero intertwiner from b to a exists, for modules of one
+    dimension.  Exact when a or b is irreducible: the image or the kernel
+    of a nonzero hom is a submodule, so the hom is an isomorphism.  Each
+    generator's trace is an invariant, so the intertwiner system is
+    solved only when every trace agrees."""
     if a.dim != b.dim:
+        return False
+    if (a.field == b.field and len(a.action) == len(b.action)
+            and not np.array_equal(_traces(a), _traces(b))):
         return False
     return len(intertwiners(a, b)) > 0
 
 
 def composition_factors(rho: ModuleRep, seed: int = DEFAULT_SEED,
                         budget: int = DEFAULT_MEATAXE_BUDGET):
-    """Multiset of irreducible factors, as a list of (ModuleRep, multiplicity)."""
+    """Multiset of irreducible factors, as a list of (ModuleRep,
+    multiplicity), one class per iso-class in the order its first member
+    was certified, that member standing for it.
+
+    Pieces are split off a stack.  Each piece popped is first compared
+    with the classes found so far; those are irreducible, so a match is
+    exact (modules_isomorphic) and is counted with no search.  A piece
+    that matches none goes to meataxe_split with seed + the number of
+    pieces popped before it, which is the seed it would get if every
+    piece were searched: the classes, their order and their members do
+    not depend on which pieces were recognized."""
     fld = rho.field
-    irreducibles = []
+    classes = []
     stack = [rho.action]
     salt = 0
     while stack:
-        sub = ModuleRep(fld, stack.pop())
-        verdict = meataxe_split(sub, seed + salt, budget)
+        piece = ModuleRep(fld, stack.pop())
+        known = next((entry for entry in classes if modules_isomorphic(entry[0], piece)),
+                     None)
+        if known:
+            known[1] += 1
+        elif isinstance(verdict := meataxe_split(piece, seed + salt, budget),
+                        IrreducibleWitness):
+            classes.append([piece, 1])
+        else:
+            stack.extend(_submodule_action(fld, piece.action, verdict))
         salt += 1
-        if isinstance(verdict, IrreducibleWitness):
-            irreducibles.append(sub)
-        else:
-            stack.extend(_submodule_action(fld, sub.action, verdict))
-    classes = []
-    for m in irreducibles:
-        for entry in classes:
-            if modules_isomorphic(entry[0], m):
-                entry[1] += 1
-                break
-        else:
-            classes.append([m, 1])
     assert sum(m.dim * k for m, k in classes) == rho.dim
     return [(m, k) for m, k in classes]
 

@@ -17,8 +17,15 @@ closure indices of the ambient group, which is the only group it closes,
 and records each group it returns on the ambient group by its generator
 bytes: subgroup_datum and clifford_decompose, given one of those
 generator lists, take that group and whatever closure it already has.
+The class of G itself is G, whenever it kept G's generator list.
 G's right Cayley table covers only its generators (N x k); there is no
 |G| x |G| table.
+
+irreducible_modules decomposes a group's regular representation once per
+coefficient field and seed, and stores the modules on the group: a
+session that asks for G's irreducibles after those of each subgroup
+class, G among them, searches nothing the second time, and every module
+it is handed carries the witness that certified it.
 """
 
 from __future__ import annotations
@@ -273,7 +280,9 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     multiplication by their generators, one index row per generator
     element, read from G's right Cayley table (FinMatGroup.right_rows).
     Each unordered, non-nested pair is joined once, and a new subgroup
-    keeps the generators of the first pair that reaches it."""
+    keeps the generators of the first pair that reaches it.  A subgroup
+    whose generator list is G's is returned as G itself, with its
+    closure."""
     fld, elems = G.field, G.closure()
     N = len(elems)
     # powers[k][x]: the index of x^k, from x^0 = 1 until every x has
@@ -327,6 +336,8 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     mats = {x: Mat(fld, elems[x])
             for x in dict.fromkeys(x for gens in subs.values() for x in gens)}
     groups = [FinMatGroup(fld, [mats[x] for x in gens]) for gens in subs.values()]
+    own = G.gens.tobytes()
+    groups = [G if H.gens.tobytes() == own else H for H in groups]
     G._subgroups.update((H.gens.tobytes(), H) for H in groups)
     return groups
 
@@ -345,9 +356,13 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
 def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     """One module per iso-class of irreducibles of H over the coefficient
     field, from the regular representation.  Complete when the field is a
-    splitting field of characteristic prime to |H|."""
+    splitting field of characteristic prime to |H|.  The modules are
+    stored on H by (field, seed); a later call returns a new list of the
+    same, already certified, modules."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
-    reg = regular_rep(H, fld)
-    return [m for m, _ in composition_factors(reg, seed=seed)]
+    if (fld, seed) not in H._irreducibles:
+        reg = regular_rep(H, fld)
+        H._irreducibles[fld, seed] = [m for m, _ in composition_factors(reg, seed=seed)]
+    return list(H._irreducibles[fld, seed])

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import CharTooSmall, EmptyAlgebra, NotUnipotent
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, EchelonBasis,
-                        FinMatGroup, Mat, _eval_poly_at_matrix, generator_commutators)
+                        FinMatGroup, Mat, _eval_poly_at_matrix, checked_seed,
+                        generator_commutators)
 from .gf import GF
 
 
@@ -206,6 +207,7 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     centralizer, and x = 0 gives the derived dimension), so sampling stops
     once the bound reaches 1; sample_count is the number of samples drawn.
     """
+    rng = np.random.default_rng(checked_seed(seed))
     if not basis:
         raise EmptyAlgebra("zero Lie algebra")
     n = basis[0].shape[0]
@@ -218,7 +220,6 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     if ddim == 0:
         return LieRankReport(dim, 0, 0, 0)
     D = np.array(derived)
-    rng = np.random.default_rng(seed)
     best, drawn = ddim, 0
     while drawn < samples and best > 1:
         drawn += 1

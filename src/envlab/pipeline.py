@@ -23,7 +23,7 @@ import numpy as np
 from .charlattice import fc_predicates, has_affine_triple
 from .errors import EnvlabError, UnknownPredicate, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
-                        ModuleRep, commutant, composition_factors,
+                        ModuleRep, checked_seed, commutant, composition_factors,
                         generator_commutators, grow_mask, module_of_group)
 from .nori import lie_rank_estimate, nori_points, quotient_is_abelian
 from .smallrep import table_a
@@ -125,7 +125,8 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
                     cap: int = DEFAULT_CLOSURE_CAP) -> EnvelopeReport:
     """Run the whole observable battery on one group.  Sub-step errors are
     recorded as failure entries rather than raised, so a report always
-    comes back for valid input."""
+    comes back for valid input; a negative seed is a ValidationError."""
+    checked_seed(seed)
     digest = _digest(G)
     failures = []
     warnings = []

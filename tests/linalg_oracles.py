@@ -9,11 +9,15 @@ the Krylov minimal polynomial by an augmented echelon basis, the
 submodule and quotient actions by a completed basis and its inverse, the
 matrix minimal polynomial as an lcm over unit vectors, the fixed-space
 dimension as the size of a nullspace basis, and invertibility as a
-caught failure of the inverse."""
+caught failure of the inverse.  Last, composition_factors as it was
+before it recognized pieces: every piece searched by the MeatAxe, then
+the certified factors grouped into classes by an intertwiner alone."""
 
 import numpy as np
 
 from envlab.errors import ValidationError
+from envlab.fieldcore import (DEFAULT_MEATAXE_BUDGET, DEFAULT_SEED, IrreducibleWitness,
+                              ModuleRep, _submodule_action, intertwiners, meataxe_split)
 from envlab.gf import poly_divmod, poly_gcd, poly_mul
 
 
@@ -247,3 +251,35 @@ def is_invertible(fld, M):
         return True
     except ZeroDivisionError:
         return False
+
+
+def reference_modules_isomorphic(a, b):
+    """A nonzero intertwiner between modules of one dimension, with no
+    trace check: exact when a or b is irreducible."""
+    return a.dim == b.dim and len(intertwiners(a, b)) > 0
+
+
+def reference_composition_factors(rho, seed=DEFAULT_SEED, budget=DEFAULT_MEATAXE_BUDGET):
+    """Certify every piece, the piece popped i-th with seed + i, then group
+    the irreducibles, in the order certified, into classes."""
+    fld = rho.field
+    irreducibles = []
+    stack = [rho.action]
+    salt = 0
+    while stack:
+        sub = ModuleRep(fld, stack.pop())
+        verdict = meataxe_split(sub, seed + salt, budget)
+        salt += 1
+        if isinstance(verdict, IrreducibleWitness):
+            irreducibles.append(sub)
+        else:
+            stack.extend(_submodule_action(fld, sub.action, verdict))
+    classes = []
+    for m in irreducibles:
+        for entry in classes:
+            if reference_modules_isomorphic(entry[0], m):
+                entry[1] += 1
+                break
+        else:
+            classes.append([m, 1])
+    return [(m, k) for m, k in classes]

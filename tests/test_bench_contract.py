@@ -141,11 +141,55 @@ def test_subgroup_lookup_hands_back_the_closed_subgroup():
 
 
 def test_mackey_session_closes_each_subgroup_once():
-    # S4 over F_13, as bench/workloads.py runs it: G and each of the 11
-    # subgroup classes are closed once
+    # S4 over F_13, as bench/workloads.py runs it: G and each of the other
+    # 10 subgroup classes are closed once; the eleventh class is G itself
     session = _load("workloads").mackey_session
     _, cold, _ = traced(lambda: session(symmetric_group(4, 13).to_json()))
-    assert cold == 1 + 11
+    assert cold == 1 + 10
+
+
+def test_all_subgroups_returns_g_for_its_own_class():
+    # S4 over F_13: the class of S4 keeps S4's generator list, so it is S4
+    # with its closure, and the lookup of that list hands back S4
+    G = symmetric_group(4, 13)
+    subs = all_subgroups(G)
+    assert any(H is G for H in subs)
+    assert [H for H in subs if H.order == 24] == [G]
+    assert subgroup_datum(G, G.generators).subgroup is G
+
+
+def test_irreducible_modules_are_found_once_per_group(monkeypatch):
+    # S4 over F_13: a second call returns the same certified modules in a
+    # new list and draws no random algebra element; another seed or field
+    # decomposes afresh
+    fc = envlab.fieldcore
+    G = symmetric_group(4, 13)
+    first = irreducible_modules(G, G.field)
+    draws, draw = [], fc._random_algebra_element
+    monkeypatch.setattr(fc, "_random_algebra_element",
+                        lambda *a: draws.append(1) or draw(*a))
+    again = irreducible_modules(G, G.field)
+    assert again is not first and again == first
+    assert all(a is b and a._witness is not None for a, b in zip(again, first))
+    assert draws == []
+    again.pop()
+    assert len(irreducible_modules(G, G.field)) == 5
+    irreducible_modules(G, G.field, seed=1)
+    assert draws
+
+
+def test_mackey_session_meataxe_searches(monkeypatch):
+    # S4 over F_13, as bench/workloads.py runs it: 142 MeatAxe searches when
+    # every piece of every decomposition was searched and G's regular
+    # representation was decomposed twice; 108 now that a piece isomorphic
+    # to a certified factor is counted without one and G's irreducibles
+    # are stored on G
+    fc = envlab.fieldcore
+    searches, search = [], fc._meataxe_search
+    monkeypatch.setattr(fc, "_meataxe_search",
+                        lambda *a: searches.append(1) or search(*a))
+    _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
+    assert len(searches) == 108
 
 
 def test_mackey_session_certifies_each_irreducible_once(monkeypatch):

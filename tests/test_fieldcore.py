@@ -179,6 +179,22 @@ def test_a_split_module_is_never_marked_irreducible(monkeypatch):
     assert not is_irreducible(red) and red._witness is None
 
 
+def test_a_negative_seed_is_a_validation_error():
+    # before any draw, and also where none would be made: a 1-dimensional
+    # module, and a module that stores its witness
+    fld = field_make(7, 1)
+    rho = module_of_group(symmetric_group(3, 7))
+    line = ModuleRep(fld, (np.array([[6]], dtype=np.int64),))
+    certified = composition_factors(rho)[-1][0]
+    assert certified._witness is not None
+    for module in (rho, line, certified):
+        with pytest.raises(ValidationError, match="seed"):
+            meataxe_split(module, seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            composition_factors(module, seed=-1)
+    assert meataxe_split(certified, seed=0) is certified._witness
+
+
 def test_commutant_schur():
     torus = diagonal_torus(11)
     assert commutant(module_of_group(torus))[1] == 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import linalg_oracles
 from corpus import closure_mats, diagonal_torus, sl2_group
-from envlab.errors import CharTooSmall, NotUnipotent
+from envlab.errors import CharTooSmall, NotUnipotent, ValidationError
 from envlab.fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, Mat, commutant,
                               module_of_group)
 from envlab.gf import field_make
@@ -124,6 +124,12 @@ def test_lie_rank_of_sl2():
     assert report.dim == 3
     assert report.derived_dim == 3
     assert report.rank_estimate == 1
+
+
+def test_lie_rank_estimate_rejects_a_negative_seed():
+    result = nori_points(sl2_group(13))
+    with pytest.raises(ValidationError, match="seed"):
+        lie_rank_estimate(result.lie_algebra, result.nori_points.field, seed=-1)
 
 
 def test_commutant_matches_group_on_sl2():

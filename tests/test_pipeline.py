@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corpus import diagonal_torus, mackey_corpus, sl2_group
-from envlab.errors import UnknownPredicate
+from envlab.errors import UnknownPredicate, ValidationError
 from envlab.fieldcore import FinMatGroup, Mat
 from envlab.gf import field_make
 from envlab.pipeline import derived_subgroup, eliminate_cases, envelope_report
@@ -132,3 +132,8 @@ def test_eliminate_affine_predicates():
 def test_eliminate_unknown_predicate():
     with pytest.raises(UnknownPredicate):
         eliminate_cases(4, ["bogus=1"])
+
+
+def test_envelope_report_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        envelope_report(sl2_group(11), seed=-1)
