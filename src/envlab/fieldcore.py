@@ -49,7 +49,11 @@ were tested before.  Nor is a factor certified twice within one
 decomposition: composition_factors first compares each piece with the
 classes it has certified (modules_isomorphic), and an isomorphism to an
 irreducible is itself a proof of irreducibility (Holt & Rees 1994), so
-only a piece that matches none is searched.  A negative seed is a
+only a piece that matches none is searched.  Nor does it search what
+needs no search: a certified module comes back as it is, and a piece on
+which every generator is a scalar is counted as copies of a line.  Each
+rule moves the seed on as far as the searches it skips would have, so
+the factors are those of searching every piece.  A negative seed is a
 ValidationError (checked_seed) at every entry that draws from one.
 """
 
@@ -199,8 +203,9 @@ class FinMatGroup:
         # subgroups by generator bytes, as mackey.all_subgroups returned them
         # (the group itself under its own generator list, if that class kept it)
         self._subgroups = {}
-        # irreducible modules by (coefficient field, seed), as
-        # mackey.irreducible_modules found them
+        # irreducible modules by (coefficient field, seed, regular
+        # representation), as mackey.irreducible_modules found them; the
+        # groups of one mackey.all_subgroups call share their ambient's
         self._irreducibles = {}
 
     @property
@@ -398,11 +403,13 @@ def _inverse_stack(fld: GF, stack) -> np.ndarray:
 
 
 def generator_commutators(G: FinMatGroup) -> np.ndarray:
-    """a b a^-1 b^-1 for every ordered pair (a, b) of generators, a outer,
-    as a (k^2, n, n) stack: one stacked product per factor."""
+    """a b a^-1 b^-1 for every pair of generators a before b, in row-major
+    pair order, as a (k(k - 1)/2, n, n) stack: one stacked product per
+    factor.  [a, a] = 1 and [b, a] = [a, b]^-1 would add nothing to the
+    subgroup, the normal closure or the commutant they span."""
     fld, gens, inv = G.field, G.gens, G.gens_inv
-    ab = fld.matmul(gens[:, None], gens[None])
-    return fld.matmul(fld.matmul(ab, inv[:, None]), inv[None]).reshape(-1, G.n, G.n)
+    a, b = np.triu_indices(len(gens), 1)
+    return fld.matmul(fld.matmul(fld.matmul(gens[a], gens[b]), inv[a]), inv[b])
 
 
 def json_int(doc: dict, key: str, default=None) -> int:
@@ -772,19 +779,38 @@ def composition_factors(rho: ModuleRep, seed: int = DEFAULT_SEED,
     multiplicity), one class per iso-class in the order its first member
     was certified, that member standing for it.
 
-    Pieces are split off a stack.  Each piece popped is first compared
-    with the classes found so far; those are irreducible, so a match is
-    exact (modules_isomorphic) and is counted with no search.  A piece
-    that matches none goes to meataxe_split with seed + the number of
-    pieces popped before it, which is the seed it would get if every
-    piece were searched: the classes, their order and their members do
-    not depend on which pieces were recognized."""
+    Pieces are split off a stack, rho itself first.  Searching every
+    piece, the piece popped i-th with seed + i, would find the classes
+    below; three rules skip searches and keep every seed that loop draws,
+    so the classes, their order and their members are the same:
+    - rho is popped as the object it is, so a certified rho comes back as
+      its own single class, and meataxe_split returns its stored witness;
+    - a piece on which every generator acts as a scalar c is dim copies of
+      the 1 x 1 class (c).  Every split of it splits off a line, so its
+      split tree has dim leaves and 2 dim - 1 pieces, and the seed moves
+      on by that many;
+    - any other piece is first compared with the classes found so far.
+      Those are irreducible, so a match is exact (modules_isomorphic) and
+      is counted with no search; the seed moves on by one, as for a
+      searched piece."""
     fld = rho.field
     classes = []
-    stack = [rho.action]
+    stack = [rho]
     salt = 0
     while stack:
-        piece = ModuleRep(fld, stack.pop())
+        piece = stack.pop()
+        line = piece.action[:, :1, :1]
+        if np.array_equal(piece.action, line * np.eye(piece.dim, dtype=np.int64)):
+            known = next((entry for entry in classes
+                          if np.array_equal(entry[0].action, line)), None)
+            if known:
+                known[1] += piece.dim
+            else:
+                one = piece if piece.dim == 1 else ModuleRep(fld, line)
+                meataxe_split(one, seed + salt, budget)  # a line: no draw
+                classes.append([one, piece.dim])
+            salt += 2 * piece.dim - 1
+            continue
         known = next((entry for entry in classes if modules_isomorphic(entry[0], piece)),
                      None)
         if known:
@@ -793,7 +819,7 @@ def composition_factors(rho: ModuleRep, seed: int = DEFAULT_SEED,
                         IrreducibleWitness):
             classes.append([piece, 1])
         else:
-            stack.extend(_submodule_action(fld, piece.action, verdict))
+            stack.extend(ModuleRep(fld, a) for a in _submodule_action(fld, piece.action, verdict))
         salt += 1
     assert sum(m.dim * k for m, k in classes) == rho.dim
     return [(m, k) for m, k in classes]

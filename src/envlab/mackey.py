@@ -14,23 +14,28 @@ its transversal as a stack.  Modules and transversals stay stacks; a Mat
 is built only where a public value is one matrix, as when the failing_rep
 of a MackeyVerdict is read.  all_subgroups enumerates subgroups as sets of
 closure indices of the ambient group, which is the only group it closes,
-and records each group it returns on the ambient group by its generator
-bytes: subgroup_datum and clifford_decompose, given one of those
-generator lists, take that group and whatever closure it already has.
-The class of G itself is G, whenever it kept G's generator list.
+joining all the pairs of a round in one grow_mask, and records each group
+it returns on the ambient group by its generator bytes: subgroup_datum
+and clifford_decompose, given one of those generator lists, take that
+group and whatever closure it already has.  The class of G itself is G,
+whenever it kept G's generator list, and G's own list always gives G.
 G's right Cayley table covers only its generators (N x k); there is no
 |G| x |G| table.
 
-irreducible_modules decomposes a group's regular representation once per
-coefficient field and seed, and stores the modules on the group: a
-session that asks for G's irreducibles after those of each subgroup
-class, G among them, searches nothing the second time, and every module
-it is handed carries the witness that certified it.
+Nothing a session has answered is searched again.  irreducible_modules
+stores its modules, each with its witness, by coefficient field, seed
+and regular representation, in a store that the groups of one
+all_subgroups call share with G; so G after its classes, and a class
+whose regular representation another had (S4's two C2 classes), search
+nothing.  restrict(V, G, G) is V, which composition_factors returns as
+it is, and a SubgroupDatum keeps its double-coset intersections, so
+mackey_irreducible evaluates only W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +68,10 @@ def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
 
 
 def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
-    """The module of G viewed over the generators of a subgroup H."""
+    """The module of G viewed over the generators of a subgroup H: V
+    itself, certificate and all, when H is G."""
+    if H is G and len(V.action) == len(G.gens):
+        return V
     if not H.generators or not H.is_subgroup_of(G):
         raise ValidationError("H is not a subgroup of G")
     return ModuleRep(V.field, module_value(V, G, H.gens))
@@ -84,13 +92,29 @@ class SubgroupDatum:
     def index(self) -> int:
         return len(self.transversal)
 
+    @cached_property
+    def intersections(self) -> list:
+        """(g, g^-1 x g, x) over x in gHg^-1 n H, as two stacks, for every
+        double-coset representative g after the first, the identity: what
+        mackey_irreducible evaluates each W on, built on first use.  The
+        inverses are one word walk: (g^-1)^T is the dual of G's natural
+        module at g."""
+        G, H, fld = self.ambient, self.subgroup, self.ambient.field
+        hs, reps = H.closure(), double_coset_reps(self)[1:]
+        dual = ModuleRep(fld, G.gens_inv.transpose(0, 2, 1))
+        inv = module_value(dual, G, reps).transpose(0, 2, 1)
+        conj = fld.matmul(fld.matmul(inv[:, None], hs), reps[:, None])
+        inside = H.indices(conj) >= 0
+        return [(g, c[i], hs[i]) for g, c, i in zip(reps, conj, inside)]
+
 
 def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
-    """The subgroup of G on a generator list: the group that all_subgroups
-    returned for that list, with its closure if it has one, else a fresh
-    group."""
+    """The subgroup of G on a generator list: G itself on G's list, the
+    group that all_subgroups returned for that list, with its closure if
+    it has one, else a fresh group."""
     H = FinMatGroup(G.field, list(gens))
-    return G._subgroups.get(H.gens.tobytes(), H)
+    key = H.gens.tobytes()
+    return G if key == G.gens.tobytes() else G._subgroups.get(key, H)
 
 
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
@@ -196,12 +220,8 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     if not is_irreducible(W, seed=seed):
         return MackeyVerdict(False, "W is reducible over H")
     wdual = dual_module(W)
-    hs = H.closure()
-    for g in double_coset_reps(sub)[1:]:  # the first, the identity, spans H
-        # x in gHg^-1 n H, listed in full, with g^-1 x g
-        conj = gf.matmul(gf.matmul(gf.inv_matrix(g), hs), g)
-        inside = H.indices(conj) >= 0
-        mats = fld.kron(module_value(W, H, conj[inside]), module_value(wdual, H, hs[inside]))
+    for g, conj, xs in sub.intersections:
+        mats = fld.kron(module_value(W, H, conj), module_value(wdual, H, xs))
         inv = invariants_dim(ModuleRep(fld, mats))
         if inv > 0:
             return MackeyVerdict(False, "condition (II') fails", (gf, g), inv)
@@ -275,14 +295,16 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
 
     Subgroups are sets of closure indices of G, the only group closed.
     The powers of all elements take one stacked product per step, and
-    give each element's inverse for the conjugacy test; a join
-    is grow_mask from the union of two subgroups under right
-    multiplication by their generators, one index row per generator
-    element, read from G's right Cayley table (FinMatGroup.right_rows).
-    Each unordered, non-nested pair is joined once, and a new subgroup
-    keeps the generators of the first pair that reaches it.  A subgroup
-    whose generator list is G's is returned as G itself, with its
-    closure."""
+    give each element's inverse for the conjugacy test; a join is the
+    union of two subgroups grown under right multiplication by their
+    generators, one index row per generator element, read from G's right
+    Cayley table (FinMatGroup.right_rows).  Each unordered, non-nested
+    pair is joined once, all the pairs of a round in one grow_mask over
+    as many disjoint copies of G's index space, and a new subgroup keeps
+    the generators of the first pair, in pair order, that reaches it.  A
+    subgroup whose generator list is G's is returned as G itself, with
+    its closure, and every group returned shares G's module store
+    (irreducible_modules)."""
     fld, elems = G.field, G.closure()
     N = len(elems)
     # powers[k][x]: the index of x^k, from x^0 = 1 until every x has
@@ -298,25 +320,32 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
         subs.setdefault(frozenset(cyclic), [x])
     rows = {}  # generator element x -> index of y x for every y
 
-    def join(start, gens):
-        missing = [x for x in gens if x not in rows]
+    def joins(pairs):
+        """The join of every pair, all in one grow_mask over P copies of G's
+        index space: pair p's rows are shifted by p N, and identity rows
+        pad the shorter generator lists."""
+        gens = [subs[a] + subs[b] for a, b in pairs]
+        missing = list(dict.fromkeys(x for xs in gens for x in xs if x not in rows))
         rows.update(zip(missing, G.right_rows(missing)))
-        mask = np.zeros(N, dtype=bool)
-        mask[list(start)] = True
-        mask = grow_mask(mask, np.array([rows[x] for x in gens]))
-        return frozenset(np.flatnonzero(mask).tolist())
+        table = np.tile(np.arange(N), (max(map(len, gens)), len(pairs), 1))
+        for p, xs in enumerate(gens):
+            table[:len(xs), p] = [rows[x] for x in xs]
+        table += np.arange(0, len(pairs) * N, N)[:, None]
+        mask = np.zeros((len(pairs), N), dtype=bool)
+        for p, (a, b) in enumerate(pairs):
+            mask[p, list(a | b)] = True
+        mask = grow_mask(mask.ravel(), table.reshape(len(table), -1))
+        return [frozenset(np.flatnonzero(m).tolist()) for m in mask.reshape(-1, N)]
 
     joined = 0  # pairs among the first `joined` subgroups are done
     while len(subs) > joined:
         keys = list(subs)
-        for i, key in enumerate(keys):
-            for other in keys[max(i + 1, joined):]:
-                if key <= other or other <= key:
-                    continue
-                gens = subs[key] + subs[other]
-                new = join(key | other, gens)
-                if new not in subs:
-                    subs[new] = gens
+        pairs = [(key, other) for i, key in enumerate(keys)
+                 for other in keys[max(i + 1, joined):]
+                 if not (key <= other or other <= key)]
+        # each new subgroup keeps the generators of the first pair that reaches it
+        for (key, other), new in zip(pairs, joins(pairs) if pairs else []):
+            subs.setdefault(new, subs[key] + subs[other])
         joined = len(keys)
     if up_to_conjugacy:
         # the first subgroup of each class in the order above; the rest
@@ -339,6 +368,8 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     own = G.gens.tobytes()
     groups = [G if H.gens.tobytes() == own else H for H in groups]
     G._subgroups.update((H.gens.tobytes(), H) for H in groups)
+    for H in groups:
+        H._irreducibles = G._irreducibles
     return groups
 
 
@@ -356,13 +387,19 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
 def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     """One module per iso-class of irreducibles of H over the coefficient
     field, from the regular representation.  Complete when the field is a
-    splitting field of characteristic prime to |H|.  The modules are
-    stored on H by (field, seed); a later call returns a new list of the
-    same, already certified, modules."""
+    splitting field of characteristic prime to |H|.
+
+    The modules depend on nothing but the field, the seed and the
+    regular representation's action, so they are stored by those in
+    H._irreducibles, which the groups of one all_subgroups call share with
+    their ambient group: a later call, on H or on a group whose regular
+    representation is the same matrices (two classes of C2, say), returns
+    a new list of the same, already certified, modules."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
-    if (fld, seed) not in H._irreducibles:
-        reg = regular_rep(H, fld)
-        H._irreducibles[fld, seed] = [m for m, _ in composition_factors(reg, seed=seed)]
-    return list(H._irreducibles[fld, seed])
+    reg = regular_rep(H, fld)
+    key = (fld, seed, reg.action.shape, reg.action.tobytes())
+    if key not in H._irreducibles:
+        H._irreducibles[key] = [m for m, _ in composition_factors(reg, seed=seed)]
+    return list(H._irreducibles[key])

@@ -181,15 +181,17 @@ def test_irreducible_modules_are_found_once_per_group(monkeypatch):
 def test_mackey_session_meataxe_searches(monkeypatch):
     # S4 over F_13, as bench/workloads.py runs it: 142 MeatAxe searches when
     # every piece of every decomposition was searched and G's regular
-    # representation was decomposed twice; 108 now that a piece isomorphic
-    # to a certified factor is counted without one and G's irreducibles
-    # are stored on G
+    # representation was decomposed twice; 108 once a piece isomorphic to
+    # a certified factor was counted without one and G's irreducibles were
+    # stored on G; 87 now that a certified module, a scalar piece and a
+    # regular representation met before (the other C2 and V4 classes) are
+    # searched no more
     fc = envlab.fieldcore
     searches, search = [], fc._meataxe_search
     monkeypatch.setattr(fc, "_meataxe_search",
                         lambda *a: searches.append(1) or search(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert len(searches) == 108
+    assert len(searches) == 87
 
 
 def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
@@ -240,3 +242,43 @@ def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
     assert len(inside) == calls > 37 and set(inside) == {0}
     assert draws and factor_calls  # the MeatAxe ran, in composition_factors
     assert kernel_arith == []
+
+
+def test_clifford_with_n_equal_to_g_searches_nothing(monkeypatch):
+    # S4 over F_13, before any all_subgroups call: restricted to G itself,
+    # each irreducible V is V, certificate and all, and one class of one
+    fc = envlab.fieldcore
+    G = symmetric_group(4, 13)
+    irreps = irreducible_modules(G, G.field)
+    searches, search = [], fc._meataxe_search
+    monkeypatch.setattr(fc, "_meataxe_search",
+                        lambda *a: searches.append(1) or search(*a))
+    for V in irreps:
+        assert envlab.mackey.restrict(V, G, G) is V
+        shape = clifford_decompose(G, G.generators, V)
+        assert (shape.e, shape.f) == (1, 1) and shape.factors[0] is V
+    assert searches == []
+
+
+def test_equal_regular_representations_share_their_modules(monkeypatch):
+    # S4 over F_13: the two classes of C2, and the two of V4, have the same
+    # regular representation, so they get the same module objects; the
+    # session decomposes each of the 9 distinct regular representations
+    # of its 11 classes once
+    G = symmetric_group(4, 13)
+    subs = all_subgroups(G)
+    for order in (2, 4):
+        pair = [H for H in subs if H.order == order and len(H.generators) == order // 2]
+        assert len(pair) == 2
+        first, second = (irreducible_modules(H, G.field) for H in pair)
+        assert len(first) == order and all(a is b for a, b in zip(first, second))
+
+    mk = envlab.mackey
+    regular, decomposed = [], []
+    reg, factors = mk.regular_rep, mk.composition_factors
+    monkeypatch.setattr(mk, "regular_rep", lambda *a: regular.append(reg(*a)) or regular[-1])
+    monkeypatch.setattr(mk, "composition_factors",
+                        lambda rho, **kw: decomposed.append(any(rho is r for r in regular))
+                        or factors(rho, **kw))
+    _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
+    assert decomposed.count(True) == 9

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import mackey_corpus
-from envlab.fieldcore import FinMatGroup, Mat, commutant, module_of_group
+from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, commutant,
+                              generator_commutators, module_of_group)
 from envlab.gf import field_make
 from envlab.pipeline import derived_commutant_dim
 from test_fieldcore import reference_generated_subgroup
@@ -141,3 +142,20 @@ def test_derived_commutant_on_the_benchmark_groups(G, want):
     assert derived_commutant_dim(G) == want
     if G.field.q <= 11:  # the Mat-loop closure of [G, G] stays small here
         assert oracle_c_derived(G) == want
+
+
+@pytest.mark.parametrize("G,want", _benchmark_groups())
+def test_generator_commutators_list_each_pair_once(G, want):
+    # [a, b] for a before b, in pair order; the commutant of those is the
+    # commutant of all k^2 ordered pairs, the same rref basis, since
+    # [a, a] = 1 and [b, a] = [a, b]^-1 commute with whatever [a, b] does
+    gens, fld = G.generators, G.field
+    got = generator_commutators(G)
+    assert [Mat(fld, c) for c in got] == [a @ b @ a.inverse() @ b.inverse()
+                                          for i, a in enumerate(gens) for b in gens[i + 1:]]
+    every = np.array([(a @ b @ a.inverse() @ b.inverse()).array for a in gens for b in gens])
+    if len(got):
+        assert np.array_equal(commutant(ModuleRep(fld, got))[0],
+                              commutant(ModuleRep(fld, every))[0])
+    else:
+        assert (every == fld.eye(G.n)).all() and want is None

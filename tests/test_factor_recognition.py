@@ -1,19 +1,23 @@
 """composition_factors recognizes a piece isomorphic to a factor it has
-certified instead of searching it: against the loop that searched every
-piece (tests/linalg_oracles.py), on regular representations and on direct
-sums of random GL_n conjugates of the corpus groups' natural modules, over
-F_ell and GF(9).  And modules_isomorphic, which compares field traces
-before it solves for an intertwiner, against the intertwiner alone."""
+certified instead of searching it, counts a scalar piece as copies of its
+1 x 1 class and returns a certified module as it is: against the loop that
+searched every piece (tests/linalg_oracles.py), on regular
+representations, on direct sums of random GL_n conjugates of the corpus
+groups' natural modules, over F_ell and GF(9), on restrictions to the
+trivial group and to centres, and on sums with scalar blocks.  And
+modules_isomorphic, which compares field traces before it solves for an
+intertwiner, against the intertwiner alone."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import envlab.fieldcore
 from corpus import mackey_corpus
-from envlab.fieldcore import ModuleRep, composition_factors, modules_isomorphic
+from envlab.fieldcore import FinMatGroup, ModuleRep, composition_factors, modules_isomorphic
 from envlab.gf import field_make
-from envlab.mackey import regular_rep
+from envlab.mackey import irreducible_modules, regular_rep, restrict
 from linalg_oracles import reference_composition_factors, reference_modules_isomorphic
 
 CORPUS = mackey_corpus()
@@ -78,6 +82,70 @@ def test_regular_representations_match_the_search_every_piece_loop(entry):
 
 def irreducibles(G, fld):
     return [m for m, _ in composition_factors(regular_rep(G, fld))]
+
+
+def centre(G):
+    """The centre of a corpus group whose centre has order 2, on its one
+    non-identity element."""
+    elems = G.closure()
+    fld = G.field
+    central = [x for x in elems[1:]
+               if np.array_equal(fld.matmul(G.gens, x), fld.matmul(x, G.gens))]
+    assert len(central) == 1
+    return FinMatGroup(fld, central)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[name for name, _, _ in CORPUS])
+def test_restrictions_to_scalar_subgroups_match_the_search_every_piece_loop(entry):
+    # each irreducible V restricted to the trivial group is dim V copies of
+    # the trivial line; restricted to the centre of D4, Q8 or D6 it is
+    # dim V copies of one character, which the reference splits in
+    # 2 dim V - 1 pieces
+    name, G, fld = entry
+    subgroups = [FinMatGroup.trivial(G.field, G.n)]
+    if name in ("D4/F5", "Q8/F5", "D6/F7"):
+        subgroups.append(centre(G))
+    for V in irreducible_modules(G, fld):
+        for H in subgroups:
+            res = restrict(V, G, H)
+            for seed in (0, 1):
+                got = composition_factors(res, seed=seed)
+                assert summary(got) == summary(reference_composition_factors(res, seed=seed))
+                assert len(got) == 1 and got[0][1] == V.dim
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[name for name, _, _ in CORPUS])
+def test_scalar_blocks_keep_every_later_seed(entry):
+    # a scalar block of dimension 2 or 3 before and after the regular
+    # representation: every piece searched after a scalar piece is split,
+    # and so whether its factors match the reference's, depends on the
+    # seed having moved on by 2 dim - 1
+    _, G, fld = entry
+    reg = regular_rep(G, fld)
+    character = [m for m in irreducibles(G, fld) if m.dim == 1][-1]
+    for d in (2, 3):
+        block = ModuleRep(fld, character.action * np.eye(d, dtype=np.int64))
+        for rho in (block.direct_sum(reg), reg.direct_sum(block),
+                    block.direct_sum(reg).direct_sum(block)):
+            for seed in (0, 1):
+                assert summary(composition_factors(rho, seed=seed)) \
+                    == summary(reference_composition_factors(rho, seed=seed))
+
+
+def test_a_certified_module_comes_back_as_itself(monkeypatch):
+    # S4 over F_13: each irreducible, 1- to 3-dimensional, is its own one
+    # class, the same object, and no random algebra element is drawn
+    fc = envlab.fieldcore
+    _, G, fld = CORPUS[-1]
+    modules = irreducibles(G, fld)
+    draws, draw = [], fc._random_algebra_element
+    monkeypatch.setattr(fc, "_random_algebra_element",
+                        lambda *a: draws.append(1) or draw(*a))
+    for V in modules:
+        for seed in (0, 1, 7):
+            [(got, k)] = composition_factors(V, seed=seed)
+            assert got is V and k == 1
+    assert draws == [] and sorted(V.dim for V in modules) == [1, 1, 2, 3, 3]
 
 
 @settings(max_examples=25, deadline=None)

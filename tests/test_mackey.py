@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import envlab.mackey
 from corpus import (closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat,
                     symmetric_group)
@@ -132,6 +133,34 @@ def test_dihedral_faithful_character():
     assert bool(mackey_irreducible(sub, W))
     assert commutant(induce(sub, W))[1] == 1
     assert not mackey_irreducible(sub, char_rep(11, 1))
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_datum_keeps_its_double_coset_intersections(G, fld, monkeypatch):
+    # for each representative g after the identity, the x in gHg^-1 n H
+    # and g^-1 x g, in H's closure order, found once for every W
+    for H in all_subgroups(G):
+        sub = subgroup_datum(G, H.generators)
+        every = double_coset_reps(sub)
+        reps = every[1:]
+        assert len(sub.intersections) == len(reps)
+        elems = closure_mats(H)
+        for (g, conj, xs), rep in zip(sub.intersections, reps):
+            g = Mat(G.field, g)
+            assert g == Mat(G.field, rep)
+            want = [x for x in elems if g.inverse() @ x @ g in H]
+            assert [Mat(G.field, x) for x in xs] == want
+            assert [Mat(G.field, c) for c in conj] == [g.inverse() @ x @ g for x in want]
+        calls = []
+        monkeypatch.setattr(envlab.mackey, "double_coset_reps", lambda s: calls.append(1) or every)
+        fresh = subgroup_datum(G, H.generators)
+        for W in irreducible_modules(H, fld):
+            a, b = mackey_irreducible(fresh, W), mackey_irreducible(sub, W)
+            assert (a.irreducible, a.reason, a.invariant_dim, a.failing_rep) \
+                == (b.irreducible, b.reason, b.invariant_dim, b.failing_rep)
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_double_cosets_partition():
