@@ -7,35 +7,38 @@ A subgroup module is a ModuleRep whose action stack is indexed by the
 subgroup's generator list, one matrix per generator (else
 DimensionMismatch); module_value evaluates it on a whole stack of
 elements along their closure words.  Cosets, double cosets (unions of left
-cosets), conjugates, induced blocks, duals and the regular representation
-are stacked products over the closures, read back by FinMatGroup.indices;
+cosets), conjugates, induced blocks and the regular representation are
+stacked products over the closures, read back by FinMatGroup.indices;
 a SubgroupDatum labels each ambient element with its left coset and keeps
 its transversal as a stack.  Modules and transversals stay stacks; a Mat
 is built only where a public value is one matrix, as when the failing_rep
-of a MackeyVerdict is read.  all_subgroups enumerates subgroups as sets of
-closure indices of the ambient group, which is the only group it closes,
-joining all the pairs of a round in one grow_mask, and records each group
-it returns on the ambient group by its generator bytes: subgroup_datum
-and clifford_decompose, given one of those generator lists, take that
-group and whatever closure it already has.  The class of G itself is G,
-whenever it kept G's generator list, and G's own list always gives G.
-G's right Cayley table covers only its generators (N x k); there is no
-|G| x |G| table.
+of a MackeyVerdict is read.  all_subgroups enumerates subgroups as rows
+of one boolean mask matrix over the closure of the ambient group, which
+is the only group it closes, joining all the pairs of a round in one
+grow_mask, and records each group it returns on the ambient group by its
+generator bytes: subgroup_datum and clifford_decompose, given one of
+those generator lists, take that group and whatever closure it already
+has.  The class of G itself is G, whenever it kept G's generator list,
+and G's own list always gives G.  G's right Cayley table covers only its
+generators (N x k); there is no |G| x |G| table, nor an |H| x |H| one.
 
 Nothing a session has answered is searched again.  irreducible_modules
 stores its modules, each with its witness, by coefficient field, seed
 and regular representation, in a store that the groups of one
 all_subgroups call share with G; so G after its classes, and a class
 whose regular representation another had (S4's two C2 classes), search
-nothing.  restrict(V, G, G) is V, which composition_factors returns as
-it is, and a SubgroupDatum keeps its double-coset intersections, so
-mackey_irreducible evaluates only W.
+nothing, and each group keeps the permutations that key the store.
+restrict(V, G, G) is V, which composition_factors returns as it is.  A
+SubgroupDatum keeps its double-coset intersections and the H-indices
+of their elements and inverses, so mackey_irreducible evaluates only W,
+in one word walk, and forms no dual module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -49,14 +52,21 @@ from .gf import GF
 
 def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
     """W at every element of an (..., n, n) stack of elements of H, as an
-    (..., m, m) stack: the product of W over each word_for word, all walked
-    at once up the parent vector, applying W(gen[x]) on the left."""
-    fld = W.field
+    (..., m, m) stack (_value_at their closure indices)."""
     if len(W.action) != len(H.gens):
         raise DimensionMismatch("one action matrix per generator of the group")
     idx = H.indices(stack)
     if (idx < 0).any():
         raise ValidationError("the element does not lie in the group")
+    return _value_at(W, H, idx)
+
+
+def _value_at(W: ModuleRep, H: FinMatGroup, idx) -> np.ndarray:
+    """W at the elements of H's closure at an array of indices, as a stack
+    of matrices of that shape: the product of W over each word_for word,
+    all walked at once up the parent vector, applying W(gen[x]) on the
+    left."""
+    fld = W.field
     # gen[0] = -1 at the identity selects the identity appended here
     mats = np.concatenate([W.action, fld.eye(W.dim)[None]])
     out = mats[H._gen[idx]]
@@ -81,7 +91,12 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
 class SubgroupDatum:
     """A subgroup with a left transversal of its ambient group, as a
     read-only (index, n, n) stack; coset[i] is the position in the
-    transversal of the left coset that holds ambient element i."""
+    transversal of the left coset that holds ambient element i.
+
+    Built on first use and kept for every W that mackey_irreducible
+    tests: the double-coset intersections as stacks (intersections), and
+    next to them the closure indices in H that W is evaluated at
+    (intersection_indices)."""
 
     ambient: FinMatGroup
     subgroup: FinMatGroup
@@ -92,20 +107,38 @@ class SubgroupDatum:
     def index(self) -> int:
         return len(self.transversal)
 
-    @cached_property
+    @property
     def intersections(self) -> list:
-        """(g, g^-1 x g, x) over x in gHg^-1 n H, as two stacks, for every
-        double-coset representative g after the first, the identity: what
-        mackey_irreducible evaluates each W on, built on first use.  The
+        """(g, g^-1 x g, x) over x in gHg^-1 n H, as two stacks in H's
+        closure order, for every double-coset representative g after the
+        first, the identity."""
+        return self._intersected[0]
+
+    @property
+    def intersection_indices(self):
+        """((conj, x, x_inv), bounds): the closure indices in H of g^-1 x g,
+        of x and of x^-1, as three arrays that run through the entries of
+        intersections in their order, entry i at bounds[i]:bounds[i + 1]."""
+        return self._intersected[1:]
+
+    @cached_property
+    def _intersected(self):
+        """intersections, and the arrays of intersection_indices.  Both
         inverses are one word walk: (g^-1)^T is the dual of G's natural
-        module at g."""
+        module at g, and (x^-1)^T that of H's at x."""
         G, H, fld = self.ambient, self.subgroup, self.ambient.field
         hs, reps = H.closure(), double_coset_reps(self)[1:]
         dual = ModuleRep(fld, G.gens_inv.transpose(0, 2, 1))
         inv = module_value(dual, G, reps).transpose(0, 2, 1)
         conj = fld.matmul(fld.matmul(inv[:, None], hs), reps[:, None])
-        inside = H.indices(conj) >= 0
-        return [(g, c[i], hs[i]) for g, c, i in zip(reps, conj, inside)]
+        where = H.indices(conj)
+        inside = where >= 0
+        xs = np.nonzero(inside)[1]
+        dual = ModuleRep(fld, H.gens_inv.transpose(0, 2, 1))
+        xs_inv = H.indices(_value_at(dual, H, xs).transpose(0, 2, 1))
+        stacks = [(g, c[i], hs[i]) for g, c, i in zip(reps, conj, inside)]
+        bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+        return stacks, (where[inside], xs, xs_inv), bounds
 
 
 def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
@@ -209,7 +242,11 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
                        seed: int = DEFAULT_SEED) -> MackeyVerdict:
     """Mackey's criterion: Ind_H^G W is irreducible iff W is irreducible
     and, for every double-coset representative g outside H, the module
-    gW (x) W^dual over gHg^-1 n H has no invariants."""
+    gW (x) W^dual over gHg^-1 n H has no invariants.  W is evaluated once,
+    at the indices that sub keeps for every intersection (g^-1 x g, and
+    x^-1, since W^dual(x) = W(x^-1)^T for a representation W of H, as
+    the criterion presumes), and the intersections are tested in order up
+    to the first with invariants."""
     G, H = sub.ambient, sub.subgroup
     fld, gf = W.field, G.field
     if len(W.action) != len(H.gens):  # index 1 evaluates W nowhere
@@ -219,10 +256,12 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
             f"characteristic {fld.ell} divides the group order {G.order}")
     if not is_irreducible(W, seed=seed):
         return MackeyVerdict(False, "W is reducible over H")
-    wdual = dual_module(W)
-    for g, conj, xs in sub.intersections:
-        mats = fld.kron(module_value(W, H, conj), module_value(wdual, H, xs))
-        inv = invariants_dim(ModuleRep(fld, mats))
+    (conj, _, x_inv), bounds = sub.intersection_indices
+    values = _value_at(W, H, np.concatenate([conj, x_inv]))
+    dual = values[len(conj):].transpose(0, 2, 1)
+    mats = fld.kron(values[:len(conj)], dual)
+    for (g, _, _), lo, hi in zip(sub.intersections, bounds, bounds[1:]):
+        inv = invariants_dim(ModuleRep(fld, mats[lo:hi]))
         if inv > 0:
             return MackeyVerdict(False, "condition (II') fails", (gf, g), inv)
     return MackeyVerdict(True, "criterion satisfied")
@@ -289,19 +328,42 @@ def clifford_blocks_transitive(G: FinMatGroup, n_gens,
     return len(reached) == e
 
 
+def _mask_keys(masks) -> list:
+    """The byte key of every row of a boolean (k, N) mask array: its
+    packed bits."""
+    packed = np.packbits(masks, axis=-1)
+    return packed.view(f"V{packed.shape[-1]}").ravel().tolist()
+
+
+def _number_new(index: dict, keys) -> np.ndarray:
+    """The positions in keys of the keys new to index, first occurrences
+    only, in order; index numbers them on from its length, in that order."""
+    start = len(index)
+    got = np.fromiter(map(index.setdefault, keys, count(start)), np.int64, len(keys))
+    fresh = np.flatnonzero(got == np.arange(start, start + len(keys)))
+    index.update(zip([keys[p] for p in fresh], count(start)))
+    return fresh
+
+
 def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     """Every subgroup of a small group, found by closing the cyclic
     subgroups under pairwise joins; optionally one per conjugacy class.
 
-    Subgroups are sets of closure indices of G, the only group closed.
-    The powers of all elements take one stacked product per step, and
-    give each element's inverse for the conjugacy test; a join is the
-    union of two subgroups grown under right multiplication by their
-    generators, one index row per generator element, read from G's right
-    Cayley table (FinMatGroup.right_rows).  Each unordered, non-nested
-    pair is joined once, all the pairs of a round in one grow_mask over
-    as many disjoint copies of G's index space, and a new subgroup keeps
-    the generators of the first pair, in pair order, that reaches it.  A
+    Subgroups are rows of one boolean (K, N) mask matrix over G's closure,
+    the only group closed, in the order they are found, each keyed by its
+    packed bits and kept with a generator list.  The powers of all
+    elements take one stacked product per step, and give each element's
+    inverse for the conjugacy test.  Each round joins, in pair order,
+    every unordered pair that is not nested and has a member found in the
+    round before: one product of the mask matrix with its complement tests
+    the nesting of all pairs, the joins start from the unions of their
+    rows, and one grow_mask grows them all over as many disjoint copies
+    of G's index space, under the right rows of their generators, read
+    from G's right Cayley table (FinMatGroup.right_rows) once per element
+    that some generator list holds.  A new subgroup keeps the generators
+    of the first pair that reaches it.  Up to conjugacy, a subgroup is
+    kept unless it is among the conjugates g H g^-1 of one kept before
+    it, which are its row gathered along a table of conjugation.  A
     subgroup whose generator list is G's is returned as G itself, with
     its closure, and every group returned shares G's module store
     (irreducible_modules)."""
@@ -315,56 +377,54 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
         powers.append(G.indices(step))
         done |= powers[-1] == 0
     powers = np.array(powers)
-    subs = {}  # frozenset of element indices -> generator element indices
-    for x, cyclic in enumerate(powers.T.tolist()):
-        subs.setdefault(frozenset(cyclic), [x])
-    rows = {}  # generator element x -> index of y x for every y
-
-    def joins(pairs):
-        """The join of every pair, all in one grow_mask over P copies of G's
-        index space: pair p's rows are shifted by p N, and identity rows
-        pad the shorter generator lists."""
-        gens = [subs[a] + subs[b] for a, b in pairs]
-        missing = list(dict.fromkeys(x for xs in gens for x in xs if x not in rows))
-        rows.update(zip(missing, G.right_rows(missing)))
-        table = np.tile(np.arange(N), (max(map(len, gens)), len(pairs), 1))
-        for p, xs in enumerate(gens):
-            table[:len(xs), p] = [rows[x] for x in xs]
-        table += np.arange(0, len(pairs) * N, N)[:, None]
-        mask = np.zeros((len(pairs), N), dtype=bool)
-        for p, (a, b) in enumerate(pairs):
-            mask[p, list(a | b)] = True
-        mask = grow_mask(mask.ravel(), table.reshape(len(table), -1))
-        return [frozenset(np.flatnonzero(m).tolist()) for m in mask.reshape(-1, N)]
-
+    cyclic = np.zeros((N, N), dtype=bool)
+    cyclic[np.arange(N)[:, None], powers.T] = True
+    index = {}  # packed mask -> row of masks
+    first = _number_new(index, _mask_keys(cyclic))
+    masks, gens = cyclic[first], [[x] for x in first.tolist()]
+    # the right row of every generator element, at slot[x] of rows
+    slot, rows = np.full(N, -1), np.empty((0, N), np.int64)
     joined = 0  # pairs among the first `joined` subgroups are done
-    while len(subs) > joined:
-        keys = list(subs)
-        pairs = [(key, other) for i, key in enumerate(keys)
-                 for other in keys[max(i + 1, joined):]
-                 if not (key <= other or other <= key)]
-        # each new subgroup keeps the generators of the first pair that reaches it
-        for (key, other), new in zip(pairs, joins(pairs) if pairs else []):
-            subs.setdefault(new, subs[key] + subs[other])
-        joined = len(keys)
+    while len(masks) > joined:
+        K = len(masks)
+        outside = masks.astype(np.int64) @ ~masks.T  # |A \ B| for rows A, B
+        later = np.arange(K) > np.arange(K)[:, None]
+        a, b = np.nonzero(later & (outside > 0) & (outside.T > 0) & (np.arange(K) >= joined))
+        if len(a):
+            width = max(map(len, gens))
+            padded = np.zeros((K, width), np.int64)  # the identity pads
+            for i, xs in enumerate(gens):
+                padded[i, :len(xs)] = xs
+            pair_gens = np.concatenate([padded[a], padded[b]], axis=1)
+            missing = np.flatnonzero((slot < 0) & np.isin(np.arange(N), pair_gens))
+            slot[missing] = np.arange(len(rows), len(rows) + len(missing))
+            rows = np.concatenate([rows, G.right_rows(missing.tolist())])
+            # pair p's rows shifted into the p-th copy of the index space
+            table = rows[slot[pair_gens]] + np.arange(0, len(a) * N, N)[:, None, None]
+            grown = grow_mask((masks[a] | masks[b]).ravel(),
+                              table.transpose(1, 0, 2).reshape(2 * width, -1))
+            grown = grown.reshape(-1, N)
+            fresh = _number_new(index, _mask_keys(grown))
+            masks = np.concatenate([masks, grown[fresh]])
+            gens += [gens[i] + gens[j] for i, j in zip(a[fresh].tolist(), b[fresh].tolist())]
+        joined = K
     if up_to_conjugacy:
         # the first subgroup of each class in the order above; the rest
-        # are among the conjugates g H g^-1 of one already kept
+        # are among the conjugates g H g^-1 of one already kept, and
+        # y lies in g H g^-1 where g^-1 y g = conj[g, y] lies in H
         # x^-1 is the power of x just before the first 1 after x^0
         inverses = elems[powers[(powers[1:] == 0).argmax(0), np.arange(N)]]
-        seen, kept = set(), {}
-        for key, gens in subs.items():
-            if key in seen:
-                continue
-            conj = fld.matmul(fld.matmul(elems[:, None], elems[sorted(key)][None]),
-                              inverses[:, None])
-            seen.update(map(frozenset, G.indices(conj).tolist()))
-            kept[key] = gens
-        subs = kept
+        conj = G.indices(fld.matmul(fld.matmul(inverses[:, None], elems[None]),
+                                    elems[:, None]))
+        seen, kept = set(), []
+        for i, key in enumerate(index):
+            if key not in seen:
+                seen.update(_mask_keys(masks[i][conj]))
+                kept.append(gens[i])
+        gens = kept
     # one Mat per generator element, shared by the generator lists
-    mats = {x: Mat(fld, elems[x])
-            for x in dict.fromkeys(x for gens in subs.values() for x in gens)}
-    groups = [FinMatGroup(fld, [mats[x] for x in gens]) for gens in subs.values()]
+    mats = {x: Mat(fld, elems[x]) for x in dict.fromkeys(x for xs in gens for x in xs)}
+    groups = [FinMatGroup(fld, [mats[x] for x in xs]) for xs in gens]
     own = G.gens.tobytes()
     groups = [G if H.gens.tobytes() == own else H for H in groups]
     G._subgroups.update((H.gens.tobytes(), H) for H in groups)
@@ -373,14 +433,23 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     return groups
 
 
+def _regular_permutations(H: FinMatGroup) -> np.ndarray:
+    """For each generator h of H, the closure index of h x for every
+    element x: the left-regular representation as a (k, |H|) array, kept
+    on H."""
+    if H._regular is None:
+        H._regular = H.indices(H.field.matmul(H.gens[:, None], H.closure()))
+        H._regular.setflags(write=False)
+    return H._regular
+
+
 def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
     """Left-regular representation of H over an arbitrary coefficient
     field (permutation matrices on the element list)."""
-    elems = H.closure()
-    k, n = len(H.gens), len(elems)
+    perm = _regular_permutations(H)
+    k, n = perm.shape
     P = np.zeros((k, n, n), dtype=np.int64)
-    P[np.arange(k)[:, None], H.indices(H.field.matmul(H.gens[:, None], elems)),
-      np.arange(n)] = 1
+    P[np.arange(k)[:, None], perm, np.arange(n)] = 1
     return ModuleRep(fld, P)
 
 
@@ -394,12 +463,15 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     H._irreducibles, which the groups of one all_subgroups call share with
     their ambient group: a later call, on H or on a group whose regular
     representation is the same matrices (two classes of C2, say), returns
-    a new list of the same, already certified, modules."""
+    a new list of the same, already certified, modules.  The action is
+    keyed by its permutations, which H keeps, so the regular
+    representation is built only for a key not stored yet."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
-    reg = regular_rep(H, fld)
-    key = (fld, seed, reg.action.shape, reg.action.tobytes())
+    perm = _regular_permutations(H)
+    key = (fld, seed, perm.shape, perm.tobytes())
     if key not in H._irreducibles:
+        reg = regular_rep(H, fld)
         H._irreducibles[key] = [m for m, _ in composition_factors(reg, seed=seed)]
     return list(H._irreducibles[key])

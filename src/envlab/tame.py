@@ -6,8 +6,9 @@ semisimple matrix.
 
 No local fields appear; the inertia group is modeled abstractly by the
 image of a topological generator, which is all the weight multiset
-depends on.  A factor's roots are found by fieldcore's Horner on the
-stack of nonzero elements of F_{ell^e} as 1 x 1 matrices.
+depends on.  A factor's roots are found by fieldcore._roots, the
+MeatAxe's root scan: one Horner on the stack of all elements of
+F_{ell^e} as 1 x 1 matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotCompatible, NotDivisor,
                      OrderDivisibleByEll, OutOfRange, ValidationError)
-from .fieldcore import (Mat, ModuleRep, _eval_poly_at_matrix, _first_relation, _krylov,
+from .fieldcore import (Mat, ModuleRep, _first_relation, _krylov, _roots,
                         composition_factors)
 from .gf import field_make, is_prime, poly_gcd, poly_trim
 
@@ -140,11 +141,11 @@ def _is_squarefree(fld, poly):
 def _factor_exponent(ell, poly):
     """For an irreducible degree-e polynomial over F_ell, the discrete log
     of its least root in the canonical F_{ell^e} against the least
-    primitive element."""
+    primitive element (0 is no root: the polynomial is irreducible and,
+    being the minimal polynomial of an invertible matrix, not x)."""
     e = len(poly) - 1
     ext = field_make(ell, e)
-    vals = _eval_poly_at_matrix(ext, poly, np.arange(1, ext.q).reshape(-1, 1, 1))
-    return e, ext.dlog(1 + int(np.flatnonzero(vals.ravel() == 0)[0]))
+    return e, ext.dlog(int(_roots(ext, poly)[0]))
 
 
 def tame_weights_of_rep(rho, twist: int = 0) -> TameWeights:

@@ -244,6 +244,21 @@ def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
     assert kernel_arith == []
 
 
+def test_mackey_session_builds_each_regular_representation_once(monkeypatch):
+    # S4 over F_13, as bench/workloads.py runs it: irreducible_modules is
+    # called for each of the 11 classes and for G, and builds the regular
+    # representation only for the 9 keys it has not stored; the key is read
+    # from the permutations each group keeps
+    mk = envlab.mackey
+    built, calls = [], []
+    reg, modules = mk.regular_rep, mk.irreducible_modules
+    monkeypatch.setattr(mk, "regular_rep", lambda *a: built.append(1) or reg(*a))
+    monkeypatch.setattr(mk, "irreducible_modules",
+                        lambda *a, **kw: calls.append(1) or modules(*a, **kw))
+    _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
+    assert (len(calls), len(built)) == (12, 9)
+
+
 def test_clifford_with_n_equal_to_g_searches_nothing(monkeypatch):
     # S4 over F_13, before any all_subgroups call: restricted to G itself,
     # each irreducible V is V, certificate and all, and one class of one

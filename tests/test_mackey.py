@@ -11,10 +11,11 @@ from corpus import (closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat,
                     symmetric_group)
 from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, ValidationError
-from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, commutant,
-                              composition_factors, modules_isomorphic)
+from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, commutant,
+                              composition_factors, invariants_dim, is_irreducible,
+                              modules_isomorphic)
 from envlab.gf import field_make
-from envlab.mackey import (all_subgroups, clifford_blocks_transitive,
+from envlab.mackey import (MackeyVerdict, all_subgroups, clifford_blocks_transitive,
                            clifford_decompose, double_coset_reps, dual_module,
                            frobenius_reciprocity_dim, induce,
                            irreducible_modules, mackey_irreducible,
@@ -161,6 +162,71 @@ def test_datum_keeps_its_double_coset_intersections(G, fld, monkeypatch):
                 == (b.irreducible, b.reason, b.invariant_dim, b.failing_rep)
         assert len(calls) == 1
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_datum_keeps_the_indices_of_its_intersections(G, fld):
+    # the indices in H of g^-1 x g, of x and of x^-1, entry by entry
+    for H in all_subgroups(G, up_to_conjugacy=False):
+        sub = subgroup_datum(G, H.generators)
+        (conj, xs, xs_inv), bounds = sub.intersection_indices
+        assert len(bounds) == len(sub.intersections) + 1 and bounds[-1] == len(conj)
+        for (_, c, x), lo, hi in zip(sub.intersections, bounds, bounds[1:]):
+            inverses = np.array([Mat(H.field, y).inverse().array for y in x])
+            assert np.array_equal(conj[lo:hi], H.indices(c))
+            assert np.array_equal(xs[lo:hi], H.indices(x))
+            assert np.array_equal(xs_inv[lo:hi], H.indices(inverses))
+
+
+def reference_mackey_irreducible(sub, W, seed=DEFAULT_SEED):
+    """Mackey's criterion with W^dual as a module of its own: the inverse
+    of every action matrix, and both W and W^dual walked along the words
+    of the intersection's elements, one intersection at a time."""
+    G, H = sub.ambient, sub.subgroup
+    fld = W.field
+    if not is_irreducible(W, seed=seed):
+        return MackeyVerdict(False, "W is reducible over H")
+    wdual = dual_module(W)
+    for g, conj, xs in sub.intersections:
+        mats = fld.kron(module_value(W, H, conj), module_value(wdual, H, xs))
+        inv = invariants_dim(ModuleRep(fld, mats))
+        if inv > 0:
+            return MackeyVerdict(False, "condition (II') fails", (G.field, g), inv)
+    return MackeyVerdict(True, "criterion satisfied")
+
+
+def verdict_bytes(v):
+    failing = None if v.failing is None else (v.failing[0], v.failing[1].tobytes())
+    return v.irreducible, v.reason, failing, v.invariant_dim
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_mackey_irreducible_matches_the_dual_module_loop(G, fld):
+    # every (H, W) of the corpus, W irreducible or the regular
+    # representation, which is reducible but for the trivial group
+    failed = 0
+    for H in all_subgroups(G, up_to_conjugacy=False):
+        sub = subgroup_datum(G, H.generators)
+        for W in irreducible_modules(H, fld) + [regular_rep(H, fld)]:
+            want = verdict_bytes(reference_mackey_irreducible(sub, W))
+            assert verdict_bytes(mackey_irreducible(sub, W)) == want
+            failed += want[2] is not None
+    assert failed
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G, _ in mackey_corpus()])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_all_subgroups_matches_reference_on_conjugated_corpus_groups(G, data):
+    # the generators of a corpus group all conjugated by one random P in
+    # GL_n over its field
+    fld = G.field
+    P = np.array(data.draw(st.lists(st.integers(0, fld.q - 1), min_size=G.n ** 2,
+                                    max_size=G.n ** 2)), dtype=np.int64).reshape(G.n, G.n)
+    assume(fld.rank(P) == G.n)
+    same_subgroup_lists(FinMatGroup(fld, fld.matmul(fld.matmul(P, G.gens), fld.inv_matrix(P))))
 
 
 def test_double_cosets_partition():

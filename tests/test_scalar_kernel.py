@@ -6,13 +6,15 @@ random stream must not change), the distinct-degree search
 (gf.poly_distinct_degree) against the MeatAxe's first DDF loop and
 sympy's factorization, the irreducibility test against sympy on every
 small monic polynomial, _irreducible_factor against sympy's
-factorization, and GF.dlog against the BSGS on one-element numpy products.
-sympy is a test-only dependency."""
+factorization, the root scan (fieldcore._roots, _split_roots) against the
+distinct-degree search and Cantor-Zassenhaus it replays, and GF.dlog
+against the BSGS on one-element numpy products.  sympy is a test-only
+dependency."""
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy_poly
@@ -189,3 +191,54 @@ def test_linear_factor_is_returned_at_once():
     assert _irreducible_factor(fld, p, rng) is p
     assert rng.integers(0, 2 ** 32) == np.random.default_rng(0).integers(0, 2 ** 32)
 
+
+# GF(2, 3, 5, 13, 4, 8, 9, 16, 25) scan for roots; F_4099 lies above
+# ROOT_SCAN_MAX_Q and keeps the distinct-degree search
+SCAN_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]
+
+
+@pytest.mark.parametrize("ell,d", SCAN_FIELDS + [(4099, 1)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_root_scan_replays_the_equal_degree_search(ell, d, data):
+    # a monic product of random linear factors, with or without an
+    # irreducible quadratic cofactor: _irreducible_factor returns the
+    # factor of the distinct-degree search and Cantor-Zassenhaus, and
+    # leaves the generator where they leave it
+    fld = field_make(ell, d)
+    element = st.integers(0, fld.q - 1)
+    p = [1]
+    for a in data.draw(st.lists(element, min_size=0, max_size=8)):
+        p = gf.poly_mul(fld, p, [a, 1])
+    if data.draw(st.booleans()) or len(p) < 3:
+        quadratic = [data.draw(element), data.draw(element), 1]
+        assume(gf.poly_distinct_degree(fld, quadratic)[0] == 2)
+        p = gf.poly_mul(fld, p, quadratic)
+    seed = data.draw(st.integers(0, 2 ** 32))
+    scans, scan = [], fieldcore._roots
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldcore, "_roots", lambda *a: scans.append(1) or scan(*a))
+        got = _irreducible_factor(fld, p, mine)
+    k, g = gf.poly_distinct_degree(fld, p)
+    assert got == fieldcore._equal_degree_factor(fld, g, k, theirs)
+    assert mine.integers(0, 2 ** 62, size=4).tolist() == theirs.integers(0, 2 ** 62, size=4).tolist()
+    assert len(scans) == (fld.q <= fieldcore.ROOT_SCAN_MAX_Q)
+
+
+def scalar_value(fld, p, a):
+    add, mul, _ = fld.scalar_ops
+    v = 0
+    for c in reversed(p):
+        v = add(mul(v, a), c)
+    return v
+
+
+@pytest.mark.parametrize("ell,d", SCAN_FIELDS)
+def test_roots_are_the_zeros_of_the_scan(ell, d):
+    # every root in ascending order, as scalar Horner finds them one at a time
+    fld = field_make(ell, d)
+    p = gf.poly_mul(fld, gf.poly_mul(fld, [fld.q - 1, 1], [1, 1]), [1, 0, 1])
+    want = [a for a in range(fld.q) if scalar_value(fld, p, a) == 0]
+    assert fieldcore._roots(fld, p).tolist() == want
+    assert {int(fld.neg(fld.q - 1)), int(fld.neg(1))} <= set(want)
