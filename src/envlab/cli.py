@@ -26,13 +26,15 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .charlattice import (FormalCharacter, fc_equivalent, fc_normalize,
                           fc_predicates, has_affine_triple)
-from .errors import ResourceError, UsageError, ValidationError
+from .errors import DimensionMismatch, ResourceError, UsageError, ValidationError
 from .fieldcore import (DEFAULT_CLOSURE_CAP, DEFAULT_SEED, FinMatGroup,
                         ModuleRep, _is_int_list, json_int, matrix_from_flat)
 from .gf import field_make
-from .mackey import clifford_decompose, mackey_irreducible, subgroup_datum
+from .mackey import _value_at, clifford_decompose, mackey_irreducible, subgroup_datum
 from .nori import nori_points
 from .pipeline import eliminate_cases, envelope_report
 from .smallrep import table_a
@@ -125,6 +127,16 @@ def _module_from(doc, key="module"):
     return ModuleRep(fld, [m.array for m in mats])
 
 
+def _check_representation(W: ModuleRep, H: FinMatGroup):
+    """ValidationError unless W(x g) = W(x) W(g) for every element x of
+    H's closure and generator g: one word walk and the right Cayley table."""
+    if len(W.action) != len(H.gens):
+        raise DimensionMismatch("one action matrix per generator of the group")
+    values = _value_at(W, H, np.arange(len(H.closure())))
+    if not np.array_equal(values[H._right], W.field.matmul(values[:, None], W.action[None])):
+        raise ValidationError("the module is not a representation of the group")
+
+
 def _cmd_nori(args):
     G = FinMatGroup.from_json(_load_input(args))
     result = nori_points(G, cap=args.cap)
@@ -198,6 +210,7 @@ def _cmd_mackey(args):
     sub_gens = _mats_from(G.field, G.n, doc["subgroup"])
     sub = subgroup_datum(G, sub_gens)
     W = _module_from(doc)
+    _check_representation(W, sub.subgroup)
     verdict = mackey_irreducible(sub, W, seed=args.seed)
     out = {
         "irreducible": verdict.irreducible,
@@ -214,6 +227,7 @@ def _cmd_clifford(args):
     G.closure(args.cap)
     n_gens = _mats_from(G.field, G.n, doc["normal"])
     V = _module_from(doc)
+    _check_representation(V, G)
     shape = clifford_decompose(G, n_gens, V, seed=args.seed)
     _emit({"e": shape.e, "f": shape.f,
            "factor_dim": shape.factors[0].dim}, args)

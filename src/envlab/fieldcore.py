@@ -17,7 +17,9 @@ Modules are given by the action matrices of a free generating set, held
 as one read-only (k, m, m) stack, ModuleRep.action, in the encoding that
 _canonical gives every matrix; direct sums, intertwiners, invariants and
 the MeatAxe's submodule and quotient actions are stacked operations on
-it.  No relations are checked unless a group closure is materialized.
+it.  A module is taken to be a representation of the group whose
+generators index it: the library checks no relation among the matrices,
+and the CLI checks W(x g) = W(x) W(g) over the group's closure.
 All values are immutable after construction, apart from the witness a
 ModuleRep may store (below); randomized routines take an explicit seed
 and a budget of random algebra elements.
@@ -36,11 +38,9 @@ at most once per dimension, so a tall stack of mostly redundant
 matrices costs a few small rrefs.  The MeatAxe's polynomial arithmetic
 is the kernel in gf, and _eval_poly_at_matrix, a Horner on a matrix or
 a stack, is the one evaluation at matrices (also of nori and tame).
-Over a field of at most ROOT_SCAN_MAX_Q elements, a least-degree factor
-with a root is found by that Horner at every field element at once
-(_roots, which tame shares), and the Cantor-Zassenhaus draws that would
-isolate one linear factor are replayed on the roots (_split_roots), so
-the factor and the rng stream are those of the search in gf.
+Over a field of at most ROOT_SCAN_MAX_Q elements, a p with a root has
+the least-degree factor x - a for its least root a, found with no draw by
+that Horner at every field element at once (_roots, which tame shares).
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -56,10 +56,12 @@ classes it has certified (modules_isomorphic), and an isomorphism to an
 irreducible is itself a proof of irreducibility (Holt & Rees 1994), so
 only a piece that matches none is searched.  Nor does it search what
 needs no search: a certified module comes back as it is, and a piece on
-which every generator is a scalar is counted as copies of a line.  Each
-rule moves the seed on as far as the searches it skips would have, so
-the factors are those of searching every piece.  A negative seed is a
-ValidationError (checked_seed) at every entry that draws from one.
+which every generator is a scalar is counted as copies of a line.  The
+seed decides how fast the searches find the factors, and which member
+stands for each class, never which classes there are;
+mackey.irreducible_modules puts its classes in one canonical order.  A
+negative seed is a ValidationError (checked_seed) at every entry that
+draws from one.
 """
 
 from __future__ import annotations
@@ -553,51 +555,16 @@ def _roots(fld, p) -> np.ndarray:
 def _irreducible_factor(fld, p, rng):
     """One irreducible factor of the monic polynomial p, of least degree.
 
-    Over F_q with q <= ROOT_SCAN_MAX_Q, a p with roots gives a linear
-    factor found from them (_split_roots); that replays the draws of
-    _equal_degree_factor on gcd(p, x^q - x) exactly, so the factor and
-    every later draw of rng are those of the search below, which a p with
-    no root, or a larger field, still runs."""
+    Over F_q with q <= ROOT_SCAN_MAX_Q, a p with roots gives x - a for its
+    least root a (_roots), with no draw.  A p with no root, or a larger
+    field, takes the distinct-degree search and Cantor-Zassenhaus, whose
+    draws from rng decide which factor of that least degree comes back."""
     if len(p) == 2:
         return p  # monic linear
     if fld.q <= ROOT_SCAN_MAX_Q and len(roots := _roots(fld, p)):
-        return _split_roots(fld, roots.tolist(), rng)
+        return [fld.scalar_ops[2](int(roots[0])), 1]
     k, g = poly_distinct_degree(fld, p)
     return _equal_degree_factor(fld, g, k, rng)
-
-
-def _split_roots(fld, roots, rng):
-    """_equal_degree_factor(fld, g, 1, rng) for g the product of x - a over
-    the distinct roots a, computed on the roots.  Every draw is kept, since
-    the draws are part of the caller's rng stream: the same
-    rng.integers(0, q, size=deg g) call, trimmed, and skipped below degree
-    1.  By the Chinese remainder theorem gcd(g, h) is the product of x - a
-    over the roots a where h(a) = 0: for odd q, h = r^((q - 1)/2) - 1, so
-    where r(a) is a nonzero square (Euler's criterion); for even q, h is
-    the absolute trace of r, so where Tr(r(a)) = 0.  The smaller side
-    survives, that gcd on a tie, until one root a is left: x - a."""
-    add, mul, neg = fld.scalar_ops
-    half = (fld.q - 1) // 2
-    while len(roots) > 1:
-        r = poly_trim(rng.integers(0, fld.q, size=len(roots)).tolist())
-        if len(r) < 2:
-            continue
-        side, rest = [], []  # the roots of gcd(g, h), and the others
-        for a in roots:
-            v = 0
-            for c in reversed(r):
-                v = add(mul(v, a), c)
-            if fld.ell == 2:  # Tr(v) = v + v^2 + ... + v^(2^(d - 1))
-                t = trace = v
-                for _ in range(fld.d - 1):
-                    t = mul(t, t)
-                    trace = add(trace, t)
-                (side if trace == 0 else rest).append(a)
-            else:
-                (side if fld.pow(v, half) == 1 else rest).append(a)
-        if side and rest:
-            roots = side if len(side) <= len(rest) else rest
-    return [neg(roots[0]), 1]
 
 
 def _equal_degree_factor(fld, g, k, rng):
@@ -815,12 +782,13 @@ def _submodule_action(fld, action, basis):
     return sub, fld.sub(action[:, free][:, :, free], above)
 
 
-def _traces(rho: ModuleRep) -> np.ndarray:
-    """The trace of each generator's action, summed with GF.add."""
-    diagonal = np.diagonal(rho.action, axis1=1, axis2=2)
-    trace = diagonal[:, 0]
-    for column in diagonal.T[1:]:
-        trace = rho.field.add(trace, column)
+def _traces(fld: GF, stack) -> np.ndarray:
+    """The trace of every matrix of an (..., m, m) stack, summed with
+    GF.add."""
+    diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
+    trace = diagonal[..., 0]
+    for j in range(1, diagonal.shape[-1]):
+        trace = fld.add(trace, diagonal[..., j])
     return trace
 
 
@@ -833,7 +801,7 @@ def modules_isomorphic(a: ModuleRep, b: ModuleRep) -> bool:
     if a.dim != b.dim:
         return False
     if (a.field == b.field and len(a.action) == len(b.action)
-            and not np.array_equal(_traces(a), _traces(b))):
+            and not np.array_equal(_traces(a.field, a.action), _traces(b.field, b.action))):
         return False
     return len(intertwiners(a, b)) > 0
 
@@ -842,26 +810,22 @@ def composition_factors(rho: ModuleRep, seed: int = DEFAULT_SEED,
                         budget: int = DEFAULT_MEATAXE_BUDGET):
     """Multiset of irreducible factors, as a list of (ModuleRep,
     multiplicity), one class per iso-class in the order its first member
-    was certified, that member standing for it.
+    was certified, that member standing for it.  That order and those
+    members depend on the seed; the classes and multiplicities do not.
 
-    Pieces are split off a stack, rho itself first.  Searching every
-    piece, the piece popped i-th with seed + i, would find the classes
-    below; three rules skip searches and keep every seed that loop draws,
-    so the classes, their order and their members are the same:
+    Pieces are split off a stack, rho itself first, and only a piece that
+    no rule below answers is searched, the i-th search with seed + i:
     - rho is popped as the object it is, so a certified rho comes back as
       its own single class, and meataxe_split returns its stored witness;
     - a piece on which every generator acts as a scalar c is dim copies of
-      the 1 x 1 class (c).  Every split of it splits off a line, so its
-      split tree has dim leaves and 2 dim - 1 pieces, and the seed moves
-      on by that many;
+      the 1 x 1 class (c);
     - any other piece is first compared with the classes found so far.
       Those are irreducible, so a match is exact (modules_isomorphic) and
-      is counted with no search; the seed moves on by one, as for a
-      searched piece."""
+      is counted with no search."""
     fld = rho.field
     classes = []
     stack = [rho]
-    salt = 0
+    searches = 0
     while stack:
         piece = stack.pop()
         line = piece.action[:, :1, :1]
@@ -872,20 +836,20 @@ def composition_factors(rho: ModuleRep, seed: int = DEFAULT_SEED,
                 known[1] += piece.dim
             else:
                 one = piece if piece.dim == 1 else ModuleRep(fld, line)
-                meataxe_split(one, seed + salt, budget)  # a line: no draw
+                meataxe_split(one, seed, budget)  # a line: no draw
                 classes.append([one, piece.dim])
-            salt += 2 * piece.dim - 1
             continue
         known = next((entry for entry in classes if modules_isomorphic(entry[0], piece)),
                      None)
         if known:
             known[1] += 1
-        elif isinstance(verdict := meataxe_split(piece, seed + salt, budget),
-                        IrreducibleWitness):
+            continue
+        verdict = meataxe_split(piece, seed + searches, budget)
+        searches += 1
+        if isinstance(verdict, IrreducibleWitness):
             classes.append([piece, 1])
         else:
             stack.extend(ModuleRep(fld, a) for a in _submodule_action(fld, piece.action, verdict))
-        salt += 1
     assert sum(m.dim * k for m, k in classes) == rho.dim
     return [(m, k) for m, k in classes]
 

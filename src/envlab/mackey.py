@@ -22,22 +22,24 @@ has.  The class of G itself is G, whenever it kept G's generator list,
 and G's own list always gives G.  G's right Cayley table covers only its
 generators (N x k); there is no |G| x |G| table, nor an |H| x |H| one.
 
-Nothing a session has answered is searched again.  irreducible_modules
-stores its modules, each with its witness, by coefficient field, seed
-and regular representation, in a store that the groups of one
-all_subgroups call share with G; so G after its classes, and a class
-whose regular representation another had (S4's two C2 classes), search
-nothing, and each group keeps the permutations that key the store.
-restrict(V, G, G) is V, which composition_factors returns as it is.  A
-SubgroupDatum keeps its double-coset intersections and the H-indices
-of their elements and inverses, so mackey_irreducible evaluates only W,
-in one word walk, and forms no dual module.
+Nothing a session has answered is searched again, and neither an answer
+nor its order depends on the seed.  irreducible_modules sorts its
+modules into one canonical order and stores them, each with its
+witness, by coefficient field, seed and regular representation, in a
+store that the groups of one all_subgroups call share with G; so G
+after its classes, and a class whose regular representation another had
+(S4's two C2 classes), search nothing, and each group keeps the
+permutations that key the store.  restrict(V, G, G) is V, which
+composition_factors returns as it is.  A SubgroupDatum keeps its
+double-coset intersections and the H-indices of their elements and
+inverses, so mackey_irreducible evaluates only W, in one word walk, and
+forms no dual module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count
 
 import numpy as np
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
 from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _inverse_stack,
-                        composition_factors, grow_mask, intertwiners,
+                        _traces, composition_factors, grow_mask, intertwiners,
                         invariants_dim, is_irreducible, modules_isomorphic)
 from .gf import GF
 
@@ -455,23 +457,34 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
 
 def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     """One module per iso-class of irreducibles of H over the coefficient
-    field, from the regular representation.  Complete when the field is a
-    splitting field of characteristic prime to |H|.
+    field, from the regular representation, sorted by dimension and then
+    by the trace at every element of H's closure, in closure order, read
+    from one word walk of their direct sum.  The trace functions of
+    non-isomorphic irreducibles are linearly independent, so no two keys
+    tie, and the order is the same for every seed.  Complete when the
+    field is a splitting field of characteristic prime to |H|.
 
     The modules depend on nothing but the field, the seed and the
     regular representation's action, so they are stored by those in
     H._irreducibles, which the groups of one all_subgroups call share with
     their ambient group: a later call, on H or on a group whose regular
-    representation is the same matrices (two classes of C2, say), returns
-    a new list of the same, already certified, modules.  The action is
-    keyed by its permutations, which H keeps, so the regular
-    representation is built only for a key not stored yet."""
+    representation is the same matrices (two classes of C2, say, which
+    number their closures alike), returns a new list of the same, already
+    certified, modules.  The action is keyed by its permutations, which H
+    keeps, so the regular representation is built only for a key not
+    stored yet."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
     perm = _regular_permutations(H)
     key = (fld, seed, perm.shape, perm.tobytes())
     if key not in H._irreducibles:
-        reg = regular_rep(H, fld)
-        H._irreducibles[key] = [m for m, _ in composition_factors(reg, seed=seed)]
+        modules = [m for m, _ in composition_factors(regular_rep(H, fld), seed=seed)]
+        values = _value_at(reduce(ModuleRep.direct_sum, modules), H, np.arange(perm.shape[1]))
+        ends = np.cumsum([m.dim for m in modules])
+        blocks = [values[:, hi - m.dim:hi, hi - m.dim:hi] for m, hi in zip(modules, ends)]
+        sort_keys = [(m.dim, tuple(_traces(fld, b).tolist())) for m, b in zip(modules, blocks)]
+        assert len(set(sort_keys)) == len(sort_keys)
+        order = sorted(range(len(modules)), key=sort_keys.__getitem__)
+        H._irreducibles[key] = [modules[i] for i in order]
     return list(H._irreducibles[key])

@@ -283,3 +283,17 @@ def reference_composition_factors(rho, seed=DEFAULT_SEED, budget=DEFAULT_MEATAXE
         else:
             classes.append([m, 1])
     return [(m, k) for m, k in classes]
+
+
+def same_classes(got, want):
+    """Whether two class lists, as composition_factors returns them, hold
+    the same iso-classes with the same multiplicities: each class of got
+    isomorphic to a different class of want, of its multiplicity."""
+    unmatched = list(want)
+    for m, k in got:
+        match = next((entry for entry in unmatched
+                      if entry[1] == k and reference_modules_isomorphic(entry[0], m)), None)
+        if match is None:
+            return False
+        unmatched.remove(match)
+    return not unmatched

@@ -5,15 +5,19 @@ than in a traced benchmark run.  The mackey session of bench/workloads.py
 must re-prove no irreducible module.  Reads bench/ and changes nothing in
 it."""
 
+import functools
 import importlib.util
 import os
 import sys
+
+import pytest
 
 import envlab.fieldcore
 import envlab.gf
 import envlab.mackey
 
 from corpus import sl2_group, symmetric_group
+from envlab.fieldcore import DEFAULT_SEED
 from envlab.mackey import (all_subgroups, clifford_decompose, irreducible_modules,
                            mackey_irreducible, subgroup_datum)
 from envlab.nori import nori_points, order_ell_elements
@@ -192,6 +196,23 @@ def test_mackey_session_meataxe_searches(monkeypatch):
                         lambda *a: searches.append(1) or search(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
     assert len(searches) == 87
+
+
+def test_mackey_bytes_do_not_depend_on_the_meataxe_seed(tmp_path):
+    # the seed-7 mackey jobs of bench/workloads.py, with irreducible_modules,
+    # mackey_irreducible and clifford_decompose given DEFAULT_SEED + s: the
+    # seed decides how fast each answer is found, never the output bytes
+    mk = envlab.mackey
+    jobs = _load("workloads")._mackey_jobs(7, str(tmp_path))
+    assert len(jobs) == 8
+    outputs = []
+    for shift in (0, 1, 2, 3, 1000):
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("irreducible_modules", "mackey_irreducible", "clifford_decompose"):
+                patch.setattr(mk, name, functools.partial(getattr(mk, name),
+                                                          seed=DEFAULT_SEED + shift))
+            outputs.append([job.run() for job in jobs])
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_mackey_session_certifies_each_irreducible_once(monkeypatch):

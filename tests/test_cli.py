@@ -226,6 +226,37 @@ def test_mackey_module_needs_one_matrix_per_generator(tmp_path, capsys, subgroup
     assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
 
+# S3 over F_7 on a transposition and a 3-cycle
+S3_F7 = {"ell": 7, "n": 3, "generators": [[0, 1, 0, 1, 0, 0, 0, 0, 1],
+                                          [0, 0, 1, 1, 0, 0, 0, 1, 0]]}
+TRANSPOSITION, THREE_CYCLE = S3_F7["generators"]
+
+
+@pytest.mark.parametrize("command,doc,want", [
+    ("mackey", {"group": S3_F7, "subgroup": [TRANSPOSITION], "module_field": {"ell": 7},
+                "module": [[2]]}, None),
+    ("clifford", {"group": S3_F7, "normal": [THREE_CYCLE], "module_field": {"ell": 7},
+                  "module": [[2], [3]]}, None),
+    ("mackey", {"group": S3_F7, "subgroup": [TRANSPOSITION], "module_field": {"ell": 7},
+                "module": [[6]]}, {"index": 3, "induced_dim": 3, "irreducible": False,
+                                   "reason": "condition (II') fails"}),
+    ("clifford", {"group": S3_F7, "normal": [THREE_CYCLE], "module_field": {"ell": 7},
+                  "module": [[6], [1]]}, {"e": 1, "f": 1, "factor_dim": 1}),
+], ids=["mackey-2-squared-is-not-1", "clifford-2-squared-is-not-1",
+        "mackey-sign-of-c2", "clifford-sign-of-s3"])
+def test_module_must_be_a_representation(tmp_path, capsys, command, doc, want):
+    # W(x g) = W(x) W(g) over the closure: 2^2 = 4 is no value of a
+    # transposition, while the sign characters pass and are answered
+    code = run([command, "--input", write_json(tmp_path / "rep.json", doc)])
+    out, err = capsys.readouterr()
+    if want is None:
+        assert code == 1
+        assert json.loads(err) == {"error": "ValidationError", "message":
+                                   "the module is not a representation of the group"}
+    else:
+        assert code == 0 and json.loads(out) == want
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run(["definitely-not-a-command"]) == 64
 

@@ -1,6 +1,8 @@
 """Induction, Frobenius reciprocity, Mackey's criterion, and Clifford
 decomposition on small groups."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -297,6 +299,32 @@ def test_regular_rep_and_irreducibles():
     s4 = symmetric_group(4, 13)
     dims4 = sorted(m.dim for m in irreducible_modules(s4, s4.field))
     assert dims4 == [1, 1, 2, 3, 3]
+
+
+def trace_key(W, G):
+    """(dim W, the trace of W at every element of G's closure, in closure
+    order), each matrix from word_value and each trace summed with the
+    field's scalar addition."""
+    add = W.field.scalar_ops[0]
+    values = [word_value(W, G, Mat(G.field, x)) for x in G.closure()]
+    return W.dim, tuple(functools.reduce(add, np.diagonal(v).tolist()) for v in values)
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_irreducible_modules_are_sorted_by_dimension_and_traces(G, fld):
+    # over the corpus field, and over GF(9) where 3 does not divide |G|:
+    # no two keys tie, and at another seed the class at each position is
+    # the same
+    for coefficients in (fld, field_make(3, 2)):
+        if G.order % coefficients.ell == 0:
+            continue
+        modules = irreducible_modules(G, coefficients)
+        keys = [trace_key(W, G) for W in modules]
+        assert keys == sorted(set(keys))
+        others = irreducible_modules(G, coefficients, seed=DEFAULT_SEED + 1)
+        assert len(others) == len(modules)
+        assert all(modules_isomorphic(a, b) for a, b in zip(modules, others))
 
 
 def test_restrict_composes_with_words():

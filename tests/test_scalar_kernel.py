@@ -1,15 +1,16 @@
 """The scalar polynomial kernel and the MeatAxe's factor search against the
 references they replaced: gf.poly_* against the numpy kernel of
 tests/numpy_poly.py over prime and extension fields, GF.scalar_ops against
-GF.add/mul/neg, composition factors with the old kernel patched in (the
-random stream must not change), the distinct-degree search
-(gf.poly_distinct_degree) against the MeatAxe's first DDF loop and
+GF.add/mul/neg, composition factors with and without the old kernel
+patched in (the same classes as the search-every-piece loop: the kernel
+and the seed decide only how fast they are found), the distinct-degree
+search (gf.poly_distinct_degree) against the MeatAxe's first DDF loop and
 sympy's factorization, the irreducibility test against sympy on every
 small monic polynomial, _irreducible_factor against sympy's
-factorization, the root scan (fieldcore._roots, _split_roots) against the
-distinct-degree search and Cantor-Zassenhaus it replays, and GF.dlog
-against the BSGS on one-element numpy products.  sympy is a test-only
-dependency."""
+factorization, the root scan (fieldcore._roots), which gives x - (the
+least root) with no draw, and the distinct-degree search and
+Cantor-Zassenhaus where it does not run, and GF.dlog against the BSGS on
+one-element numpy products.  sympy is a test-only dependency."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from envlab import fieldcore, gf
 from envlab.fieldcore import _irreducible_factor, composition_factors
 from envlab.gf import field_make
 from envlab.mackey import regular_rep
+from linalg_oracles import reference_composition_factors, same_classes
 
 FIELDS = [(2, 1), (7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]  # GF(2, 7, 13, 8, 9, 25)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -83,23 +85,23 @@ def test_scalar_ops_match_the_array_operations_everywhere(ell, d):
     assert fld.scalar_ops is fld.scalar_ops  # built once per field
 
 
-def factor_classes(module):
-    return [(m.action.tobytes(), m.dim, k) for m, k in composition_factors(module)]
-
-
 @pytest.mark.parametrize("group,ell,d", [(symmetric_group(4, 13), 13, 1),
                                          (dihedral_group(5, 3), 3, 2)])
 def test_composition_factors_draw_the_same_stream_as_the_numpy_kernel(
         group, ell, d, monkeypatch):
+    # the old kernel scans no roots, so it draws another stream; both find
+    # the classes of the search-every-piece loop, each factor certified
     fld = field_make(ell, d)
-    new = factor_classes(regular_rep(group, fld))
+    want = reference_composition_factors(regular_rep(group, fld))
+    new = composition_factors(regular_rep(group, fld))
     for name in numpy_poly.KERNEL:
         if hasattr(fieldcore, name):
             monkeypatch.setattr(fieldcore, name, getattr(numpy_poly, name))
     monkeypatch.setattr(fieldcore, "_irreducible_factor", lambda fld, p, rng: (
         numpy_poly.irreducible_factor(fld, p, rng, fieldcore._equal_degree_factor)))
-    old = factor_classes(regular_rep(group, fld))
-    assert new == old
+    old = composition_factors(regular_rep(group, fld))
+    assert same_classes(new, want) and same_classes(old, want)
+    assert all(m._witness is not None for m, _ in new + old)
     assert len(new) > 1
 
 
@@ -202,13 +204,16 @@ SCAN_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (2, 2), (2, 3), (3, 2), (2, 4), 
 @given(data=st.data())
 def test_root_scan_replays_the_equal_degree_search(ell, d, data):
     # a monic product of random linear factors, with or without an
-    # irreducible quadratic cofactor: _irreducible_factor returns the
-    # factor of the distinct-degree search and Cantor-Zassenhaus, and
-    # leaves the generator where they leave it
+    # irreducible quadratic cofactor.  Where the scan runs and p has a
+    # root, _irreducible_factor returns x - (the least root) and draws
+    # nothing; a p with no root, or a field above ROOT_SCAN_MAX_Q, gets the
+    # factor of the distinct-degree search and Cantor-Zassenhaus, and the
+    # generator is left where they leave it
     fld = field_make(ell, d)
     element = st.integers(0, fld.q - 1)
     p = [1]
-    for a in data.draw(st.lists(element, min_size=0, max_size=8)):
+    linear = data.draw(st.lists(element, min_size=0, max_size=8))
+    for a in linear:
         p = gf.poly_mul(fld, p, [a, 1])
     if data.draw(st.booleans()) or len(p) < 3:
         quadratic = [data.draw(element), data.draw(element), 1]
@@ -220,10 +225,15 @@ def test_root_scan_replays_the_equal_degree_search(ell, d, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fieldcore, "_roots", lambda *a: scans.append(1) or scan(*a))
         got = _irreducible_factor(fld, p, mine)
-    k, g = gf.poly_distinct_degree(fld, p)
-    assert got == fieldcore._equal_degree_factor(fld, g, k, theirs)
-    assert mine.integers(0, 2 ** 62, size=4).tolist() == theirs.integers(0, 2 ** 62, size=4).tolist()
-    assert len(scans) == (fld.q <= fieldcore.ROOT_SCAN_MAX_Q)
+    scanned = fld.q <= fieldcore.ROOT_SCAN_MAX_Q
+    if scanned and linear:
+        least = min(int(fld.neg(a)) for a in linear)
+        assert got == [int(fld.neg(least)), 1]
+    else:
+        k, g = gf.poly_distinct_degree(fld, p)
+        assert got == fieldcore._equal_degree_factor(fld, g, k, theirs)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    assert len(scans) == scanned
 
 
 def scalar_value(fld, p, a):
