@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import SearchBudgetExceeded, ValidationError
 
 DEFAULT_EQUIV_BUDGET = 10 ** 6
 
 
-# -- small exact linear algebra over Z (and Q) --
+# -- small exact linear algebra over Z --
 
 def _bareiss(rows):
     """Fraction-free Gauss-Jordan elimination over Z (Bareiss, Math. Comp.
@@ -50,19 +48,6 @@ def _bareiss(rows):
         if len(pivots) == len(A):
             break
     return A[:len(pivots)], pivots
-
-
-def q_rref(rows):
-    """Gauss-Jordan elimination over Q: (the nonzero rows of the reduced
-    row echelon form, as Fractions, and their pivot columns).  Each row is
-    scaled to integers, which leaves the row space alone, and eliminated
-    by _bareiss."""
-    scaled = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([int(x * den) for x in row])
-    R, pivots = _bareiss(scaled)
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(R, pivots)], pivots
 
 
 def _rank_q(rows):
@@ -162,6 +147,8 @@ class FormalCharacter:
     weights: tuple  # tuple of int tuples, multiset
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise ValidationError(f"a formal character's rank must be >= 0, got {self.rank}")
         ws = tuple(tuple(int(x) for x in w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         for w in ws:

@@ -422,16 +422,21 @@ def generator_commutators(G: FinMatGroup) -> np.ndarray:
     return fld.matmul(fld.matmul(fld.matmul(gens[a], gens[b]), inv[a]), inv[b])
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a JSON true or false (Python's bool is Integral)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def json_int(doc: dict, key: str, default=None) -> int:
     """doc[key] (or the default) as an int, or ValidationError."""
     value = doc.get(key, default)
-    if not isinstance(value, Integral):
+    if not _is_int(value):
         raise ValidationError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
 
 
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(c, Integral) for c in value)
+    return isinstance(value, list) and all(map(_is_int, value))
 
 
 def matrix_from_flat(fld: GF, n: int, flat) -> Mat:
@@ -442,7 +447,7 @@ def matrix_from_flat(fld: GF, n: int, flat) -> Mat:
         raise ValidationError(f"a matrix must be a list of {n * n} entries")
     entries = []
     for e in flat:
-        if isinstance(e, Integral):
+        if _is_int(e):
             if fld.d > 1 and not 0 <= e < fld.q:
                 raise ValidationError(f"matrix entry {e} lies outside [0, {fld.q}) over {fld}")
             entries.append(int(e) % fld.q)

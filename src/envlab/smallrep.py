@@ -5,11 +5,12 @@ GL_n (2 <= n <= 6) that act irreducibly, with the standard case labels
 such as (4B2) or (2A1x3A1).
 
 Every weight is an integer vector of Dynkin labels (coordinates in the
-basis of fundamental weights): reflections use the Cartan matrix, and
-Freudenthal's formula uses the Gram matrix of the fundamental weights
-scaled to integers, so the per-representation work is on Python ints.
-The orthogonal realization of each simple factor, in exact Fractions, is
-used once per process to derive these tables.
+basis of fundamental weights).  Each simple factor's root data come from
+its Cartan matrix: reflections are its rows, the positive roots are the
+simple roots closed by height through root strings, and Freudenthal's
+formula uses the Gram matrix of the fundamental weights, the Cartan
+matrix's adjugate scaled by the root lengths, so all the work is on
+Python ints.
 Families are restricted to A_r (r>=1), B_r (r>=2), C_r (r>=3), D_r (r>=4)
 to avoid the low-rank coincidences (B1=C1=A1, C2=B2, D2=A1A1, D3=A3); the
 classical isogeny names (SO_4, SO_5, SO_6, Sp_4) enter through a fixed
@@ -21,10 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
-from .charlattice import FormalCharacter, fc_normalize, fc_predicates
+from .charlattice import FormalCharacter, _adjugate, fc_normalize, fc_predicates
 from .errors import NotDominant, OutOfRange, ValidationError
 
 
@@ -40,14 +40,9 @@ def _vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 class SimpleFactor:
-    """One simple factor (family, rank).  Its orthogonal realization
-    (`simple_roots`, `fundamental_weights`, as Fractions) is construction
-    data only: every method takes and returns integer Dynkin labels."""
+    """One simple factor (family, rank), derived from its Cartan matrix:
+    every method takes and returns integer Dynkin labels."""
 
     def __init__(self, family: str, rank: int):
         if family not in "ABCD":
@@ -59,49 +54,46 @@ class SimpleFactor:
         self.family = family
         self.rank = rank
         r = rank
-        F = Fraction
-        if family == "A":
-            self.ambient = r + 1
-            e = lambda i: tuple(F(int(j == i)) for j in range(r + 1))
-            self.simple_roots = [_vsub(e(i), e(i + 1)) for i in range(r)]
-            total = tuple(F(1) for _ in range(r + 1))
-            self.fundamental_weights = [
-                _vsub(tuple(F(int(j < i + 1)) for j in range(r + 1)),
-                      _vscale(F(i + 1, r + 1), total))
-                for i in range(r)]
-        else:
-            self.ambient = r
-            e = lambda i: tuple(F(int(j == i)) for j in range(r))
-            if family == "B":
-                self.simple_roots = [_vsub(e(i), e(i + 1)) for i in range(r - 1)] + [e(r - 1)]
-                self.fundamental_weights = [
-                    tuple(F(int(j < i + 1)) for j in range(r)) for i in range(r - 1)
-                ] + [tuple(F(1, 2) for _ in range(r))]
-            elif family == "C":
-                self.simple_roots = [_vsub(e(i), e(i + 1)) for i in range(r - 1)] \
-                    + [_vscale(F(2), e(r - 1))]
-                self.fundamental_weights = [
-                    tuple(F(int(j < i + 1)) for j in range(r)) for i in range(r)]
-            else:  # D
-                self.simple_roots = [_vsub(e(i), e(i + 1)) for i in range(r - 1)] \
-                    + [_vadd(e(r - 2), e(r - 1))]
-                fw = [tuple(F(int(j < i + 1)) for j in range(r)) for i in range(r - 2)]
-                fw.append(tuple(F(1, 2) if j < r - 1 else F(-1, 2) for j in range(r)))
-                fw.append(tuple(F(1, 2) for j in range(r)))
-                self.fundamental_weights = fw
-        coroots = [_vscale(F(2, _dot(a, a)), a) for a in self.simple_roots]
-        to_labels = lambda v: tuple(int(_dot(v, c)) for c in coroots)
         # row i is alpha_i in labels, C[i][j] = <alpha_i, alpha_j^vee>, so the
-        # simple reflection is s_i(mu) = mu - mu_i C[i]
-        self.cartan = [to_labels(a) for a in self.simple_roots]
-        self.positive_roots = [to_labels(a) for a in self._positive_roots()]
-        # the Gram matrix of the fundamental weights times the lcm of its
-        # denominators: Freudenthal's quotient only needs inner products up
-        # to one common scale, and with it they are all integers
-        fw = self.fundamental_weights
-        gram = [[_dot(u, v) for v in fw] for u in fw]
-        scale = lcm(*(x.denominator for row in gram for x in row))
-        self._gram = [tuple(int(x * scale) for x in row) for row in gram]
+        # simple reflection is s_i(mu) = mu - mu_i C[i].  A_r's path; B_r's
+        # last root is short, C_r's is long, and D_r's hangs from the third
+        # last.  half[i] is (alpha_i, alpha_i) / 2 with the short roots at 1.
+        cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)]
+                  for i in range(r)]
+        half = [1] * r
+        if family == "B":
+            cartan[r - 2][r - 1] = -2
+            half[:r - 1] = [2] * (r - 1)
+        elif family == "C":
+            cartan[r - 1][r - 2] = -2
+            half[r - 1] = 2
+        elif family == "D":
+            cartan[r - 1][r - 2] = cartan[r - 2][r - 1] = 0
+            cartan[r - 1][r - 3] = cartan[r - 3][r - 1] = -1
+        self.cartan = [tuple(row) for row in cartan]
+        # the positive roots by height: the alpha_i-string through beta runs
+        # p steps down and p - beta_i steps up, so beta + alpha_i is a root
+        # iff p > beta_i, and every root below beta is already known
+        self.positive_roots, level, known = [], self.cartan, set(self.cartan)
+        while level:
+            self.positive_roots += level
+            nxt = []
+            for beta in level:
+                for k, a in zip(beta, self.cartan):
+                    p, down = 0, _vsub(beta, a)
+                    while down in known:
+                        p, down = p + 1, _vsub(down, a)
+                    if p > k and (up := _vadd(beta, a)) not in known:
+                        known.add(up)
+                        nxt.append(up)
+            level = nxt
+        # the Gram matrix of the fundamental weights up to one positive
+        # scale: (omega_i, omega_j) = (C^-1)_ij half[j], and the adjugate is
+        # d C^-1 with d = +-det C.  Freudenthal's quotient and the Weyl
+        # dimension only need inner products up to a common scale.
+        d, adj = _adjugate(self.cartan)
+        sign = 1 if d > 0 else -1
+        self._gram = [tuple(sign * x * h for x, h in zip(row, half)) for row in adj]
         # scale * (omega_i, alpha) for each positive root alpha, and
         # <omega_i, alpha^vee> = 2 (omega_i, alpha) / (alpha, alpha), column
         # i over all alpha.  <lam + rho, alpha^vee> = sum (m_i + 1) <omega_i,
@@ -113,33 +105,6 @@ class SimpleFactor:
         self._coroot_columns = list(zip(*coroot_coords))
         self._rho_pairings = [sum(c) for c in coroot_coords]
         self._weyl_denominator = prod(self._rho_pairings)
-
-    def _positive_roots(self):
-        """Close the simple roots under addition within the root system
-        (orthogonal coordinates)."""
-        roots = set(self.simple_roots)
-        frontier = list(roots)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self.simple_roots:
-                    c = _vadd(a, b)
-                    if c not in roots and self._is_root(c):
-                        roots.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return sorted(roots)
-
-    def _is_root(self, v):
-        """Membership test by the family's coordinate patterns."""
-        nz = [x for x in v if x != 0]
-        if self.family == "A":
-            return sorted(nz) == [-1, 1] and sum(v) == 0
-        if self.family == "B":
-            return sorted(map(abs, nz)) in ([1], [1, 1])
-        if self.family == "C":
-            return sorted(map(abs, nz)) in ([2], [1, 1])
-        return sorted(map(abs, nz)) == [1, 1]
 
     def _norm_rho(self, mu):
         """scale * |mu + rho|^2; rho has all labels 1."""
@@ -221,14 +186,9 @@ class SimpleFactor:
         return {v: m for mu, m in mults.items() for v in self.weyl_orbit(mu)}
 
 
-_FACTOR_CACHE = {}
-
-
+@functools.cache
 def simple_factor(family: str, rank: int) -> SimpleFactor:
-    key = (family, rank)
-    if key not in _FACTOR_CACHE:
-        _FACTOR_CACHE[key] = SimpleFactor(family, rank)
-    return _FACTOR_CACHE[key]
+    return SimpleFactor(family, rank)
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,76 @@
 """The exact-rational Table-A routines that the integer path replaced, kept
-as test oracles: a simple factor in orthogonal coordinates with Freudenthal
-over Fractions, and lattice matching through Fraction inverses.  Each gives
-what the routine it replaced gave for the same input."""
+as test oracles.  The library derives each simple factor's root data from
+its Cartan matrix; OrthogonalFactor builds the factor's orthogonal
+realization from (family, rank) alone, with the roots listed by their
+coordinate patterns and Freudenthal over Fractions.  Lattice matching goes
+through Fraction inverses from q_rref, the reduced row echelon form over Q.
+Each gives what the routine it replaced gave for the same input."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from envlab.charlattice import (_grlex_key, _mat_mul, _mat_vec, _spanning_subset,
-                                q_rref)
+from envlab.charlattice import _bareiss, _grlex_key, _mat_mul, _mat_vec, _spanning_subset
 from envlab.errors import NotDominant, SearchBudgetExceeded, ValidationError
-from envlab.smallrep import _dot, _vadd, _vscale, _vsub
+from envlab.smallrep import _dot, _vadd, _vsub
+
+
+def _vscale(c, a):
+    return tuple(c * x for x in a)
+
+
+def q_rref(rows):
+    """Gauss-Jordan elimination over Q: (the nonzero rows of the reduced
+    row echelon form, as Fractions, and their pivot columns).  Each row is
+    scaled to integers, which leaves the row space alone, and eliminated
+    by charlattice._bareiss."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    R, pivots = _bareiss(scaled)
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(R, pivots)], pivots
 
 
 class OrthogonalFactor:
-    """A SimpleFactor's weights in its orthogonal realization, as Fractions."""
+    """A simple factor of type A_r, B_r, C_r or D_r in its orthogonal
+    realization, as Fractions: the simple roots, the fundamental weights
+    and the positive roots (e_i - e_j for i < j; for B, C and D also
+    e_i + e_j, and e_i for B, 2 e_i for C), with the Cartan matrix and the
+    Gram matrix of the fundamental weights read from them."""
 
-    def __init__(self, factor):
-        self.ambient = factor.ambient
-        self.simple_roots = factor.simple_roots
-        self.fundamental_weights = factor.fundamental_weights
+    def __init__(self, family, rank):
+        r, F = rank, Fraction
+        n = self.ambient = r + 1 if family == "A" else r
+        e = lambda i: tuple(F(int(j == i)) for j in range(n))
+        ones = lambda k: tuple(F(int(j < k)) for j in range(n))  # e_0 + ... + e_(k-1)
+        half = tuple(F(1, 2) for _ in range(n))
+        chain = [_vsub(e(i), e(i + 1)) for i in range(n - 1)]
+        pairs = list(itertools.combinations(range(n), 2))
+        self.positive_roots = [_vsub(e(i), e(j)) for i, j in pairs]
+        self.fundamental_weights = [ones(i + 1) for i in range(r)]
+        if family == "A":
+            self.simple_roots = chain
+            self.fundamental_weights = [_vsub(ones(i + 1), _vscale(F(i + 1, n), ones(n)))
+                                        for i in range(r)]
+        else:
+            self.positive_roots += [_vadd(e(i), e(j)) for i, j in pairs]
+            if family == "B":
+                self.simple_roots = chain + [e(r - 1)]
+                self.positive_roots += [e(i) for i in range(r)]
+                self.fundamental_weights[-1] = half
+            elif family == "C":
+                self.simple_roots = chain + [_vscale(2, e(r - 1))]
+                self.positive_roots += [_vscale(2, e(i)) for i in range(r)]
+            else:  # D
+                self.simple_roots = chain + [_vadd(e(r - 2), e(r - 1))]
+                self.fundamental_weights[-2:] = [half[:-1] + (F(-1, 2),), half]
         self.coroots = [self.coroot(a) for a in self.simple_roots]
-        self.positive_roots = factor._positive_roots()
         self.rho = _vscale(Fraction(1, 2),
                            tuple(sum(c) for c in zip(*self.positive_roots)))
+        self.cartan = [self.int_labels(a) for a in self.simple_roots]
+        self.gram = [[_dot(u, v) for v in self.fundamental_weights]
+                     for u in self.fundamental_weights]
 
     @staticmethod
     def coroot(alpha):

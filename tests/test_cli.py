@@ -192,12 +192,19 @@ def _mackey_doc_without_module_field():
                     module_field={"ell": 7})),
     ("clifford", {"group": {"ell": 7, "n": 2, "generators": [[0, 1, 1, 0]]},
                   "normal": [], "module_field": {"ell": 7}, "module": [[1]]}),
+    ("envelope", {"ell": 5, "n": True, "generators": [[2]]}),
+    ("envelope", {"ell": 7, "n": 2, "generators": [[1, True, 0, 1]]}),
+    ("envelope", {"ell": 3, "d": 2, "n": 1, "generators": [[[1, False]]]}),
+    ("formal-char", {"rank": True, "weights": [[1]]}),
+    ("formal-char", {"rank": 1, "weights": [[False]]}),
+    ("formal-char", {"rank": -1, "weights": []}),
 ], ids=["wrong-length", "no-generators", "non-integer", "float-entry",
         "not-an-object", "no-module-field", "non-square-module",
         "fc-weights-not-a-list", "fc-rank-not-integer", "fc-weight-entry-not-integer",
         "fc-other-not-an-object", "singular-module", "empty-module-matrix",
         "singular-generator", "mackey-singular-generator",
-        "empty-normal"])
+        "empty-normal", "boolean-n", "boolean-entry", "boolean-coefficient",
+        "fc-boolean-rank", "fc-boolean-weight", "fc-negative-rank"])
 def test_malformed_input_is_validation_error(tmp_path, capsys, command, doc):
     path = write_json(tmp_path / "bad.json", doc)
     assert run([command, "--input", path]) == 1

@@ -1,7 +1,7 @@
 """The three shared kernels against independent oracles: the gf polynomial
 kernel against sympy over prime fields and against its defining identities
-over GF(9) and GF(25), q_rref, the fraction-free adjugate and the
-unimodularity test against sympy's exact matrices, the one-elimination spanning subset against the greedy
+over GF(9) and GF(25), the test oracle q_rref, the fraction-free adjugate
+and the unimodularity test against sympy's exact matrices, the one-elimination spanning subset against the greedy
 rank test it replaced, and the echelon-based vector minimal polynomial
 against the rank of its Krylov matrix.  sympy is a test-only dependency."""
 
@@ -11,11 +11,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab.charlattice import (_adjugate, _is_unimodular, _rank_q, _spanning_subset,
-                                q_rref)
+from envlab.charlattice import _adjugate, _is_unimodular, _rank_q, _spanning_subset
 from envlab.fieldcore import _vector_minpoly
 from envlab.gf import (field_make, poly_divmod, poly_gcd, poly_mul, poly_powmod,
                        poly_sub, poly_trim)
+from rational_oracles import q_rref
 
 X = sympy.Symbol("x")
 SETTINGS = settings(max_examples=60, deadline=None)

@@ -1,14 +1,16 @@
 """The integer Table-A path against the exact-rational code it replaced
-(tests/rational_oracles.py): Dynkin-label Freudenthal multiplicities and
+(tests/rational_oracles.py): the Cartan-matrix root data against the
+orthogonal realization, Dynkin-label Freudenthal multiplicities and
 duals, the divisor-pruned enumeration against the full product, the
-fraction-free lattice matching and commuting map, and a guard that the
-per-job work builds no Fraction once the simple factors exist."""
+fraction-free lattice matching and commuting map, and a guard that
+table A, from the root data on, builds no Fraction."""
 
 import itertools
 import random
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,13 +31,27 @@ LABELS = {key: [(0,) * key[1]] + [lab for lab, _ in
           for key in FACTORS}
 
 
+@pytest.mark.parametrize("fam,r", [(fam, r) for fam, ranks in (
+    ("A", range(1, 7)), ("B", range(2, 7)), ("C", range(3, 7)), ("D", range(4, 7)))
+    for r in ranks])
+def test_cartan_root_data_match_the_orthogonal_realization(fam, r):
+    f, o = simple_factor(fam, r), OrthogonalFactor(fam, r)
+    assert f.cartan == o.cartan
+    assert len(f.positive_roots) == len(set(f.positive_roots))
+    assert set(f.positive_roots) == {o.int_labels(a) for a in o.positive_roots}
+    # the Gram matrices agree up to one positive scale
+    scale = f._gram[0][0] / o.gram[0][0]
+    assert scale > 0
+    assert [[scale * x for x in row] for row in o.gram] == [list(row) for row in f._gram]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(FACTORS).flatmap(
     lambda key: st.tuples(st.just(key), st.sampled_from(LABELS[key]))))
 def test_label_multiplicities_and_duals_match_the_orthogonal_oracle(case):
     key, labels = case
     f = simple_factor(*key)
-    o = OrthogonalFactor(f)
+    o = OrthogonalFactor(*key)
     assert f.weight_multiplicities(labels) == o.in_labels(o.weight_multiplicities(labels))
     minus = tuple(-x for x in o.weight_from_labels(labels))
     assert f.make_dominant(tuple(-m for m in labels)) == o.int_labels(o.make_dominant(minus))
@@ -151,8 +167,9 @@ def test_commuting_map_recovers_the_unimodular_map(case):
 
 def test_table_a_and_fc_equivalent_build_no_fraction(monkeypatch):
     table_a.cache_clear()
-    rows = {r.label: r for r in table_a(6)}  # builds every factor of rank <= 5
+    rows = {r.label: r for r in table_a(6)}
     table_a.cache_clear()
+    simple_factor.cache_clear()  # the root data are built under the guard too
     made = []
     new = Fraction.__new__
 

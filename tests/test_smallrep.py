@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envlab import smallrep
-from envlab.charlattice import fc_equivalent, fc_predicates, q_rref
+from envlab.charlattice import fc_equivalent, fc_predicates
 from envlab.errors import NotDominant, OutOfRange, ValidationError
 from envlab.smallrep import (IrrepLabel, RootDatum, _factor_reps_up_to,
                              dual_highest_weight, freudenthal_weights,
                              is_self_dual, simple_factor, table_a,
                              weyl_dimension)
-from rational_oracles import OrthogonalFactor
+from rational_oracles import OrthogonalFactor, q_rref
 
 
 def test_family_rank_floors():
@@ -193,7 +193,7 @@ def _all_weights_freudenthal(f, labels):
     level by level, each alpha-string ending at the first term that is
     neither a known weight nor below lam in the root cone.  In orthogonal
     coordinates over Fractions."""
-    f = OrthogonalFactor(f)
+    f = OrthogonalFactor(f.family, f.rank)
     lam = f.weight_from_labels(labels)
     lam_rho = tuple(x + y for x, y in zip(lam, f.rho))
     norm_lam = _dot(lam_rho, lam_rho)
@@ -237,7 +237,7 @@ def _all_weights_freudenthal(f, labels):
 ])
 def test_dominant_freudenthal_matches_all_weights_reference(fam, r, labels):
     f = simple_factor(fam, r)
-    reference = OrthogonalFactor(f).in_labels(_all_weights_freudenthal(f, labels))
+    reference = OrthogonalFactor(fam, r).in_labels(_all_weights_freudenthal(f, labels))
     assert f.weight_multiplicities(labels) == reference
 
 
@@ -274,6 +274,12 @@ def test_table_a_enumerates_each_factor_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 34
 
 
+def test_simple_factors_outlive_table_a_cache_clear():
+    factor = simple_factor("B", 3)
+    table_a.cache_clear()
+    assert simple_factor("B", 3) is factor
+
+
 SMALL_REPS = [(fam, r, labels)
               for fam, ranks in (("A", range(1, 6)), ("B", range(2, 5)),
                                  ("C", range(3, 5)), ("D", range(4, 6)))
@@ -296,7 +302,7 @@ def test_multiplicities_sum_to_weyl_dimension_and_are_weyl_invariant(case):
 def _fraction_weyl_dimension(f, labels):
     """The Weyl dimension formula in orthogonal coordinates, with exact
     fractions: the reference for the integer coroot-pairing version."""
-    f = OrthogonalFactor(f)
+    f = OrthogonalFactor(f.family, f.rank)
     lam = f.weight_from_labels(labels)
     num = den = Fraction(1)
     for a in f.positive_roots:
