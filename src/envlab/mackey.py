@@ -22,6 +22,13 @@ has.  The class of G itself is G, whenever it kept G's generator list,
 and G's own list always gives G.  G's right Cayley table covers only its
 generators (N x k); there is no |G| x |G| table, nor an |H| x |H| one.
 
+irreducible_modules splits the regular representation F[H] along the
+centre Z(F[H]) before any MeatAxe search: the class sums, whose
+structure constants are counted on H's closure indices, split Z into
+ideals, over a splitting field into the lines of the primitive central
+idempotents (Dixon 1967), and the block F[H] e of such a line is W^d for
+one irreducible W, which one MeatAxe walk (Holt & Rees 1994) finds.
+
 Nothing a session has answered is searched again, and neither an answer
 nor its order depends on the seed.  irreducible_modules sorts its
 modules into one canonical order and stores them, each with its
@@ -46,10 +53,13 @@ import numpy as np
 
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
-from .fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, _inverse_stack,
-                        _traces, composition_factors, grow_mask, intertwiners,
-                        invariants_dim, is_irreducible, modules_isomorphic)
-from .gf import GF
+from .fieldcore import (DEFAULT_SEED, ROOT_SCAN_MAX_Q, FinMatGroup, IrreducibleWitness, Mat,
+                        ModuleRep, _eval_poly_at_matrix, _first_relation, _inverse_stack,
+                        _irreducible_factor, _krylov, _roots, _submodule_action, _traces,
+                        checked_seed, composition_factors, grow_mask, intertwiners,
+                        invariants_dim, is_irreducible, meataxe_split, modules_isomorphic,
+                        spin)
+from .gf import GF, poly_divmod
 
 
 def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
@@ -455,14 +465,119 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
     return ModuleRep(fld, P)
 
 
+def _class_sums(H: FinMatGroup, fld: GF):
+    """(cls, M): the conjugacy class number of every element of H's
+    closure, the classes numbered in the order of their first elements,
+    and the action of every class sum K_i on the centre Z(F[H]), in the
+    basis of the class sums, as an (r, r, r) stack over fld.
+
+    All of it is index arithmetic on H's closure: conjugation x -> g^-1 x g
+    by each generator g reads the right Cayley table and the inverse of
+    the left-regular permutation; class labels are least indices spread
+    along it until they stop changing.  K_i K_j = sum_l a[i, j, l] K_l
+    where a[i, j, l] counts the u with u^-1 in C_i and u z_l in C_j, for
+    the first element z_l of C_l: one right row per class, and one
+    bincount over |H| r indices."""
+    perm = _regular_permutations(H)
+    k, N = perm.shape
+    rows = np.arange(k)[:, None]
+    left_inv = np.empty_like(perm)
+    left_inv[rows, perm] = np.arange(N)
+    conj = left_inv[rows, H._right.T]
+    label = np.arange(N)
+    while not np.array_equal(low := np.minimum(label, label[conj].min(axis=0)), label):
+        label = low[low]
+    reps, cls = np.unique(label, return_inverse=True)
+    r = len(reps)
+    right = H.right_rows(reps.tolist())  # right[l, u]: the index of u z_l
+    inverse_class = cls[right.argmin(axis=1)][cls]  # the class of u^-1
+    a = np.bincount(((inverse_class * r + cls[right]) * r + np.arange(r)[:, None]).ravel(),
+                    minlength=r ** 3).reshape(r, r, r)
+    return cls, a.transpose(0, 2, 1) % fld.ell
+
+
+def _factors(fld: GF, p, seed: int) -> list:
+    """The monic irreducible factors of a monic squarefree p: x - a for
+    each root a, all read in one scan over a field of at most
+    ROOT_SCAN_MAX_Q elements, then those of what is left, one
+    _irreducible_factor at a time, drawing from an rng seeded with
+    seed."""
+    roots = _roots(fld, p).tolist() if fld.q <= ROOT_SCAN_MAX_Q else []
+    factors = [[fld.scalar_ops[2](a), 1] for a in roots]
+    if len(roots) < len(p) - 1:
+        p = reduce(lambda rest, f: poly_divmod(fld, rest, f)[0], factors, p)
+        rng = np.random.default_rng(seed)
+        while len(p) > 1:
+            factors.append(f := _irreducible_factor(fld, p, rng))
+            p = poly_divmod(fld, p, f)[0]
+    return factors
+
+
+def _central_blocks(H: FinMatGroup, fld: GF, seed: int) -> list:
+    """The blocks of Z(F[H]) that the class sums split it into, each the
+    row basis of an ideal of Z, written over H's closure (the entry of an
+    element being the coefficient of its class sum).  Each class sum
+    in turn splits every block of more than one dimension into the
+    kernels of the irreducible factors of its minimal polynomial there
+    (squarefree, since Z is semisimple when char F does not divide |H|).
+    Over a splitting field every class sum is a scalar on each simple
+    summand of Z, and central characters differ at some class sum, so
+    the blocks end as r lines, each the span of a primitive central
+    idempotent."""
+    cls, M = _class_sums(H, fld)
+    # lines, and larger blocks as (basis, the class sums on its span)
+    lines, blocks = [], [(fld.eye(len(M)), M)]
+    for i in range(1, len(M)):
+        split = []
+        for basis, action in blocks:
+            A = action[i]
+            p = _first_relation(fld, _krylov(fld, A, fld.eye(len(A))))
+            if len(p) == 2:
+                split.append((basis, action))
+                continue
+            for f in _factors(fld, p, seed):
+                kernel = fld.nullspace(_eval_poly_at_matrix(fld, f, A))
+                if len(kernel) == 1:
+                    lines.append(fld.matmul(kernel, basis))
+                else:
+                    # an rref basis is the identity at its pivots, where
+                    # coordinates are read
+                    kernel, pivots = fld.rref(kernel)
+                    split.append((fld.matmul(kernel, basis),
+                                  fld.matmul(action, kernel.T)[:, pivots]))
+        blocks = split
+    return [basis[:, cls] for basis in lines + [basis for basis, _ in blocks]]
+
+
+def _isotypic_constituent(block: ModuleRep, searches) -> ModuleRep:
+    """The irreducible W of an isotypic module W^d: the smaller part of
+    each split (a submodule of W^d, or its quotient, is some W^c), until
+    a search certifies one; each search takes the next seed of
+    searches."""
+    fld, piece = block.field, block
+    while not isinstance(verdict := meataxe_split(piece, next(searches)), IrreducibleWitness):
+        parts = _submodule_action(fld, piece.action, verdict)
+        piece = ModuleRep(fld, min(parts, key=lambda part: part.shape[-1]))
+    return piece
+
+
 def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     """One module per iso-class of irreducibles of H over the coefficient
-    field, from the regular representation, sorted by dimension and then
-    by the trace at every element of H's closure, in closure order, read
-    from one word walk of their direct sum.  The trace functions of
-    non-isomorphic irreducibles are linearly independent, so no two keys
-    tie, and the order is the same for every seed.  Complete when the
-    field is a splitting field of characteristic prime to |H|.
+    field, for char F prime to |H|, split or not: each irreducible is a
+    constituent of the regular representation F[H], which is semisimple.
+
+    F[H] is first split along its centre (_central_blocks): the block of
+    a central ideal B is the left ideal F[H] B, spun from B's elements
+    under the regular action.  A line B is spanned by a primitive central
+    idempotent, whose block is W^d for one irreducible W of dimension d,
+    which _isotypic_constituent finds, the i-th MeatAxe search of the
+    call taking seed + i; a larger B (only over a field that does not
+    split H) takes composition_factors on its block.  The modules are
+    sorted by dimension and then by the trace at every element of H's
+    closure, in closure order, read from one word walk of their direct
+    sum.  The trace functions of non-isomorphic irreducibles are
+    linearly independent, so no two keys tie, and the order is the same
+    for every seed.
 
     The modules depend on nothing but the field, the seed and the
     regular representation's action, so they are stored by those in
@@ -471,15 +586,26 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     representation is the same matrices (two classes of C2, say, which
     number their closures alike), returns a new list of the same, already
     certified, modules.  The action is keyed by its permutations, which H
-    keeps, so the regular representation is built only for a key not
-    stored yet."""
+    keeps, so the regular representation is built, and its centre split,
+    only for a key not stored yet."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
     perm = _regular_permutations(H)
     key = (fld, seed, perm.shape, perm.tobytes())
     if key not in H._irreducibles:
-        modules = [m for m, _ in composition_factors(regular_rep(H, fld), seed=seed)]
+        reg = regular_rep(H, fld).action
+        searches = count(checked_seed(seed))
+        modules = []
+        for basis in _central_blocks(H, fld, seed):
+            span, pivots = fld.rref(spin(fld, reg, basis).rows)
+            block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
+            if len(basis) > 1:
+                modules += [m for m, _ in composition_factors(block, seed=seed)]
+            else:
+                W = _isotypic_constituent(block, searches)
+                assert block.dim == W.dim ** 2
+                modules.append(W)
         values = _value_at(reduce(ModuleRep.direct_sum, modules), H, np.arange(perm.shape[1]))
         ends = np.cumsum([m.dim for m in modules])
         blocks = [values[:, hi - m.dim:hi, hi - m.dim:hi] for m, hi in zip(modules, ends)]

@@ -187,15 +187,17 @@ def test_mackey_session_meataxe_searches(monkeypatch):
     # every piece of every decomposition was searched and G's regular
     # representation was decomposed twice; 108 once a piece isomorphic to
     # a certified factor was counted without one and G's irreducibles were
-    # stored on G; 87 now that a certified module, a scalar piece and a
-    # regular representation met before (the other C2 and V4 classes) are
-    # searched no more
+    # stored on G; 87 once a certified module, a scalar piece and a
+    # regular representation met before (the other C2 and V4 classes) were
+    # searched no more; 62 now that the regular representation is split
+    # along the centre of the group algebra and each isotypic block is
+    # searched only down to one irreducible
     fc = envlab.fieldcore
     searches, search = [], fc._meataxe_search
     monkeypatch.setattr(fc, "_meataxe_search",
                         lambda *a: searches.append(1) or search(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert len(searches) == 87
+    assert len(searches) == 62
 
 
 def test_mackey_bytes_do_not_depend_on_the_meataxe_seed(tmp_path):
@@ -299,8 +301,8 @@ def test_clifford_with_n_equal_to_g_searches_nothing(monkeypatch):
 def test_equal_regular_representations_share_their_modules(monkeypatch):
     # S4 over F_13: the two classes of C2, and the two of V4, have the same
     # regular representation, so they get the same module objects; the
-    # session decomposes each of the 9 distinct regular representations
-    # of its 11 classes once
+    # session splits each of the 9 distinct regular representations of
+    # its 11 classes into central blocks once
     G = symmetric_group(4, 13)
     subs = all_subgroups(G)
     for order in (2, 4):
@@ -310,11 +312,7 @@ def test_equal_regular_representations_share_their_modules(monkeypatch):
         assert len(first) == order and all(a is b for a, b in zip(first, second))
 
     mk = envlab.mackey
-    regular, decomposed = [], []
-    reg, factors = mk.regular_rep, mk.composition_factors
-    monkeypatch.setattr(mk, "regular_rep", lambda *a: regular.append(reg(*a)) or regular[-1])
-    monkeypatch.setattr(mk, "composition_factors",
-                        lambda rho, **kw: decomposed.append(any(rho is r for r in regular))
-                        or factors(rho, **kw))
+    split, blocks = [], mk._central_blocks
+    monkeypatch.setattr(mk, "_central_blocks", lambda *a: split.append(1) or blocks(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert decomposed.count(True) == 9
+    assert len(split) == 9

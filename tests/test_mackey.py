@@ -9,14 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envlab.mackey
-from corpus import (closure_mats, cyclic_group, dihedral_group,
-                    heisenberg_mod3_group, mackey_corpus, perm_mat,
+from corpus import (alternating_group_4, closure_mats, cyclic_group, dihedral_group,
+                    heisenberg_mod3_group, mackey_corpus, perm_mat, quaternion_group,
                     symmetric_group)
 from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, ValidationError
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, commutant,
                               composition_factors, invariants_dim, is_irreducible,
                               modules_isomorphic)
 from envlab.gf import field_make
+from linalg_oracles import reference_composition_factors
 from envlab.mackey import (MackeyVerdict, all_subgroups, clifford_blocks_transitive,
                            clifford_decompose, double_coset_reps, dual_module,
                            frobenius_reciprocity_dim, induce,
@@ -540,3 +541,111 @@ def test_stacked_module_value_matches_word_walk(G, fld):
             assert np.array_equal(module_value(W, H, elems[-1]), got[-1])
     with pytest.raises(ValidationError):
         module_value(noise, H, 2 * G.field.eye(G.n))
+
+
+# -- irreducible modules from the centre of the group algebra --
+
+def reference_classes(G):
+    """The conjugacy classes of G as sets of closure indices, each grown
+    by conjugating with every element as Mats."""
+    elems = closure_mats(G)
+    index = {x: i for i, x in enumerate(elems)}
+    classes, seen = [], set()
+    for x in elems:
+        if x not in seen:
+            cls = {g @ x @ g.inverse() for g in elems}
+            seen |= cls
+            classes.append({index[y] for y in cls})
+    return classes
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()])
+def test_class_sums_match_products_of_mats(G, fld):
+    # the class numbers partition the closure into its conjugacy classes,
+    # and K_i K_j = sum_l M[i][l, j] K_l counts the products x y, x in
+    # C_i and y in C_j, at the first element of each C_l
+    cls, M = envlab.mackey._class_sums(G, fld)
+    classes = reference_classes(G)
+    assert sorted(map(sorted, classes)) == sorted(
+        np.flatnonzero(cls == c).tolist() for c in range(len(M)))
+    elems = closure_mats(G)
+    index = {x: i for i, x in enumerate(elems)}
+    first = [int(np.flatnonzero(cls == c)[0]) for c in range(len(M))]
+    for i in range(len(M)):
+        for j in range(len(M)):
+            products = [index[elems[x] @ elems[y]] for x in np.flatnonzero(cls == i)
+                        for y in np.flatnonzero(cls == j)]
+            assert [products.count(z) % fld.ell for z in first] == M[i][:, j].tolist()
+
+
+SPLIT_LINES = {"S4/F13": 5, "D4/F5": 5, "Q8/F5": 5, "A4/F7": 4, "D6/F7": 6}
+
+
+@pytest.mark.parametrize("G,fld,lines", [pytest.param(G, fld, SPLIT_LINES[name], id=name)
+                                         for name, G, fld in mackey_corpus()
+                                         if name in SPLIT_LINES])
+def test_centre_splits_into_one_line_per_class_over_a_splitting_field(G, fld, lines):
+    blocks = envlab.mackey._central_blocks(G, fld, DEFAULT_SEED)
+    assert [len(b) for b in blocks] == [1] * lines
+    assert len(reference_classes(G)) == lines
+
+
+SMALL_GROUPS = [
+    *(functools.partial(cyclic_group, n, 7) for n in range(2, 8)),
+    *(functools.partial(dihedral_group, n, 7) for n in range(4, 7)),
+    functools.partial(symmetric_group, 3, 7), functools.partial(alternating_group_4, 7),
+    functools.partial(symmetric_group, 4, 7), functools.partial(quaternion_group, 5),
+]
+
+
+def same_irreducibles(H, fld):
+    """irreducible_modules(H, fld) against the composition factors of the
+    regular representation that every piece searched: the same
+    dimensions, each reference class isomorphic to exactly one module,
+    and every module certified."""
+    got = irreducible_modules(H, fld)
+    want = [m for m, _ in reference_composition_factors(regular_rep(H, fld))]
+    return (sorted(m.dim for m in got) == sorted(m.dim for m in want)
+            and all(sum(modules_isomorphic(a, b) for a in got) == 1 for b in want)
+            and all(m._witness is not None for m in got))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.sampled_from([1, 2]))
+def test_irreducible_modules_match_the_reference_decomposition(make, ell, d):
+    H = make()
+    assume(H.order % ell)
+    assert same_irreducibles(H, field_make(ell, d))
+
+
+# (group, field, the dimensions of its central blocks): the first seven
+# fields do not split their group, so some block of the centre is not a
+# line and takes composition_factors; the last five do
+CENTRE_BLOCKS = [
+    ("C3/F5", cyclic_group(3, 7), field_make(5, 1), [1, 2]),
+    ("C7/F2", cyclic_group(7, 5), field_make(2, 1), [1, 3, 3]),
+    ("C5/F2", cyclic_group(5, 7), field_make(2, 1), [1, 4]),
+    ("C4/F3", cyclic_group(4, 7), field_make(3, 1), [1, 1, 2]),
+    ("C5/F3", cyclic_group(5, 7), field_make(3, 1), [1, 4]),
+    ("D5/F3", dihedral_group(5, 7), field_make(3, 1), [1, 1, 2]),
+    ("A4/F5", alternating_group_4(7), field_make(5, 1), [1, 1, 2]),
+    ("D4/F3", dihedral_group(4, 7), field_make(3, 1), [1] * 5),
+    ("S3/F5", symmetric_group(3, 7), field_make(5, 1), [1] * 3),
+    ("S4/F5", symmetric_group(4, 7), field_make(5, 1), [1] * 5),
+    ("C3/GF(25)", cyclic_group(3, 7), field_make(5, 2), [1] * 3),
+    ("A4/GF(25)", alternating_group_4(7), field_make(5, 2), [1] * 4),
+]
+
+
+@pytest.mark.parametrize("H,fld,dims", [pytest.param(H, fld, dims, id=name)
+                                        for name, H, fld, dims in CENTRE_BLOCKS])
+def test_blocks_that_are_not_lines_take_composition_factors(H, fld, dims, monkeypatch):
+    mk = envlab.mackey
+    assert sorted(map(len, mk._central_blocks(H, fld, DEFAULT_SEED))) == dims
+    decomposed, factors = [], mk.composition_factors
+    monkeypatch.setattr(mk, "composition_factors",
+                        lambda rho, **kw: decomposed.append(rho.dim) or factors(rho, **kw))
+    assert same_irreducibles(H, fld)
+    assert len(decomposed) == sum(dim > 1 for dim in dims)
