@@ -15,11 +15,11 @@ where a public function takes or returns one matrix.
 
 Modules are given by the action matrices of a free generating set, held
 as one read-only (k, m, m) stack, ModuleRep.action, in the encoding that
-_canonical gives every matrix; direct sums, intertwiners, invariants and
-the MeatAxe's submodule and quotient actions are stacked operations on
-it.  A module is taken to be a representation of the group whose
-generators index it: the library checks no relation among the matrices,
-and the CLI checks W(x g) = W(x) W(g) over the group's closure.
+_canonical gives every matrix; direct sums, intertwiners and the
+MeatAxe's submodule and quotient actions are stacked operations on it.
+A module is taken to be a representation of the group whose generators
+index it: the library checks no relation among the matrices, and the
+CLI checks W(x g) = W(x) W(g) over the group's closure.
 All values are immutable after construction, apart from the witness a
 ModuleRep may store (below); randomized routines take an explicit seed
 and a budget of random algebra elements.
@@ -32,15 +32,13 @@ in one stacked GF.matmul.  Every other rank or coordinate question is
 answered by one GF.rref: a dimension is a rank, a coordinate is a read
 at the pivots (the submodule and quotient actions), and a minimal
 polynomial is the first relation of a Krylov sequence, read at the
-first non-pivot column (_first_relation).  The fixed space of a stack
-(invariants_dim) is the exception: it is cut down one kernel at a time,
-at most once per dimension, so a tall stack of mostly redundant
-matrices costs a few small rrefs.  The MeatAxe's polynomial arithmetic
-is the kernel in gf, and _eval_poly_at_matrix, a Horner on a matrix or
-a stack, is the one evaluation at matrices (also of nori and tame).
-Over a field of at most ROOT_SCAN_MAX_Q elements, a p with a root has
-the least-degree factor x - a for its least root a, found with no draw by
-that Horner at every field element at once (_roots, which tame shares).
+first non-pivot column (_first_relation).  The MeatAxe's polynomial
+arithmetic is the kernel in gf, and _eval_poly_at_matrix, a Horner on a
+matrix or a stack, is the one evaluation at matrices (also of nori and
+tame).  Over a field of at most ROOT_SCAN_MAX_Q elements, a p with a
+root has the least-degree factor x - a for its least root a, found with
+no draw by one elementwise Horner on the vector of all field elements
+(_roots, which tame shares).
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -524,22 +522,6 @@ def commutant(rho: ModuleRep):
     return basis, len(basis)
 
 
-def invariants_dim(rho: ModuleRep) -> int:
-    """Dimension of the simultaneous fixed space of all action matrices.
-    The rows of K span the vectors fixed so far; the first A_i that moves
-    one cuts K to the kernel of (A_i - I) K^T, and the A_i that moved
-    nothing are dropped, so there are at most n cuts, each one nullspace
-    and one stacked product over the A_i left."""
-    fld, n = rho.field, rho.dim
-    moved = fld.sub(rho.action, fld.eye(n))
-    K, images = fld.eye(n), moved
-    while (hit := np.flatnonzero(images.any(axis=(1, 2)))).size:
-        K = fld.matmul(fld.nullspace(images[hit[0]]), K)
-        moved = moved[hit[1:]]
-        images = fld.matmul(moved, K.T)
-    return len(K)
-
-
 # -- the MeatAxe: polynomials from the gf kernel, one echelon basis --
 
 # The largest q at which _irreducible_factor looks for roots by evaluating
@@ -552,9 +534,13 @@ ROOT_SCAN_MAX_Q = 4096
 
 def _roots(fld, p) -> np.ndarray:
     """The roots of p in F_q, ascending: p evaluated at every element at
-    once, by Horner on the (q, 1, 1) stack of them."""
-    values = _eval_poly_at_matrix(fld, p, np.arange(fld.q).reshape(-1, 1, 1))
-    return np.flatnonzero(values.ravel() == 0)
+    once, by Horner on the vector of them, one GF.mul and one GF.add a
+    coefficient."""
+    xs = np.arange(fld.q)
+    values = np.full(fld.q, p[-1], dtype=np.int64)
+    for c in reversed(p[:-1]):
+        values = fld.add(fld.mul(values, xs), c)
+    return np.flatnonzero(values == 0)
 
 
 def _irreducible_factor(fld, p, rng):

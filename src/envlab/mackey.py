@@ -32,15 +32,23 @@ one irreducible W, which one MeatAxe walk (Holt & Rees 1994) finds.
 Nothing a session has answered is searched again, and neither an answer
 nor its order depends on the seed.  irreducible_modules sorts its
 modules into one canonical order and stores them, each with its
-witness, by coefficient field, seed and regular representation, in a
-store that the groups of one all_subgroups call share with G; so G
-after its classes, and a class whose regular representation another had
-(S4's two C2 classes), search nothing, and each group keeps the
-permutations that key the store.  restrict(V, G, G) is V, which
-composition_factors returns as it is.  A SubgroupDatum keeps its
-double-coset intersections and the H-indices of their elements and
+witness and the line of its central idempotent, by coefficient field,
+seed and regular representation, in a store that the groups of one
+all_subgroups call share with G; so G after its classes, and a class
+whose regular representation another had (S4's two C2 classes), search
+nothing, and each group keeps the permutations that key the store.
+
+Both verdicts are linear algebra on that split algebra, with no search,
+wherever char F does not divide the orders involved.  A SubgroupDatum keeps
+its double-coset intersections and the H-indices of their elements and
 inverses, so mackey_irreducible evaluates only W, in one word walk, and
-forms no dual module.
+tests each intersection by one Reynolds product, a sum of Kronecker
+products whose rank is the dimension of the invariants.
+clifford_decompose reads the shape of Res_N V from the ranks of V at
+N's stored central idempotents, one word walk and one product for all
+of them; V over N = G is its own factor, and a field that does not
+split N, or one whose characteristic divides |N|, takes
+composition_factors instead.
 """
 
 from __future__ import annotations
@@ -57,8 +65,7 @@ from .fieldcore import (DEFAULT_SEED, ROOT_SCAN_MAX_Q, FinMatGroup, IrreducibleW
                         ModuleRep, _eval_poly_at_matrix, _first_relation, _inverse_stack,
                         _irreducible_factor, _krylov, _roots, _submodule_action, _traces,
                         checked_seed, composition_factors, grow_mask, intertwiners,
-                        invariants_dim, is_irreducible, meataxe_split, modules_isomorphic,
-                        spin)
+                        is_irreducible, meataxe_split, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
 
 
@@ -254,11 +261,15 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
                        seed: int = DEFAULT_SEED) -> MackeyVerdict:
     """Mackey's criterion: Ind_H^G W is irreducible iff W is irreducible
     and, for every double-coset representative g outside H, the module
-    gW (x) W^dual over gHg^-1 n H has no invariants.  W is evaluated once,
-    at the indices that sub keeps for every intersection (g^-1 x g, and
-    x^-1, since W^dual(x) = W(x^-1)^T for a representation W of H, as
-    the criterion presumes), and the intersections are tested in order up
-    to the first with invariants."""
+    gW (x) W^dual over K = gHg^-1 n H has no invariants.  W is evaluated
+    once, at the indices that sub keeps for every intersection (g^-1 x g,
+    and x^-1, since W^dual(x) = W(x^-1)^T for a representation W of H, as
+    the criterion presumes).  char F does not divide |K|, so the Reynolds
+    sum P = sum_x W(g^-1 x g) (x) W(x^-1)^T over K is |K| times the
+    projection onto the invariants (Serre, Linear Representations of
+    Finite Groups, 7.4): they are nonzero iff P is, and their dimension
+    is rank P, read only at the first g where P is nonzero, where the
+    test stops."""
     G, H = sub.ambient, sub.subgroup
     fld, gf = W.field, G.field
     if len(W.action) != len(H.gens):  # index 1 evaluates W nowhere
@@ -271,12 +282,21 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     (conj, _, x_inv), bounds = sub.intersection_indices
     values = _value_at(W, H, np.concatenate([conj, x_inv]))
     dual = values[len(conj):].transpose(0, 2, 1)
-    mats = fld.kron(values[:len(conj)], dual)
     for (g, _, _), lo, hi in zip(sub.intersections, bounds, bounds[1:]):
-        inv = invariants_dim(ModuleRep(fld, mats[lo:hi]))
-        if inv > 0:
-            return MackeyVerdict(False, "condition (II') fails", (gf, g), inv)
+        P = _reynolds_sum(fld, values[lo:hi], dual[lo:hi])
+        if P.any():
+            return MackeyVerdict(False, "condition (II') fails", (gf, g), fld.rank(P))
     return MackeyVerdict(True, "criterion satisfied")
+
+
+def _reynolds_sum(fld: GF, A, B) -> np.ndarray:
+    """sum_x A_x (x) B_x over an (n, m, m) and an (n, k, k) stack, as one
+    product of their value rows, sum_x a_x^T b_x, whose (i, j, l, p) entry
+    sum_x A_x[i, j] B_x[l, p] is realigned to the Kronecker order
+    (i, l, j, p)."""
+    (n, m, _), k = A.shape, B.shape[-1]
+    P = fld.matmul(A.reshape(n, m * m).T, B.reshape(n, k * k))
+    return P.reshape(m, m, k, k).transpose(0, 2, 1, 3).reshape(m * k, m * k)
 
 
 @dataclass
@@ -294,23 +314,38 @@ class CliffordShape:
 def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
                        seed: int = DEFAULT_SEED) -> CliffordShape:
     """Shape of Res_N V for a normal subgroup N and irreducible V: e
-    distinct conjugate factors, each with common multiplicity f."""
+    distinct conjugate factors, each with common multiplicity f.
+
+    When char F does not divide |N| and the centre of F[N] splits into
+    lines (_stored_irreducibles), the primitive central idempotent b_i of
+    each irreducible U_i of N projects V onto its U_i-isotypic part
+    (Clifford 1937), so V(b_i) = sum_x b_i(x) V(x) over N's closure, all
+    of them from one word walk of V over N's elements and one product,
+    is nonzero for the e factors, and rank V(b_i) = f dim U_i.  A line V,
+    or V over N = G, is its own one factor, Res_N V; any other case takes
+    composition_factors on Res_N V."""
     N = _subgroup(G, n_gens)
     if not N.is_subgroup_of(G) or not N.is_normal_in(G):
         raise NotNormal("N is not a normal subgroup of G")
     if not is_irreducible(V, seed=seed):
         raise NotIrreducible("V is not irreducible")
-    res = restrict(V, G, N)
-    classes = composition_factors(res, seed=seed)
-    mults = {k for _, k in classes}
-    dims = {m.dim for m, _ in classes}
-    if len(mults) != 1 or len(dims) != 1:
+    fld = V.field
+    if V.dim == 1 or N is G:
+        return CliffordShape(1, 1, [restrict(V, G, N)])
+    lines = None
+    if not (fld.ell and N.order % fld.ell == 0):
+        modules, lines = _stored_irreducibles(N, fld, seed)
+    if lines is None:
+        classes = composition_factors(restrict(V, G, N), seed=seed)
+    else:
+        values = module_value(V, G, N.closure()).reshape(N.order, -1)
+        images = fld.matmul(lines, values).reshape(-1, V.dim, V.dim)
+        classes = [(U, fld.rank(b) // U.dim) for U, b in zip(modules, images) if b.any()]
+    shapes = {(k, m.dim) for m, k in classes}
+    if len(shapes) != 1 or sum(k * m.dim for m, k in classes) != V.dim:
         raise ValidationError("restriction is not of Clifford shape")
-    e = len(classes)
-    f = mults.pop()
-    d = dims.pop()
-    assert e * f * d == V.dim
-    return CliffordShape(e, f, [m for m, _ in classes])
+    (f, _), = shapes
+    return CliffordShape(len(classes), f, [m for m, _ in classes])
 
 
 def conjugate_module(U: ModuleRep, G: FinMatGroup, N: FinMatGroup,
@@ -580,7 +615,8 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     for every seed.
 
     The modules depend on nothing but the field, the seed and the
-    regular representation's action, so they are stored by those in
+    regular representation's action, so they are stored by those, with
+    the lines of their central idempotents (_stored_irreducibles), in
     H._irreducibles, which the groups of one all_subgroups call share with
     their ambient group: a later call, on H or on a group whose regular
     representation is the same matrices (two classes of C2, say, which
@@ -588,6 +624,14 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     certified, modules.  The action is keyed by its permutations, which H
     keeps, so the regular representation is built, and its centre split,
     only for a key not stored yet."""
+    return list(_stored_irreducibles(H, fld, seed)[0])
+
+
+def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
+    """(modules, lines) as H._irreducibles stores them: the modules of
+    irreducible_modules, and next to them, row i for module i, the line
+    of its primitive central idempotent over H's closure as an (r, |H|)
+    array, or None when some block of the centre is not a line."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
@@ -596,8 +640,8 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     if key not in H._irreducibles:
         reg = regular_rep(H, fld).action
         searches = count(checked_seed(seed))
-        modules = []
-        for basis in _central_blocks(H, fld, seed):
+        modules, bases = [], _central_blocks(H, fld, seed)
+        for basis in bases:
             span, pivots = fld.rref(spin(fld, reg, basis).rows)
             block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
             if len(basis) > 1:
@@ -612,5 +656,7 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
         sort_keys = [(m.dim, tuple(_traces(fld, b).tolist())) for m, b in zip(modules, blocks)]
         assert len(set(sort_keys)) == len(sort_keys)
         order = sorted(range(len(modules)), key=sort_keys.__getitem__)
-        H._irreducibles[key] = [modules[i] for i in order]
-    return list(H._irreducibles[key])
+        rows = np.concatenate(bases)
+        lines = rows[order] if len(rows) == len(bases) else None
+        H._irreducibles[key] = [modules[i] for i in order], lines
+    return H._irreducibles[key]

@@ -7,8 +7,8 @@ semisimple matrix.
 No local fields appear; the inertia group is modeled abstractly by the
 image of a topological generator, which is all the weight multiset
 depends on.  A factor's roots are found by fieldcore._roots, the
-MeatAxe's root scan: one Horner on the stack of all elements of
-F_{ell^e} as 1 x 1 matrices.
+MeatAxe's root scan: one elementwise Horner on the vector of all
+elements of F_{ell^e}.
 """
 
 from __future__ import annotations

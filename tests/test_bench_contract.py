@@ -189,15 +189,16 @@ def test_mackey_session_meataxe_searches(monkeypatch):
     # a certified factor was counted without one and G's irreducibles were
     # stored on G; 87 once a certified module, a scalar piece and a
     # regular representation met before (the other C2 and V4 classes) were
-    # searched no more; 62 now that the regular representation is split
-    # along the centre of the group algebra and each isotypic block is
-    # searched only down to one irreducible
+    # searched no more; 62 once the regular representation was split
+    # along the centre of the group algebra and each isotypic block was
+    # searched only down to one irreducible; 37 now that each Clifford
+    # shape is read from ranks at N's central idempotents, with no search
     fc = envlab.fieldcore
     searches, search = [], fc._meataxe_search
     monkeypatch.setattr(fc, "_meataxe_search",
                         lambda *a: searches.append(1) or search(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert len(searches) == 62
+    assert len(searches) == 37
 
 
 def test_mackey_bytes_do_not_depend_on_the_meataxe_seed(tmp_path):

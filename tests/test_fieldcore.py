@@ -14,7 +14,7 @@ from envlab.errors import ClosureOverflow, ValidationError
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               _inverse_stack, _submodule_action, commutant,
                               composition_factors, extend_scalars, intertwiners,
-                              invariants_dim, is_absolutely_irreducible,
+                              is_absolutely_irreducible,
                               is_irreducible, meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
 from envlab.gf import field_make
@@ -211,16 +211,6 @@ def test_intertwiners_between_nonisomorphic_is_zero():
     assert modules_isomorphic(triv, triv)
 
 
-def test_invariants_dim():
-    fld = field_make(7, 1)
-    triv3 = ModuleRep(fld, (np.eye(3, dtype=np.int64),))
-    assert invariants_dim(triv3) == 3
-    sign = ModuleRep(fld, (np.array([[6]], dtype=np.int64),))
-    assert invariants_dim(sign) == 0
-    c3 = cyclic_group(3, 7)
-    assert invariants_dim(module_of_group(c3)) == 1
-
-
 def test_composition_factors_of_direct_sums():
     G = symmetric_group(3, 7)
     rho = module_of_group(G)
@@ -380,9 +370,9 @@ def test_indices_match_per_mat_membership(G, data):
 # -- modules: one (k, m, m) action stack --
 
 @pytest.mark.parametrize("call", [meataxe_split, is_irreducible,
-                                  composition_factors, invariants_dim])
+                                  composition_factors])
 def test_empty_module_is_rejected_at_construction(call):
-    # these raised IndexError, and invariants_dim returned 0, on ()
+    # these raised IndexError on ()
     with pytest.raises(ValidationError):
         call(ModuleRep(field_make(7, 1), ()))
 
@@ -435,12 +425,6 @@ def reference_intertwiners(rho, sigma):
     return [b.reshape(n, m) for b in fld.nullspace(np.concatenate(rows, axis=0))]
 
 
-def reference_invariants_dim(rho):
-    fld, n = rho.field, rho.dim
-    rows = [fld.sub(M, fld.eye(n)) for M in rho.action]
-    return fld.nullspace(np.concatenate(rows, axis=0)).shape[0]
-
-
 def reference_direct_sum(rho, sigma):
     blocks = []
     for a, b in zip(rho.action, sigma.action):
@@ -481,6 +465,5 @@ def test_stacked_module_operations_match_per_matrix_loops(pair):
     for a, b in [(rho, sigma), (sigma, rho), (rho, rho)]:
         assert same_arrays(intertwiners(a, b), reference_intertwiners(a, b))
         assert same_arrays(a.direct_sum(b).action, reference_direct_sum(a, b))
-    assert invariants_dim(rho) == reference_invariants_dim(rho)
     if all(rho.field.rank(M) == rho.dim for M in rho.action):
         assert same_arrays(dual_module(rho).action, reference_dual(rho))

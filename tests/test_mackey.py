@@ -2,6 +2,8 @@
 decomposition on small groups."""
 
 import functools
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -14,14 +16,14 @@ from corpus import (alternating_group_4, closure_mats, cyclic_group, dihedral_gr
                     symmetric_group)
 from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, ValidationError
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, commutant,
-                              composition_factors, invariants_dim, is_irreducible,
+                              composition_factors, is_irreducible, module_of_group,
                               modules_isomorphic)
 from envlab.gf import field_make
-from linalg_oracles import reference_composition_factors
-from envlab.mackey import (MackeyVerdict, all_subgroups, clifford_blocks_transitive,
-                           clifford_decompose, double_coset_reps, dual_module,
-                           frobenius_reciprocity_dim, induce,
-                           irreducible_modules, mackey_irreducible,
+from linalg_oracles import invariants_dim, reference_composition_factors
+from envlab.mackey import (CliffordShape, MackeyVerdict, _reynolds_sum, all_subgroups,
+                           clifford_blocks_transitive, clifford_decompose,
+                           double_coset_reps, dual_module, frobenius_reciprocity_dim,
+                           induce, irreducible_modules, mackey_irreducible,
                            module_value, regular_rep, restrict, subgroup_datum)
 
 
@@ -185,7 +187,9 @@ def test_datum_keeps_the_indices_of_its_intersections(G, fld):
 def reference_mackey_irreducible(sub, W, seed=DEFAULT_SEED):
     """Mackey's criterion with W^dual as a module of its own: the inverse
     of every action matrix, and both W and W^dual walked along the words
-    of the intersection's elements, one intersection at a time."""
+    of the intersection's elements, one intersection at a time, and the
+    fixed space of their Kronecker products counted by one nullspace of
+    the stacked A - I."""
     G, H = sub.ambient, sub.subgroup
     fld = W.field
     if not is_irreducible(W, seed=seed):
@@ -649,3 +653,174 @@ def test_blocks_that_are_not_lines_take_composition_factors(H, fld, dims, monkey
                         lambda rho, **kw: decomposed.append(rho.dim) or factors(rho, **kw))
     assert same_irreducibles(H, fld)
     assert len(decomposed) == sum(dim > 1 for dim in dims)
+
+
+# -- the Reynolds test and the Clifford ranks against the routes they replaced --
+
+def test_reynolds_rank_is_the_invariant_dimension():
+    # sum_x rho(x) (x) 1 over the closure has the rank of the fixed space:
+    # 3 on the trivial 3-dim module, 0 on the sign of C2, 1 on the
+    # permutation module of C3
+    fld = field_make(7, 1)
+    groups = [(FinMatGroup(fld, [Mat.identity(fld, 3)]), 3),
+              (FinMatGroup(fld, [Mat(fld, np.array([[6]]))]), 0), (cyclic_group(3, 7), 1)]
+    for G, dim in groups:
+        elems = G.closure()
+        P = _reynolds_sum(fld, elems, np.ones((len(elems), 1, 1), dtype=np.int64))
+        assert fld.rank(P) == invariants_dim(module_of_group(G)) == dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from([(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)]),
+       st.data())
+def test_mackey_irreducible_matches_the_reference_on_random_subgroups(make, field, data):
+    # every irreducible W of a random subgroup H of a small group (of
+    # dimension 1, 2 or 3 over a splitting field, and up to 6 over one
+    # that does not split H, as C7 over F_5), over a prime field or
+    # GF(ell^2): the same verdict, reason, failing representative and
+    # invariant_dim
+    G, fld = make(), field_make(*field)
+    assume(G.order % fld.ell)
+    H = data.draw(st.sampled_from(all_subgroups(G, up_to_conjugacy=False)))
+    sub = subgroup_datum(G, H.generators)
+    for W in irreducible_modules(H, fld):
+        assert verdict_bytes(mackey_irreducible(sub, W)) \
+            == verdict_bytes(reference_mackey_irreducible(sub, W))
+
+
+def _bench_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_mackey_verdicts_match_the_reference_on_the_bench_corpus(seed):
+    # every (H, W) of the mackey sessions at the seed, each group
+    # conjugated as the benchmark conjugates it: the bench bytes carry the
+    # verdict and the reason, and this checks the failing representative
+    # and invariant_dim too
+    wl = _bench_workloads()
+    failed = 0
+    for i, (_, ell, gens) in enumerate(wl.mackey_corpus()):
+        rng = np.random.default_rng([seed, i])
+        G = FinMatGroup.from_json(wl._conjugated(wl.envlab.gf.GF(ell), gens[0].shape[0],
+                                                 gens, rng))
+        fld = field_make(ell, 1)
+        for H in all_subgroups(G):
+            sub = subgroup_datum(G, H.generators)
+            for W in irreducible_modules(H, fld):
+                want = verdict_bytes(reference_mackey_irreducible(sub, W))
+                assert verdict_bytes(mackey_irreducible(sub, W)) == want
+                failed += want[2] is not None
+    assert failed
+
+
+def reference_clifford_decompose(G, n_gens, V, seed=DEFAULT_SEED):
+    """The Clifford shape from the composition factors of Res_N V, found
+    by MeatAxe searches and intertwiners, N a fresh group."""
+    classes = composition_factors(restrict(V, G, FinMatGroup(G.field, list(n_gens))), seed=seed)
+    mults = {k for _, k in classes}
+    assert len(mults) == 1
+    return CliffordShape(len(classes), mults.pop(), [m for m, _ in classes])
+
+
+def same_clifford_shapes(G, n_gens, got, want):
+    """(e, f), each factor isomorphic to exactly one reference factor, and
+    the same transitivity."""
+    return ((got.e, got.f) == (want.e, want.f)
+            and all(sum(modules_isomorphic(a, b) for a in got.factors) == 1
+                    for b in want.factors)
+            and clifford_blocks_transitive(G, n_gens, got)
+            == clifford_blocks_transitive(G, n_gens, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from([(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)]),
+       st.data())
+def test_clifford_decompose_matches_the_composition_factors(make, field, data):
+    # every irreducible V of a small group restricted to a random normal
+    # subgroup N, over a prime field or GF(ell^2), split or not
+    G, fld = make(), field_make(*field)
+    assume(G.order % fld.ell)
+    normal = [N for N in all_subgroups(G, up_to_conjugacy=False) if N.is_normal_in(G)]
+    N = data.draw(st.sampled_from(normal))
+    for V in irreducible_modules(G, fld):
+        got = clifford_decompose(G, N.generators, V)
+        want = reference_clifford_decompose(G, N.generators, V)
+        assert same_clifford_shapes(G, N.generators, got, want)
+
+
+def modular_s4():
+    """S4 over F_3, its normal subgroups V4 and A4, and the 3-dim
+    composition factor of its permutation module."""
+    G = symmetric_group(4, 3)
+    fld = G.field
+    v4 = [perm_mat(fld, [1, 0, 3, 2]), perm_mat(fld, [2, 3, 0, 1])]
+    a4 = v4 + [perm_mat(fld, [1, 2, 0, 3])]
+    V = next(m for m, _ in composition_factors(module_of_group(G)) if m.dim == 3)
+    return G, v4, a4, V
+
+
+# (group, normal subgroup generators, V, whether N's route is the
+# composition factors): F_5 splits neither C3 nor A4, so the centre of
+# F[N] has a block that is not a line for N = C3 in C6 and N = A4 in
+# S4, but splits for N = C2, V4; over F_3, 3 divides |A4| but not |V4|
+def clifford_fallbacks():
+    f5 = field_make(5, 1)
+    c6, a4, s4 = cyclic_group(6, 7), alternating_group_4(7), symmetric_group(4, 5)
+    g = c6.generators[0]
+    s4_f3, v4_of_s4_f3, a4_of_s4_f3, V = modular_s4()
+    v4 = [perm_mat(a4.field, [1, 0, 3, 2]), perm_mat(a4.field, [2, 3, 0, 1])]
+    v4_of_s4 = [perm_mat(s4.field, [1, 0, 3, 2]), perm_mat(s4.field, [2, 3, 0, 1])]
+    a4_of_s4 = v4_of_s4 + [perm_mat(s4.field, [1, 2, 0, 3])]
+
+    def of_dim(G, fld, dim):
+        return next(m for m in irreducible_modules(G, fld) if m.dim == dim)
+
+    return [
+        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2), True),
+        ("C6/F5, N = C2", c6, [g @ g @ g], of_dim(c6, f5, 2), False),
+        ("A4/F5, N = V4", a4, v4, of_dim(a4, f5, 2), False),
+        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3), True),
+        ("S4/F5, N = V4", s4, v4_of_s4, of_dim(s4, f5, 3), False),
+        ("S4/F3, N = A4", s4_f3, a4_of_s4_f3, V, True),
+        ("S4/F3, N = V4", s4_f3, v4_of_s4_f3, V, False),
+    ]
+
+
+@pytest.mark.parametrize("G,n_gens,V,fallback",
+                         [pytest.param(*case[1:], id=case[0]) for case in clifford_fallbacks()])
+def test_clifford_takes_composition_factors_only_where_n_has_no_lines(G, n_gens, V, fallback,
+                                                                      monkeypatch):
+    # N's own store, built on the first call, may decompose a block of
+    # F[N] too; only the composition factors of Res_N V count here
+    mk = envlab.mackey
+    res = restrict(V, G, FinMatGroup(G.field, list(n_gens)))
+    decomposed, factors = [], mk.composition_factors
+    monkeypatch.setattr(mk, "composition_factors", lambda rho, **kw: decomposed.append(
+        np.array_equal(rho.action, res.action)) or factors(rho, **kw))
+    got = clifford_decompose(G, n_gens, V)
+    assert decomposed.count(True) == fallback
+    monkeypatch.undo()
+    assert same_clifford_shapes(G, n_gens, got, reference_clifford_decompose(G, n_gens, V))
+
+
+def test_clifford_of_a_line_or_over_g_is_the_restriction(monkeypatch):
+    # dim V = 1 over every normal N, and each V over N = G: Res_N V is the
+    # one factor, with no store and no search
+    G = symmetric_group(4, 13)
+    modules = irreducible_modules(G, G.field)
+    sign = modules[1]
+    assert sign.dim == 1 and sign.action.tolist() != [[[1]], [[1]]]
+    mk = envlab.mackey
+    for name in ("_stored_irreducibles", "composition_factors"):
+        monkeypatch.setattr(mk, name, lambda *a, **kw: pytest.fail("read the store or searched"))
+    cases = [(N, sign) for N in all_subgroups(G) if N.is_normal_in(G)]
+    for N, V in cases + [(G, V) for V in modules]:
+        shape = clifford_decompose(G, N.generators, V)
+        assert (shape.e, shape.f) == (1, 1)
+        assert np.array_equal(shape.factors[0].action, restrict(V, G, N).action)

@@ -1,10 +1,12 @@
 """Ranks for dimensions and pivot reads for coordinates and Krylov
 relations, against the larger systems they replaced (tests/linalg_oracles.py):
 the Krylov and matrix minimal polynomials, the submodule and quotient
-actions, the fixed-space dimension and invertibility must be byte-equal
-over GF(2), GF(7), GF(13), GF(8) and GF(9).  Counter guards pin the
-replaced work out: no inverse in composition factors, one rref per Lie
-rank sample, no echelon basis in the Krylov minimal polynomial."""
+actions and invertibility must be byte-equal, and the rank of a Reynolds
+sum over a group of order prime to ell must be the dimension of the
+fixed space of its Kronecker products, over GF(2), GF(7), GF(13), GF(8)
+and GF(9).  Counter guards pin the replaced work out: no inverse in
+composition factors, one rref per Lie rank sample, no echelon basis in
+the Krylov minimal polynomial."""
 
 import numpy as np
 import pytest
@@ -12,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracles
-from corpus import mackey_corpus, sl2_group, symmetric_group
+from corpus import mackey_corpus, perm_mat, sl2_group, symmetric_group
 from envlab import fieldcore
 from envlab.errors import ValidationError
-from envlab.fieldcore import (Mat, ModuleRep, _first_relation, _submodule_action,
-                              _vector_minpoly, composition_factors, invariants_dim,
-                              spin)
+from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, _first_relation,
+                              _submodule_action, _vector_minpoly, composition_factors, spin)
 from envlab.gf import GF, field_make
-from envlab.mackey import regular_rep
+from envlab.mackey import _reynolds_sum, regular_rep
 from envlab.nori import lie_rank_estimate, nori_points
 from envlab.tame import matrix_minpoly
 
@@ -144,31 +145,59 @@ def test_submodule_action_matches_completion_and_inverse(ell, d, data):
             assert same_bytes(_submodule_action(fld, action, wider), want)
 
 
+# permutation groups of degree 5 by their generators, for the Reynolds
+# sums below: C2, C3, C4, C5, V4, S3, D4, D5, A4, S4
+PERMUTATION_GROUPS = [
+    [[1, 0, 2, 3, 4]], [[1, 2, 0, 3, 4]], [[1, 2, 3, 0, 4]], [[1, 2, 3, 4, 0]],
+    [[1, 0, 3, 2, 4], [2, 3, 0, 1, 4]], [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4]],
+    [[1, 2, 3, 0, 4], [3, 2, 1, 0, 4]], [[1, 2, 3, 4, 0], [4, 3, 2, 1, 0]],
+    [[1, 0, 3, 2, 4], [1, 2, 0, 3, 4]], [[1, 0, 2, 3, 4], [1, 2, 3, 0, 4]],
+]
+
+
 @pytest.mark.parametrize("ell,d", FIELDS)
 @SETTINGS
 @given(data=st.data())
 def test_invariants_dim_matches_the_nullspace_count(ell, d, data):
+    # rho (x) sigma^dual over a permutation group K of order prime to ell,
+    # for rho and sigma random conjugates of its permutation module, sigma
+    # twisted by the sign, and rho (x) rho^dual over the cyclic group of
+    # K's first generator: the Reynolds sum has the rank of the fixed
+    # space of the Kronecker products, and is nonzero iff that space is
     fld = field_make(ell, d)
-    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
-    stack = data.draw(matrices(fld, n, k))
-    kinds = data.draw(st.lists(st.sampled_from(["zero", "identity", "nilpotent", "uniform"]),
-                               min_size=k, max_size=k))
-    for i, kind in enumerate(kinds):
-        if kind != "uniform":
-            stack[i] = special_matrix(fld, n, kind, data)
-    rho = ModuleRep(fld, stack)
-    assert invariants_dim(rho) == linalg_oracles.invariants_dim(rho)
+    groups = [gens for gens in PERMUTATION_GROUPS
+              if FinMatGroup(fld, [perm_mat(fld, p) for p in gens]).order % ell]
+    K = FinMatGroup(fld, [perm_mat(fld, p) for p in data.draw(st.sampled_from(groups))])
+    elems = K.closure()
+    P, Q = (data.draw(matrices(fld, 5).filter(lambda M: fld.rank(M) == 5)) for _ in range(2))
+    sign = np.array([1 if np.linalg.det(x) > 0 else int(fld.neg(1)) for x in elems])
+    if data.draw(st.booleans()):
+        sign[:] = 1
+    rho = fld.matmul(fld.matmul(P, elems), fld.inv_matrix(P))
+    sigma_dual = fld.mul(sign[:, None, None],
+                         fld.matmul(fld.matmul(fld.inv_matrix(Q).T, elems), Q.T))
+    cyclic = [0]
+    while cyclic[-1] != 0 or len(cyclic) == 1:
+        cyclic.append(int(K.indices(fld.matmul(K.gens[0], elems[cyclic[-1]]))))
+    rho_dual = fld.matmul(fld.matmul(fld.inv_matrix(P).T, elems), P.T)
+    for A, B in [(rho, sigma_dual), (rho[cyclic[1:]], rho_dual[cyclic[1:]])]:
+        R = _reynolds_sum(fld, A, B)
+        want = linalg_oracles.invariants_dim(ModuleRep(fld, fld.kron(A, B)))
+        assert fld.rank(R) == want
+        assert R.any() == (want > 0)
 
 
 @pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G, _ in mackey_corpus()])
 def test_invariants_dim_over_every_element_of_a_group(G):
-    # V (x) V at every element, as mackey_irreducible lists a group in
-    # full: a tall stack of A_i - I (384 x 16 on S4), most of whose
-    # matrices fix what the first cuts leave
+    # V (x) V at every element, as mackey_irreducible lists an
+    # intersection in full: the Reynolds sum over the group has the rank
+    # of the fixed space of the stack (384 x 16 on S4), which the
+    # generators alone already cut out
     fld, elems = G.field, G.closure()
     rho = ModuleRep(fld, fld.kron(elems, elems))
     on_gens = ModuleRep(fld, fld.kron(G.gens, G.gens))
-    assert invariants_dim(rho) == linalg_oracles.invariants_dim(rho) == invariants_dim(on_gens)
+    assert fld.rank(_reynolds_sum(fld, elems, elems)) \
+        == linalg_oracles.invariants_dim(rho) == linalg_oracles.invariants_dim(on_gens)
 
 
 # -- counter guards --

@@ -9,8 +9,10 @@ sympy's factorization, the irreducibility test against sympy on every
 small monic polynomial, _irreducible_factor against sympy's
 factorization, the root scan (fieldcore._roots), which gives x - (the
 least root) with no draw, and the distinct-degree search and
-Cantor-Zassenhaus where it does not run, and GF.dlog against the BSGS on
-one-element numpy products.  sympy is a test-only dependency."""
+Cantor-Zassenhaus where it does not run, the scan's elementwise Horner
+against the Horner at 1 x 1 matrices it replaced, and GF.dlog against
+the BSGS on one-element numpy products.  sympy is a test-only
+dependency."""
 
 import numpy as np
 import pytest
@@ -252,3 +254,24 @@ def test_roots_are_the_zeros_of_the_scan(ell, d):
     want = [a for a in range(fld.q) if scalar_value(fld, p, a) == 0]
     assert fieldcore._roots(fld, p).tolist() == want
     assert {int(fld.neg(fld.q - 1)), int(fld.neg(1))} <= set(want)
+
+
+def matrix_horner_roots(fld, p):
+    """The roots as the scan found them before it went elementwise: p at
+    the (q, 1, 1) stack of all field elements, by the Horner at matrices."""
+    values = fieldcore._eval_poly_at_matrix(fld, p, np.arange(fld.q).reshape(-1, 1, 1))
+    return np.flatnonzero(values.ravel() == 0)
+
+
+@pytest.mark.parametrize("ell,d", [(7, 1), (13, 1), (2, 3), (3, 2), (5, 2)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_root_scan_matches_the_matrix_horner(ell, d, data):
+    # monic polynomials of degree 1 to 8, and products with random linear
+    # factors, so that most have roots and some repeat one
+    fld = field_make(ell, d)
+    element = st.integers(0, fld.q - 1)
+    p = data.draw(st.lists(element, min_size=1, max_size=8)) + [1]
+    for a in data.draw(st.lists(element, max_size=4)):
+        p = gf.poly_mul(fld, p, [a, 1])
+    assert fieldcore._roots(fld, p).tolist() == matrix_horner_roots(fld, p).tolist()
