@@ -45,7 +45,9 @@ IrreducibleWitness it finds on that ModuleRep object, and a later call on
 the same object returns it without drawing from the rng, whatever seed
 and budget it is given.  A witness is a proof, so the verdict does not
 depend on the seed; the stored witness is the one the first call's seed
-found.  The factors that composition_factors returns arrive certified.
+found.  The factors that composition_factors returns arrive certified,
+and so do the modules of mackey.irreducible_modules, each W^d's W with
+the dimension certificate of IrreducibleWitness in place of a search.
 A module that split stores nothing, and a fresh ModuleRep with the same
 action is tested afresh, so a verdict never depends on which objects
 were tested before.  Nor is a factor certified twice within one
@@ -215,6 +217,9 @@ class FinMatGroup:
         # the left-regular permutations of the generators, as
         # mackey.regular_rep first read them, for that store's key
         self._regular = None
+        # the groups that mackey.clifford_decompose found this one to be a
+        # normal subgroup of
+        self._normal_in = set()
 
     @property
     def gens_inv(self) -> np.ndarray:
@@ -644,12 +649,13 @@ def _vector_minpoly(fld, A, v):
     return _first_relation(fld, _krylov(fld, A, np.reshape(v, (-1, 1))))
 
 
-def spin(fld, matrices, seeds):
+def spin(fld, matrices, seeds, limit=None):
     """Echelon basis of the smallest subspace containing the seed vectors
-    and closed under the (column) action of the given matrices."""
+    and closed under the (column) action of the given matrices; given a
+    limit, the spin stops as soon as the basis has more rows than that."""
     basis = EchelonBasis(fld)
     queue = [row for row in map(basis.add, seeds) if row is not None]
-    while queue:
+    while queue and (limit is None or len(basis.rows) <= limit):
         images = fld.matmul(matrices, queue.pop()[:, None])[..., 0]
         queue.extend(row for row in map(basis.add, images) if row is not None)
     return basis
@@ -657,14 +663,28 @@ def spin(fld, matrices, seeds):
 
 @dataclass(frozen=True)
 class IrreducibleWitness:
-    """Norton certificate: p(A) has nullity deg p for an irreducible p, a
-    kernel vector spins to the whole space and a transpose-kernel vector
-    spins to the whole dual space.  meataxe_split stores it on the module
-    it certifies (ModuleRep._witness) and returns the stored one to any
-    later call on that module, for every seed."""
+    """A proof that a module is irreducible, of one of two kinds.
+
+    The Norton certificate (block_dim None): p(A) has nullity deg p =
+    factor_degree for an irreducible p and the algebra element A, a kernel
+    vector spins to the whole space and a transpose-kernel vector spins to
+    the whole dual space; a line, (None, 1), needs none of it.
+
+    The dimension certificate (algebra_element None, factor_degree the
+    module's dimension d, block_dim = d^2): the module is a d-dimensional
+    submodule of the block F[H] e of a primitive central idempotent e
+    whose line spans the centre of that block, which is then M_d(F)
+    (Wedderburn; a finite division algebra is a field), so W^d for one
+    irreducible W of dimension d; a submodule of W^d is some W^c, so one
+    of dimension d is W (mackey.irreducible_modules).
+
+    meataxe_split stores a witness on the module it certifies
+    (ModuleRep._witness, _certify) and returns the stored one to any later
+    call on that module, for every seed."""
 
     algebra_element: object
     factor_degree: int
+    block_dim: int | None = None
 
 
 def _random_algebra_element(fld, matrices, n, rng):
@@ -713,8 +733,14 @@ def meataxe_split(rho: ModuleRep, seed: int = DEFAULT_SEED,
         verdict = _meataxe_search(rho, seed, budget)
         if not isinstance(verdict, IrreducibleWitness):
             return verdict
-        object.__setattr__(rho, "_witness", verdict)
+        _certify(rho, verdict)
     return rho._witness
+
+
+def _certify(rho: ModuleRep, witness: IrreducibleWitness) -> ModuleRep:
+    """rho, with witness stored as its proof of irreducibility."""
+    object.__setattr__(rho, "_witness", witness)
+    return rho
 
 
 def _meataxe_search(rho, seed, budget):

@@ -23,11 +23,16 @@ and G's own list always gives G.  G's right Cayley table covers only its
 generators (N x k); there is no |G| x |G| table, nor an |H| x |H| one.
 
 irreducible_modules splits the regular representation F[H] along the
-centre Z(F[H]) before any MeatAxe search: the class sums, whose
-structure constants are counted on H's closure indices, split Z into
-ideals, over a splitting field into the lines of the primitive central
-idempotents (Dixon 1967), and the block F[H] e of such a line is W^d for
-one irreducible W, which one MeatAxe walk (Holt & Rees 1994) finds.
+centre Z(F[H]): the class sums, whose structure constants are counted on
+H's closure indices, split Z into ideals, over a splitting field into
+the lines of the primitive central idempotents (Dixon 1967).  The block
+F[H] e of such a line is M_d(F) (Wedderburn), W^d for one irreducible W,
+and right multiplication commutes with the left action, so an
+eigenspace of one generator's right action, read off H's right Cayley
+table with no product, is W when its dimension is d; that dimension is
+W's certificate, and no MeatAxe search is made.  Only a block where no
+generator has an eigenvalue of multiplicity one in W (Q8 over F_3) is
+cut down to dimension d by MeatAxe splits (Holt & Rees 1994).
 
 Nothing a session has answered is searched again, and neither an answer
 nor its order depends on the seed.  irreducible_modules sorts its
@@ -53,6 +58,7 @@ composition_factors instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import count
@@ -62,10 +68,11 @@ import numpy as np
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
 from .fieldcore import (DEFAULT_SEED, ROOT_SCAN_MAX_Q, FinMatGroup, IrreducibleWitness, Mat,
-                        ModuleRep, _eval_poly_at_matrix, _first_relation, _inverse_stack,
-                        _irreducible_factor, _krylov, _roots, _submodule_action, _traces,
-                        checked_seed, composition_factors, grow_mask, intertwiners,
-                        is_irreducible, meataxe_split, modules_isomorphic, spin)
+                        ModuleRep, _certify, _eval_poly_at_matrix, _first_relation,
+                        _inverse_stack, _irreducible_factor, _krylov, _roots,
+                        _submodule_action, _traces, checked_seed, composition_factors,
+                        grow_mask, intertwiners, is_irreducible, meataxe_split,
+                        modules_isomorphic, spin)
 from .gf import GF, poly_divmod
 
 
@@ -323,10 +330,13 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     of them from one word walk of V over N's elements and one product,
     is nonzero for the e factors, and rank V(b_i) = f dim U_i.  A line V,
     or V over N = G, is its own one factor, Res_N V; any other case takes
-    composition_factors on Res_N V."""
+    composition_factors on Res_N V.  That N is a normal subgroup of G is
+    checked once per pair and remembered on N."""
     N = _subgroup(G, n_gens)
-    if not N.is_subgroup_of(G) or not N.is_normal_in(G):
-        raise NotNormal("N is not a normal subgroup of G")
+    if G not in N._normal_in:
+        if not N.is_subgroup_of(G) or not N.is_normal_in(G):
+            raise NotNormal("N is not a normal subgroup of G")
+        N._normal_in.add(G)
     if not is_irreducible(V, seed=seed):
         raise NotIrreducible("V is not irreducible")
     fld = V.field
@@ -584,14 +594,53 @@ def _central_blocks(H: FinMatGroup, fld: GF, seed: int) -> list:
     return [basis[:, cls] for basis in lines + [basis for basis, _ in blocks]]
 
 
-def _isotypic_constituent(block: ModuleRep, searches) -> ModuleRep:
-    """The irreducible W of an isotypic module W^d: the smaller part of
-    each split (a submodule of W^d, or its quotient, is some W^c), until
-    a search certifies one; each search takes the next seed of
-    searches."""
+def _right_eigenspace(H: FinMatGroup, block: ModuleRep, d: int, pivots, line, seed: int):
+    """The rows of a submodule W, in block coordinates, of the block W^d
+    of a primitive central idempotent e, d >= 2, cut out by the right
+    action of F[H]; None if no generator's right action has an eigenvalue
+    of multiplicity one in W.
+
+    The block F[H] e is M_d(F) with F[H] acting on the left, and right
+    multiplication commutes with that action, so the eigenspace of an
+    eigenvalue lambda of right multiplication by h is a submodule, W^c
+    for the multiplicity c of lambda in W(h).  For each generator h_j in
+    order, the line's right translates e h_j^k, k <= d, are its row
+    scattered along the right Cayley table H._right[:, j] k times, read
+    in block coordinates at the pivots of the block's rref rows, with no
+    product.  Their first relation is the minimal polynomial p of right
+    multiplication by h_j, whose degree is at most d, since e generates
+    the block as a right module.  p is squarefree (char F does not divide
+    |H|), so the lambda-eigenspace is the image of right multiplication
+    by p / (x - lambda), the left ideal spun from e (p / (x - lambda))(h_j).
+    The first root lambda, in the order of _factors, whose eigenspace has
+    dimension d gives W; a spin is cut off once it passes d."""
+    fld = block.field
+    for right in H._right.T:
+        translates = [line]
+        for _ in range(d):
+            translates.append(np.empty_like(line))
+            translates[-1][right] = translates[-2]
+        coords = np.array(translates)[:, pivots]
+        p = _first_relation(fld, coords)
+        for f in _factors(fld, p, seed):
+            if len(f) == 2:
+                q = poly_divmod(fld, p, f)[0]
+                u = fld.matmul(np.array([q], dtype=np.int64), coords[:len(q)])[0]
+                rows = spin(fld, block.action, [u], limit=d).rows
+                if len(rows) == d:
+                    return np.array(rows)
+    return None
+
+
+def _isotypic_constituent(block: ModuleRep, d: int, searches) -> ModuleRep:
+    """The irreducible W of an isotypic module W^d, for a block where no
+    generator's right action has an eigenvalue of multiplicity one in W:
+    the smaller part of each MeatAxe split (a submodule of W^d, or its
+    quotient, is some W^c), each search taking the next seed of
+    searches, down to a piece of dimension d, which is W."""
     fld, piece = block.field, block
-    while not isinstance(verdict := meataxe_split(piece, next(searches)), IrreducibleWitness):
-        parts = _submodule_action(fld, piece.action, verdict)
+    while piece.dim > d:
+        parts = _submodule_action(fld, piece.action, meataxe_split(piece, next(searches)))
         piece = ModuleRep(fld, min(parts, key=lambda part: part.shape[-1]))
     return piece
 
@@ -604,9 +653,12 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     F[H] is first split along its centre (_central_blocks): the block of
     a central ideal B is the left ideal F[H] B, spun from B's elements
     under the regular action.  A line B is spanned by a primitive central
-    idempotent, whose block is W^d for one irreducible W of dimension d,
-    which _isotypic_constituent finds, the i-th MeatAxe search of the
-    call taking seed + i; a larger B (only over a field that does not
+    idempotent, whose block is W^d for one irreducible W of dimension d:
+    an eigenspace of the right action of a generator (_right_eigenspace),
+    or else the piece of dimension d that MeatAxe splits leave
+    (_isotypic_constituent), the i-th search of the call taking seed + i;
+    either way W is stored with the dimension certificate of
+    IrreducibleWitness.  A larger B (only over a field that does not
     split H) takes composition_factors on its block.  The modules are
     sorted by dimension and then by the trace at every element of H's
     closure, in closure order, read from one word walk of their direct
@@ -646,10 +698,17 @@ def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
             block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
             if len(basis) > 1:
                 modules += [m for m, _ in composition_factors(block, seed=seed)]
-            else:
-                W = _isotypic_constituent(block, searches)
-                assert block.dim == W.dim ** 2
-                modules.append(W)
+                continue
+            d = math.isqrt(block.dim)
+            assert block.dim == d * d
+            if d == 1:
+                meataxe_split(block, next(searches))  # a line: no draw
+                modules.append(block)
+                continue
+            eigen = _right_eigenspace(H, block, d, pivots, basis[0], seed)
+            W = (_isotypic_constituent(block, d, searches) if eigen is None
+                 else ModuleRep(fld, _submodule_action(fld, block.action, eigen)[0]))
+            modules.append(_certify(W, IrreducibleWitness(None, d, block.dim)))
         values = _value_at(reduce(ModuleRep.direct_sum, modules), H, np.arange(perm.shape[1]))
         ends = np.cumsum([m.dim for m in modules])
         blocks = [values[:, hi - m.dim:hi, hi - m.dim:hi] for m, hi in zip(modules, ends)]

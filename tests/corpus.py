@@ -61,6 +61,18 @@ def quaternion_group(ell):
     return FinMatGroup(fld, [i_mat, j_mat])
 
 
+def quaternion_group_sl2(ell):
+    """Q8 in SL2(F_ell) for an odd ell: i = [[0, -1], [1, 0]] and
+    j = [[a, b], [b, -a]] with a^2 + b^2 = -1, which every F_ell solves.
+    Over F_3 and F_7, where -1 is not a square, no element outside the
+    centre has an eigenvalue in F_ell."""
+    fld = field_make(ell, 1)
+    a, b = next((a, b) for a in range(ell) for b in range(ell) if (a * a + b * b + 1) % ell == 0)
+    i_mat = Mat(fld, np.array([[0, ell - 1], [1, 0]], dtype=np.int64))
+    j_mat = Mat(fld, np.array([[a, b], [b, (-a) % ell]], dtype=np.int64))
+    return FinMatGroup(fld, [i_mat, j_mat])
+
+
 def heisenberg_mod3_group(ell=7):
     """Order-27 Heisenberg group in its 3-dim representation over F_ell,
     ell = 1 mod 3 (cube roots of unity exist)."""

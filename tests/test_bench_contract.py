@@ -16,7 +16,7 @@ import envlab.fieldcore
 import envlab.gf
 import envlab.mackey
 
-from corpus import sl2_group, symmetric_group
+from corpus import quaternion_group_sl2, sl2_group, symmetric_group
 from envlab.fieldcore import DEFAULT_SEED
 from envlab.mackey import (all_subgroups, clifford_decompose, irreducible_modules,
                            mackey_irreducible, subgroup_datum)
@@ -164,22 +164,27 @@ def test_all_subgroups_returns_g_for_its_own_class():
 
 def test_irreducible_modules_are_found_once_per_group(monkeypatch):
     # S4 over F_13: a second call returns the same certified modules in a
-    # new list and draws no random algebra element; another seed or field
-    # decomposes afresh
-    fc = envlab.fieldcore
+    # new list, splits no centre and draws no random algebra element;
+    # another seed is a store miss and decomposes afresh, still with no
+    # draw, since every block of S4 over F_13 is cut by the right action
+    fc, mk = envlab.fieldcore, envlab.mackey
     G = symmetric_group(4, 13)
     first = irreducible_modules(G, G.field)
     draws, draw = [], fc._random_algebra_element
     monkeypatch.setattr(fc, "_random_algebra_element",
                         lambda *a: draws.append(1) or draw(*a))
+    misses, blocks = [], mk._central_blocks
+    monkeypatch.setattr(mk, "_central_blocks", lambda *a: misses.append(1) or blocks(*a))
     again = irreducible_modules(G, G.field)
     assert again is not first and again == first
     assert all(a is b and a._witness is not None for a, b in zip(again, first))
-    assert draws == []
+    assert misses == []
     again.pop()
     assert len(irreducible_modules(G, G.field)) == 5
+    assert misses == []
     irreducible_modules(G, G.field, seed=1)
-    assert draws
+    assert len(misses) == 1
+    assert draws == []
 
 
 def test_mackey_session_meataxe_searches(monkeypatch):
@@ -191,14 +196,16 @@ def test_mackey_session_meataxe_searches(monkeypatch):
     # regular representation met before (the other C2 and V4 classes) were
     # searched no more; 62 once the regular representation was split
     # along the centre of the group algebra and each isotypic block was
-    # searched only down to one irreducible; 37 now that each Clifford
-    # shape is read from ranks at N's central idempotents, with no search
+    # searched only down to one irreducible; 37 once each Clifford shape
+    # was read from ranks at N's central idempotents, with no search; 25,
+    # one per line of a centre, now that each block W^d with d >= 2 is cut
+    # down to W by the right action of a generator, with no search
     fc = envlab.fieldcore
     searches, search = [], fc._meataxe_search
     monkeypatch.setattr(fc, "_meataxe_search",
                         lambda *a: searches.append(1) or search(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert len(searches) == 37
+    assert len(searches) == 25
 
 
 def test_mackey_bytes_do_not_depend_on_the_meataxe_seed(tmp_path):
@@ -220,9 +227,11 @@ def test_mackey_bytes_do_not_depend_on_the_meataxe_seed(tmp_path):
 
 def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
     # S4 over F_13: every W and V reaching is_irreducible in mackey_irreducible
-    # and clifford_decompose comes from composition_factors, which stored its
-    # witness, so those checks draw no random algebra element; and the
-    # polynomial kernel works on python ints, never through GF.mul/GF.add
+    # and clifford_decompose comes from irreducible_modules, which stored
+    # its witness, so those checks draw no random algebra element, and no
+    # MeatAxe search draws one either; the polynomial kernel works on
+    # python ints, never through GF.mul/GF.add, in the session and in the
+    # MeatAxe fallback that Q8 over F_3 takes
     fc, gf = envlab.fieldcore, envlab.gf
     draws, inside, factor_calls = [], [], []
     draw, factor, check = (fc._random_algebra_element, fc._irreducible_factor,
@@ -264,7 +273,11 @@ def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
     calls = (sum(len(row) for _, _, row in out["mackey"])
              + sum(len(row) for _, row in out["clifford"]))
     assert len(inside) == calls > 37 and set(inside) == {0}
-    assert draws and factor_calls  # the MeatAxe ran, in composition_factors
+    assert draws == []
+    assert kernel_arith == []
+    G = quaternion_group_sl2(3)
+    irreducible_modules(G, G.field)
+    assert draws and factor_calls  # the MeatAxe ran, in the fallback
     assert kernel_arith == []
 
 

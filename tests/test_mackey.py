@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import envlab.mackey
 from corpus import (alternating_group_4, closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat, quaternion_group,
-                    symmetric_group)
+                    quaternion_group_sl2, symmetric_group)
 from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, ValidationError
-from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, Mat, ModuleRep, commutant,
-                              composition_factors, is_irreducible, module_of_group,
-                              modules_isomorphic)
+from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
+                              commutant, composition_factors, is_irreducible,
+                              module_of_group, modules_isomorphic)
 from envlab.gf import field_make
 from linalg_oracles import invariants_dim, reference_composition_factors
 from envlab.mackey import (CliffordShape, MackeyVerdict, _reynolds_sum, all_subgroups,
@@ -653,6 +653,119 @@ def test_blocks_that_are_not_lines_take_composition_factors(H, fld, dims, monkey
                         lambda rho, **kw: decomposed.append(rho.dim) or factors(rho, **kw))
     assert same_irreducibles(H, fld)
     assert len(decomposed) == sum(dim > 1 for dim in dims)
+
+
+# -- each irreducible cut from its block by the right action --
+
+def canonical_reference(H, fld):
+    """The classes of composition_factors(regular_rep(H)), sorted as
+    irreducible_modules sorts its own: by dimension, then by the trace at
+    every element of H's closure, in closure order, each trace summed
+    with the field's scalar addition."""
+    add = fld.scalar_ops[0]
+
+    def key(W):
+        values = module_value(W, H, H.closure())
+        return W.dim, tuple(functools.reduce(add, np.diagonal(v).tolist()) for v in values)
+    return sorted((m for m, _ in composition_factors(regular_rep(H, fld))), key=key)
+
+
+def same_canonical_irreducibles(H, fld):
+    """irreducible_modules(H, fld) isomorphic, position by position, to
+    the canonically sorted composition factors of F[H], each module
+    carrying a witness."""
+    got, want = irreducible_modules(H, fld), canonical_reference(H, fld)
+    return (len(got) == len(want) and all(map(modules_isomorphic, got, want))
+            and all(isinstance(m._witness, IrreducibleWitness) for m in got))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 901])
+def test_irreducible_modules_are_the_composition_factors_on_the_bench_corpus(seed):
+    # every subgroup, not one per class, of each mackey group of the
+    # benchmark at the seed, conjugated as the benchmark conjugates it
+    wl = _bench_workloads()
+    for i, (_, ell, gens) in enumerate(wl.mackey_corpus()):
+        rng = np.random.default_rng([seed, i])
+        G = FinMatGroup.from_json(wl._conjugated(wl.envlab.gf.GF(ell), gens[0].shape[0],
+                                                 gens, rng))
+        fld = field_make(ell, 1)
+        for H in all_subgroups(G, up_to_conjugacy=False):
+            assert same_canonical_irreducibles(H, fld)
+
+
+def alternating_group_5(ell):
+    fld = field_make(ell, 1)
+    return FinMatGroup(fld, [perm_mat(fld, [1, 2, 0, 3, 4]), perm_mat(fld, [0, 1, 3, 4, 2])])
+
+
+@pytest.mark.parametrize("make,ell", [
+    pytest.param(functools.partial(symmetric_group, 4, 5), 5, id="S4/F5"),
+    pytest.param(functools.partial(alternating_group_5, 11), 11, id="A5/F11"),
+    pytest.param(functools.partial(symmetric_group, 5, 7), 7, id="S5/F7"),
+])
+def test_irreducible_modules_are_the_composition_factors_on_larger_groups(make, ell):
+    assert same_canonical_irreducibles(make(), field_make(ell, 1))
+
+
+@st.composite
+def permutation_groups(draw):
+    n = draw(st.integers(2, 5))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    ell = draw(st.sampled_from([5, 7, 11, 13]))
+    fld = field_make(ell, 1)
+    return FinMatGroup(fld, [perm_mat(fld, p) for p in perms])
+
+
+@settings(max_examples=20, deadline=None)
+@given(permutation_groups())
+def test_irreducible_modules_are_the_composition_factors_on_permutation_groups(G):
+    assume(G.order % G.field.ell)
+    assert same_canonical_irreducibles(G, G.field)
+
+
+# (group, whether a block takes the MeatAxe): over F_3 and F_7 no element
+# of Q8 outside its centre has an eigenvalue in the field, so no
+# generator's right action cuts its 2-dim irreducible out; over F_5 one does
+QUATERNION_BLOCKS = [
+    pytest.param(functools.partial(quaternion_group_sl2, 3), True, id="Q8 in SL2(F3)"),
+    pytest.param(functools.partial(quaternion_group_sl2, 7), True, id="Q8/F7"),
+    pytest.param(functools.partial(quaternion_group, 5), False, id="Q8/F5"),
+]
+
+
+@pytest.mark.parametrize("make,fallback", QUATERNION_BLOCKS)
+def test_the_meataxe_cuts_only_a_block_with_no_simple_right_eigenvalue(make, fallback,
+                                                                      monkeypatch):
+    mk = envlab.mackey
+    G, calls = make(), []
+    constituent = mk._isotypic_constituent
+    monkeypatch.setattr(mk, "_isotypic_constituent",
+                        lambda *a: calls.append(1) or constituent(*a))
+    modules = irreducible_modules(G, G.field)
+    assert [m.dim for m in modules] == [1, 1, 1, 1, 2]
+    assert len(calls) == fallback
+    assert modules[-1]._witness == IrreducibleWitness(None, 2, 4)
+    monkeypatch.undo()
+    assert same_canonical_irreducibles(G, G.field)
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()]
+                         + [pytest.param(quaternion_group_sl2(3), field_make(3, 1),
+                                         id="Q8 in SL2(F3)")])
+def test_every_stored_irreducible_is_certified_by_its_dimension(G, fld, monkeypatch):
+    # a line by its one dimension, a larger W as a d-dimensional
+    # submodule of a block of dimension d^2; no check of them draws
+    fc = envlab.fieldcore
+    modules = irreducible_modules(G, fld)
+    for W in modules:
+        want = (IrreducibleWitness(None, 1) if W.dim == 1
+                else IrreducibleWitness(None, W.dim, W.dim ** 2))
+        assert W._witness == want
+    monkeypatch.setattr(fc, "_meataxe_search", lambda *a: pytest.fail("searched"))
+    monkeypatch.setattr(fc, "_random_algebra_element", lambda *a: pytest.fail("drew"))
+    for seed in (DEFAULT_SEED, 0, 1):
+        assert all(is_irreducible(W, seed=seed) for W in modules)
 
 
 # -- the Reynolds test and the Clifford ranks against the routes they replaced --
