@@ -7,10 +7,12 @@ Requires ell >= n so that the truncated series terminate and invert each
 other on unipotent matrices.  Then exp(t log x) = x^t, so the closure
 generated by all one-parameter subgroups over G[ell] is G+ itself.
 
-G[ell] is found by one test (g - 1)^n = 0 over the closure's element stack
-and stays a stack, the input of the stacked log series.  Its closure
-indices are the candidates of G+, which is an index set of G's closure
-(FinMatGroup.index_subgroup): G is the only group the Nori stage closes.
+G[ell] is found from trace candidates, then the nilpotence test on them:
+a unipotent has trace n, so (g - 1)^n = 0 is tested only on the closure's
+elements of trace n mod ell.  G[ell] stays a stack, the input of the
+stacked log series, and its closure indices are the candidates of G+,
+which is an index set of G's closure (FinMatGroup.index_subgroup): G is
+the only group the Nori stage closes.
 exp and log are polynomials of degree below n, evaluated on whole stacks
 by fieldcore's Horner; lie_closure reduces all seeds at once.
 """
@@ -111,14 +113,18 @@ def is_unipotent(x: Mat) -> bool:
 
 def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
     """G[ell]: the non-trivial unipotent elements of G, in closure order,
-    as a read-only (k, n, n) stack found by one stacked test over the
-    element stack."""
+    as a read-only (k, n, n) stack found from trace candidates, then the
+    nilpotence test on them.  A unipotent has trace n, so only the
+    elements of trace n mod ell are tested; their indices ascend, which
+    keeps the closure order."""
     fld = G.field
     _check_char(fld, G.n)
     X = G.closure(cap)
-    unipotent = _nilpotent_mask(fld, fld.sub(X, fld.eye(G.n)))
-    unipotent[0] = False  # the identity heads the closure order
-    unis = X[unipotent]
+    # the identity heads the closure order
+    candidates = 1 + np.flatnonzero(
+        X[1:].trace(axis1=-2, axis2=-1) % fld.ell == G.n % fld.ell)
+    kept = candidates[_nilpotent_mask(fld, fld.sub(X[candidates], fld.eye(G.n)))]
+    unis = X[kept]
     unis.setflags(write=False)
     return unis
 
@@ -183,8 +189,9 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> NoriResult:
 
 
 def quotient_is_abelian(S: FinMatGroup, S_plus: FinMatGroup) -> bool:
-    """S/S_plus abelian, checked via generator commutators (S_plus normal)."""
-    return bool(S_plus.members(generator_commutators(S)).all())
+    """S/S_plus abelian, checked via generator commutators (S_plus normal).
+    S/S is trivial, so S_plus is S needs no check."""
+    return S_plus is S or bool(S_plus.members(generator_commutators(S)).all())
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,8 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
                     cap: int = DEFAULT_CLOSURE_CAP) -> EnvelopeReport:
     """Run the whole observable battery on one group.  Sub-step errors are
     recorded as failure entries rather than raised, so a report always
-    comes back for valid input; a negative seed is a ValidationError."""
+    comes back for valid input; a negative seed is a ValidationError.
+    When G+ is all of G, its commutant is G's, and is not computed again."""
     checked_seed(seed)
     digest = _digest(G)
     failures = []
@@ -143,7 +144,8 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
     c_group = commutant(rho)[1]
     c_nori = None
     if result is not None and result.nori_points.order > 1:
-        c_nori = commutant(module_of_group(result.nori_points))[1]
+        c_nori = (c_group if result.nori_points.order == G.order
+                  else commutant(module_of_group(result.nori_points))[1])
     c_derived = derived_commutant_dim(G)
     try:
         factors = composition_factors(rho, seed=seed)

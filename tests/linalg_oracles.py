@@ -11,7 +11,9 @@ matrix minimal polynomial as an lcm over unit vectors, the fixed-space
 dimension as the size of a nullspace basis, and invertibility as a
 caught failure of the inverse.  Last, composition_factors as it was
 before it recognized pieces: every piece searched by the MeatAxe, then
-the certified factors grouped into classes by an intertwiner alone."""
+the certified factors grouped into classes by an intertwiner alone.
+And G[ell] as it was found before trace candidates: the (g - 1)^n test
+over the whole element stack."""
 
 import numpy as np
 
@@ -297,3 +299,15 @@ def same_classes(got, want):
             return False
         unmatched.remove(match)
     return not unmatched
+
+
+def order_ell_elements(G):
+    """G[ell] by the test (g - 1)^n = 0 on every element of G's closure,
+    the identity dropped, in closure order."""
+    fld, X = G.field, G.closure()
+    power = N = fld.sub(X, fld.eye(G.n))
+    for _ in range(G.n - 1):
+        power = fld.matmul(power, N)
+    unipotent = ~power.any(axis=(-2, -1))
+    unipotent[0] = False
+    return X[unipotent]

@@ -22,6 +22,7 @@ from envlab.mackey import (all_subgroups, clifford_decompose, irreducible_module
                            mackey_irreducible, subgroup_datum)
 from envlab.nori import nori_points, order_ell_elements
 from envlab.pipeline import derived_commutant_dim, envelope_report
+from test_nori import sym2_so3_group
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -83,6 +84,15 @@ def test_derived_stage_closes_no_group():
     assert calls["fieldcore.closure"] == cold == 0
     calls, _, _ = traced(lambda: envelope_report(sl2_group(11)))
     assert calls["pipeline.derived_subgroup"] == 0
+
+
+def test_envelope_reuses_the_group_commutant_when_g_plus_is_g():
+    # SL2(F_11): G and [G, G]; G+ = G takes G's commutant.  SO3(F_7): G+
+    # has index 2 and its commutant is its own
+    calls, _, _ = traced(lambda: envelope_report(sl2_group(11)))
+    assert calls["fieldcore.intertwiners"] == 2
+    calls, _, _ = traced(lambda: envelope_report(sym2_so3_group(7)))
+    assert calls["fieldcore.intertwiners"] == 3
 
 
 def test_nori_points_passes_g_ell_as_a_stack():

@@ -14,7 +14,7 @@ from corpus import closure_mats, diagonal_torus, sl2_group
 from envlab.errors import CharTooSmall, NotUnipotent, ValidationError
 from envlab.fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, Mat, commutant,
                               module_of_group)
-from envlab.gf import field_make
+from envlab.gf import field_make, least_irreducible
 from envlab.nori import (_exp_stack, _log_stack, default_ell_threshold, is_unipotent,
                          lie_closure, lie_rank_estimate, nilpotent_exp, nori_points,
                          one_param_subgroup, order_ell_elements, plus_subgroup,
@@ -87,6 +87,13 @@ def test_sl2_is_exponentially_generated(ell):
     assert result.nori_points.order == G.order
     assert result.quotient_order == 1
     assert len(result.lie_algebra) == 3  # sl_2
+    assert quotient_is_abelian(result.nori_points, result.plus_group)
+
+
+def test_quotient_by_itself_forms_no_commutator(monkeypatch):
+    # S/S is trivial, so the report's quotient_abelian needs no membership test
+    result = nori_points(sl2_group(11))
+    monkeypatch.setattr("envlab.nori.generator_commutators", None)
     assert quotient_is_abelian(result.nori_points, result.plus_group)
 
 
@@ -242,6 +249,77 @@ def test_exp_and_log_stacks_match_the_term_by_term_series(ell, n, k, seed):
     assert np.array_equal(_exp_stack(fld, N), linalg_oracles.series(fld, N, exp_coefs))
     assert np.array_equal(_log_stack(fld, X),
                           linalg_oracles.series(fld, fld.sub(fld.eye(n), X), log_coefs))
+
+
+def unitriangular_group(ell, n):
+    """The upper unitriangular group from the unit transvections
+    e_{i, i+1}: every element is unipotent."""
+    fld = field_make(ell, 1)
+    gens = []
+    for i in range(n - 1):
+        m = np.eye(n, dtype=np.int64)
+        m[i, i + 1] = 1
+        gens.append(Mat(fld, m))
+    return FinMatGroup(fld, gens)
+
+
+def torus_group(ell, n):
+    """The diagonal torus of GL_n(F_ell): no element but 1 is unipotent."""
+    fld = field_make(ell, 1)
+    w = fld.least_primitive()
+    return FinMatGroup(fld, [Mat(fld, np.diag([w if j == i else 1 for j in range(n)]))
+                             for i in range(n)])
+
+
+def singer_group(ell, n):
+    """The cyclic group of the companion matrix of an irreducible of degree
+    n >= 2, of order prime to ell: no element but 1 is unipotent."""
+    fld = field_make(ell, 1)
+    coeffs = least_irreducible(ell, n)
+    m = np.zeros((n, n), dtype=np.int64)
+    m[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    m[:, -1] = [fld.neg(c) for c in coeffs[:-1]]
+    return FinMatGroup(fld, [Mat(fld, m)])
+
+
+def conjugated(G, rng):
+    """The group generated by P g P^-1 over G's generators, for a random
+    invertible P."""
+    fld = G.field
+    while True:
+        P = rng.integers(0, fld.ell, size=(G.n, G.n)).astype(np.int64)
+        if fld.rank(P) == G.n:
+            break
+    gens = fld.matmul(fld.matmul(P, G.gens), fld.inv_matrix(P))
+    return FinMatGroup(fld, [Mat(fld, g) for g in gens])
+
+
+# (name, maker, which non-identity elements are unipotent)
+G_ELL_FAMILIES = (
+    [(f"SL2({ell})", lambda ell=ell: sl2_group(ell), "some") for ell in (2, 3, 5, 7, 11)]
+    + [(f"SO3({ell})", lambda ell=ell: sym2_so3_group(ell), "some") for ell in (3, 5, 7)]
+    + [("SL3(3)", lambda: sl3_group(3), "some")]
+    + [(f"UT{n}({ell})", lambda ell=ell, n=n: unitriangular_group(ell, n), "all")
+       for ell, n in ((2, 2), (3, 3), (5, 3), (7, 3), (5, 4))]
+    + [(f"T{n}({ell})", lambda ell=ell, n=n: torus_group(ell, n), "none")
+       for ell, n in ((3, 3), (7, 2), (11, 2), (7, 3))]
+    + [(f"Singer{n}({ell})", lambda ell=ell, n=n: singer_group(ell, n), "none")
+       for ell, n in ((2, 2), (3, 3), (7, 2), (5, 3), (7, 3))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(G_ELL_FAMILIES), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_trace_candidates_keep_the_whole_stack_unipotents(family, conjugate, seed):
+    # a unipotent has trace n, so testing (g - 1)^n = 0 on the elements of
+    # trace n mod ell alone finds the same G[ell], in the same order
+    _, make, kind = family
+    G = make()
+    if conjugate:
+        G = conjugated(G, np.random.default_rng(seed))
+    unis = order_ell_elements(G)
+    assert np.array_equal(unis, linalg_oracles.order_ell_elements(G))
+    if kind != "some":
+        assert len(unis) == (G.order - 1 if kind == "all" else 0)
 
 
 @pytest.mark.parametrize("make", NORI_CORPUS)

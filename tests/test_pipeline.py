@@ -7,10 +7,11 @@ import pytest
 
 from corpus import diagonal_torus, mackey_corpus, sl2_group
 from envlab.errors import UnknownPredicate, ValidationError
-from envlab.fieldcore import FinMatGroup, Mat
+from envlab.fieldcore import FinMatGroup, Mat, commutant, module_of_group
 from envlab.gf import field_make
 from envlab.pipeline import derived_subgroup, eliminate_cases, envelope_report
 from envlab.smallrep import table_a
+from test_nori import sym2_so3_group
 
 
 DERIVED_ORDERS = {"S3/F7": 3, "C6/F7": 1, "D4/F5": 2, "Q8/F5": 2,
@@ -91,6 +92,30 @@ def test_tensor_square_report_flags_reducibility():
     report = envelope_report(G)
     assert report.factor_dims == [1, 3]
     assert not report.predicates["irreducible"]
+
+
+def tensor_square_group(ell):
+    """std (x) std of SL_2(F_ell) inside GL_4."""
+    fld = field_make(ell, 1)
+    return FinMatGroup(fld, [Mat(fld, fld.kron(g.array, g.array))
+                             for g in sl2_group(ell).generators])
+
+
+@pytest.mark.parametrize("make,index", [
+    (lambda: sl2_group(11), 1),
+    (lambda: sym2_so3_group(7), 2),
+    (lambda: tensor_square_group(11), 1),
+    (lambda: diagonal_torus(11), 100),
+], ids=["SL2(11)", "SO3(7)", "SL2(11)^2", "T(11)"])
+def test_nori_commutant_is_the_commutant_of_g_plus(make, index):
+    # when G+ = G the report reuses G's commutant; otherwise it computes
+    # G+'s own, and a trivial G+ has none
+    G = make()
+    report = envelope_report(G)
+    plus = report.nori.nori_points
+    assert G.order // plus.order == index
+    want = commutant(module_of_group(plus))[1] if plus.order > 1 else None
+    assert report.commutant_dims["nori_points"] == want
 
 
 def test_report_determinism():
