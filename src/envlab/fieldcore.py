@@ -38,7 +38,8 @@ matrix or a stack, is the one evaluation at matrices (also of nori and
 tame).  Over a field of at most ROOT_SCAN_MAX_Q elements, a p with a
 root has the least-degree factor x - a for its least root a, found with
 no draw by one elementwise Horner on the vector of all field elements
-(_roots, which tame shares).
+(_roots, which tame shares), and a rootless p of degree 2 or 3 is
+irreducible.
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -183,7 +184,8 @@ class FinMatGroup:
     walking the parents, and a right Cayley table on the generators:
     _right[i, j] is the index of element i times generator j.  gens holds
     the generators as one read-only (k, n, n) stack.  Generators must be
-    invertible; from_json checks those that come from outside.
+    invertible; from_json checks those that come from outside by
+    inverting them, and keeps the inverses as gens_inv.
 
     A subgroup that index_subgroup found is an index set of its ambient
     group's closure: its order and membership read that mask, with no
@@ -328,9 +330,11 @@ class FinMatGroup:
         mask = np.zeros(len(elems), dtype=bool)
         mask[0] = True
         gens, rest = [], np.asarray(candidates, dtype=np.int64)
+        rows = np.empty((0, len(elems)), dtype=np.int64)
         while (outside := rest[~mask[rest]]).size:
             gens.append(int(outside[0]))
-            mask = grow_mask(mask, self.right_rows(gens))
+            rows = np.concatenate([rows, self.right_rows(gens[-1:])])
+            mask = grow_mask(mask, rows)
             rest = outside[1:]
         H = FinMatGroup(self.field, elems[gens or [0]])
         H._ambient, H._mask = self, mask
@@ -390,10 +394,12 @@ class FinMatGroup:
         flats = doc.get("generators")
         if n < 1 or not isinstance(flats, list) or not flats:
             raise ValidationError("a group needs n >= 1 and at least one generator")
-        gens = [matrix_from_flat(fld, n, flat) for flat in flats]
-        if not all(g.is_invertible() for g in gens):
-            raise ValidationError("generator is not invertible")
-        return FinMatGroup(fld, gens)
+        G = FinMatGroup(fld, [matrix_from_flat(fld, n, flat) for flat in flats])
+        try:
+            G.gens_inv  # inverts every generator once, and keeps the inverses
+        except ZeroDivisionError:
+            raise ValidationError("generator is not invertible") from None
+        return G
 
     def to_json(self) -> dict:
         fld = self.field
@@ -552,13 +558,18 @@ def _irreducible_factor(fld, p, rng):
     """One irreducible factor of the monic polynomial p, of least degree.
 
     Over F_q with q <= ROOT_SCAN_MAX_Q, a p with roots gives x - a for its
-    least root a (_roots), with no draw.  A p with no root, or a larger
-    field, takes the distinct-degree search and Cantor-Zassenhaus, whose
-    draws from rng decide which factor of that least degree comes back."""
+    least root a (_roots), with no draw, and a rootless p of degree 2 or 3
+    is irreducible and comes back as it is.  A longer p with no root, or a
+    larger field, takes the distinct-degree search and Cantor-Zassenhaus,
+    whose draws from rng decide which factor of that least degree comes
+    back."""
     if len(p) == 2:
         return p  # monic linear
-    if fld.q <= ROOT_SCAN_MAX_Q and len(roots := _roots(fld, p)):
-        return [fld.scalar_ops[2](int(roots[0])), 1]
+    if fld.q <= ROOT_SCAN_MAX_Q:
+        if len(roots := _roots(fld, p)):
+            return [fld.scalar_ops[2](int(roots[0])), 1]
+        if len(p) <= 4:
+            return p  # a rootless quadratic or cubic is irreducible
     k, g = poly_distinct_degree(fld, p)
     return _equal_degree_factor(fld, g, k, rng)
 

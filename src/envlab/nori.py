@@ -9,10 +9,11 @@ generated by all one-parameter subgroups over G[ell] is G+ itself.
 
 G[ell] is found from trace candidates, then the nilpotence test on them:
 a unipotent has trace n, so (g - 1)^n = 0 is tested only on the closure's
-elements of trace n mod ell.  G[ell] stays a stack, the input of the
-stacked log series, and its closure indices are the candidates of G+,
-which is an index set of G's closure (FinMatGroup.index_subgroup): G is
-the only group the Nori stage closes.
+elements of trace n mod ell.  G[ell] comes as its closure indices, the
+candidates of G+, which is an index set of G's closure
+(FinMatGroup.index_subgroup): G is the only group the Nori stage closes.
+The stack of G[ell] read at those indices is the input of the stacked
+log series.
 exp and log are polynomials of degree below n, evaluated on whole stacks
 by fieldcore's Horner; lie_closure reduces all seeds at once.
 """
@@ -112,11 +113,11 @@ def is_unipotent(x: Mat) -> bool:
 
 
 def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> np.ndarray:
-    """G[ell]: the non-trivial unipotent elements of G, in closure order,
-    as a read-only (k, n, n) stack found from trace candidates, then the
-    nilpotence test on them.  A unipotent has trace n, so only the
-    elements of trace n mod ell are tested; their indices ascend, which
-    keeps the closure order."""
+    """G[ell]: the non-trivial unipotent elements of G, as a read-only
+    ascending array of their indices in G's closure, found from trace
+    candidates, then the nilpotence test on them; G.closure()[indices] is
+    the stack of them in closure order.  A unipotent has trace n, so only
+    the elements of trace n mod ell are tested."""
     fld = G.field
     _check_char(fld, G.n)
     X = G.closure(cap)
@@ -124,9 +125,8 @@ def order_ell_elements(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> np.nda
     candidates = 1 + np.flatnonzero(
         X[1:].trace(axis1=-2, axis2=-1) % fld.ell == G.n % fld.ell)
     kept = candidates[_nilpotent_mask(fld, fld.sub(X[candidates], fld.eye(G.n)))]
-    unis = X[kept]
-    unis.setflags(write=False)
-    return unis
+    kept.setflags(write=False)
+    return kept
 
 
 def one_param_subgroup(x: Mat):
@@ -140,23 +140,30 @@ def one_param_subgroup(x: Mat):
 def plus_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGroup:
     """The subgroup generated by the order-ell elements (normal in G), as
     an index set of G's closure."""
-    return G.index_subgroup(G.indices(order_ell_elements(G, cap)))
+    return G.index_subgroup(order_ell_elements(G, cap))
 
 
-def lie_closure(fld: GF, seeds, n: int):
-    """Bracket-and-span closure of a set of n x n matrices, as a basis list.
-
-    The seeds are reduced all at once: each step adds the first seed whose
-    residual is nonzero and clears the new pivot from the seeds after it,
-    so the rows are those of adding every seed in order.  The brackets of
-    each basis row with the rows up to it are one stacked product, added
-    in order."""
+def _echelon_span(fld: GF, seeds, n: int) -> EchelonBasis:
+    """The echelon basis of the span of n x n seeds, reduced all at once:
+    each step adds the first seed whose residual is nonzero and clears the
+    new pivot from the seeds after it, so the rows are those of adding
+    every seed in order."""
     basis = EchelonBasis(fld)
     rest = np.asarray(seeds, dtype=np.int64).reshape(-1, n * n)
     while (live := np.flatnonzero(rest.any(axis=1))).size:
         row = basis.add(rest[live[0]])
         rest = rest[live[0] + 1:]
         rest = fld.sub(rest, fld.mul(rest[:, basis.pivots[-1], None], row))
+    return basis
+
+
+def lie_closure(fld: GF, seeds, n: int):
+    """Bracket-and-span closure of a set of n x n matrices, as a basis list.
+
+    The seeds are reduced all at once (_echelon_span).  The brackets of
+    each basis row with the rows up to it are one stacked product, added
+    in order."""
+    basis = _echelon_span(fld, seeds, n)
     mats = basis.rows
     i = 0
     while i < len(mats):
@@ -181,9 +188,9 @@ def nori_points(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> NoriResult:
     if fld.ell < default_ell_threshold(n):
         warns.append(f"ell={fld.ell} is below the default threshold {default_ell_threshold(n)} "
                      f"for n={n}; exponential-generation properties are only asserted above it")
-    unis = order_ell_elements(G, cap)
-    plus = G.index_subgroup(G.indices(unis))
-    algebra = lie_closure(fld, _log_stack(fld, unis), n)
+    kept = order_ell_elements(G, cap)
+    plus = G.index_subgroup(kept)
+    algebra = lie_closure(fld, _log_stack(fld, G.closure(cap)[kept]), n)
     return NoriResult(plus_group=plus, nori_points=plus, lie_algebra=algebra,
                       warnings=warns)
 
@@ -206,13 +213,19 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
                       seed: int = DEFAULT_SEED) -> LieRankReport:
     """(dim, derived dim, sampled rank upper bound) of a matrix Lie algebra.
 
-    rank_estimate is min over sampled x in the derived algebra of
-    dim ker(ad x | derived), which is the derived dimension minus the rank
-    of the brackets [x, b] over the derived basis b, one GF.rank per
-    sample; it is an upper bound for the reductive rank, not a
-    certificate.  Every sample is at least 1 (a nonzero x lies in its own
-    centralizer, and x = 0 gives the derived dimension), so sampling stops
-    once the bound reaches 1; sample_count is the number of samples drawn.
+    The basis must span a Lie algebra L, as lie_closure returns it; then
+    [L, L] is the span of the brackets of the basis, which is itself
+    bracket-closed, and its rows are those lie_closure would give.
+    rank_estimate is min over sampled x in [L, L] of dim ker(ad x | [L, L]),
+    which is the derived dimension minus the rank of the brackets [x, b]
+    over the derived basis b, one GF.rank per sample; it is an upper bound
+    for the reductive rank, not a certificate.  No sample falls below the
+    floor max(1, derived dim - (n^2 - n)): a nonzero x lies in its own
+    centralizer, x = 0 gives the derived dimension, and every x in gl_n
+    has a centralizer of dimension at least n, which meets [L, L] in at
+    least derived dim + n - n^2 dimensions.  So sampling stops once the
+    minimum reaches the floor, with the same estimate as all samples give;
+    sample_count is the number of samples drawn.
     """
     rng = np.random.default_rng(checked_seed(seed))
     if not basis:
@@ -222,13 +235,14 @@ def lie_rank_estimate(basis, fld: GF, samples: int = 25,
     B = np.array(basis, dtype=np.int64)
     products = fld.matmul(B[:, None], B[None])  # [i, j] = b_i b_j
     i, j = np.tril_indices(dim, -1)  # the pairs j < i, by i then j
-    derived = lie_closure(fld, fld.sub(products[i, j], products[j, i]), n)
+    derived = _echelon_span(fld, fld.sub(products[i, j], products[j, i]), n).rows
     ddim = len(derived)
     if ddim == 0:
         return LieRankReport(dim, 0, 0, 0)
-    D = np.array(derived)
+    D = np.array(derived).reshape(ddim, n, n)
+    floor = max(1, ddim - (n * n - n))
     best, drawn = ddim, 0
-    while drawn < samples and best > 1:
+    while drawn < samples and best > floor:
         drawn += 1
         coeffs = rng.integers(0, fld.q, size=ddim)
         x = fld.matmul(coeffs[None], D.reshape(ddim, -1)).reshape(n, n)

@@ -5,11 +5,16 @@ estimate, optional tame weights) and evaluate the named predicate checks.
 Also the case-elimination driver over formal-character predicates.
 
 The Nori stage closes G only; G+ is an index set of G's closure, as is
-[G, G] when derived_subgroup is asked for it.  The derived stage of the
-report closes no group: derived_commutant_dim finds End_[G,G](V) as the
-largest subspace of the generator commutators' commutant that
-conjugation by every generator maps into itself, so --cap cannot make it
-fail.
+[G, G] when derived_subgroup is asked for it.  The three commutants of
+the report are one chain (commutant_chain) and close no group: one
+intertwiner system gives K0, the commutant of the generator commutators,
+and End_G(V), End_[G,G](V) and End_G+(V) are solved in nested subspaces
+of it, each with as many unknowns as the space it is solved in has
+dimensions.  End_G(V) is the part of K0 that commutes with G's
+generators; End_[G,G](V) is the largest subspace of K0 that conjugation
+by every generator maps into itself, found in rounds that stop once it
+shrinks to End_G(V); End_G+(V) is solved inside End_[G,G](V) when G+
+holds the generator commutators, as it does when G/G+ is abelian.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGr
     holding 1 that right multiplication by them and conjugation by every
     generator map into itself: one grow_mask, after which index_subgroup
     picks the generators.  envelope_report does not call it:
-    derived_commutant_dim gets the commutant without a closure."""
+    commutant_chain gets the commutant without a closure."""
     fld, elems = G.field, G.closure(cap)
     conj = fld.matmul(fld.matmul(G.gens[:, None], elems), G.gens_inv[:, None])
     rows = np.concatenate([G.right_rows(G.indices(generator_commutators(G))),
@@ -48,20 +53,38 @@ def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGr
     return G.index_subgroup(np.flatnonzero(grow_mask(mask, rows)))
 
 
-def derived_commutant_dim(G: FinMatGroup) -> int | None:
-    """dim End_[G,G](V), or None when [G,G] is trivial, with no group
-    closed.  [G,G] is the normal closure of the generator commutators, so
-    its commutant is the intersection of the conjugates g K0 g^-1 of
-    their commutant K0: the largest subspace of K0 that conjugation by
-    every generator maps into itself.  Each round keeps the X in K with
-    g X g^-1 in K for every generator g, one rref of K and one nullspace,
-    until K stops shrinking."""
+def _commuting_dim(fld, K, gens) -> int:
+    """dim of the X in the row span of K, a (r, n^2) array, with g X = X g
+    for every g of a (k, n, n) stack: r minus the rank of the r rows
+    g K_i - K_i g, each read over every g, so r unknowns."""
+    n = gens.shape[-1]
+    B = K.reshape(-1, n, n)
+    system = fld.sub(fld.matmul(gens[:, None], B), fld.matmul(B, gens[:, None]))
+    return len(K) - fld.rank(system.transpose(1, 0, 2, 3).reshape(len(K), -1))
+
+
+def commutant_chain(G: FinMatGroup, plus: FinMatGroup | None = None):
+    """(dim End_G(V), dim End_[G,G](V), dim End_G+(V)) from at most one
+    intertwiner system, K0 the commutant of the generator commutators.
+    End_G(V) lies in K0 and is the part of it that commutes with G's
+    generators.  [G,G] is the normal closure of the commutators, so its
+    commutant is the largest subspace of K0 that conjugation by every
+    generator maps into itself: each round keeps the X in K with
+    g X g^-1 in K for every g, one rref of K and one nullspace, until K
+    stops shrinking or shrinks to End_G(V), which lies in every round's
+    K.  When every generator commutator lies in the normal subgroup plus,
+    [G,G] <= plus <= G and End_plus(V) is solved inside End_[G,G](V);
+    else inside all of M_n.  The second entry is None when [G,G] is
+    trivial, where K0 is M_n; the third when plus is None or trivial.  It
+    closes no group of its own, so --cap cannot make it fail."""
     fld, n = G.field, G.n
     comms = generator_commutators(G)
-    if (comms == fld.eye(n)).all():
-        return None
-    K = np.reshape(commutant(ModuleRep(fld, comms))[0], (-1, n * n))
-    while True:
+    everything = fld.eye(n * n)
+    abelian = bool((comms == fld.eye(n)).all())
+    K = everything if abelian else np.reshape(
+        commutant(ModuleRep(fld, comms))[0], (-1, n * n))
+    c_group = _commuting_dim(fld, K, G.gens)
+    while not abelian and len(K) > c_group:
         R, pivots = fld.rref(K)
         free = [c for c in range(n * n) if c not in pivots]
         images = fld.matmul(fld.matmul(G.gens[:, None], R.reshape(-1, n, n)),
@@ -71,8 +94,17 @@ def derived_commutant_dim(G: FinMatGroup) -> int | None:
         # the coefficients a, as rows, with a . outside[g] = 0 for every g
         keep = fld.nullspace(outside.transpose(0, 2, 1).reshape(-1, len(R)))
         if len(keep) == len(R):
-            return len(R)
+            break
         K = fld.matmul(keep, R)
+    c_derived = None if abelian else len(K)
+    if plus is None or plus.order == 1:
+        c_nori = None
+    elif plus.order == G.order:
+        c_nori = c_group
+    else:
+        inside = K if plus.members(comms).all() else everything
+        c_nori = _commuting_dim(fld, inside, plus.gens)
+    return c_group, c_derived, c_nori
 
 
 @dataclass
@@ -141,12 +173,8 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
         quotient_order = result.quotient_order
     except EnvlabError as ex:
         failures.append(f"nori: {type(ex).__name__}: {ex}")
-    c_group = commutant(rho)[1]
-    c_nori = None
-    if result is not None and result.nori_points.order > 1:
-        c_nori = (c_group if result.nori_points.order == G.order
-                  else commutant(module_of_group(result.nori_points))[1])
-    c_derived = derived_commutant_dim(G)
+    c_group, c_derived, c_nori = commutant_chain(
+        G, None if result is None else result.nori_points)
     try:
         factors = composition_factors(rho, seed=seed)
         factor_dims = sorted(

@@ -13,13 +13,18 @@ caught failure of the inverse.  Last, composition_factors as it was
 before it recognized pieces: every piece searched by the MeatAxe, then
 the certified factors grouped into classes by an intertwiner alone.
 And G[ell] as it was found before trace candidates: the (g - 1)^n test
-over the whole element stack."""
+over the whole element stack.  The commutant of [G, G] as the pipeline
+found it before the commutant chain: the fixed point of its own rounds
+from the generator commutators' commutant, run until K stops shrinking.
+And the Lie rank estimate with all its samples drawn, on a derived
+algebra closed by lie_closure."""
 
 import numpy as np
 
 from envlab.errors import ValidationError
 from envlab.fieldcore import (DEFAULT_MEATAXE_BUDGET, DEFAULT_SEED, IrreducibleWitness,
-                              ModuleRep, _submodule_action, intertwiners, meataxe_split)
+                              ModuleRep, _submodule_action, commutant,
+                              generator_commutators, intertwiners, meataxe_split)
 from envlab.gf import poly_divmod, poly_gcd, poly_mul
 
 
@@ -311,3 +316,50 @@ def order_ell_elements(G):
     unipotent = ~power.any(axis=(-2, -1))
     unipotent[0] = False
     return X[unipotent]
+
+
+def derived_commutant_dim(G):
+    """dim End_[G,G](V), or None when [G,G] is trivial, with no group
+    closed.  [G,G] is the normal closure of the generator commutators, so
+    its commutant is the intersection of the conjugates g K0 g^-1 of
+    their commutant K0: the largest subspace of K0 that conjugation by
+    every generator maps into itself.  Each round keeps the X in K with
+    g X g^-1 in K for every generator g, one rref of K and one nullspace,
+    until K stops shrinking."""
+    fld, n = G.field, G.n
+    comms = generator_commutators(G)
+    if (comms == fld.eye(n)).all():
+        return None
+    K = np.reshape(commutant(ModuleRep(fld, comms))[0], (-1, n * n))
+    while True:
+        R, pivots = fld.rref(K)
+        free = [c for c in range(n * n) if c not in pivots]
+        images = fld.matmul(fld.matmul(G.gens[:, None], R.reshape(-1, n, n)),
+                            G.gens_inv[:, None]).reshape(len(G.gens), len(R), n * n)
+        outside = fld.sub(images[:, :, free], fld.matmul(images[:, :, pivots], R[:, free]))
+        keep = fld.nullspace(outside.transpose(0, 2, 1).reshape(-1, len(R)))
+        if len(keep) == len(R):
+            return len(R)
+        K = fld.matmul(keep, R)
+
+
+def lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
+    """(dim, derived dim, min over all samples of dim ker(ad x | derived))
+    of a matrix Lie algebra, the derived algebra closed by the oracle
+    lie_closure and every one of the samples drawn."""
+    n, dim = basis[0].shape[0], len(basis)
+    brackets = [fld.sub(fld.matmul(basis[i], basis[j]), fld.matmul(basis[j], basis[i]))
+                for i in range(dim) for j in range(i)]
+    derived = lie_closure(fld, brackets, n)
+    ddim = len(derived)
+    if ddim == 0:
+        return dim, 0, 0
+    D = np.array(derived)
+    rng = np.random.default_rng(seed)
+    best = ddim
+    for _ in range(samples):
+        coeffs = rng.integers(0, fld.q, size=ddim)
+        x = fld.matmul(coeffs[None], D.reshape(ddim, -1)).reshape(n, n)
+        brs = fld.sub(fld.matmul(x, D), fld.matmul(D, x)).reshape(ddim, -1)
+        best = min(best, ddim - fld.rank(brs))
+    return dim, ddim, best

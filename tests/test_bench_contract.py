@@ -21,7 +21,7 @@ from envlab.fieldcore import DEFAULT_SEED
 from envlab.mackey import (all_subgroups, clifford_decompose, irreducible_modules,
                            mackey_irreducible, subgroup_datum)
 from envlab.nori import nori_points, order_ell_elements
-from envlab.pipeline import derived_commutant_dim, envelope_report
+from envlab.pipeline import commutant_chain, envelope_report
 from test_nori import sym2_so3_group
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -80,19 +80,21 @@ def test_derived_stage_closes_no_group():
     # closure and no derived_subgroup call inside envelope_report
     G = sl2_group(11)
     G.closure()
-    calls, cold, _ = traced(lambda: derived_commutant_dim(G))
+    calls, cold, _ = traced(lambda: commutant_chain(G))
     assert calls["fieldcore.closure"] == cold == 0
     calls, _, _ = traced(lambda: envelope_report(sl2_group(11)))
     assert calls["pipeline.derived_subgroup"] == 0
 
 
 def test_envelope_reuses_the_group_commutant_when_g_plus_is_g():
-    # SL2(F_11): G and [G, G]; G+ = G takes G's commutant.  SO3(F_7): G+
-    # has index 2 and its commutant is its own
+    # one intertwiner system per report, K0 of the generator commutators;
+    # the rest of the chain is solved inside it.  SL2(F_11): G+ = G takes
+    # G's commutant.  SO3(F_7): G+ has index 2 and holds the generator
+    # commutators, so its commutant is solved inside End_[G,G](V)
     calls, _, _ = traced(lambda: envelope_report(sl2_group(11)))
-    assert calls["fieldcore.intertwiners"] == 2
+    assert calls["fieldcore.intertwiners"] == 1
     calls, _, _ = traced(lambda: envelope_report(sym2_so3_group(7)))
-    assert calls["fieldcore.intertwiners"] == 3
+    assert calls["fieldcore.intertwiners"] == 1
 
 
 def test_nori_points_passes_g_ell_as_a_stack():

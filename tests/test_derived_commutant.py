@@ -1,9 +1,12 @@
-"""The commutant of the derived subgroup without a group closure:
-derived_commutant_dim against the commutant of [G, G] closed as the
-normal closure of the generator commutators, one Mat at a time
-(reference_generated_subgroup), on random small groups over GF(2), GF(3),
-GF(5), GF(7), GF(4) and GF(9), and on the groups of the mackey, envelope
-and extfield benchmark workloads."""
+"""The commutants of the envelope report without a group closure: the
+commutant chain's End_[G,G](V) against the commutant of [G, G] closed as
+the normal closure of the generator commutators, one Mat at a time
+(reference_generated_subgroup), and against the fixed-point rounds it
+replaced (linalg_oracles.derived_commutant_dim); its End_G(V) and
+End_G+(V) against the plain commutants of G and G+.  On random small
+groups over GF(2), GF(3), GF(5), GF(7), GF(4) and GF(9), with G+ from the
+Nori stage or any normal subgroup, and on the groups of the mackey,
+envelope and extfield benchmark workloads."""
 
 import importlib.util
 import os
@@ -13,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import mackey_corpus
+import linalg_oracles
+from corpus import mackey_corpus, perm_mat
+from envlab.errors import EnvlabError
 from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, commutant,
-                              generator_commutators, module_of_group)
+                              generator_commutators, grow_mask, module_of_group)
 from envlab.gf import field_make
-from envlab.pipeline import derived_commutant_dim
+from envlab.nori import nori_points
+from envlab.pipeline import commutant_chain, derived_subgroup
 from test_fieldcore import reference_generated_subgroup
+from test_nori import sym2_so3_group
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 _spec = importlib.util.spec_from_file_location("bench_workloads",
@@ -95,12 +102,14 @@ def small_groups(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_groups())
 def test_derived_commutant_matches_the_closed_derived_subgroup(G):
-    assert derived_commutant_dim(G) == oracle_c_derived(G)
+    assert commutant_chain(G)[1] == oracle_c_derived(G) \
+        == linalg_oracles.derived_commutant_dim(G)
 
 
 @pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G, _ in mackey_corpus()])
 def test_derived_commutant_on_the_mackey_corpus(G):
-    assert derived_commutant_dim(G) == oracle_c_derived(G)
+    assert commutant_chain(G)[1] == oracle_c_derived(G) \
+        == linalg_oracles.derived_commutant_dim(G)
 
 
 def _benchmark_groups():
@@ -139,7 +148,7 @@ def _benchmark_groups():
 
 @pytest.mark.parametrize("G,want", _benchmark_groups())
 def test_derived_commutant_on_the_benchmark_groups(G, want):
-    assert derived_commutant_dim(G) == want
+    assert commutant_chain(G)[1] == linalg_oracles.derived_commutant_dim(G) == want
     if G.field.q <= 11:  # the Mat-loop closure of [G, G] stays small here
         assert oracle_c_derived(G) == want
 
@@ -159,3 +168,138 @@ def test_generator_commutators_list_each_pair_once(G, want):
                               commutant(ModuleRep(fld, every))[0])
     else:
         assert (every == fld.eye(G.n)).all() and want is None
+
+
+# the normal subgroups the chain's third entry is tested on: none, G+
+# from the Nori stage, G, [G, G] and the centre of G
+PLUS = ["none", "nori", "group", "derived", "centre"]
+PLUS_CAP = 20000
+
+
+def plus_of(G, which):
+    """The subgroup named by which, or None where the Nori stage fails
+    (GF(ell^d), ell < n) or G's closure passes PLUS_CAP."""
+    if which == "none":
+        return None
+    try:
+        if which == "nori":
+            return nori_points(G, PLUS_CAP).nori_points
+        if which == "derived":
+            return derived_subgroup(G, PLUS_CAP)
+        X = G.closure(PLUS_CAP)
+    except EnvlabError:
+        return None
+    if which == "group":
+        return G
+    fld = G.field
+    central = (fld.matmul(X[:, None], G.gens[None]) == fld.matmul(G.gens[None], X[:, None]))
+    return G.index_subgroup(np.flatnonzero(central.all(axis=(1, 2, 3))))
+
+
+def plain_chain(G, plus):
+    """(c_group, c_derived, c_nori) from plain commutants of G and plus and
+    the fixed-point rounds for [G, G]."""
+    c_nori = None if plus is None or plus.order == 1 else commutant(module_of_group(plus))[1]
+    return (commutant(module_of_group(G))[1], linalg_oracles.derived_commutant_dim(G), c_nori)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_groups(), st.sampled_from(PLUS))
+def test_commutant_chain_matches_the_plain_commutants(G, which):
+    # abelian groups (c_derived None), reducible triangular and
+    # decomposable diagonal ones, G+ = G, [G, G] <= G+ and a centre that
+    # misses the commutators
+    plus = plus_of(G, which)
+    assert commutant_chain(G, plus) == plain_chain(G, plus)
+
+
+def s3_times_unipotent(fld):
+    """S3 on three coordinates next to a unit transvection on two: G+ is
+    the order-ell factor and misses the commutators of S3.  Over F_5, V is the
+    trivial line, S3's 2-dim irreducible and the uniserial 2-dim module J
+    of C_ell, so End_G(V) = 1 + 1 + 2 + 1 + 1 (the last two the maps
+    between the line and J); [G, G] = A3 sees three trivial lines and an
+    irreducible plane with a 2-dim commutant over F_5, 9 + 2; G+ sees
+    three trivial lines and J, 9 + 3 + 3 + 2."""
+
+    def block(top, bottom):
+        M = fld.zeros(5, 5)
+        M[:3, :3], M[3:, 3:] = top, bottom
+        return Mat(fld, M)
+
+    swap, cycle = perm_mat(fld, [1, 0, 2]).array, perm_mat(fld, [1, 2, 0]).array
+    u = np.array([[1, 1], [0, 1]])
+    return FinMatGroup(fld, [block(swap, fld.eye(2)), block(cycle, fld.eye(2)),
+                             block(fld.eye(3), u)])
+
+
+@pytest.mark.parametrize("make,holds_commutators,want", [
+    (lambda: sym2_so3_group(7), True, (1, 1, 1)),  # G+ = PSL2(F_7) of index 2
+    (lambda: s3_times_unipotent(field_make(5)), False, (6, 11, 17)),
+], ids=["SO3(F7)", "S3xC5(F5)"])
+def test_commutant_chain_with_a_proper_g_plus(make, holds_commutators, want):
+    G = make()
+    plus = nori_points(G).nori_points
+    assert 1 < plus.order < G.order
+    assert bool(plus.members(generator_commutators(G)).all()) == holds_commutators
+    assert commutant_chain(G, plus) == plain_chain(G, plus) == want
+
+
+@pytest.mark.parametrize("G,want", _benchmark_groups())
+def test_commutant_chain_on_the_benchmark_groups(G, want):
+    # over GF(ell^d) the Nori stage fails and the chain gets no G+
+    try:
+        plus = nori_points(G).nori_points
+    except EnvlabError:
+        plus = None
+    assert commutant_chain(G, plus) == plain_chain(G, plus)
+
+
+def normal_closure(G, x):
+    """The normal closure of G's closure element x: the least mask
+    holding 1 that right multiplication by x and conjugation by every
+    generator map into itself, as derived_subgroup grows [G, G]."""
+    fld, elems = G.field, G.closure()
+    conj = fld.matmul(fld.matmul(G.gens[:, None], elems), G.gens_inv[:, None])
+    mask = np.zeros(len(elems), dtype=bool)
+    mask[0] = True
+    rows = np.concatenate([G.right_rows([x]), G.indices(conj)])
+    return G.index_subgroup(np.flatnonzero(grow_mask(mask, rows)))
+
+
+def _chain_groups():
+    """Non-abelian groups with decomposable permutation modules, G+ of
+    index 2, a G+ that misses the commutators (over F_5 and GF(9)), and
+    SL2 over GF(4) and GF(9)."""
+    groups = [G for _, G, _ in mackey_corpus()]
+    groups += [sym2_so3_group(7), s3_times_unipotent(field_make(5)),
+               s3_times_unipotent(field_make(3, 2))]
+    rng = np.random.default_rng(29)
+    for ell, d in [(2, 2), (3, 2)]:
+        fld = field_make(ell, d)
+        groups.append(FinMatGroup.from_json(
+            workloads._conjugated(fld, 2, workloads._sl2_gens(fld), rng)))
+    return groups
+
+
+CHAIN_GROUPS = _chain_groups()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(CHAIN_GROUPS) - 1), st.data())
+def test_commutant_chain_on_normal_closures(i, data):
+    # the normal closure of one element holds the commutators or not, is
+    # trivial, proper or G
+    G = CHAIN_GROUPS[i]
+    plus = normal_closure(G, data.draw(st.integers(0, G.order - 1)))
+    assert commutant_chain(G, plus) == plain_chain(G, plus)
+
+
+def test_commutant_chain_with_a_normal_subgroup_without_the_commutators_over_gf9():
+    # the Nori stage fails over GF(9); the unipotent factor's normal
+    # closure stands for G+ and misses the commutators of S3
+    G = s3_times_unipotent(field_make(3, 2))
+    plus = normal_closure(G, int(G.indices(G.gens[2])))
+    assert plus.order == 3
+    assert not plus.members(generator_commutators(G)).all()
+    assert commutant_chain(G, plus) == plain_chain(G, plus)

@@ -13,7 +13,8 @@ from envlab import fieldcore
 from envlab.errors import ClosureOverflow, ValidationError
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               _inverse_stack, _submodule_action, commutant,
-                              composition_factors, extend_scalars, intertwiners,
+                              composition_factors, extend_scalars,
+                              generator_commutators, intertwiners,
                               is_absolutely_irreducible,
                               is_irreducible, meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
@@ -112,6 +113,31 @@ def test_gens_inv_is_computed_once(monkeypatch):
     assert s4.gens_inv is inv and not inv.flags.writeable
     with pytest.raises(AttributeError):
         s4.gens_inv = inv
+
+
+@pytest.mark.parametrize("ell,d", [(7, 1), (3, 2)])
+def test_from_json_inverts_each_generator_once(monkeypatch, ell, d):
+    # the inverses that prove the generators invertible are gens_inv, so
+    # generator_commutators inverts nothing more; a singular generator is
+    # still a ValidationError
+    fld = field_make(ell, d)
+    s4 = symmetric_group(4, 13)
+    doc = {"ell": ell, "d": d, "n": 4,
+           "generators": [g.array.reshape(-1).tolist() for g in s4.generators]}
+    if d > 1:
+        doc["modulus"] = list(fld.modulus)
+    inverted = []
+    inv_matrix = type(fld).inv_matrix
+    monkeypatch.setattr(type(fld), "inv_matrix",
+                        lambda self, m: inverted.append(1) or inv_matrix(self, m))
+    G = FinMatGroup.from_json(doc)
+    assert len(inverted) == 2 and not G.gens_inv.flags.writeable
+    assert np.array_equal(G.gens_inv, _inverse_stack(fld, G.gens))
+    generator_commutators(G)
+    assert len(inverted) == 4  # the two of the check above, none here
+    doc["generators"].append([1] * 16)
+    with pytest.raises(ValidationError, match="generator is not invertible"):
+        FinMatGroup.from_json(doc)
 
 
 def test_s3_permutation_module_splits():

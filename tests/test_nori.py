@@ -99,7 +99,7 @@ def test_quotient_by_itself_forms_no_commutator(monkeypatch):
 
 def test_torus_has_no_unipotents():
     G = diagonal_torus(11)
-    assert order_ell_elements(G).shape == (0, 2, 2)
+    assert order_ell_elements(G).shape == (0,)
     result = nori_points(G)
     assert result.nori_points.order == 1
     assert result.lie_algebra == []
@@ -175,7 +175,7 @@ def one_param_closure(G):
     outside the group built so far."""
     group = FinMatGroup.trivial(G.field, G.n)
     gens = []
-    for x in order_ell_elements(G):
+    for x in G.closure()[order_ell_elements(G)]:
         for c in one_param_subgroup(Mat(G.field, x)):
             if c not in group:
                 gens.append(c)
@@ -316,7 +316,7 @@ def test_trace_candidates_keep_the_whole_stack_unipotents(family, conjugate, see
     G = make()
     if conjugate:
         G = conjugated(G, np.random.default_rng(seed))
-    unis = order_ell_elements(G)
+    unis = G.closure()[order_ell_elements(G)]
     assert np.array_equal(unis, linalg_oracles.order_ell_elements(G))
     if kind != "some":
         assert len(unis) == (G.order - 1 if kind == "all" else 0)
@@ -328,8 +328,9 @@ def test_stacked_scan_and_logs_match_per_element(make):
     fld = G.field
     expect = [g for g in closure_mats(G)
               if not g.is_identity() and reference_is_unipotent(fld, g.array)]
-    unis = order_ell_elements(G)
-    assert not unis.flags.writeable
+    kept = order_ell_elements(G)
+    assert not kept.flags.writeable
+    unis = G.closure()[kept]
     assert np.array_equal(unis, np.array([g.array for g in expect]).reshape(-1, G.n, G.n))
     assert all(is_unipotent(g) for g in expect)
     logs = [unipotent_log(x).array for x in expect]
@@ -355,8 +356,9 @@ def test_lie_closure_rows_match_seeds_added_in_order(ell, n, data):
 def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
     """lie_rank_estimate as first written: the coordinates of each bracket
     [x, b] from its own rref, every sample drawn.  The sample count is the
-    number of samples at which the running minimum first reaches 1, where
-    lie_rank_estimate stops drawing (all of them if it never does)."""
+    number of samples at which the running minimum first reaches the floor
+    max(1, derived dim - (n^2 - n)), where lie_rank_estimate stops drawing
+    (all of them if it never does)."""
     def coords_in_span(basis_mats, M):
         B = np.array([b.reshape(-1) for b in basis_mats], dtype=np.int64)
         R, pivots = fld.rref(np.concatenate([B.T, M.reshape(-1, 1)], axis=1))
@@ -390,7 +392,8 @@ def reference_lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
         else:
             best = min(best, ddim - fld.rank(ad))
         minima.append(best)
-    return (len(basis), ddim, best, minima.index(1) if 1 in minima else samples)
+    floor = max(1, ddim - (n * n - n))
+    return (len(basis), ddim, best, minima.index(floor) if floor in minima else samples)
 
 
 @pytest.mark.parametrize("make", NORI_CORPUS[:4])
@@ -401,3 +404,62 @@ def test_lie_rank_estimate_matches_per_bracket_coordinates(make, seed):
     report = lie_rank_estimate(algebra, G.field, seed=seed)
     assert (report.dim, report.derived_dim, report.rank_estimate,
             report.sample_count) == reference_lie_rank_estimate(algebra, G.field, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_lie_rank_estimate_stops_at_the_floor_with_the_all_samples_estimate(ell, n, seed,
+                                                                            data):
+    # a Lie algebra closed from 1-3 random seeds; the sampled minimum never
+    # falls below max(1, derived dim - (n^2 - n)), so stopping there keeps
+    # the estimate that all 25 samples give
+    fld = field_make(ell, 1)
+    seeds = [np.array(data.draw(st.lists(st.integers(0, ell - 1), min_size=n * n,
+                                         max_size=n * n)), dtype=np.int64).reshape(n, n)
+             for _ in range(data.draw(st.integers(1, 3)))]
+    algebra = lie_closure(fld, seeds, n)
+    if not algebra:
+        return
+    report = lie_rank_estimate(algebra, fld, seed=seed)
+    want = linalg_oracles.lie_rank_estimate(algebra, fld, seed=seed)
+    assert (report.dim, report.derived_dim, report.rank_estimate) == want
+    floor = max(1, report.derived_dim - (n * n - n)) if report.derived_dim else 0
+    assert report.sample_count == 25 or report.rank_estimate == floor
+
+
+def test_lie_rank_estimate_of_a_line_has_no_derived_algebra():
+    # one basis element: no pair to bracket, and [L, L] = 0
+    fld = field_make(7, 1)
+    e = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    report = lie_rank_estimate([e], fld)
+    assert (report.dim, report.derived_dim, report.rank_estimate,
+            report.sample_count) == (1, 0, 0, 0)
+
+
+def test_lie_rank_estimate_of_sl3_stops_at_its_floor_after_one_sample():
+    # sl3 has dimension 8 and a centralizer of every x in gl3 has dimension
+    # at least 3, so no sample reads below 8 - 6 = 2, the rank of sl3
+    G = sl3_group(3)
+    algebra = nori_points(G).lie_algebra
+    report = lie_rank_estimate(algebra, G.field)
+    assert (report.dim, report.derived_dim, report.rank_estimate,
+            report.sample_count) == (8, 8, 2, 1)
+    assert linalg_oracles.lie_rank_estimate(algebra, G.field) == (8, 8, 2)
+
+
+def test_nori_points_looks_no_element_up(monkeypatch):
+    # G+ comes from the closure indices of G[ell], and index_subgroup
+    # composes one right row per generator it picks
+    G = sl2_group(23)
+    G.closure()
+    looked_up, composed = [], []
+    indices, right_rows = FinMatGroup.indices, FinMatGroup.right_rows
+    monkeypatch.setattr(FinMatGroup, "indices",
+                        lambda self, stack: looked_up.append(1) or indices(self, stack))
+    monkeypatch.setattr(FinMatGroup, "right_rows",
+                        lambda self, xs: composed.append(len(xs)) or right_rows(self, xs))
+    result = nori_points(G)
+    assert result.plus_group.order == G.order
+    assert looked_up == []
+    assert composed == [1] * len(result.plus_group.generators)

@@ -153,7 +153,7 @@ def test_spin_matches_the_numpy_oracle(ell, d, n, k, seeds, seed):
 def test_lie_closure_rows_match_the_numpy_oracle_on_nori_algebras(make):
     G = make()
     fld = G.field
-    seeds = _log_stack(fld, order_ell_elements(G))
+    seeds = _log_stack(fld, G.closure()[order_ell_elements(G)])
     got = lie_closure(fld, seeds, G.n)
     want = linalg_oracles.lie_closure(fld, seeds, G.n)
     assert len(got) == len(want) > 0

@@ -9,7 +9,9 @@ sympy's factorization, the irreducibility test against sympy on every
 small monic polynomial, _irreducible_factor against sympy's
 factorization, the root scan (fieldcore._roots), which gives x - (the
 least root) with no draw, and the distinct-degree search and
-Cantor-Zassenhaus where it does not run, the scan's elementwise Horner
+Cantor-Zassenhaus where it does not run, a rootless quadratic or cubic
+returned as it is, with the draws the distinct-degree route would make
+(none) recorded, the scan's elementwise Horner
 against the Horner at 1 x 1 matrices it replaced, and GF.dlog against
 the BSGS on one-element numpy products.  sympy is a test-only
 dependency."""
@@ -236,6 +238,46 @@ def test_root_scan_replays_the_equal_degree_search(ell, d, data):
         assert got == fieldcore._equal_degree_factor(fld, g, k, theirs)
     assert mine.bit_generator.state == theirs.bit_generator.state
     assert len(scans) == scanned
+
+
+class RecordingRng:
+    """A generator that records every draw made from it."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.draws.append(np.asarray(out).tolist())
+        return out
+
+
+@pytest.mark.parametrize("ell,d", SCAN_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rootless_quadratics_and_cubics_come_back_as_they_are(ell, d, data):
+    # a monic p of degree 2 to 5 with no root in F_q.  Of degree 2 or 3 it
+    # is irreducible: _irreducible_factor returns p itself with no
+    # distinct-degree search, which on it would draw nothing either.  Of
+    # degree 4 or 5 it takes that search, draws and all
+    fld = field_make(ell, d)
+    deg = data.draw(st.integers(2, 5))
+    p = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=deg, max_size=deg)) + [1]
+    assume(not len(fieldcore._roots(fld, p)))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    mine, theirs = RecordingRng(seed), RecordingRng(seed)
+    searches, search = [], fieldcore.poly_distinct_degree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldcore, "poly_distinct_degree",
+                      lambda *a: searches.append(1) or search(*a))
+        got = _irreducible_factor(fld, p, mine)
+    k, g = gf.poly_distinct_degree(fld, p)
+    assert got == fieldcore._equal_degree_factor(fld, g, k, theirs)
+    assert mine.draws == theirs.draws
+    if deg <= 3:
+        assert got is p and mine.draws == [] and searches == []
+    else:
+        assert searches == [1]
 
 
 def scalar_value(fld, p, a):
