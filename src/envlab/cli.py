@@ -99,7 +99,7 @@ def _emit(doc, args, csv_rows=None, text_lines=None):
 def _load_input(args):
     if not args.input:
         raise UsageError("--input is required for this subcommand")
-    with open(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError("the input must be a JSON object")
@@ -296,8 +296,8 @@ def run(argv=None) -> int:
         print(json.dumps({"error": type(ex).__name__, "message": str(ex)}),
               file=sys.stderr)
         return 2
-    except (ValidationError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as ex:
+    except (ValidationError, FileNotFoundError, IsADirectoryError, KeyError,
+            json.JSONDecodeError, UnicodeDecodeError) as ex:
         print(json.dumps({"error": type(ex).__name__, "message": str(ex)}),
               file=sys.stderr)
         return 1

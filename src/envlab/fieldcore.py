@@ -32,14 +32,17 @@ in one stacked GF.matmul.  Every other rank or coordinate question is
 answered by one GF.rref: a dimension is a rank, a coordinate is a read
 at the pivots (the submodule and quotient actions), and a minimal
 polynomial is the first relation of a Krylov sequence, read at the
-first non-pivot column (_first_relation).  The MeatAxe's polynomial
-arithmetic is the kernel in gf, and _eval_poly_at_matrix, a Horner on a
-matrix or a stack, is the one evaluation at matrices (also of nori and
-tame).  Over a field of at most ROOT_SCAN_MAX_Q elements, a p with a
-root has the least-degree factor x - a for its least root a, found with
-no draw by one elementwise Horner on the vector of all field elements
-(_roots, which tame shares), and a rootless p of degree 2 or 3 is
-irreducible.
+first non-pivot column (_first_relation; matrix_minpoly for a matrix).
+The MeatAxe's polynomial arithmetic is the kernel in gf, and
+_eval_poly_at_matrix, a Horner on a matrix or a stack, is the one
+evaluation at matrices (also of nori and tame).  Over a field of at most
+ROOT_SCAN_MAX_Q elements, a p with a root has the least-degree factor
+x - a for its least root a, found with no draw by one elementwise Horner
+on the vector of all field elements (_roots, which tame shares), and a
+rootless p of degree 2 or 3 is irreducible.  _factors lists all the
+irreducible factors of a squarefree p, its roots from one scan: the
+centre split of mackey and the tame weights of one semisimple matrix
+read them.
 
 Each irreducible is certified once.  meataxe_split stores the
 IrreducibleWitness it finds on that ModuleRep object, and a later call on
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
 from itertools import count, repeat
 from numbers import Integral
 
@@ -574,6 +578,23 @@ def _irreducible_factor(fld, p, rng):
     return _equal_degree_factor(fld, g, k, rng)
 
 
+def _factors(fld: GF, p, seed: int) -> list:
+    """The monic irreducible factors of a monic squarefree p: x - a for
+    each root a, all read in one scan over a field of at most
+    ROOT_SCAN_MAX_Q elements, then those of what is left, one
+    _irreducible_factor at a time, drawing from an rng seeded with
+    seed."""
+    roots = _roots(fld, p).tolist() if fld.q <= ROOT_SCAN_MAX_Q else []
+    factors = [[fld.scalar_ops[2](a), 1] for a in roots]
+    if len(roots) < len(p) - 1:
+        p = reduce(lambda rest, f: poly_divmod(fld, rest, f)[0], factors, p)
+        rng = np.random.default_rng(seed)
+        while len(p) > 1:
+            factors.append(f := _irreducible_factor(fld, p, rng))
+            p = poly_divmod(fld, p, f)[0]
+    return factors
+
+
 def _equal_degree_factor(fld, g, k, rng):
     """Cantor-Zassenhaus on a monic product of irreducibles of degree k."""
     while len(g) - 1 > k:
@@ -658,6 +679,12 @@ def _vector_minpoly(fld, A, v):
     """Monic minimal polynomial of the vector v under the matrix A: the
     first relation among v, Av, ..., A^n v."""
     return _first_relation(fld, _krylov(fld, A, np.reshape(v, (-1, 1))))
+
+
+def matrix_minpoly(fld, A):
+    """Monic minimal polynomial of the matrix A, coefficients low to high:
+    the first relation among I, A, ..., A^n, flattened."""
+    return _first_relation(fld, _krylov(fld, A, fld.eye(len(A))))
 
 
 def spin(fld, matrices, seeds, limit=None):

@@ -24,8 +24,9 @@ generators (N x k); there is no |G| x |G| table, nor an |H| x |H| one.
 
 irreducible_modules splits the regular representation F[H] along the
 centre Z(F[H]): the class sums, whose structure constants are counted on
-H's closure indices, split Z into ideals, over a splitting field into
-the lines of the primitive central idempotents (Dixon 1967).  The block
+H's closure indices, split Z into its simple summands, over a splitting
+field into the lines of the primitive central idempotents (Dixon 1967),
+and each summand keeps its primitive central idempotent.  The block
 F[H] e of such a line is M_d(F) (Wedderburn), W^d for one irreducible W,
 and right multiplication commutes with the left action, so an
 eigenspace of one generator's right action, read off H's right Cayley
@@ -36,8 +37,9 @@ cut down to dimension d by MeatAxe splits (Holt & Rees 1994).
 
 Nothing a session has answered is searched again, and neither an answer
 nor its order depends on the seed.  irreducible_modules sorts its
-modules into one canonical order and stores them, each with its
-witness and the line of its central idempotent, by coefficient field,
+modules into one canonical order, by characters read off those
+idempotents, and stores them, each with its witness and its primitive
+central idempotent, by coefficient field,
 seed and regular representation, in a store that the groups of one
 all_subgroups call share with G; so G after its classes, and a class
 whose regular representation another had (S4's two C2 classes), search
@@ -51,28 +53,27 @@ tests each intersection by one Reynolds product, a sum of Kronecker
 products whose rank is the dimension of the invariants.
 clifford_decompose reads the shape of Res_N V from the ranks of V at
 N's stored central idempotents, one word walk and one product for all
-of them; V over N = G is its own factor, and a field that does not
-split N, or one whose characteristic divides |N|, takes
-composition_factors instead.
+of them, over any field whose characteristic does not divide |N|; V
+over N = G is its own factor, and a characteristic that divides |N|
+takes composition_factors instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import count
 
 import numpy as np
 
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
-from .fieldcore import (DEFAULT_SEED, ROOT_SCAN_MAX_Q, FinMatGroup, IrreducibleWitness, Mat,
-                        ModuleRep, _certify, _eval_poly_at_matrix, _first_relation,
-                        _inverse_stack, _irreducible_factor, _krylov, _roots,
-                        _submodule_action, _traces, checked_seed, composition_factors,
-                        grow_mask, intertwiners, is_irreducible, meataxe_split,
-                        modules_isomorphic, spin)
+from .fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
+                        _certify, _eval_poly_at_matrix, _factors, _first_relation,
+                        _inverse_stack, _submodule_action, checked_seed, composition_factors,
+                        grow_mask, intertwiners, is_irreducible, matrix_minpoly,
+                        meataxe_split, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
 
 
@@ -323,14 +324,14 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     """Shape of Res_N V for a normal subgroup N and irreducible V: e
     distinct conjugate factors, each with common multiplicity f.
 
-    When char F does not divide |N| and the centre of F[N] splits into
-    lines (_stored_irreducibles), the primitive central idempotent b_i of
-    each irreducible U_i of N projects V onto its U_i-isotypic part
-    (Clifford 1937), so V(b_i) = sum_x b_i(x) V(x) over N's closure, all
-    of them from one word walk of V over N's elements and one product,
-    is nonzero for the e factors, and rank V(b_i) = f dim U_i.  A line V,
-    or V over N = G, is its own one factor, Res_N V; any other case takes
-    composition_factors on Res_N V.  That N is a normal subgroup of G is
+    When char F does not divide |N|, split or not, the primitive central
+    idempotent b_i of each irreducible U_i of N (_stored_irreducibles)
+    projects V onto its U_i-isotypic part (Clifford 1937), so V(b_i) =
+    sum_x b_i(x) V(x) over N's closure, all of them from one word walk of
+    V over N's elements and one product, is nonzero for the e factors,
+    and rank V(b_i) = f dim U_i.  A line V, or V over N = G, is its own
+    one factor, Res_N V; where char F divides |N|, composition_factors
+    on Res_N V gives the factors.  That N is a normal subgroup of G is
     checked once per pair and remembered on N."""
     N = _subgroup(G, n_gens)
     if G not in N._normal_in:
@@ -342,14 +343,12 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     fld = V.field
     if V.dim == 1 or N is G:
         return CliffordShape(1, 1, [restrict(V, G, N)])
-    lines = None
-    if not (fld.ell and N.order % fld.ell == 0):
-        modules, lines = _stored_irreducibles(N, fld, seed)
-    if lines is None:
+    if N.order % fld.ell == 0:
         classes = composition_factors(restrict(V, G, N), seed=seed)
     else:
+        modules, idempotents = _stored_irreducibles(N, fld, seed)
         values = module_value(V, G, N.closure()).reshape(N.order, -1)
-        images = fld.matmul(lines, values).reshape(-1, V.dim, V.dim)
+        images = fld.matmul(idempotents, values).reshape(-1, V.dim, V.dim)
         classes = [(U, fld.rank(b) // U.dim) for U, b in zip(modules, images) if b.any()]
     shapes = {(k, m.dim) for m, k in classes}
     if len(shapes) != 1 or sum(k * m.dim for m, k in classes) != V.dim:
@@ -511,10 +510,12 @@ def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
 
 
 def _class_sums(H: FinMatGroup, fld: GF):
-    """(cls, M): the conjugacy class number of every element of H's
-    closure, the classes numbered in the order of their first elements,
-    and the action of every class sum K_i on the centre Z(F[H]), in the
-    basis of the class sums, as an (r, r, r) stack over fld.
+    """(cls, inverse_class, M): the conjugacy class number of every
+    element of H's closure, the classes numbered in the order of their
+    first elements (so K_0 is the identity), the class number of every
+    element's inverse, and the action of every class sum K_i on the
+    centre Z(F[H]), in the basis of the class sums, as an (r, r, r) stack
+    over fld.
 
     All of it is index arithmetic on H's closure: conjugation x -> g^-1 x g
     by each generator g reads the right Cayley table and the inverse of
@@ -538,45 +539,35 @@ def _class_sums(H: FinMatGroup, fld: GF):
     inverse_class = cls[right.argmin(axis=1)][cls]  # the class of u^-1
     a = np.bincount(((inverse_class * r + cls[right]) * r + np.arange(r)[:, None]).ravel(),
                     minlength=r ** 3).reshape(r, r, r)
-    return cls, a.transpose(0, 2, 1) % fld.ell
+    return cls, inverse_class, a.transpose(0, 2, 1) % fld.ell
 
 
-def _factors(fld: GF, p, seed: int) -> list:
-    """The monic irreducible factors of a monic squarefree p: x - a for
-    each root a, all read in one scan over a field of at most
-    ROOT_SCAN_MAX_Q elements, then those of what is left, one
-    _irreducible_factor at a time, drawing from an rng seeded with
-    seed."""
-    roots = _roots(fld, p).tolist() if fld.q <= ROOT_SCAN_MAX_Q else []
-    factors = [[fld.scalar_ops[2](a), 1] for a in roots]
-    if len(roots) < len(p) - 1:
-        p = reduce(lambda rest, f: poly_divmod(fld, rest, f)[0], factors, p)
-        rng = np.random.default_rng(seed)
-        while len(p) > 1:
-            factors.append(f := _irreducible_factor(fld, p, rng))
-            p = poly_divmod(fld, p, f)[0]
-    return factors
+def _central_blocks(H: FinMatGroup, fld: GF, seed: int):
+    """(bases, idempotents, at_inverses): the blocks B of Z(F[H]) that the
+    class sums split it into, each the row basis of an ideal of Z, and
+    one row per block for its primitive central idempotent e_B, at every
+    element x of H's closure and at x^-1, all written over H's closure
+    (the entry of an element being the coefficient of its class sum).
 
-
-def _central_blocks(H: FinMatGroup, fld: GF, seed: int) -> list:
-    """The blocks of Z(F[H]) that the class sums split it into, each the
-    row basis of an ideal of Z, written over H's closure (the entry of an
-    element being the coefficient of its class sum).  Each class sum
-    in turn splits every block of more than one dimension into the
-    kernels of the irreducible factors of its minimal polynomial there
-    (squarefree, since Z is semisimple when char F does not divide |H|).
-    Over a splitting field every class sum is a scalar on each simple
-    summand of Z, and central characters differ at some class sum, so
-    the blocks end as r lines, each the span of a primitive central
-    idempotent."""
-    cls, M = _class_sums(H, fld)
+    Each class sum in turn splits every block of more than one dimension
+    into the kernels of the irreducible factors of its minimal polynomial
+    there (squarefree, since Z is semisimple when char F does not divide
+    |H|).  Over a splitting field every class sum is a scalar on each
+    simple summand of Z, and central characters differ at some class
+    sum, so the blocks end as r lines.  Over any field they end as the
+    simple summands of Z: the class sums span Z, and a product of two
+    fields is not spanned by elements whose minimal polynomials are all
+    irreducible.  The identity K_0 is the sum of the e_B, each in the
+    span of its own block: its coordinates in the basis of all the
+    blocks' rows, one inv_matrix of them, read block by block."""
+    cls, inverse_class, M = _class_sums(H, fld)
     # lines, and larger blocks as (basis, the class sums on its span)
     lines, blocks = [], [(fld.eye(len(M)), M)]
     for i in range(1, len(M)):
         split = []
         for basis, action in blocks:
             A = action[i]
-            p = _first_relation(fld, _krylov(fld, A, fld.eye(len(A))))
+            p = matrix_minpoly(fld, A)
             if len(p) == 2:
                 split.append((basis, action))
                 continue
@@ -591,7 +582,13 @@ def _central_blocks(H: FinMatGroup, fld: GF, seed: int) -> list:
                     split.append((fld.matmul(kernel, basis),
                                   fld.matmul(action, kernel.T)[:, pivots]))
         blocks = split
-    return [basis[:, cls] for basis in lines + [basis for basis, _ in blocks]]
+    bases = lines + [basis for basis, _ in blocks]
+    rows = np.concatenate(bases)
+    parts = np.zeros((len(bases), len(rows)), np.int64)  # row B: 1's coordinates on B
+    parts[np.repeat(np.arange(len(bases)), list(map(len, bases))),
+          np.arange(len(rows))] = fld.inv_matrix(rows)[0]
+    idempotents = fld.matmul(parts, rows)
+    return [basis[:, cls] for basis in bases], idempotents[:, cls], idempotents[:, inverse_class]
 
 
 def _right_eigenspace(H: FinMatGroup, block: ModuleRep, d: int, pivots, line, seed: int):
@@ -659,16 +656,19 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     (_isotypic_constituent), the i-th search of the call taking seed + i;
     either way W is stored with the dimension certificate of
     IrreducibleWitness.  A larger B (only over a field that does not
-    split H) takes composition_factors on its block.  The modules are
-    sorted by dimension and then by the trace at every element of H's
-    closure, in closure order, read from one word walk of their direct
-    sum.  The trace functions of non-isomorphic irreducibles are
-    linearly independent, so no two keys tie, and the order is the same
-    for every seed.
+    split H) is a simple summand of Z, whose block composition_factors
+    finds to be W^c for one W.  The modules are sorted by dimension and
+    then by the trace at every element x of H's closure, in closure
+    order, read off the idempotent e of W's block as (|H| k / dim W)
+    e(x^-1), k the dimension of B (Serre, Linear Representations of
+    Finite Groups, 6.3, summed over the k Galois conjugates of a
+    non-split W).  The trace functions of non-isomorphic irreducibles
+    are linearly independent, so no two keys tie, and the order is the
+    same for every seed.
 
     The modules depend on nothing but the field, the seed and the
     regular representation's action, so they are stored by those, with
-    the lines of their central idempotents (_stored_irreducibles), in
+    their primitive central idempotents (_stored_irreducibles), in
     H._irreducibles, which the groups of one all_subgroups call share with
     their ambient group: a later call, on H or on a group whose regular
     representation is the same matrices (two classes of C2, say, which
@@ -680,10 +680,10 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
 
 
 def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
-    """(modules, lines) as H._irreducibles stores them: the modules of
-    irreducible_modules, and next to them, row i for module i, the line
-    of its primitive central idempotent over H's closure as an (r, |H|)
-    array, or None when some block of the centre is not a line."""
+    """(modules, idempotents) as H._irreducibles stores them: the modules
+    of irreducible_modules, and next to them, row i for module i, its
+    primitive central idempotent over H's closure, as an (r, |H|)
+    array."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
@@ -692,12 +692,16 @@ def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
     if key not in H._irreducibles:
         reg = regular_rep(H, fld).action
         searches = count(checked_seed(seed))
-        modules, bases = [], _central_blocks(H, fld, seed)
+        modules = []
+        bases, idempotents, at_inverses = _central_blocks(H, fld, seed)
         for basis in bases:
             span, pivots = fld.rref(spin(fld, reg, basis).rows)
             block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
             if len(basis) > 1:
-                modules += [m for m, _ in composition_factors(block, seed=seed)]
+                # a simple summand of Z: its block is W^c for one W
+                classes = composition_factors(block, seed=seed)
+                assert len(classes) == 1
+                modules.append(classes[0][0])
                 continue
             d = math.isqrt(block.dim)
             assert block.dim == d * d
@@ -709,13 +713,10 @@ def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
             W = (_isotypic_constituent(block, d, searches) if eigen is None
                  else ModuleRep(fld, _submodule_action(fld, block.action, eigen)[0]))
             modules.append(_certify(W, IrreducibleWitness(None, d, block.dim)))
-        values = _value_at(reduce(ModuleRep.direct_sum, modules), H, np.arange(perm.shape[1]))
-        ends = np.cumsum([m.dim for m in modules])
-        blocks = [values[:, hi - m.dim:hi, hi - m.dim:hi] for m, hi in zip(modules, ends)]
-        sort_keys = [(m.dim, tuple(_traces(fld, b).tolist())) for m, b in zip(modules, blocks)]
+        # the trace of W at x is (|H| k / dim W) e(x^-1), k = dim B
+        sort_keys = [(m.dim, tuple(fld.mul(H.order * len(b) // m.dim % fld.ell, e).tolist()))
+                     for m, b, e in zip(modules, bases, at_inverses)]
         assert len(set(sort_keys)) == len(sort_keys)
         order = sorted(range(len(modules)), key=sort_keys.__getitem__)
-        rows = np.concatenate(bases)
-        lines = rows[order] if len(rows) == len(bases) else None
-        H._irreducibles[key] = [modules[i] for i in order], lines
+        H._irreducibles[key] = [modules[i] for i in order], idempotents[order]
     return H._irreducibles[key]

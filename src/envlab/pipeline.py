@@ -162,38 +162,27 @@ def envelope_report(G: FinMatGroup, seed: int = DEFAULT_SEED,
     checked_seed(seed)
     digest = _digest(G)
     failures = []
-    warnings = []
     rho = module_of_group(G)
-    result = None
-    lie_rank = None
-    quotient_order = 0
-    try:
-        result = nori_points(G, cap)
-        warnings.extend(result.warnings)
-        quotient_order = result.quotient_order
-    except EnvlabError as ex:
-        failures.append(f"nori: {type(ex).__name__}: {ex}")
+
+    def stage(name, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None with the failure recorded under name."""
+        try:
+            return fn(*args, **kwargs)
+        except EnvlabError as ex:
+            failures.append(f"{name}: {type(ex).__name__}: {ex}")
+            return None
+
+    result = stage("nori", nori_points, G, cap)
+    warnings = [] if result is None else list(result.warnings)
+    quotient_order = 0 if result is None else result.quotient_order
     c_group, c_derived, c_nori = commutant_chain(
         G, None if result is None else result.nori_points)
-    try:
-        factors = composition_factors(rho, seed=seed)
-        factor_dims = sorted(
-            d for m, k in factors for d in [m.dim] * k)
-    except EnvlabError as ex:
-        factors = None
-        factor_dims = []
-        failures.append(f"factors: {type(ex).__name__}: {ex}")
+    factors = stage("factors", composition_factors, rho, seed=seed)
+    factor_dims = sorted(d for m, k in factors or [] for d in [m.dim] * k)
+    lie_rank = None
     if result is not None and result.lie_algebra:
-        try:
-            lie_rank = lie_rank_estimate(result.lie_algebra, G.field, seed=seed)
-        except EnvlabError as ex:
-            failures.append(f"lie_rank: {type(ex).__name__}: {ex}")
-    tame = None
-    if len(G.generators) == 1:
-        try:
-            tame = tame_weights_of_rep(rho)
-        except EnvlabError as ex:
-            failures.append(f"tame: {type(ex).__name__}: {ex}")
+        lie_rank = stage("lie_rank", lie_rank_estimate, result.lie_algebra, G.field, seed=seed)
+    tame = stage("tame", tame_weights_of_rep, rho) if len(G.generators) == 1 else None
     predicates = {
         "irreducible": c_group == 1,
         "commutant_match": c_nori is not None and c_group == c_nori,

@@ -6,9 +6,11 @@ semisimple matrix.
 
 No local fields appear; the inertia group is modeled abstractly by the
 image of a topological generator, which is all the weight multiset
-depends on.  A factor's roots are found by fieldcore._roots, the
-MeatAxe's root scan: one elementwise Horner on the vector of all
-elements of F_{ell^e}.
+depends on.  The irreducible factors of that matrix are those of its
+minimal polynomial (fieldcore._factors), each counted by the nullity of
+its value at the matrix, with no MeatAxe search.  A factor's roots are
+found by fieldcore._roots, the MeatAxe's root scan: one elementwise
+Horner on the vector of all elements of F_{ell^e}.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotCompatible, NotDivisor,
                      OrderDivisibleByEll, OutOfRange, ValidationError)
-from .fieldcore import (Mat, ModuleRep, _first_relation, _krylov, _roots,
-                        composition_factors)
+from .fieldcore import (DEFAULT_SEED, Mat, ModuleRep, _eval_poly_at_matrix, _factors,
+                        _roots, matrix_minpoly)
 from .gf import field_make, is_prime, poly_gcd, poly_trim
 
 
@@ -126,12 +128,6 @@ def view_over_prime_field(rho) -> ModuleRep:
     return ModuleRep(sub, digits.transpose(0, 3, 1, 2).reshape(1, n * d, n * d))
 
 
-def matrix_minpoly(fld, A):
-    """Monic minimal polynomial of the matrix A, coefficients low to high:
-    the first relation among I, A, ..., A^n, flattened."""
-    return _first_relation(fld, _krylov(fld, A, fld.eye(len(A))))
-
-
 def _is_squarefree(fld, poly):
     der = fld.mul(np.arange(len(poly)) % fld.ell, np.array(poly, dtype=np.int64))
     der = poly_trim(der.tolist()[1:])
@@ -156,7 +152,9 @@ def tame_weights_of_rep(rho, twist: int = 0) -> TameWeights:
     Each e-dimensional irreducible factor is a level-e character together
     with its ell-power conjugates and contributes the e base-ell digits of
     its exponent.  Representations over an extension field are first
-    viewed over F_ell.
+    viewed over F_ell.  The generator g is semisimple, so the factors are
+    the irreducible factors f of its minimal polynomial (fieldcore._factors),
+    f occurring nullity f(g) / deg f times: no module is decomposed.
     """
     prim = view_over_prime_field(rho)
     fld = prim.field
@@ -168,9 +166,9 @@ def tame_weights_of_rep(rho, twist: int = 0) -> TameWeights:
         raise OrderDivisibleByEll(
             "generator is not semisimple; its order is divisible by ell")
     digits = []
-    for factor, mult in composition_factors(prim):
-        fpoly = matrix_minpoly(fld, factor.action[0])
-        e, c = _factor_exponent(fld.ell, fpoly)
+    for f in _factors(fld, mp, DEFAULT_SEED):
+        e, c = _factor_exponent(fld.ell, f)
+        mult = (len(g) - fld.rank(_eval_poly_at_matrix(fld, f, g))) // e
         if twist:
             shift = twist * (fld.ell ** e - 1) // (fld.ell - 1)
             c = (c + shift) % (fld.ell ** e - 1)

@@ -164,6 +164,23 @@ def test_malformed_json_is_validation_error(tmp_path):
     assert run(["nori", "--input", str(bad)]) == 1
 
 
+def test_directory_paths_are_validation_errors(tmp_path, capsys):
+    # --input or --output naming a directory ends with exit 1 and a JSON
+    # error, not a traceback
+    path = write_json(tmp_path / "torus.json", diagonal_torus(11).to_json())
+    for argv in (["nori", "--input", str(tmp_path)],
+                 ["nori", "--input", path, "--output", str(tmp_path)]):
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+
+
+def test_non_utf8_input_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"note": "é"}'.encode("latin-1"))
+    assert run(["nori", "--input", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+
+
 def _mackey_doc_without_module_field():
     return {"group": {"ell": 7, "n": 2, "generators": [[0, 1, 1, 0]]},
             "subgroup": [[1, 0, 0, 1]], "module": [[1]]}

@@ -51,17 +51,23 @@ def oracle_c_derived(G):
 
 @st.composite
 def small_groups(draw):
-    """A group on 1-3 generators of one kind, conjugated by a random
-    invertible P = L U.  General matrices, products perm L U (every
+    """A group of one kind, conjugated by a random invertible P = L U.
+    On 1-3 generators: general matrices, products perm L U (every
     invertible matrix is one), only where GL_n(F_q) is small (q^(n^2) <=
     6561); else upper triangular (so [G, G] is unipotent), monomial or
-    diagonal (abelian) ones.  One generator gives a cyclic group."""
+    diagonal (abelian) ones, where one generator gives a cyclic group.
+    Half the time, a group that is never abelian: a Heisenberg group, the
+    unipotent x = 1 + a E_12 and y = 1 + b E_23, a, b != 0, with at most
+    one more unit upper triangular generator; or S3 x C_ell on five
+    coordinates, S3 permuting three of them next to a transvection on
+    two, so G+ misses the commutators of S3 where ell > 3."""
     fld = field_make(*draw(st.sampled_from(FIELDS)))
     q, n = fld.q, draw(st.integers(1, 3))
     kinds = ["triangular", "monomial", "diagonal"]
     if q ** (n * n) <= 6561:
         kinds.append("general")
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["heisenberg", "s3 x cyclic"]) | st.sampled_from(kinds))
+    n = {"heisenberg": 3, "s3 x cyclic": 5}.get(kind, n)
     strict = n * (n - 1) // 2
 
     def entries(low, size):
@@ -92,11 +98,27 @@ def small_groups(draw):
             return fld.matmul(perm(), diagonal())
         return upper() if kind == "triangular" else diagonal()
 
+    def heisenberg():
+        x, y = fld.eye(3), fld.eye(3)
+        x[0, 1], y[1, 2] = entries(1, 2)
+        return [x, y] + [lower().T for _ in range(draw(st.integers(0, 1)))]
+
+    def s3_times_cyclic():
+        swap, cycle, transvection = fld.eye(5), fld.eye(5), fld.eye(5)
+        swap[:3, :3] = perm_mat(fld, [1, 0, 2]).array
+        cycle[:3, :3] = perm_mat(fld, [1, 2, 0]).array
+        transvection[3, 4] = entries(1, 1)[0]
+        return [swap, cycle, transvection]
+
     P = fld.matmul(lower(), upper())
     Pinv = fld.inv_matrix(P)
-    gens = [fld.matmul(fld.matmul(P, matrix()), Pinv)
-            for _ in range(draw(st.integers(1, 3)))]
-    return FinMatGroup(fld, [Mat(fld, g) for g in gens])
+    if kind == "heisenberg":
+        gens = heisenberg()
+    elif kind == "s3 x cyclic":
+        gens = s3_times_cyclic()
+    else:
+        gens = [matrix() for _ in range(draw(st.integers(1, 3)))]
+    return FinMatGroup(fld, [Mat(fld, fld.matmul(fld.matmul(P, g), Pinv)) for g in gens])
 
 
 @settings(max_examples=80, deadline=None)

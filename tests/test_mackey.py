@@ -567,14 +567,16 @@ def reference_classes(G):
                                    for name, G, fld in mackey_corpus()])
 def test_class_sums_match_products_of_mats(G, fld):
     # the class numbers partition the closure into its conjugacy classes,
-    # and K_i K_j = sum_l M[i][l, j] K_l counts the products x y, x in
-    # C_i and y in C_j, at the first element of each C_l
-    cls, M = envlab.mackey._class_sums(G, fld)
+    # inverse_class is the class of each element's inverse, and K_i K_j =
+    # sum_l M[i][l, j] K_l counts the products x y, x in C_i and y in
+    # C_j, at the first element of each C_l
+    cls, inverse_class, M = envlab.mackey._class_sums(G, fld)
     classes = reference_classes(G)
     assert sorted(map(sorted, classes)) == sorted(
         np.flatnonzero(cls == c).tolist() for c in range(len(M)))
     elems = closure_mats(G)
     index = {x: i for i, x in enumerate(elems)}
+    assert inverse_class.tolist() == [cls[index[x.inverse()]] for x in elems]
     first = [int(np.flatnonzero(cls == c)[0]) for c in range(len(M))]
     for i in range(len(M)):
         for j in range(len(M)):
@@ -590,7 +592,7 @@ SPLIT_LINES = {"S4/F13": 5, "D4/F5": 5, "Q8/F5": 5, "A4/F7": 4, "D6/F7": 6}
                                          for name, G, fld in mackey_corpus()
                                          if name in SPLIT_LINES])
 def test_centre_splits_into_one_line_per_class_over_a_splitting_field(G, fld, lines):
-    blocks = envlab.mackey._central_blocks(G, fld, DEFAULT_SEED)
+    blocks, _, _ = envlab.mackey._central_blocks(G, fld, DEFAULT_SEED)
     assert [len(b) for b in blocks] == [1] * lines
     assert len(reference_classes(G)) == lines
 
@@ -647,12 +649,33 @@ CENTRE_BLOCKS = [
                                         for name, H, fld, dims in CENTRE_BLOCKS])
 def test_blocks_that_are_not_lines_take_composition_factors(H, fld, dims, monkeypatch):
     mk = envlab.mackey
-    assert sorted(map(len, mk._central_blocks(H, fld, DEFAULT_SEED))) == dims
+    assert sorted(map(len, mk._central_blocks(H, fld, DEFAULT_SEED)[0])) == dims
     decomposed, factors = [], mk.composition_factors
     monkeypatch.setattr(mk, "composition_factors",
                         lambda rho, **kw: decomposed.append(rho.dim) or factors(rho, **kw))
     assert same_irreducibles(H, fld)
     assert len(decomposed) == sum(dim > 1 for dim in dims)
+
+
+@pytest.mark.parametrize("H,fld", [pytest.param(H, fld, id=name)
+                                   for name, H, fld, _ in CENTRE_BLOCKS])
+def test_stored_idempotents_project_onto_their_own_modules(H, fld, monkeypatch):
+    # one idempotent row per module, line or not, found and sorted with no
+    # word walk: module j at the idempotent of module i is the identity
+    # for i = j and zero else, which determines e_i in the semisimple
+    # F[H]; and the order is the canonical one
+    mk = envlab.mackey
+    H = FinMatGroup(H.field, H.generators)  # an empty store
+    monkeypatch.setattr(mk, "_value_at", lambda *a: pytest.fail("walked"))
+    modules, idempotents = mk._stored_irreducibles(H, fld, DEFAULT_SEED)
+    monkeypatch.undo()
+    assert idempotents.shape == (len(modules), H.order)
+    for W in modules:
+        values = module_value(W, H, H.closure()).reshape(H.order, -1)
+        images = fld.matmul(idempotents, values).reshape(-1, W.dim, W.dim)
+        for U, image in zip(modules, images):
+            assert np.array_equal(image, fld.eye(W.dim) if U is W else 0 * image)
+    assert same_canonical_irreducibles(H, fld)
 
 
 # -- each irreducible cut from its block by the right action --
@@ -879,9 +902,10 @@ def modular_s4():
 
 
 # (group, normal subgroup generators, V, whether N's route is the
-# composition factors): F_5 splits neither C3 nor A4, so the centre of
+# composition factors): only where char F divides |N|, as 3 divides |A4|
+# but not |V4| over F_3.  F_5 splits neither C3 nor A4, so the centre of
 # F[N] has a block that is not a line for N = C3 in C6 and N = A4 in
-# S4, but splits for N = C2, V4; over F_3, 3 divides |A4| but not |V4|
+# S4, and their idempotents give the ranks as the lines of C2 and V4 do
 def clifford_fallbacks():
     f5 = field_make(5, 1)
     c6, a4, s4 = cyclic_group(6, 7), alternating_group_4(7), symmetric_group(4, 5)
@@ -895,10 +919,10 @@ def clifford_fallbacks():
         return next(m for m in irreducible_modules(G, fld) if m.dim == dim)
 
     return [
-        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2), True),
+        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2), False),
         ("C6/F5, N = C2", c6, [g @ g @ g], of_dim(c6, f5, 2), False),
         ("A4/F5, N = V4", a4, v4, of_dim(a4, f5, 2), False),
-        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3), True),
+        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3), False),
         ("S4/F5, N = V4", s4, v4_of_s4, of_dim(s4, f5, 3), False),
         ("S4/F3, N = A4", s4_f3, a4_of_s4_f3, V, True),
         ("S4/F3, N = V4", s4_f3, v4_of_s4_f3, V, False),

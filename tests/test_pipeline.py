@@ -132,6 +132,22 @@ def test_single_generator_reports_tame_weights():
     assert report.tame.digits == (1,)
 
 
+def test_failed_stages_are_recorded_in_stage_order():
+    # a transvection of order 5: its closure passes --cap 2, so the Nori
+    # stage fails, and it is not semisimple, so tame fails; the factors
+    # stage still runs between them, and lie_rank has no algebra to rank
+    fld = field_make(5, 1)
+    G = FinMatGroup(fld, [Mat(fld, np.array([[1, 1], [0, 1]], dtype=np.int64))])
+    report = envelope_report(G, cap=2)
+    assert report.failures == [
+        "nori: ClosureOverflow: closure exceeded cap 2",
+        "tame: OrderDivisibleByEll: generator is not semisimple; its order is divisible by ell"]
+    assert report.factor_dims == [1, 1]
+    assert (report.nori, report.lie_rank, report.tame, report.quotient_order) == (None, None, None, 0)
+    doc = report.to_json()
+    assert doc["failures"] == report.failures and "nori" not in doc and "tame_weights" not in doc
+
+
 def test_eliminate_examples():
     assert [r.label for r in eliminate_cases(4, ["rank=1"])] == ["(4A1)"]
     assert [r.label for r in eliminate_cases(6, ["self_dual", "rank=3"])] == \

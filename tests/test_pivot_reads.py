@@ -18,11 +18,11 @@ from corpus import mackey_corpus, perm_mat, sl2_group, symmetric_group
 from envlab import fieldcore
 from envlab.errors import ValidationError
 from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, _first_relation,
-                              _submodule_action, _vector_minpoly, composition_factors, spin)
+                              _submodule_action, _vector_minpoly, composition_factors,
+                              matrix_minpoly, spin)
 from envlab.gf import GF, field_make
 from envlab.mackey import _reynolds_sum, regular_rep
 from envlab.nori import lie_rank_estimate, nori_points
-from envlab.tame import matrix_minpoly
 
 FIELDS = [(2, 1), (7, 1), (13, 1), (2, 3), (3, 2)]  # GF(2, 7, 13, 8, 9)
 SETTINGS = settings(max_examples=60, deadline=None)

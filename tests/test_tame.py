@@ -1,15 +1,20 @@
 """Tame characters, digit expansions, level changes, and weight multisets."""
 
+import functools
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import envlab.fieldcore
 from envlab.errors import (NotCompatible, NotDivisor, OrderDivisibleByEll,
-                           OutOfRange)
-from envlab.fieldcore import Mat, ModuleRep
+                           OutOfRange, ValidationError)
+from envlab.fieldcore import Mat, ModuleRep, composition_factors, matrix_minpoly
 from envlab.gf import field_make
-from envlab.tame import (TameCharacter, TameWeights, bounded_weights_check,
+from envlab.tame import (TameCharacter, TameWeights, _factor_exponent, bounded_weights_check,
                          digits_to_exponent, ell_restricted_digits,
                          level_lower, level_raise, tame_weights_of_rep,
                          unramified_check, view_over_prime_field)
@@ -151,6 +156,88 @@ def test_view_over_prime_field_matches_scalar_loop(field, n, data):
     prim = view_over_prime_field(g)
     assert prim.field == field_make(fld.ell, 1)
     assert np.array_equal(prim.action[0], reference_view_over_prime_field(g))
+
+
+def reference_tame_weights(rho, twist=0):
+    """The weights by the route first written: the composition factors of
+    the representation viewed over F_ell, each counted with its
+    multiplicity and read through the minimal polynomial of its
+    generator."""
+    prim = view_over_prime_field(rho)
+    ell, digits = prim.field.ell, []
+    for factor, mult in composition_factors(prim):
+        e, c = _factor_exponent(ell, matrix_minpoly(prim.field, factor.action[0]))
+        c = (c + twist * (ell ** e - 1) // (ell - 1)) % (ell ** e - 1)
+        digits += ell_restricted_digits(TameCharacter(ell, e, c)) * mult
+    return TameWeights(ell, tuple(digits))
+
+
+def without_search(rho, twist):
+    """tame_weights_of_rep with the MeatAxe search made to fail."""
+    searched = AssertionError("tame_weights_of_rep ran a MeatAxe search")
+    with mock.patch.object(envlab.fieldcore, "_meataxe_search", side_effect=searched):
+        return tame_weights_of_rep(rho, twist=twist)
+
+
+@functools.cache
+def irreducible_polynomials(ell, e):
+    """The monic irreducible polynomials of degree e <= 3 over F_ell other
+    than x, coefficients low to high: the ones with no root."""
+    def has_root(c):
+        return any(sum(a * x ** j for j, a in enumerate(c + (1,))) % ell == 0
+                   for x in range(ell))
+    return [list(c) + [1] for c in itertools.product(range(ell), repeat=e)
+            if c[0] and (e == 1 or not has_root(c))]
+
+
+def random_invertible(fld, n, draw):
+    """L U for a unit lower triangular L and an upper triangular U with a
+    nonzero diagonal."""
+    L, U = fld.eye(n), fld.zeros(n, n)
+    L[np.tril_indices(n, -1)] = draw(st.lists(st.integers(0, fld.q - 1),
+                                              min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    U[np.triu_indices(n)] = draw(st.lists(st.integers(0, fld.q - 1),
+                                          min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    U[np.diag_indices(n)] = draw(st.lists(st.integers(1, fld.q - 1), min_size=n, max_size=n))
+    return fld.matmul(L, U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), st.data())
+def test_weights_from_the_minimal_polynomial_match_the_composition_factors(ell, twist, data):
+    # a block diagonal of companion matrices of 1-4 irreducible factors of
+    # levels 1-3, repeats allowed, conjugated by a random invertible P
+    fld = field_make(ell, 1)
+    blocks = data.draw(st.lists(st.integers(1, 3).flatmap(
+        lambda e: st.sampled_from(irreducible_polynomials(ell, e))), min_size=1, max_size=4))
+    n = sum(len(f) - 1 for f in blocks)
+    g, at = fld.zeros(n, n), 0
+    for f in blocks:
+        e = len(f) - 1
+        g[at + 1:at + e, at:at + e - 1] = np.eye(e - 1, dtype=np.int64)
+        g[at:at + e, at + e - 1] = fld.neg(np.array(f[:-1]))
+        at += e
+    P = random_invertible(fld, n, data.draw)
+    g = Mat(fld, fld.matmul(fld.matmul(P, g), fld.inv_matrix(P)))
+    got = without_search(g, twist)
+    assert got == reference_tame_weights(g, twist)
+    assert len(got.digits) == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]), st.integers(1, 3),
+       st.integers(0, 2), st.data())
+def test_weights_over_an_extension_field_match_the_composition_factors(field, n, twist, data):
+    # a random matrix over GF(ell^d), invertible and semisimple, viewed
+    # over F_ell, where its factors may have any level up to n d
+    fld = field_make(*field)
+    flat = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=n * n, max_size=n * n))
+    g = Mat(fld, np.reshape(flat, (n, n)))
+    try:
+        got = without_search(g, twist)
+    except (ValidationError, OrderDivisibleByEll):
+        assume(False)
+    assert got == reference_tame_weights(g, twist)
 
 
 def test_twist_and_bound():
