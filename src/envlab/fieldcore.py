@@ -9,7 +9,11 @@ found.  FinMatGroup.indices, the one membership lookup, maps any stack to
 closure indices.  A subgroup of a closed group is found in its index
 space (index_subgroup, grow_mask): a mask over the closure grown under
 right rows read from the table, with no matrix product; G+, [G, G] and
-the joins of mackey.all_subgroups are such index sets.  Stages pass each other
+the joins of mackey.all_subgroups are such index sets.  The inverse,
+left and conjugation tables of a closed group are read off the right
+table and the parent vector with no product either, and least_labels
+labels the orbits of such index maps: mackey's cosets, double cosets and
+conjugacy classes.  Stages pass each other
 stacks (FinMatGroup.gens, G[ell], induced blocks); a Mat is built only
 where a public function takes or returns one matrix.
 
@@ -72,7 +76,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import count, repeat
 from numbers import Integral
 
@@ -179,6 +183,16 @@ def grow_mask(mask, rows) -> np.ndarray:
     return mask
 
 
+def least_labels(rows) -> np.ndarray:
+    """The least index in the orbit of every index under the permutations
+    rows, a (k, N) array: labels spread along them, with pointer jumps,
+    until they stop changing."""
+    label = np.arange(rows.shape[1])
+    while not np.array_equal(low := np.minimum(label, label[rows].min(axis=0)), label):
+        label = low[low]
+    return label
+
+
 class FinMatGroup:
     """A finite matrix group presented by generators, with explicit closure.
 
@@ -188,8 +202,12 @@ class FinMatGroup:
     walking the parents, and a right Cayley table on the generators:
     _right[i, j] is the index of element i times generator j.  gens holds
     the generators as one read-only (k, n, n) stack.  Generators must be
-    invertible; from_json checks those that come from outside by
-    inverting them, and keeps the inverses as gens_inv.
+    invertible: from_json checks those that come from outside by
+    inverting them, and keeps the inverses as gens_inv, and closure
+    raises ValidationError where a column of _right misses the identity.
+    From _right and the parent vector, with no product, come the index
+    tables inverse, left (g_j x) and conjugation (g_j^-1 x g_j), each
+    computed once.
 
     A subgroup that index_subgroup found is an index set of its ambient
     group's closure: its order and membership read that mask, with no
@@ -216,13 +234,10 @@ class FinMatGroup:
         # subgroups by generator bytes, as mackey.all_subgroups returned them
         # (the group itself under its own generator list, if that class kept it)
         self._subgroups = {}
-        # irreducible modules by (coefficient field, seed, regular
-        # representation), as mackey.irreducible_modules found them; the
+        # irreducible modules by (coefficient field, seed, left-regular
+        # permutations), as mackey.irreducible_modules found them; the
         # groups of one mackey.all_subgroups call share their ambient's
         self._irreducibles = {}
-        # the left-regular permutations of the generators, as
-        # mackey.regular_rep first read them, for that store's key
-        self._regular = None
         # the groups that mackey.clifford_decompose found this one to be a
         # normal subgroup of
         self._normal_in = set()
@@ -279,6 +294,10 @@ class FinMatGroup:
         self._slot[0] = 0
         self._slot[1:made][numbers == np.arange(1, made)] = np.arange(1, len(index))
         self._right = self._slot[numbers].reshape(-1, k)
+        # x g = 1 for some x exactly when g is invertible; the tables below
+        # take every column of _right for a permutation
+        if not (self._right == 0).any(axis=0).all():
+            raise ValidationError("generator is not invertible")
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_idx)
         self._index = index
@@ -322,6 +341,36 @@ class FinMatGroup:
                 row = self._right[row, j]
             rows.append(row)
         return np.array(rows, dtype=np.int64).reshape(len(rows), len(self._right))
+
+    @cached_property
+    def _right_inv(self) -> np.ndarray:
+        """(N, k + 1): column j < k the index of x g_j^-1, the inverse
+        permutation of _right[:, j]; column k, at gen -1, the identity."""
+        return np.column_stack([np.argsort(self._right, axis=0), np.arange(len(self._right))])
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The closure index of every element's inverse, with no product:
+        x^-1 = gen(x)^-1 parent(x)^-1, so one walk up the parent vector,
+        right-multiplying by the generator inverses along the word."""
+        self.closure()
+        inv, x = np.zeros(len(self._right), np.int64), np.arange(len(self._right))
+        while x.any():
+            inv = self._right_inv[inv, self._gen[x]]
+            x = self._parent[x]
+        return _read_only(inv)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """(k, N): the index of g_j x, that is (x^-1 g_j^-1)^-1; the
+        left-regular permutations of the generators."""
+        return _read_only(self.inverse[self._right_inv[self.inverse, :-1]].T)
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """(k, N): the index of g_j^-1 x g_j, that is ((x g_j)^-1 g_j)^-1."""
+        inv, right = self.inverse, self._right
+        return _read_only(inv[right[inv[right], np.arange(right.shape[1])]].T)
 
     def index_subgroup(self, candidates) -> "FinMatGroup":
         """The subgroup generated by the elements at an array of closure
@@ -417,6 +466,11 @@ class FinMatGroup:
         if fld.d > 1:
             doc["modulus"] = list(fld.modulus)
         return doc
+
+
+def _read_only(a) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _inverse_stack(fld: GF, stack) -> np.ndarray:

@@ -6,21 +6,24 @@ subgroup.
 A subgroup module is a ModuleRep whose action stack is indexed by the
 subgroup's generator list, one matrix per generator (else
 DimensionMismatch); module_value evaluates it on a whole stack of
-elements along their closure words.  Cosets, double cosets (unions of left
-cosets), conjugates, induced blocks and the regular representation are
-stacked products over the closures, read back by FinMatGroup.indices;
-a SubgroupDatum labels each ambient element with its left coset and keeps
-its transversal as a stack.  Modules and transversals stay stacks; a Mat
-is built only where a public value is one matrix, as when the failing_rep
-of a MackeyVerdict is read.  all_subgroups enumerates subgroups as rows
-of one boolean mask matrix over the closure of the ambient group, which
-is the only group it closes, joining all the pairs of a round in one
-grow_mask, and records each group it returns on the ambient group by its
-generator bytes: subgroup_datum and clifford_decompose, given one of
-those generator lists, take that group and whatever closure it already
-has.  The class of G itself is G, whenever it kept G's generator list,
-and G's own list always gives G.  G's right Cayley table covers only its
-generators (N x k); there is no |G| x |G| table, nor an |H| x |H| one.
+elements along their closure words.  Left cosets and double cosets are
+orbits of index maps on the ambient closure, labelled by least_labels,
+and inverses, left products and the regular representation are read off
+the index tables of FinMatGroup, all with no product; conjugates by a
+double-coset representative and induced blocks are stacked products
+read back by FinMatGroup.indices.  A SubgroupDatum labels each ambient
+element with its left coset and keeps its transversal as a stack.
+Modules and transversals stay stacks; a Mat is built only where a public
+value is one matrix, as when the failing_rep of a MackeyVerdict is read.
+all_subgroups enumerates subgroups as rows of one boolean mask matrix
+over the closure of the ambient group, which is the only group it
+closes, joining all the pairs of a round in one grow_mask, and records
+each group it returns on the ambient group by its generator bytes:
+subgroup_datum and clifford_decompose, given one of those generator
+lists, take that group and whatever closure it already has.  The class
+of G itself is G, whenever it kept G's generator list, and G's own list
+always gives G.  Only all_subgroups reads a |G| x |G| right table;
+every other stage reads the N x k tables of the generators.
 
 irreducible_modules splits the regular representation F[H] along the
 centre Z(F[H]): the class sums, whose structure constants are counted on
@@ -43,7 +46,7 @@ central idempotent, by coefficient field,
 seed and regular representation, in a store that the groups of one
 all_subgroups call share with G; so G after its classes, and a class
 whose regular representation another had (S4's two C2 classes), search
-nothing, and each group keeps the permutations that key the store.
+nothing; the store is keyed by each group's left table.
 
 Both verdicts are linear algebra on that split algebra, with no search,
 wherever char F does not divide the orders involved.  A SubgroupDatum keeps
@@ -71,9 +74,9 @@ from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
 from .fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                         _certify, _eval_poly_at_matrix, _factors, _first_relation,
-                        _inverse_stack, _submodule_action, checked_seed, composition_factors,
-                        grow_mask, intertwiners, is_irreducible, matrix_minpoly,
-                        meataxe_split, modules_isomorphic, spin)
+                        _inverse_stack, _read_only, _submodule_action, checked_seed,
+                        composition_factors, grow_mask, intertwiners, is_irreducible,
+                        least_labels, matrix_minpoly, meataxe_split, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
 
 
@@ -117,8 +120,10 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
 @dataclass
 class SubgroupDatum:
     """A subgroup with a left transversal of its ambient group, as a
-    read-only (index, n, n) stack; coset[i] is the position in the
-    transversal of the left coset that holds ambient element i.
+    read-only (index, n, n) stack, and as ambient closure indices, reps;
+    coset[i] is the position in the transversal of the left coset that
+    holds ambient element i.  rows are the right rows of the subgroup's
+    generators over the ambient closure, whose orbits are the cosets.
 
     Built on first use and kept for every W that mackey_irreducible
     tests: the double-coset intersections as stacks (intersections), and
@@ -129,6 +134,8 @@ class SubgroupDatum:
     subgroup: FinMatGroup
     transversal: np.ndarray
     coset: np.ndarray
+    reps: np.ndarray
+    rows: np.ndarray
 
     @property
     def index(self) -> int:
@@ -150,19 +157,16 @@ class SubgroupDatum:
 
     @cached_property
     def _intersected(self):
-        """intersections, and the arrays of intersection_indices.  Both
-        inverses are one word walk: (g^-1)^T is the dual of G's natural
-        module at g, and (x^-1)^T that of H's at x."""
+        """intersections, and the arrays of intersection_indices; g^-1 is
+        read from G.inverse and x^-1 from H.inverse."""
         G, H, fld = self.ambient, self.subgroup, self.ambient.field
         hs, reps = H.closure(), double_coset_reps(self)[1:]
-        dual = ModuleRep(fld, G.gens_inv.transpose(0, 2, 1))
-        inv = module_value(dual, G, reps).transpose(0, 2, 1)
+        inv = G.closure()[G.inverse[G.indices(reps)]]
         conj = fld.matmul(fld.matmul(inv[:, None], hs), reps[:, None])
         where = H.indices(conj)
         inside = where >= 0
         xs = np.nonzero(inside)[1]
-        dual = ModuleRep(fld, H.gens_inv.transpose(0, 2, 1))
-        xs_inv = H.indices(_value_at(dual, H, xs).transpose(0, 2, 1))
+        xs_inv = H.inverse[xs]
         stacks = [(g, c[i], hs[i]) for g, c, i in zip(reps, conj, inside)]
         bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
         return stacks, (where[inside], xs, xs_inv), bounds
@@ -178,24 +182,18 @@ def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
 
 
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
-    """Build the datum, choosing left coset representatives greedily from
-    the closure order (the identity represents the subgroup itself)."""
-    fld = ambient.field
+    """Build the datum: the left cosets x H are the orbits of right
+    multiplication by H's generators, read off the ambient Cayley table,
+    each represented by its least closure index (the identity represents
+    the subgroup itself), numbered in that order."""
     H = _subgroup(ambient, subgroup_gens)
     if not H.is_subgroup_of(ambient):
         raise ValidationError("generators do not lie in the ambient group")
-    hs, elems = H.closure(), ambient.closure()
-    coset = np.full(ambient.order, -1)
-    reps = []
-    for i, t in enumerate(elems):
-        if coset[i] < 0:
-            coset[ambient.indices(fld.matmul(t, hs))] = len(reps)
-            reps.append(i)
-    transversal = elems[reps]
-    transversal.setflags(write=False)
-    datum = SubgroupDatum(ambient, H, transversal, coset)
-    assert datum.index * H.order == ambient.order
-    return datum
+    order, elems = H.order, ambient.closure()
+    rows = ambient.right_rows(ambient.indices(H.gens))
+    reps, coset = np.unique(least_labels(rows), return_inverse=True)
+    assert len(reps) * order == len(elems)
+    return SubgroupDatum(ambient, H, _read_only(elems[reps]), coset, reps, rows)
 
 
 def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
@@ -207,10 +205,10 @@ def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
     k = sub.index
     if fld.ell and k % fld.ell == 0:
         raise CharDividesIndex(f"characteristic {fld.ell} divides the index {k}")
-    m, r, ts = W.dim, len(G.gens), sub.transversal
-    gt = gf.matmul(G.gens[:, None], ts)
-    rows = sub.coset[G.indices(gt)]
-    blocks = module_value(W, H, gf.matmul(_inverse_stack(gf, ts)[rows], gt))
+    m, r, elems = W.dim, len(G.gens), G.closure()
+    gt = G.left[:, sub.reps]
+    rows = sub.coset[gt]
+    blocks = module_value(W, H, gf.matmul(elems[G.inverse[sub.reps]][rows], elems[gt]))
     big = np.zeros((r, k, m, k, m), dtype=np.int64)
     # block (rows[x, j], j) of generator x, for every x and j in one scatter
     big[np.arange(r)[:, None], rows, :, np.arange(k), :] = blocks
@@ -233,18 +231,13 @@ def dual_module(W: ModuleRep) -> ModuleRep:
 
 def double_coset_reps(sub: SubgroupDatum):
     """One representative per double coset H g H, identity first, as a
-    stack: its first element in the ambient closure order, which heads its
-    left coset and so is in the transversal.  H g H is the union of the
-    cosets h g H."""
-    G, fld = sub.ambient, sub.ambient.field
-    hs = sub.subgroup.closure()
-    covered = np.zeros(sub.index, dtype=bool)
-    reps = []
-    for j, t in enumerate(sub.transversal):
-        if not covered[j]:
-            covered[sub.coset[G.indices(fld.matmul(hs, t))]] = True
-            reps.append(j)
-    return sub.transversal[reps]
+    stack: its least closure index, which heads its left coset and so is
+    in the transversal, in ascending order.  H g H is the orbit of g under
+    right multiplication by H's generators (sub.rows) and left
+    multiplication by their inverses, h^-1 x = (x^-1 h)^-1."""
+    G, rows, inv = sub.ambient, sub.rows, sub.ambient.inverse
+    labels = least_labels(np.concatenate([rows, inv[rows[:, inv]]]))
+    return G.closure()[np.flatnonzero(labels == np.arange(len(labels)))]
 
 
 @dataclass
@@ -407,30 +400,30 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
 
     Subgroups are rows of one boolean (K, N) mask matrix over G's closure,
     the only group closed, in the order they are found, each keyed by its
-    packed bits and kept with a generator list.  The powers of all
-    elements take one stacked product per step, and give each element's
-    inverse for the conjugacy test.  Each round joins, in pair order,
-    every unordered pair that is not nested and has a member found in the
-    round before: one product of the mask matrix with its complement tests
-    the nesting of all pairs, the joins start from the unions of their
-    rows, and one grow_mask grows them all over as many disjoint copies
-    of G's index space, under the right rows of their generators, read
-    from G's right Cayley table (FinMatGroup.right_rows) once per element
-    that some generator list holds.  A new subgroup keeps the generators
-    of the first pair that reaches it.  Up to conjugacy, a subgroup is
-    kept unless it is among the conjugates g H g^-1 of one kept before
-    it, which are its row gathered along a table of conjugation.  A
-    subgroup whose generator list is G's is returned as G itself, with
-    its closure, and every group returned shares G's module store
+    packed bits and kept with a generator list.  One right table of G,
+    right[x, i] the index of i x (FinMatGroup.right_rows of every
+    element), gives the powers of all elements, one gather per step, the
+    join rows and the conjugates, with no product.  Each round joins, in
+    pair order, every unordered pair that is not nested and has a member
+    found in the round before: one product of the mask matrix with its
+    complement tests the nesting of all pairs, the joins start from the
+    unions of their rows, and one grow_mask grows them all over as many
+    disjoint copies of G's index space, under the right rows of their
+    generators.  A new subgroup keeps the generators of the first pair
+    that reaches it.  Up to conjugacy, a subgroup is kept unless it is
+    among the conjugates g H g^-1 of one kept before it, which are its row
+    gathered along g^-1 y g, read from the right table and G.inverse.  A
+    subgroup whose generator list is G's is returned as G itself, with its
+    closure, and every group returned shares G's module store
     (irreducible_modules)."""
     fld, elems = G.field, G.closure()
     N = len(elems)
+    right = G.right_rows(range(N))  # right[x, i]: the index of i x
     # powers[k][x]: the index of x^k, from x^0 = 1 until every x has
     # reached 1 again
-    powers, step, done = [np.zeros(N, np.int64), np.arange(N)], elems, np.arange(N) == 0
+    powers, done = [np.zeros(N, np.int64), np.arange(N)], np.arange(N) == 0
     while not done.all():
-        step = fld.matmul(step, elems)
-        powers.append(G.indices(step))
+        powers.append(right[np.arange(N), powers[-1]])
         done |= powers[-1] == 0
     powers = np.array(powers)
     cyclic = np.zeros((N, N), dtype=bool)
@@ -438,8 +431,6 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     index = {}  # packed mask -> row of masks
     first = _number_new(index, _mask_keys(cyclic))
     masks, gens = cyclic[first], [[x] for x in first.tolist()]
-    # the right row of every generator element, at slot[x] of rows
-    slot, rows = np.full(N, -1), np.empty((0, N), np.int64)
     joined = 0  # pairs among the first `joined` subgroups are done
     while len(masks) > joined:
         K = len(masks)
@@ -452,11 +443,8 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
             for i, xs in enumerate(gens):
                 padded[i, :len(xs)] = xs
             pair_gens = np.concatenate([padded[a], padded[b]], axis=1)
-            missing = np.flatnonzero((slot < 0) & np.isin(np.arange(N), pair_gens))
-            slot[missing] = np.arange(len(rows), len(rows) + len(missing))
-            rows = np.concatenate([rows, G.right_rows(missing.tolist())])
             # pair p's rows shifted into the p-th copy of the index space
-            table = rows[slot[pair_gens]] + np.arange(0, len(a) * N, N)[:, None, None]
+            table = right[pair_gens] + np.arange(0, len(a) * N, N)[:, None, None]
             grown = grow_mask((masks[a] | masks[b]).ravel(),
                               table.transpose(1, 0, 2).reshape(2 * width, -1))
             grown = grown.reshape(-1, N)
@@ -467,11 +455,10 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     if up_to_conjugacy:
         # the first subgroup of each class in the order above; the rest
         # are among the conjugates g H g^-1 of one already kept, and
-        # y lies in g H g^-1 where g^-1 y g = conj[g, y] lies in H
-        # x^-1 is the power of x just before the first 1 after x^0
-        inverses = elems[powers[(powers[1:] == 0).argmax(0), np.arange(N)]]
-        conj = G.indices(fld.matmul(fld.matmul(inverses[:, None], elems[None]),
-                                    elems[:, None]))
+        # y lies in g H g^-1 where g^-1 y g = conj[g, y] lies in H, and
+        # g^-1 y = (y^-1 g)^-1
+        # take keeps the row-major layout whose rows _mask_keys views as bytes
+        conj = right[np.arange(N)[:, None], G.inverse[right.take(G.inverse, axis=1)]]
         seen, kept = set(), []
         for i, key in enumerate(index):
             if key not in seen:
@@ -489,20 +476,10 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     return groups
 
 
-def _regular_permutations(H: FinMatGroup) -> np.ndarray:
-    """For each generator h of H, the closure index of h x for every
-    element x: the left-regular representation as a (k, |H|) array, kept
-    on H."""
-    if H._regular is None:
-        H._regular = H.indices(H.field.matmul(H.gens[:, None], H.closure()))
-        H._regular.setflags(write=False)
-    return H._regular
-
-
 def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
     """Left-regular representation of H over an arbitrary coefficient
-    field (permutation matrices on the element list)."""
-    perm = _regular_permutations(H)
+    field (permutation matrices on the element list, H.left)."""
+    perm = H.left
     k, n = perm.shape
     P = np.zeros((k, n, n), dtype=np.int64)
     P[np.arange(k)[:, None], perm, np.arange(n)] = 1
@@ -517,26 +494,15 @@ def _class_sums(H: FinMatGroup, fld: GF):
     centre Z(F[H]), in the basis of the class sums, as an (r, r, r) stack
     over fld.
 
-    All of it is index arithmetic on H's closure: conjugation x -> g^-1 x g
-    by each generator g reads the right Cayley table and the inverse of
-    the left-regular permutation; class labels are least indices spread
-    along it until they stop changing.  K_i K_j = sum_l a[i, j, l] K_l
-    where a[i, j, l] counts the u with u^-1 in C_i and u z_l in C_j, for
-    the first element z_l of C_l: one right row per class, and one
-    bincount over |H| r indices."""
-    perm = _regular_permutations(H)
-    k, N = perm.shape
-    rows = np.arange(k)[:, None]
-    left_inv = np.empty_like(perm)
-    left_inv[rows, perm] = np.arange(N)
-    conj = left_inv[rows, H._right.T]
-    label = np.arange(N)
-    while not np.array_equal(low := np.minimum(label, label[conj].min(axis=0)), label):
-        label = low[low]
-    reps, cls = np.unique(label, return_inverse=True)
+    All of it is index arithmetic on H's closure: the classes are the
+    orbits of H.conjugation (least_labels), and inverse_class reads
+    H.inverse.  K_i K_j = sum_l a[i, j, l] K_l where a[i, j, l] counts
+    the u with u^-1 in C_i and u z_l in C_j, for the first element z_l of
+    C_l: one right row per class, and one bincount over |H| r indices."""
+    reps, cls = np.unique(least_labels(H.conjugation), return_inverse=True)
     r = len(reps)
     right = H.right_rows(reps.tolist())  # right[l, u]: the index of u z_l
-    inverse_class = cls[right.argmin(axis=1)][cls]  # the class of u^-1
+    inverse_class = cls[H.inverse]
     a = np.bincount(((inverse_class * r + cls[right]) * r + np.arange(r)[:, None]).ravel(),
                     minlength=r ** 3).reshape(r, r, r)
     return cls, inverse_class, a.transpose(0, 2, 1) % fld.ell
@@ -673,9 +639,9 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     their ambient group: a later call, on H or on a group whose regular
     representation is the same matrices (two classes of C2, say, which
     number their closures alike), returns a new list of the same, already
-    certified, modules.  The action is keyed by its permutations, which H
-    keeps, so the regular representation is built, and its centre split,
-    only for a key not stored yet."""
+    certified, modules.  The action is keyed by its permutations, H.left,
+    so the regular representation is built, and its centre split, only
+    for a key not stored yet."""
     return list(_stored_irreducibles(H, fld, seed)[0])
 
 
@@ -687,7 +653,7 @@ def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
-    perm = _regular_permutations(H)
+    perm = H.left
     key = (fld, seed, perm.shape, perm.tobytes())
     if key not in H._irreducibles:
         reg = regular_rep(H, fld).action

@@ -41,13 +41,12 @@ def derived_subgroup(G: FinMatGroup, cap: int = DEFAULT_CLOSURE_CAP) -> FinMatGr
     """[G, G] as an index set of G's closure, which cap bounds.  The
     generator commutators normally generate it, so it is the least mask
     holding 1 that right multiplication by them and conjugation by every
-    generator map into itself: one grow_mask, after which index_subgroup
-    picks the generators.  envelope_report does not call it:
-    commutant_chain gets the commutant without a closure."""
-    fld, elems = G.field, G.closure(cap)
-    conj = fld.matmul(fld.matmul(G.gens[:, None], elems), G.gens_inv[:, None])
+    generator (G.conjugation) map into itself: one grow_mask, after which
+    index_subgroup picks the generators.  envelope_report does not call
+    it: commutant_chain gets the commutant without a closure."""
+    elems = G.closure(cap)
     rows = np.concatenate([G.right_rows(G.indices(generator_commutators(G))),
-                           G.indices(conj)])
+                           G.conjugation])
     mask = np.zeros(len(elems), dtype=bool)
     mask[0] = True
     return G.index_subgroup(np.flatnonzero(grow_mask(mask, rows)))

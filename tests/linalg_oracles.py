@@ -17,7 +17,11 @@ over the whole element stack.  The commutant of [G, G] as the pipeline
 found it before the commutant chain: the fixed point of its own rounds
 from the generator commutators' commutant, run until K stops shrinking.
 And the Lie rank estimate with all its samples drawn, on a derived
-algebra closed by lie_closure."""
+algebra closed by lie_closure.  Last, the coset structures of mackey as
+they were built before the index tables: the greedy left transversal
+and double-coset loops over the closure order, one product per coset,
+and the intersection indices with both inverses from word walks of the
+dual natural modules."""
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from envlab.fieldcore import (DEFAULT_MEATAXE_BUDGET, DEFAULT_SEED, IrreducibleW
                               ModuleRep, _submodule_action, commutant,
                               generator_commutators, intertwiners, meataxe_split)
 from envlab.gf import poly_divmod, poly_gcd, poly_mul
+from envlab.mackey import module_value
 
 
 def rref(fld, M):
@@ -363,3 +368,46 @@ def lie_rank_estimate(basis, fld, samples=25, seed=DEFAULT_SEED):
         brs = fld.sub(fld.matmul(x, D), fld.matmul(D, x)).reshape(ddim, -1)
         best = min(best, ddim - fld.rank(brs))
     return dim, ddim, best
+
+
+def greedy_cosets(G, H):
+    """(transversal, coset): left coset representatives of H in G, greedy
+    in G's closure order, each new one covering its coset t H by one
+    product; coset[i] numbers the coset of element i."""
+    fld, hs, elems = G.field, H.closure(), G.closure()
+    coset = np.full(len(elems), -1)
+    reps = []
+    for i, t in enumerate(elems):
+        if coset[i] < 0:
+            coset[G.indices(fld.matmul(t, hs))] = len(reps)
+            reps.append(i)
+    return elems[reps], coset
+
+
+def greedy_double_coset_reps(G, H, transversal, coset):
+    """The first transversal element of each double coset H t H, covering
+    its left cosets h t H by one product each."""
+    fld, hs = G.field, H.closure()
+    covered = np.zeros(len(transversal), dtype=bool)
+    reps = []
+    for j, t in enumerate(transversal):
+        if not covered[j]:
+            covered[coset[G.indices(fld.matmul(hs, t))]] = True
+            reps.append(j)
+    return transversal[reps]
+
+
+def dual_walk_intersection_indices(G, H, reps):
+    """((conj, x, x_inv), bounds) as SubgroupDatum.intersection_indices
+    gives them for the double-coset representatives reps after the
+    identity, with (g^-1)^T the dual of G's natural module at g and
+    (x^-1)^T that of H's at x, each walked along closure words."""
+    fld, hs = G.field, H.closure()
+    inv = module_value(ModuleRep(fld, G.gens_inv.transpose(0, 2, 1)), G, reps)
+    conj = fld.matmul(fld.matmul(inv.transpose(0, 2, 1)[:, None], hs), reps[:, None])
+    where = H.indices(conj)
+    inside = where >= 0
+    xs = np.nonzero(inside)[1]
+    dual = module_value(ModuleRep(fld, H.gens_inv.transpose(0, 2, 1)), H, hs[xs])
+    bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    return (where[inside], xs, H.indices(dual.transpose(0, 2, 1))), bounds

@@ -1,5 +1,7 @@
 """Subgroups in the ambient index space: the right Cayley table the closure
-keeps, right rows along words, index_subgroup and derived_subgroup against
+keeps, right rows along words, the inverse, left and conjugation tables
+read off it and the orbit labels (least_labels) against products and
+sets, on random small groups; index_subgroup and derived_subgroup against
 the subgroup and normal closure that a loop over Mats builds
 (reference_generated_subgroup), and index_subgroup against a matrix
 closure, on random conjugates of the corpus groups."""
@@ -12,10 +14,12 @@ from hypothesis import strategies as st
 from corpus import (alternating_group_4, cyclic_group, diagonal_torus, dihedral_group,
                     heisenberg_mod3_group, quaternion_group, sl2_group, symmetric_group)
 from envlab.errors import ClosureOverflow
-from envlab.fieldcore import FinMatGroup, Mat
+from envlab.fieldcore import FinMatGroup, Mat, least_labels
 from envlab.nori import nori_points, quotient_is_abelian
 from envlab.pipeline import derived_subgroup
+from test_derived_commutant import small_groups as derived_groups
 from test_fieldcore import reference_generated_subgroup
+from test_fieldcore import small_groups as closure_groups
 from test_nori import sym2_so3_group
 
 CORPUS = [lambda: cyclic_group(6, 7), lambda: dihedral_group(5, 11),
@@ -47,6 +51,42 @@ def test_right_table_and_rows_match_products(G, data):
     assert rows.shape == (len(xs), len(elems))
     for x, row in zip(xs, rows):
         assert np.array_equal(row, G.indices(fld.matmul(elems, elems[x])))
+
+
+def reference_least_labels(rows):
+    """The least index of every orbit, found as a set grown from it."""
+    label = [-1] * rows.shape[1]
+    for x in range(len(label)):
+        if label[x] < 0:
+            orbit, todo = {x}, [x]
+            while todo:
+                images = set(rows[:, todo.pop()].tolist()) - orbit
+                orbit |= images
+                todo += images
+            for y in orbit:
+                label[y] = x
+    return label
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_groups() | derived_groups())
+def test_index_tables_match_products(G):
+    fld, elems = G.field, G.closure()
+    inverses = np.array([fld.inv_matrix(x) for x in elems])
+    assert np.array_equal(G.inverse, G.indices(inverses))
+    assert np.array_equal(G.left, G.indices(fld.matmul(G.gens[:, None], elems)))
+    conj = fld.matmul(fld.matmul(G.gens_inv[:, None], elems), G.gens[:, None])
+    assert np.array_equal(G.conjugation, G.indices(conj))
+    assert not any(t.flags.writeable for t in (G.inverse, G.left, G.conjugation))
+    assert least_labels(G.conjugation).tolist() == reference_least_labels(G.conjugation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda N: st.lists(st.permutations(range(N)), min_size=1, max_size=3)))
+def test_least_labels_match_orbits(perms):
+    rows = np.array(perms, dtype=np.int64)
+    assert least_labels(rows).tolist() == reference_least_labels(rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,8 +18,10 @@ from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, Validation
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               commutant, composition_factors, is_irreducible,
                               module_of_group, modules_isomorphic)
-from envlab.gf import field_make
-from linalg_oracles import invariants_dim, reference_composition_factors
+from envlab.gf import GF, field_make
+from linalg_oracles import (dual_walk_intersection_indices, greedy_cosets,
+                            greedy_double_coset_reps, invariants_dim,
+                            reference_composition_factors)
 from envlab.mackey import (CliffordShape, MackeyVerdict, _reynolds_sum, all_subgroups,
                            clifford_blocks_transitive, clifford_decompose,
                            double_coset_reps, dual_module, frobenius_reciprocity_dim,
@@ -515,6 +517,62 @@ def test_stack_routines_match_mat_oracles(G, fld):
         for W in irreducible_modules(H, fld):
             assert same_matrices(induce(sub, W).action,
                                  reference_induce(G, sub.subgroup, T, W))
+
+
+def same_coset_structures(G, monkeypatch):
+    """On every subgroup H of G, the transversal, coset labels, double-coset
+    representatives and intersection indices equal, in order, those of the
+    loops the index tables replaced; with G and H closed, subgroup_datum
+    and double_coset_reps multiply no matrices, and the intersections
+    walk no words."""
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for H in all_subgroups(G, up_to_conjugacy=False):
+        H.closure()
+        calls = {"matmul": 0, "_value_at": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(GF, "matmul", counted("matmul", GF.matmul))
+            patch.setattr(envlab.mackey, "_value_at",
+                          counted("_value_at", envlab.mackey._value_at))
+            sub = subgroup_datum(G, H.generators)
+            reps = double_coset_reps(sub)
+            assert calls["matmul"] == 0
+            got, bounds = sub.intersection_indices
+            assert calls["_value_at"] == 0
+        transversal, coset = greedy_cosets(G, H)
+        assert np.array_equal(sub.transversal, transversal)
+        assert np.array_equal(sub.coset, coset)
+        assert np.array_equal(reps, greedy_double_coset_reps(G, H, transversal, coset))
+        want, want_bounds = dual_walk_intersection_indices(G, H, reps[1:])
+        assert np.array_equal(bounds, want_bounds)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G, _ in mackey_corpus()])
+def test_coset_structures_match_the_greedy_loops(G, monkeypatch):
+    same_coset_structures(G, monkeypatch)
+
+
+@settings(max_examples=10, deadline=None)
+@given(G=conjugated_s4_subgroups())
+def test_coset_structures_match_the_greedy_loops_on_s4_subgroups(G):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        same_coset_structures(G, monkeypatch)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(all_subgroups, id="all_subgroups"),
+    pytest.param(lambda G: irreducible_modules(G, G.field), id="irreducible_modules"),
+    pytest.param(lambda G: subgroup_datum(G, G.generators), id="subgroup_datum")])
+def test_a_singular_generator_is_a_validation_error(call):
+    # {1, 0} under multiplication is no group: all_subgroups never reached
+    # the identity again, and the others answered as if it were one
+    with pytest.raises(ValidationError, match="generator is not invertible"):
+        call(FinMatGroup(field_make(5, 1), [[[0]]]))
 
 
 def random_invertible(fld, m, rng):
