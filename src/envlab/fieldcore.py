@@ -12,8 +12,8 @@ right rows read from the table, with no matrix product; G+, [G, G] and
 the joins of mackey.all_subgroups are such index sets.  The inverse,
 left and conjugation tables of a closed group are read off the right
 table and the parent vector with no product either, and least_labels
-labels the orbits of such index maps: mackey's cosets, double cosets and
-conjugacy classes.  Stages pass each other
+labels the orbits of such index maps: mackey's cosets and double cosets,
+and the conjugacy classes (FinMatGroup.classes).  Stages pass each other
 stacks (FinMatGroup.gens, G[ell], induced blocks); a Mat is built only
 where a public function takes or returns one matrix.
 
@@ -54,8 +54,9 @@ the same object returns it without drawing from the rng, whatever seed
 and budget it is given.  A witness is a proof, so the verdict does not
 depend on the seed; the stored witness is the one the first call's seed
 found.  The factors that composition_factors returns arrive certified,
-and so do the modules of mackey.irreducible_modules, each W^d's W with
-the dimension certificate of IrreducibleWitness in place of a search.
+and so do the modules of mackey.irreducible_modules, each the W of a
+block M_c(D) of the group algebra, with the dimension certificate of
+IrreducibleWitness in place of a search wherever the block was cut.
 A module that split stores nothing, and a fresh ModuleRep with the same
 action is tested afresh, so a verdict never depends on which objects
 were tested before.  Nor is a factor certified twice within one
@@ -206,8 +207,8 @@ class FinMatGroup:
     inverting them, and keeps the inverses as gens_inv, and closure
     raises ValidationError where a column of _right misses the identity.
     From _right and the parent vector, with no product, come the index
-    tables inverse, left (g_j x) and conjugation (g_j^-1 x g_j), each
-    computed once.
+    tables inverse, left (g_j x) and conjugation (g_j^-1 x g_j), and the
+    conjugacy classes, the orbits of conjugation, each computed once.
 
     A subgroup that index_subgroup found is an index set of its ambient
     group's closure: its order and membership read that mask, with no
@@ -371,6 +372,15 @@ class FinMatGroup:
         """(k, N): the index of g_j^-1 x g_j, that is ((x g_j)^-1 g_j)^-1."""
         inv, right = self.inverse, self._right
         return _read_only(inv[right[inv[right], np.arange(right.shape[1])]].T)
+
+    @cached_property
+    def classes(self):
+        """(reps, cls): the least closure index of every conjugacy class,
+        ascending, and the class number of every element, the classes
+        numbered in that order (class 0 is the identity's): the orbits of
+        conjugation (least_labels)."""
+        reps, cls = np.unique(least_labels(self.conjugation), return_inverse=True)
+        return _read_only(reps), _read_only(cls)
 
     def index_subgroup(self, candidates) -> "FinMatGroup":
         """The subgroup generated by the elements at an array of closure
@@ -763,12 +773,14 @@ class IrreducibleWitness:
     the whole dual space; a line, (None, 1), needs none of it.
 
     The dimension certificate (algebra_element None, factor_degree the
-    module's dimension d, block_dim = d^2): the module is a d-dimensional
-    submodule of the block F[H] e of a primitive central idempotent e
-    whose line spans the centre of that block, which is then M_d(F)
-    (Wedderburn; a finite division algebra is a field), so W^d for one
-    irreducible W of dimension d; a submodule of W^d is some W^c, so one
-    of dimension d is W (mackey.irreducible_modules).
+    module's dimension w, block_dim = c^2 k): the module is a
+    w-dimensional submodule of the block F[H] e of a primitive central
+    idempotent e, whose centre D, a field of degree k over F, makes the
+    block M_c(D) (Wedderburn; a finite division algebra is a field), so
+    W^c for one irreducible W of dimension w = ck, w^2 = k block_dim; a
+    submodule of W^c is some W^j, so one of dimension w is W
+    (mackey.irreducible_modules).  A line of the centre has k = 1 and
+    reads (None, w, w^2); a module of dimension 1 reads (None, 1, 1).
 
     meataxe_split stores a witness on the module it certifies
     (ModuleRep._witness, _certify) and returns the stored one to any later

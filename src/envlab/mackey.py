@@ -29,14 +29,15 @@ irreducible_modules splits the regular representation F[H] along the
 centre Z(F[H]): the class sums, whose structure constants are counted on
 H's closure indices, split Z into its simple summands, over a splitting
 field into the lines of the primitive central idempotents (Dixon 1967),
-and each summand keeps its primitive central idempotent.  The block
-F[H] e of such a line is M_d(F) (Wedderburn), W^d for one irreducible W,
-and right multiplication commutes with the left action, so an
-eigenspace of one generator's right action, read off H's right Cayley
-table with no product, is W when its dimension is d; that dimension is
-W's certificate, and no MeatAxe search is made.  Only a block where no
-generator has an eigenvalue of multiplicity one in W (Q8 over F_3) is
-cut down to dimension d by MeatAxe splits (Holt & Rees 1994).
+and each summand keeps its primitive central idempotent e.  The block
+F[H] e of a summand D, a field of degree k over F, is M_c(D)
+(Wedderburn), W^c for one irreducible W of dimension ck, and right
+multiplication commutes with the left action, so the kernel of a factor
+of the minimal polynomial of one element's right action, read off H's
+right Cayley table with no product, is W when its dimension is ck; one
+element per conjugacy class is tried, that dimension is W's
+certificate, and no MeatAxe search is made.  Only a block that no class
+cuts (Q8 over F_3) takes composition_factors (Holt & Rees 1994).
 
 Nothing a session has answered is searched again, and neither an answer
 nor its order depends on the seed.  irreducible_modules sorts its
@@ -76,7 +77,7 @@ from .fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, Modu
                         _certify, _eval_poly_at_matrix, _factors, _first_relation,
                         _inverse_stack, _read_only, _submodule_action, checked_seed,
                         composition_factors, grow_mask, intertwiners, is_irreducible,
-                        least_labels, matrix_minpoly, meataxe_split, modules_isomorphic, spin)
+                        least_labels, matrix_minpoly, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
 
 
@@ -494,12 +495,12 @@ def _class_sums(H: FinMatGroup, fld: GF):
     centre Z(F[H]), in the basis of the class sums, as an (r, r, r) stack
     over fld.
 
-    All of it is index arithmetic on H's closure: the classes are the
-    orbits of H.conjugation (least_labels), and inverse_class reads
-    H.inverse.  K_i K_j = sum_l a[i, j, l] K_l where a[i, j, l] counts
-    the u with u^-1 in C_i and u z_l in C_j, for the first element z_l of
-    C_l: one right row per class, and one bincount over |H| r indices."""
-    reps, cls = np.unique(least_labels(H.conjugation), return_inverse=True)
+    All of it is index arithmetic on H's closure: the classes are
+    H.classes, and inverse_class reads H.inverse.  K_i K_j =
+    sum_l a[i, j, l] K_l where a[i, j, l] counts the u with u^-1 in C_i
+    and u z_l in C_j, for the first element z_l of C_l: one right row per
+    class, and one bincount over |H| r indices."""
+    reps, cls = H.classes
     r = len(reps)
     right = H.right_rows(reps.tolist())  # right[l, u]: the index of u z_l
     inverse_class = cls[H.inverse]
@@ -557,55 +558,54 @@ def _central_blocks(H: FinMatGroup, fld: GF, seed: int):
     return [basis[:, cls] for basis in bases], idempotents[:, cls], idempotents[:, inverse_class]
 
 
-def _right_eigenspace(H: FinMatGroup, block: ModuleRep, d: int, pivots, line, seed: int):
-    """The rows of a submodule W, in block coordinates, of the block W^d
-    of a primitive central idempotent e, d >= 2, cut out by the right
-    action of F[H]; None if no generator's right action has an eigenvalue
-    of multiplicity one in W.
+def _right_cut(H: FinMatGroup, block: ModuleRep, k: int, e, pivots, seed: int):
+    """The irreducible W of the block F[H] e of a primitive central
+    idempotent e whose centre has degree k over F, certified, cut out by
+    the right action of F[H]; None if no conjugacy class of H cuts it.
 
-    The block F[H] e is M_d(F) with F[H] acting on the left, and right
-    multiplication commutes with that action, so the eigenspace of an
-    eigenvalue lambda of right multiplication by h is a submodule, W^c
-    for the multiplicity c of lambda in W(h).  For each generator h_j in
-    order, the line's right translates e h_j^k, k <= d, are its row
-    scattered along the right Cayley table H._right[:, j] k times, read
-    in block coordinates at the pivots of the block's rref rows, with no
-    product.  Their first relation is the minimal polynomial p of right
-    multiplication by h_j, whose degree is at most d, since e generates
-    the block as a right module.  p is squarefree (char F does not divide
-    |H|), so the lambda-eigenspace is the image of right multiplication
-    by p / (x - lambda), the left ideal spun from e (p / (x - lambda))(h_j).
-    The first root lambda, in the order of _factors, whose eigenspace has
-    dimension d gives W; a spin is cut off once it passes d."""
+    The block is M_c(D), its centre D a field of degree k (Wedderburn; a
+    finite division algebra is a field), so W^c with dim W = w = ck, and
+    w^2 = k dim block; a block of dimension w is W.  Right multiplication
+    commutes with the left action, so for an element h, and an
+    irreducible factor f of the minimal polynomial p of right
+    multiplication by h, the kernel of f(h) is a submodule W^j: the image
+    of right multiplication by (p / f)(h), the left ideal spun from
+    e (p / f)(h).  f splits over D into factors of degree
+    deg f / gcd(deg f, k), each with a kernel of at least that dimension
+    over D, so j = 1 only where deg f divides k, and no other f is tried.
+    Right multiplication by g^-1 h g is conjugate to that by h, so only
+    the least element of each class other than the identity's is tried
+    (H.classes), in ascending order, the generators among them first.
+    The translates e h^i, i <= w, are e's row scattered along h's right
+    row i times, read in block coordinates at the pivots of the block's
+    rref rows, with no product; their first relation is p, of degree at
+    most w, since the block acts faithfully on W.  A spin is cut off once
+    it passes w rows, and the first of w rows is W, with the dimension
+    certificate IrreducibleWitness(None, w, dim block): a submodule of
+    W^c of dimension w is W."""
     fld = block.field
-    for right in H._right.T:
-        translates = [line]
-        for _ in range(d):
-            translates.append(np.empty_like(line))
+    w = math.isqrt(k * block.dim)
+    assert w * w == k * block.dim
+    witness = IrreducibleWitness(None, w, block.dim)
+    if w == block.dim:
+        return _certify(block, witness)
+    for x in H.classes[0][1:]:
+        right = H.right_rows([x])[0]
+        translates = [e]
+        for _ in range(w):
+            translates.append(np.empty_like(e))
             translates[-1][right] = translates[-2]
         coords = np.array(translates)[:, pivots]
         p = _first_relation(fld, coords)
         for f in _factors(fld, p, seed):
-            if len(f) == 2:
+            if k % (len(f) - 1) == 0:
                 q = poly_divmod(fld, p, f)[0]
                 u = fld.matmul(np.array([q], dtype=np.int64), coords[:len(q)])[0]
-                rows = spin(fld, block.action, [u], limit=d).rows
-                if len(rows) == d:
-                    return np.array(rows)
+                rows = spin(fld, block.action, [u], limit=w).rows
+                if len(rows) == w:
+                    cut = _submodule_action(fld, block.action, np.array(rows))[0]
+                    return _certify(ModuleRep(fld, cut), witness)
     return None
-
-
-def _isotypic_constituent(block: ModuleRep, d: int, searches) -> ModuleRep:
-    """The irreducible W of an isotypic module W^d, for a block where no
-    generator's right action has an eigenvalue of multiplicity one in W:
-    the smaller part of each MeatAxe split (a submodule of W^d, or its
-    quotient, is some W^c), each search taking the next seed of
-    searches, down to a piece of dimension d, which is W."""
-    fld, piece = block.field, block
-    while piece.dim > d:
-        parts = _submodule_action(fld, piece.action, meataxe_split(piece, next(searches)))
-        piece = ModuleRep(fld, min(parts, key=lambda part: part.shape[-1]))
-    return piece
 
 
 def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
@@ -614,23 +614,21 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     constituent of the regular representation F[H], which is semisimple.
 
     F[H] is first split along its centre (_central_blocks): the block of
-    a central ideal B is the left ideal F[H] B, spun from B's elements
-    under the regular action.  A line B is spanned by a primitive central
-    idempotent, whose block is W^d for one irreducible W of dimension d:
-    an eigenspace of the right action of a generator (_right_eigenspace),
-    or else the piece of dimension d that MeatAxe splits leave
-    (_isotypic_constituent), the i-th search of the call taking seed + i;
-    either way W is stored with the dimension certificate of
-    IrreducibleWitness.  A larger B (only over a field that does not
-    split H) is a simple summand of Z, whose block composition_factors
-    finds to be W^c for one W.  The modules are sorted by dimension and
-    then by the trace at every element x of H's closure, in closure
-    order, read off the idempotent e of W's block as (|H| k / dim W)
-    e(x^-1), k the dimension of B (Serre, Linear Representations of
-    Finite Groups, 6.3, summed over the k Galois conjugates of a
-    non-split W).  The trace functions of non-isomorphic irreducibles
-    are linearly independent, so no two keys tie, and the order is the
-    same for every seed.
+    a simple summand B of Z, of dimension k (a line, k = 1, wherever F
+    splits H), is the left ideal F[H] B, spun from B's elements under the
+    regular action, and is W^c for one irreducible W of dimension ck.  W
+    is the block itself where c = 1, and else the kernel of a factor of
+    the right action of one element of some conjugacy class
+    (_right_cut); either way W is stored with the dimension certificate
+    of IrreducibleWitness.  Only a block that no class cuts goes to
+    composition_factors, whose W keeps the certificate its search found.
+    The modules are sorted by dimension and then by the trace at every
+    element x of H's closure, in closure order, read off the idempotent e
+    of W's block as (|H| k / dim W) e(x^-1), k the dimension of B (Serre,
+    Linear Representations of Finite Groups, 6.3, summed over the k
+    Galois conjugates of a non-split W).  The trace functions of
+    non-isomorphic irreducibles are linearly independent, so no two keys
+    tie, and the order is the same for every seed.
 
     The modules depend on nothing but the field, the seed and the
     regular representation's action, so they are stored by those, with
@@ -649,36 +647,24 @@ def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
     """(modules, idempotents) as H._irreducibles stores them: the modules
     of irreducible_modules, and next to them, row i for module i, its
     primitive central idempotent over H's closure, as an (r, |H|)
-    array."""
+    array.  A negative seed is a ValidationError (checked_seed), whether
+    or not the store holds the modules for another seed."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
     perm = H.left
-    key = (fld, seed, perm.shape, perm.tobytes())
+    key = (fld, checked_seed(seed), perm.shape, perm.tobytes())
     if key not in H._irreducibles:
         reg = regular_rep(H, fld).action
-        searches = count(checked_seed(seed))
         modules = []
         bases, idempotents, at_inverses = _central_blocks(H, fld, seed)
-        for basis in bases:
+        for basis, e in zip(bases, idempotents):
             span, pivots = fld.rref(spin(fld, reg, basis).rows)
             block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
-            if len(basis) > 1:
-                # a simple summand of Z: its block is W^c for one W
-                classes = composition_factors(block, seed=seed)
-                assert len(classes) == 1
-                modules.append(classes[0][0])
-                continue
-            d = math.isqrt(block.dim)
-            assert block.dim == d * d
-            if d == 1:
-                meataxe_split(block, next(searches))  # a line: no draw
-                modules.append(block)
-                continue
-            eigen = _right_eigenspace(H, block, d, pivots, basis[0], seed)
-            W = (_isotypic_constituent(block, d, searches) if eigen is None
-                 else ModuleRep(fld, _submodule_action(fld, block.action, eigen)[0]))
-            modules.append(_certify(W, IrreducibleWitness(None, d, block.dim)))
+            W = _right_cut(H, block, len(basis), e, pivots, seed)
+            if W is None:  # no class cuts the block (Q8 over F_3)
+                (W, _), = composition_factors(block, seed=seed)
+            modules.append(W)
         # the trace of W at x is (|H| k / dim W) e(x^-1), k = dim B
         sort_keys = [(m.dim, tuple(fld.mul(H.order * len(b) // m.dim % fld.ell, e).tolist()))
                      for m, b, e in zip(modules, bases, at_inverses)]

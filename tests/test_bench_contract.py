@@ -210,14 +210,16 @@ def test_mackey_session_meataxe_searches(monkeypatch):
     # along the centre of the group algebra and each isotypic block was
     # searched only down to one irreducible; 37 once each Clifford shape
     # was read from ranks at N's central idempotents, with no search; 25,
-    # one per line of a centre, now that each block W^d with d >= 2 is cut
-    # down to W by the right action of a generator, with no search
+    # one per line of a centre, once each block W^d with d >= 2 was cut
+    # down to W by the right action of a generator, with no search; 0, now
+    # that every module of a store, a line too, takes its dimension
+    # certificate with no call to the MeatAxe
     fc = envlab.fieldcore
     searches, search = [], fc._meataxe_search
     monkeypatch.setattr(fc, "_meataxe_search",
                         lambda *a: searches.append(1) or search(*a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert len(searches) == 25
+    assert len(searches) == 0
 
 
 def test_mackey_bytes_do_not_depend_on_the_meataxe_seed(tmp_path):

@@ -686,7 +686,8 @@ def test_irreducible_modules_match_the_reference_decomposition(make, ell, d):
 
 # (group, field, the dimensions of its central blocks): the first seven
 # fields do not split their group, so some block of the centre is not a
-# line and takes composition_factors; the last five do
+# line; the last five do.  A class's right action cuts every block of
+# all twelve, and the store takes composition_factors for none
 CENTRE_BLOCKS = [
     ("C3/F5", cyclic_group(3, 7), field_make(5, 1), [1, 2]),
     ("C7/F2", cyclic_group(7, 5), field_make(2, 1), [1, 3, 3]),
@@ -712,7 +713,7 @@ def test_blocks_that_are_not_lines_take_composition_factors(H, fld, dims, monkey
     monkeypatch.setattr(mk, "composition_factors",
                         lambda rho, **kw: decomposed.append(rho.dim) or factors(rho, **kw))
     assert same_irreducibles(H, fld)
-    assert len(decomposed) == sum(dim > 1 for dim in dims)
+    assert decomposed == []
 
 
 @pytest.mark.parametrize("H,fld", [pytest.param(H, fld, id=name)
@@ -804,9 +805,10 @@ def test_irreducible_modules_are_the_composition_factors_on_permutation_groups(G
     assert same_canonical_irreducibles(G, G.field)
 
 
-# (group, whether a block takes the MeatAxe): over F_3 and F_7 no element
-# of Q8 outside its centre has an eigenvalue in the field, so no
-# generator's right action cuts its 2-dim irreducible out; over F_5 one does
+# (group, whether the block of its 2-dim irreducible takes
+# composition_factors): each field splits Q8 (k = 1), and over F_3 and F_7
+# no element of Q8 outside its centre has an eigenvalue in the field, so
+# no class's right action cuts that irreducible out; over F_5 one does
 QUATERNION_BLOCKS = [
     pytest.param(functools.partial(quaternion_group_sl2, 3), True, id="Q8 in SL2(F3)"),
     pytest.param(functools.partial(quaternion_group_sl2, 7), True, id="Q8/F7"),
@@ -817,36 +819,141 @@ QUATERNION_BLOCKS = [
 @pytest.mark.parametrize("make,fallback", QUATERNION_BLOCKS)
 def test_the_meataxe_cuts_only_a_block_with_no_simple_right_eigenvalue(make, fallback,
                                                                       monkeypatch):
+    # the fallback's module carries the certificate that composition_factors
+    # found, the others the dimension certificate of the cut
     mk = envlab.mackey
     G, calls = make(), []
-    constituent = mk._isotypic_constituent
-    monkeypatch.setattr(mk, "_isotypic_constituent",
-                        lambda *a: calls.append(1) or constituent(*a))
+    factors = mk.composition_factors
+    monkeypatch.setattr(mk, "composition_factors",
+                        lambda rho, **kw: calls.append(rho.dim) or factors(rho, **kw))
     modules = irreducible_modules(G, G.field)
     assert [m.dim for m in modules] == [1, 1, 1, 1, 2]
-    assert len(calls) == fallback
-    assert modules[-1]._witness == IrreducibleWitness(None, 2, 4)
+    assert calls == [4] * fallback
+    witness = modules[-1]._witness
+    assert (witness.algebra_element is not None if fallback
+            else witness == IrreducibleWitness(None, 2, 4))
     monkeypatch.undo()
     assert same_canonical_irreducibles(G, G.field)
 
 
-@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
-                                   for name, G, fld in mackey_corpus()]
-                         + [pytest.param(quaternion_group_sl2(3), field_make(3, 1),
+@pytest.mark.parametrize("G,fld,uncut", [pytest.param(G, fld, 0, id=name)
+                                         for name, G, fld in mackey_corpus()]
+                         + [pytest.param(quaternion_group_sl2(3), field_make(3, 1), 1,
                                          id="Q8 in SL2(F3)")])
-def test_every_stored_irreducible_is_certified_by_its_dimension(G, fld, monkeypatch):
-    # a line by its one dimension, a larger W as a d-dimensional
-    # submodule of a block of dimension d^2; no check of them draws
+def test_every_stored_irreducible_is_certified_by_its_dimension(G, fld, uncut, monkeypatch):
+    # each field splits its group (k = 1), so every W, a line too, is a
+    # w-dimensional submodule of a block of dimension w^2; only the uncut
+    # 2-dim W of Q8 in SL2(F3) carries the certificate that
+    # composition_factors found; no check of them draws
     fc = envlab.fieldcore
     modules = irreducible_modules(G, fld)
+    assert [W.dim for W in modules if W._witness.algebra_element is not None] == [2] * uncut
     for W in modules:
-        want = (IrreducibleWitness(None, 1) if W.dim == 1
-                else IrreducibleWitness(None, W.dim, W.dim ** 2))
-        assert W._witness == want
+        if W._witness.algebra_element is None:
+            assert W._witness == IrreducibleWitness(None, W.dim, W.dim ** 2)
     monkeypatch.setattr(fc, "_meataxe_search", lambda *a: pytest.fail("searched"))
     monkeypatch.setattr(fc, "_random_algebra_element", lambda *a: pytest.fail("drew"))
     for seed in (DEFAULT_SEED, 0, 1):
         assert all(is_irreducible(W, seed=seed) for W in modules)
+
+
+def frobenius_group_21(ell):
+    """The Frobenius group of order 21, x -> x + 1 and x -> 2x on Z/7, as
+    permutation matrices over F_ell."""
+    fld = field_make(ell, 1)
+    return FinMatGroup(fld, [perm_mat(fld, [(i + 1) % 7 for i in range(7)]),
+                             perm_mat(fld, [2 * i % 7 for i in range(7)])])
+
+
+# (group, ell, (dim W, dim of W's block) for each module in order): F_7
+# and F_11 split S5 and A5, so each block is M_w(F); F_3 splits neither D5
+# nor D7, nor F_5 F21, and a block of dimension c^2 k is M_c(D), D its
+# centre of degree k, with w = ck: (c, k) = (2, 2) for D5/F3, (2, 3) for
+# D7/F3, and (1, 2) and (3, 2) for F21/F5.  No generator's right action
+# cuts S5/F7's 6-dim block
+UNSEARCHED = [
+    pytest.param(functools.partial(symmetric_group, 5, 7), 7,
+                 [(1, 1), (1, 1), (4, 16), (4, 16), (5, 25), (5, 25), (6, 36)], id="S5/F7"),
+    pytest.param(functools.partial(alternating_group_5, 11), 11,
+                 [(1, 1), (3, 9), (3, 9), (4, 16), (5, 25)], id="A5/F11"),
+    pytest.param(functools.partial(dihedral_group, 5, 7), 3, [(1, 1), (1, 1), (4, 8)],
+                 id="D5/F3"),
+    pytest.param(functools.partial(dihedral_group, 7, 7), 3, [(1, 1), (1, 1), (6, 12)],
+                 id="D7/F3"),
+    pytest.param(functools.partial(frobenius_group_21, 5), 5, [(1, 1), (2, 2), (6, 18)],
+                 id="F21/F5"),
+]
+
+
+@pytest.mark.parametrize("make,ell,certificates", UNSEARCHED)
+def test_a_class_cuts_every_block_with_no_search(make, ell, certificates, monkeypatch):
+    # no MeatAxe search and no composition_factors: each W carries the
+    # dimension certificate (None, ck, c^2 k), and no check of it draws
+    fc, mk = envlab.fieldcore, envlab.mackey
+    G, fld = make(), field_make(ell, 1)
+    for name in ("_meataxe_search", "_random_algebra_element"):
+        monkeypatch.setattr(fc, name, lambda *a: pytest.fail("searched"))
+    monkeypatch.setattr(mk, "composition_factors", lambda *a, **kw: pytest.fail("decomposed"))
+    modules = irreducible_modules(G, fld)
+    assert [W._witness for W in modules] == [IrreducibleWitness(None, *c) for c in certificates]
+    for seed in (DEFAULT_SEED, 0, 1):
+        assert all(is_irreducible(W, seed=seed) for W in modules)
+    monkeypatch.undo()
+    assert same_canonical_irreducibles(G, fld)
+
+
+def q8_times_c3():
+    """Q8 x C3 as 3 x 3 matrices over F_7: Q8 in SL2(F_7) in the top left
+    corner, and diag(1, 1, 2), 2 being a cube root of 1 in F_7."""
+    fld = field_make(7, 1)
+
+    def corner(m):
+        a = np.eye(3, dtype=np.int64)
+        a[:2, :2] = m.array
+        return Mat(fld, a)
+    q8 = quaternion_group_sl2(7)
+    return FinMatGroup(fld, [*map(corner, q8.generators), Mat(fld, np.diag([1, 1, 2]))])
+
+
+def test_a_factor_whose_degree_divides_k_cuts_a_block(monkeypatch):
+    # over F_11, which holds neither a cube root w of 1 nor sqrt(-1): the
+    # block of chi (x) rho, chi a nontrivial character of C3 and rho Q8's
+    # 2-dim irreducible, is M_2(F_121) (c = k = 2), and no element has an
+    # eigenvalue in F_11 there.  Right multiplication by (i, t) has the
+    # eigenvalues +-w sqrt(-1), in F_121; the quadratic over F_11 with the
+    # root w sqrt(-1) has the other root -w^2 sqrt(-1), not among them, so
+    # its kernel is W.  The block of rho (x) 1 (k = 1) is cut by no class,
+    # as Q8's over F_3, and takes composition_factors
+    mk = envlab.mackey
+    G, fld, calls = q8_times_c3(), field_make(11, 1), []
+    factors = mk.composition_factors
+    monkeypatch.setattr(mk, "composition_factors",
+                        lambda rho, **kw: calls.append(rho.dim) or factors(rho, **kw))
+    modules = irreducible_modules(G, fld)
+    assert calls == [4]
+    assert [m.dim for m in modules] == [1, 1, 1, 1, 2, 2, 2, 2, 2, 4]
+    assert modules[-1]._witness == IrreducibleWitness(None, 4, 8)
+    monkeypatch.undo()
+    assert same_canonical_irreducibles(G, fld)
+
+
+def test_a_negative_seed_is_a_validation_error_on_the_store_path():
+    # irreducible_modules on a fresh key and on a group whose store holds
+    # its modules already; mackey_irreducible and clifford_decompose on
+    # modules certified already, so that no draw would meet the seed
+    G = symmetric_group(4, 13)
+    with pytest.raises(ValidationError):
+        irreducible_modules(G, G.field, seed=-1)
+    V = irreducible_modules(G, G.field)[-1]
+    with pytest.raises(ValidationError):
+        irreducible_modules(G, G.field, seed=-1)
+    A4 = next(H for H in all_subgroups(G) if H.order == 12)
+    W = irreducible_modules(A4, G.field)[-1]
+    assert V._witness is not None and W._witness is not None
+    with pytest.raises(ValidationError):
+        mackey_irreducible(subgroup_datum(G, A4.generators), W, seed=-1)
+    with pytest.raises(ValidationError):
+        clifford_decompose(G, A4.generators, V, seed=-1)
 
 
 # -- the Reynolds test and the Clifford ranks against the routes they replaced --
@@ -989,17 +1096,17 @@ def clifford_fallbacks():
 
 @pytest.mark.parametrize("G,n_gens,V,fallback",
                          [pytest.param(*case[1:], id=case[0]) for case in clifford_fallbacks()])
-def test_clifford_takes_composition_factors_only_where_n_has_no_lines(G, n_gens, V, fallback,
-                                                                      monkeypatch):
-    # N's own store, built on the first call, may decompose a block of
-    # F[N] too; only the composition factors of Res_N V count here
+def test_clifford_takes_composition_factors_only_where_char_f_divides_n(G, n_gens, V, fallback,
+                                                                        monkeypatch):
+    # N's own store, built on the first call, decomposes no block of F[N],
+    # so every call to composition_factors is on Res_N V
     mk = envlab.mackey
     res = restrict(V, G, FinMatGroup(G.field, list(n_gens)))
     decomposed, factors = [], mk.composition_factors
     monkeypatch.setattr(mk, "composition_factors", lambda rho, **kw: decomposed.append(
         np.array_equal(rho.action, res.action)) or factors(rho, **kw))
     got = clifford_decompose(G, n_gens, V)
-    assert decomposed.count(True) == fallback
+    assert decomposed == [True] * fallback
     monkeypatch.undo()
     assert same_clifford_shapes(G, n_gens, got, reference_clifford_decompose(G, n_gens, V))
 
