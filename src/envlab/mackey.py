@@ -11,8 +11,10 @@ orbits of index maps on the ambient closure, labelled by least_labels,
 and inverses, left products and the regular representation are read off
 the index tables of FinMatGroup, all with no product; conjugates by a
 double-coset representative and induced blocks are stacked products
-read back by FinMatGroup.indices.  A SubgroupDatum labels each ambient
-element with its left coset and keeps its transversal as a stack.
+read back by FinMatGroup.indices.  A SubgroupDatum reads the right rows
+of H's generators, labels the ambient elements with their left cosets
+and keeps its transversal as a stack, each only when first read (by
+induce and double_coset_reps).
 Modules and transversals stay stacks; a Mat is built only where a public
 value is one matrix, as when the failing_rep of a MackeyVerdict is read.
 all_subgroups enumerates subgroups as rows of one boolean mask matrix
@@ -42,30 +44,36 @@ cuts (Q8 over F_3) takes composition_factors (Holt & Rees 1994).
 Nothing a session has answered is searched again, and neither an answer
 nor its order depends on the seed.  irreducible_modules sorts its
 modules into one canonical order, by characters read off those
-idempotents, and stores them, each with its witness and its primitive
-central idempotent, by coefficient field,
-seed and regular representation, in a store that the groups of one
+idempotents, and stores them, each with its witness, its primitive
+central idempotent and its character, by coefficient field, seed and
+regular representation, in a store that the groups of one
 all_subgroups call share with G; so G after its classes, and a class
 whose regular representation another had (S4's two C2 classes), search
 nothing; the store is keyed by each group's left table.
 
-Both verdicts are linear algebra on that split algebra, with no search,
-wherever char F does not divide the orders involved.  A SubgroupDatum keeps
-its double-coset intersections and the H-indices of their elements and
-inverses, so mackey_irreducible evaluates only W, in one word walk, and
-tests each intersection by one Reynolds product, a sum of Kronecker
-products whose rank is the dimension of the invariants.
-clifford_decompose reads the shape of Res_N V from the ranks of V at
-N's stored central idempotents, one word walk and one product for all
-of them, over any field whose characteristic does not divide |N|; V
-over N = G is its own factor, and a characteristic that divides |N|
-takes composition_factors instead.
+Both verdicts read those characters mod ell, with no search and no
+double coset, wherever char F does not divide the orders involved: the
+dimension of a space of homs is, mod ell, the inner product of two
+characters (Serre, Linear Representations of Finite Groups, 7.2).
+mackey_irreducible fuses the characters of H's store into G's classes,
+one product per subgroup datum, and compares <Ind chi, Ind chi>_G with
+<chi, chi>_H: a difference proves that Ind W is reducible, and equality
+proves it irreducible while (index - 1) dim W < ell; past that bound
+the datum's double-coset intersections decide, one Reynolds product per
+intersection, as they find the failing representative and invariant_dim
+of a failure when those are read.  clifford_decompose reads the rank of
+V at each of N's stored central idempotents b as the trace sum_x b(x)
+chi_V(x), one product per (G, N) for all of G's stored modules, while
+dim V < ell, and as the rank of V(b), from one word walk of V over N,
+past it; V over N = G is its own factor, and a characteristic that
+divides |N| takes composition_factors instead.  A module from outside
+the stores takes its character from one word walk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
@@ -75,7 +83,7 @@ from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
 from .fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                         _certify, _eval_poly_at_matrix, _factors, _first_relation,
-                        _inverse_stack, _read_only, _submodule_action, checked_seed,
+                        _inverse_stack, _read_only, _submodule_action, _traces, checked_seed,
                         composition_factors, grow_mask, intertwiners, is_irreducible,
                         least_labels, matrix_minpoly, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
@@ -120,27 +128,49 @@ def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
 
 @dataclass
 class SubgroupDatum:
-    """A subgroup with a left transversal of its ambient group, as a
-    read-only (index, n, n) stack, and as ambient closure indices, reps;
-    coset[i] is the position in the transversal of the left coset that
-    holds ambient element i.  rows are the right rows of the subgroup's
-    generators over the ambient closure, whose orbits are the cosets.
+    """A subgroup of an ambient group, of index |G| / |H|, with what the
+    stages that read its cosets need, each built on first read: rows, the
+    right rows of the subgroup's generators over the ambient closure,
+    whose orbits are the left cosets; reps, the least ambient closure
+    index of each coset, ascending; coset[i], the position in reps of the
+    coset that holds ambient element i; and the transversal, the elements
+    at reps as a read-only (index, n, n) stack.
 
-    Built on first use and kept for every W that mackey_irreducible
-    tests: the double-coset intersections as stacks (intersections), and
-    next to them the closure indices in H that W is evaluated at
-    (intersection_indices)."""
+    The double-coset intersections, as stacks (intersections), and the
+    closure indices in H that W is evaluated at there
+    (intersection_indices), are built only for the Reynolds route of
+    mackey_irreducible, and kept for every W it tests.  So are the
+    excesses resG - resH of the characters that H's store holds, fused
+    into G's classes by the first verdict (_excess)."""
 
     ambient: FinMatGroup
     subgroup: FinMatGroup
-    transversal: np.ndarray
-    coset: np.ndarray
-    reps: np.ndarray
-    rows: np.ndarray
+    _excesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def index(self) -> int:
-        return len(self.transversal)
+        return self.ambient.order // self.subgroup.order
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        G = self.ambient
+        return G.right_rows(G.indices(self.subgroup.gens))
+
+    @cached_property
+    def _cosets(self):
+        """(reps, coset): the left cosets x H, the orbits of rows, each
+        represented by its least closure index (the identity represents
+        the subgroup itself), numbered in that order."""
+        reps, coset = np.unique(least_labels(self.rows), return_inverse=True)
+        assert len(reps) == self.index
+        return reps, coset
+
+    reps = property(lambda self: self._cosets[0])
+    coset = property(lambda self: self._cosets[1])
+
+    @cached_property
+    def transversal(self) -> np.ndarray:
+        return _read_only(self.ambient.closure()[self.reps])
 
     @property
     def intersections(self) -> list:
@@ -183,18 +213,12 @@ def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
 
 
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
-    """Build the datum: the left cosets x H are the orbits of right
-    multiplication by H's generators, read off the ambient Cayley table,
-    each represented by its least closure index (the identity represents
-    the subgroup itself), numbered in that order."""
+    """The datum of the subgroup on a generator list (_subgroup), once its
+    generators are found in the ambient group."""
     H = _subgroup(ambient, subgroup_gens)
     if not H.is_subgroup_of(ambient):
         raise ValidationError("generators do not lie in the ambient group")
-    order, elems = H.order, ambient.closure()
-    rows = ambient.right_rows(ambient.indices(H.gens))
-    reps, coset = np.unique(least_labels(rows), return_inverse=True)
-    assert len(reps) * order == len(elems)
-    return SubgroupDatum(ambient, H, _read_only(elems[reps]), coset, reps, rows)
+    return SubgroupDatum(ambient, H)
 
 
 def induce(sub: SubgroupDatum, W: ModuleRep) -> ModuleRep:
@@ -241,15 +265,27 @@ def double_coset_reps(sub: SubgroupDatum):
     return G.closure()[np.flatnonzero(labels == np.arange(len(labels)))]
 
 
-@dataclass
 class MackeyVerdict:
-    """failing is the (field, array) of the double-coset representative
-    where condition (II') fails; failing_rep is that one matrix as a Mat."""
+    """Whether Ind_H^G W is irreducible, and why.  failing is the (field,
+    array) of the double-coset representative where condition (II')
+    fails, and invariant_dim the dimension of the invariants there;
+    failing_rep is that one matrix as a Mat.  Of a failure that the
+    residue proved, the two are found by the Reynolds route (reynolds)
+    when one of them is first read."""
 
-    irreducible: bool
-    reason: str
-    failing: tuple | None = None
-    invariant_dim: int | None = None
+    def __init__(self, irreducible: bool, reason: str, failing: tuple | None = None,
+                 invariant_dim: int | None = None, reynolds=None):
+        self.irreducible, self.reason, self._reynolds = irreducible, reason, reynolds
+        if reynolds is None:
+            self.failing, self.invariant_dim = failing, invariant_dim
+
+    def __getattr__(self, name):
+        # reached only while a residue-proved failure has not read them yet
+        if name not in ("failing", "invariant_dim") or self._reynolds is None:
+            raise AttributeError(name)
+        found = self._reynolds()
+        self.failing, self.invariant_dim = found.failing, found.invariant_dim
+        return getattr(self, name)
 
     @property
     def failing_rep(self) -> Mat | None:
@@ -263,17 +299,23 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
                        seed: int = DEFAULT_SEED) -> MackeyVerdict:
     """Mackey's criterion: Ind_H^G W is irreducible iff W is irreducible
     and, for every double-coset representative g outside H, the module
-    gW (x) W^dual over K = gHg^-1 n H has no invariants.  W is evaluated
-    once, at the indices that sub keeps for every intersection (g^-1 x g,
-    and x^-1, since W^dual(x) = W(x^-1)^T for a representation W of H, as
-    the criterion presumes).  char F does not divide |K|, so the Reynolds
-    sum P = sum_x W(g^-1 x g) (x) W(x^-1)^T over K is |K| times the
-    projection onto the invariants (Serre, Linear Representations of
-    Finite Groups, 7.4): they are nonzero iff P is, and their dimension
-    is rank P, read only at the first g where P is nonzero, where the
-    test stops."""
+    gW (x) W^dual over K = gHg^-1 n H has no invariants (condition (II')).
+
+    By Mackey's formula and Frobenius reciprocity, dim End_G(Ind W) is
+    k = dim End_H(W) plus the dimensions of those invariants, and it is at
+    most index k, since Res_H Ind W has dimension index m, m = dim W >= k.
+    For modules M, N over F, char F prime to |G|, dim Hom_G(M, N) is
+    <chi_M, chi_N>_G mod ell, the trace of the Reynolds projection (Serre,
+    Linear Representations of Finite Groups, 7.2-7.4).  So with the
+    residues resG = <Ind chi, Ind chi>_G and resH = <chi, chi>_H, the
+    excess resG - resH (_excess) is the sum of the invariant dimensions
+    mod ell, of a number from 0 to (index - 1) k: resG != resH
+    proves that (II') fails, and resG = resH proves that it holds where
+    (index - 1) m < ell.  Of a failure, failing and invariant_dim are
+    found when read.  Where resG = resH and (index - 1) m >= ell (C7 in D7
+    over F_3, k = m = 6), the Reynolds route decides (_reynolds_verdict)."""
     G, H = sub.ambient, sub.subgroup
-    fld, gf = W.field, G.field
+    fld = W.field
     if len(W.action) != len(H.gens):  # index 1 evaluates W nowhere
         raise DimensionMismatch("one action matrix per subgroup generator")
     if fld.ell and G.order % fld.ell == 0:
@@ -281,14 +323,78 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
             f"characteristic {fld.ell} divides the group order {G.order}")
     if not is_irreducible(W, seed=seed):
         return MackeyVerdict(False, "W is reducible over H")
+    if _excess(sub, W, seed):
+        return MackeyVerdict(False, "condition (II') fails",
+                             reynolds=lambda: _reynolds_verdict(sub, W))
+    if (sub.index - 1) * W.dim < fld.ell:
+        return MackeyVerdict(True, "criterion satisfied")
+    return _reynolds_verdict(sub, W)
+
+
+def _reynolds_verdict(sub: SubgroupDatum, W: ModuleRep) -> MackeyVerdict:
+    """Condition (II') for an irreducible W, one double coset at a time.
+    W is evaluated once, at the indices that sub keeps for every
+    intersection (g^-1 x g, and x^-1, since W^dual(x) = W(x^-1)^T).  char
+    F does not divide |K|, so the Reynolds sum P = sum_x W(g^-1 x g) (x)
+    W(x^-1)^T over K is |K| times the projection onto the invariants
+    (Serre 7.4): they are nonzero iff P is, and their dimension is rank
+    P, read only at the first g where P is nonzero, where the test
+    stops."""
+    fld, H = W.field, sub.subgroup
     (conj, _, x_inv), bounds = sub.intersection_indices
     values = _value_at(W, H, np.concatenate([conj, x_inv]))
     dual = values[len(conj):].transpose(0, 2, 1)
     for (g, _, _), lo, hi in zip(sub.intersections, bounds, bounds[1:]):
         P = _reynolds_sum(fld, values[lo:hi], dual[lo:hi])
         if P.any():
-            return MackeyVerdict(False, "condition (II') fails", (gf, g), fld.rank(P))
+            return MackeyVerdict(False, "condition (II') fails", (sub.ambient.field, g),
+                                 fld.rank(P))
     return MackeyVerdict(True, "criterion satisfied")
+
+
+def _excess(sub: SubgroupDatum, W: ModuleRep, seed: int):
+    """resG - resH for W: its entry of the excesses of all the characters
+    that H's store holds, fused once per datum, where W is one of those
+    modules; else that of its own character, from one word walk over H."""
+    G, H, fld = sub.ambient, sub.subgroup, W.field
+    key, characters, row = _stored_position(H, W, seed)
+    if row is None:
+        return _excesses(G, H, fld, _traces(fld, _value_at(W, H, np.arange(H.order)))[None])[0]
+    if key not in sub._excesses:
+        sub._excesses[key] = _excesses(G, H, fld, characters)
+    return sub._excesses[key][row]
+
+
+def _stored_position(H: FinMatGroup, W: ModuleRep, seed: int):
+    """(key, characters, i): the store key of W's field and the seed, and
+    where H's store holds W itself under it, the characters stored there
+    and W's position among the modules; else (key, None, None).  It builds
+    no store."""
+    key = _store_key(H, W.field, seed)
+    modules, _, characters = H._irreducibles.get(key, ((), None, None))
+    return key, characters, next((i for i, U in enumerate(modules) if U is W), None)
+
+
+def _excesses(G: FinMatGroup, H: FinMatGroup, fld: GF, chars) -> np.ndarray:
+    """resG - resH of each character of H, given as the rows of an
+    (r, |H|) array over H's closure, in the field of its values.
+
+    H's classes fuse into G's classes C, and Ind chi(C) = |G| / (|H| |C|)
+    S[C], S[C] the sum of chi over H n C: S = X Inc, X the characters and
+    Inc the incidence of H's elements (as G indices) and G's classes, one
+    product for all of them.  resG = sum_C (|G| / (|H|^2 |C|)) S[C]
+    S[C^-1] and resH = sum_x (1 / |H|) chi(x) chi(x^-1) are then both
+    read off one row-by-row product of [S, X] and its weighted gather at
+    the inverses."""
+    ell, (reps, cls) = fld.ell, G.classes
+    inc = np.zeros((H.order, len(reps)), np.int64)
+    inc[np.arange(H.order), cls[G.indices(H.closure())]] = 1
+    S = fld.matmul(chars, inc)
+    weights = [G.order * pow(H.order ** 2 * int(c), -1, ell) % ell for c in np.bincount(cls)]
+    weights += [-pow(H.order, -1, ell) % ell] * H.order
+    at_inverses = np.concatenate([S[:, cls[G.inverse[reps]]], chars[:, H.inverse]], axis=1)
+    sums = np.concatenate([S, chars], axis=1)
+    return fld.matmul(sums[:, None], fld.mul(at_inverses, np.array(weights))[:, :, None])[:, 0, 0]
 
 
 def _reynolds_sum(fld: GF, A, B) -> np.ndarray:
@@ -321,12 +427,15 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     When char F does not divide |N|, split or not, the primitive central
     idempotent b_i of each irreducible U_i of N (_stored_irreducibles)
     projects V onto its U_i-isotypic part (Clifford 1937), so V(b_i) =
-    sum_x b_i(x) V(x) over N's closure, all of them from one word walk of
-    V over N's elements and one product, is nonzero for the e factors,
-    and rank V(b_i) = f dim U_i.  A line V, or V over N = G, is its own
-    one factor, Res_N V; where char F divides |N|, composition_factors
-    on Res_N V gives the factors.  That N is a normal subgroup of G is
-    checked once per pair and remembered on N."""
+    sum_x b_i(x) V(x) over N's closure is an idempotent, nonzero for the
+    e factors, of rank f dim U_i.  Its trace sum_x b_i(x) chi_V(x) is
+    that rank mod ell, so the rank itself where dim V < ell
+    (_block_traces); past that, V(b_i) is formed, all of them from one
+    word walk of V over N's elements and one product, and ranked.  A
+    line V, or V over N = G, is its own one factor, Res_N V; where char F
+    divides |N|, composition_factors on Res_N V gives the factors.  That
+    N is a normal subgroup of G is checked once per pair and remembered
+    on N."""
     N = _subgroup(G, n_gens)
     if G not in N._normal_in:
         if not N.is_subgroup_of(G) or not N.is_normal_in(G):
@@ -340,15 +449,37 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     if N.order % fld.ell == 0:
         classes = composition_factors(restrict(V, G, N), seed=seed)
     else:
-        modules, idempotents = _stored_irreducibles(N, fld, seed)
-        values = module_value(V, G, N.closure()).reshape(N.order, -1)
-        images = fld.matmul(idempotents, values).reshape(-1, V.dim, V.dim)
-        classes = [(U, fld.rank(b) // U.dim) for U, b in zip(modules, images) if b.any()]
+        modules, idempotents, _ = _stored_irreducibles(N, fld, seed)
+        if V.dim < fld.ell:
+            ranks = _block_traces(G, N, idempotents, V, seed)
+        else:
+            values = module_value(V, G, N.closure()).reshape(N.order, -1)
+            images = fld.matmul(idempotents, values).reshape(-1, V.dim, V.dim)
+            ranks = [fld.rank(b) for b in images]
+        classes = [(U, int(r) // U.dim) for U, r in zip(modules, ranks) if r]
     shapes = {(k, m.dim) for m, k in classes}
     if len(shapes) != 1 or sum(k * m.dim for m, k in classes) != V.dim:
         raise ValidationError("restriction is not of Clifford shape")
     (f, _), = shapes
     return CliffordShape(len(classes), f, [m for m, _ in classes])
+
+
+def _block_traces(G: FinMatGroup, N: FinMatGroup, idempotents, V: ModuleRep,
+                  seed: int) -> np.ndarray:
+    """tr V(b_i) = sum_x b_i(x) chi_V(x) over N, for each row b_i of N's
+    stored central idempotents: V's column of one (r_N, r_G) product of
+    them with the characters of G's stored modules read at N's elements,
+    made once per (G, N) and kept on N, where V is one of those modules;
+    else with chi_V from one word walk of V over N."""
+    fld = V.field
+    key, characters, column = _stored_position(G, V, seed)
+    if column is None:
+        chi = _traces(fld, module_value(V, G, N.closure()))
+        return fld.matmul(idempotents, chi[:, None])[:, 0]
+    kept = vars(N).setdefault("_block_traces", {})
+    if (G, key) not in kept:
+        kept[G, key] = fld.matmul(idempotents, characters[:, G.indices(N.closure())].T)
+    return kept[G, key][:, column]
 
 
 def conjugate_module(U: ModuleRep, G: FinMatGroup, N: FinMatGroup,
@@ -632,7 +763,9 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
 
     The modules depend on nothing but the field, the seed and the
     regular representation's action, so they are stored by those, with
-    their primitive central idempotents (_stored_irreducibles), in
+    their primitive central idempotents and their characters, the sort
+    keys, which the Mackey and Clifford verdicts read
+    (_stored_irreducibles), in
     H._irreducibles, which the groups of one all_subgroups call share with
     their ambient group: a later call, on H or on a group whose regular
     representation is the same matrices (two classes of C2, say, which
@@ -643,32 +776,40 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     return list(_stored_irreducibles(H, fld, seed)[0])
 
 
+def _store_key(H: FinMatGroup, fld: GF, seed: int) -> tuple:
+    """The key of H's modules in H._irreducibles: the coefficient field,
+    the seed (checked_seed) and the left-regular permutations H.left."""
+    perm = H.left
+    return fld, checked_seed(seed), perm.shape, perm.tobytes()
+
+
 def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
-    """(modules, idempotents) as H._irreducibles stores them: the modules
-    of irreducible_modules, and next to them, row i for module i, its
-    primitive central idempotent over H's closure, as an (r, |H|)
-    array.  A negative seed is a ValidationError (checked_seed), whether
-    or not the store holds the modules for another seed."""
+    """(modules, idempotents, characters) as H._irreducibles stores them:
+    the modules of irreducible_modules, and next to them, row i for
+    module i, its primitive central idempotent and its character over
+    H's closure, as two read-only (r, |H|) arrays.  A negative seed is a
+    ValidationError (checked_seed), whether or not the store holds the
+    modules for another seed."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
-    perm = H.left
-    key = (fld, checked_seed(seed), perm.shape, perm.tobytes())
+    key = _store_key(H, fld, seed)
     if key not in H._irreducibles:
         reg = regular_rep(H, fld).action
-        modules = []
+        modules, characters = [], []
         bases, idempotents, at_inverses = _central_blocks(H, fld, seed)
-        for basis, e in zip(bases, idempotents):
+        for basis, e, e_inv in zip(bases, idempotents, at_inverses):
             span, pivots = fld.rref(spin(fld, reg, basis).rows)
             block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
             W = _right_cut(H, block, len(basis), e, pivots, seed)
             if W is None:  # no class cuts the block (Q8 over F_3)
                 (W, _), = composition_factors(block, seed=seed)
             modules.append(W)
-        # the trace of W at x is (|H| k / dim W) e(x^-1), k = dim B
-        sort_keys = [(m.dim, tuple(fld.mul(H.order * len(b) // m.dim % fld.ell, e).tolist()))
-                     for m, b, e in zip(modules, bases, at_inverses)]
+            # the trace of W at x is (|H| k / dim W) e(x^-1), k = dim B
+            characters.append(fld.mul(H.order * len(basis) // W.dim % fld.ell, e_inv))
+        sort_keys = [(m.dim, tuple(c.tolist())) for m, c in zip(modules, characters)]
         assert len(set(sort_keys)) == len(sort_keys)
         order = sorted(range(len(modules)), key=sort_keys.__getitem__)
-        H._irreducibles[key] = [modules[i] for i in order], idempotents[order]
+        H._irreducibles[key] = ([modules[i] for i in order], _read_only(idempotents[order]),
+                                _read_only(np.array(characters)[order]))
     return H._irreducibles[key]

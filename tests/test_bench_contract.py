@@ -127,6 +127,23 @@ def test_mackey_sweep_builds_no_mat():
     assert failing and all(g in G for g in failing)
 
 
+def test_mackey_session_builds_no_double_coset(monkeypatch):
+    # S4 over F_13, as bench/workloads.py runs it: every verdict is read
+    # off the residue of the stored characters fused into G's classes, so
+    # no datum labels its cosets or double cosets (least_labels) and no
+    # Reynolds product is formed (22 labellings, 11 double-coset lists
+    # and 37 Reynolds products when each verdict built the double cosets)
+    mk = envlab.mackey
+    calls = dict.fromkeys(("_reynolds_sum", "double_coset_reps", "least_labels"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(mk, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(mk, name, counted)
+    _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
+    assert calls == dict.fromkeys(calls, 0)
+
+
 def test_all_subgroups_closes_only_the_ambient_group():
     # S4 over F_13: every subgroup is an index set of G's one closure (920
     # cold closures with classes, 890 without, when each cyclic subgroup

@@ -14,7 +14,8 @@ import envlab.mackey
 from corpus import (alternating_group_4, closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat, quaternion_group,
                     quaternion_group_sl2, symmetric_group)
-from envlab.errors import CharDividesIndex, NotNormal, NotSemisimple, ValidationError
+from envlab.errors import (CharDividesIndex, ClosureOverflow, NotNormal, NotSemisimple,
+                           ValidationError)
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               commutant, composition_factors, is_irreducible,
                               module_of_group, modules_isomorphic)
@@ -27,6 +28,8 @@ from envlab.mackey import (CliffordShape, MackeyVerdict, _reynolds_sum, all_subg
                            double_coset_reps, dual_module, frobenius_reciprocity_dim,
                            induce, irreducible_modules, mackey_irreducible,
                            module_value, regular_rep, restrict, subgroup_datum)
+from test_derived_commutant import small_groups as derived_groups
+from test_fieldcore import small_groups as closure_groups
 
 
 def char_rep(ell, value):
@@ -147,7 +150,8 @@ def test_dihedral_faithful_character():
                                    for name, G, fld in mackey_corpus()])
 def test_datum_keeps_its_double_coset_intersections(G, fld, monkeypatch):
     # for each representative g after the identity, the x in gHg^-1 n H
-    # and g^-1 x g, in H's closure order, found once for every W
+    # and g^-1 x g, in H's closure order, found once for every W, and on
+    # a fresh datum only when a failing representative is read
     for H in all_subgroups(G):
         sub = subgroup_datum(G, H.generators)
         every = double_coset_reps(sub)
@@ -162,12 +166,13 @@ def test_datum_keeps_its_double_coset_intersections(G, fld, monkeypatch):
             assert [Mat(G.field, c) for c in conj] == [g.inverse() @ x @ g for x in want]
         calls = []
         monkeypatch.setattr(envlab.mackey, "double_coset_reps", lambda s: calls.append(1) or every)
-        fresh = subgroup_datum(G, H.generators)
+        fresh, held = subgroup_datum(G, H.generators), []
         for W in irreducible_modules(H, fld):
             a, b = mackey_irreducible(fresh, W), mackey_irreducible(sub, W)
             assert (a.irreducible, a.reason, a.invariant_dim, a.failing_rep) \
                 == (b.irreducible, b.reason, b.invariant_dim, b.failing_rep)
-        assert len(calls) == 1
+            held.append(a.irreducible)
+        assert len(calls) == (not all(held))
         monkeypatch.undo()
 
 
@@ -719,17 +724,20 @@ def test_blocks_that_are_not_lines_take_composition_factors(H, fld, dims, monkey
 @pytest.mark.parametrize("H,fld", [pytest.param(H, fld, id=name)
                                    for name, H, fld, _ in CENTRE_BLOCKS])
 def test_stored_idempotents_project_onto_their_own_modules(H, fld, monkeypatch):
-    # one idempotent row per module, line or not, found and sorted with no
-    # word walk: module j at the idempotent of module i is the identity
-    # for i = j and zero else, which determines e_i in the semisimple
-    # F[H]; and the order is the canonical one
+    # one idempotent row and one character row per module, line or not,
+    # found and sorted with no word walk: module j at the idempotent of
+    # module i is the identity for i = j and zero else, which determines
+    # e_i in the semisimple F[H]; the character is the trace of the
+    # module at each element; and the order is the canonical one
     mk = envlab.mackey
     H = FinMatGroup(H.field, H.generators)  # an empty store
     monkeypatch.setattr(mk, "_value_at", lambda *a: pytest.fail("walked"))
-    modules, idempotents = mk._stored_irreducibles(H, fld, DEFAULT_SEED)
+    modules, idempotents, characters = mk._stored_irreducibles(H, fld, DEFAULT_SEED)
     monkeypatch.undo()
-    assert idempotents.shape == (len(modules), H.order)
-    for W in modules:
+    assert idempotents.shape == characters.shape == (len(modules), H.order)
+    assert not characters.flags.writeable
+    for W, chi in zip(modules, characters):
+        assert np.array_equal(chi, envlab.fieldcore._traces(fld, module_value(W, H, H.closure())))
         values = module_value(W, H, H.closure()).reshape(H.order, -1)
         images = fld.matmul(idempotents, values).reshape(-1, W.dim, W.dim)
         for U, image in zip(modules, images):
@@ -1126,3 +1134,173 @@ def test_clifford_of_a_line_or_over_g_is_the_restriction(monkeypatch):
         shape = clifford_decompose(G, N.generators, V)
         assert (shape.e, shape.f) == (1, 1)
         assert np.array_equal(shape.factors[0].action, restrict(V, G, N).action)
+
+
+# -- the residue of the characters against the Reynolds route --
+
+# (group, the generator of H, dim W, the failing representative as a
+# permutation, invariant_dim): condition (II') fails, yet resG = resH,
+# because dim End_G(Ind W) - dim End_H(W) is a multiple of ell: 12 for
+# C7 in D7 over F_3, where k = m = 6 and End_G(Ind W) = M_2(F_27).  So
+# the residue cannot decide, and neither is k read off resH (k = 6 and
+# k = 2 are both 0 mod ell); (index - 1) m >= ell sends both to the
+# Reynolds route
+EXACTNESS_TRAPS = [
+    pytest.param(functools.partial(dihedral_group, 7, 3), 0, 6, [0, 6, 5, 4, 3, 2, 1], 6,
+                 id="C7 in D7/F3"),
+    pytest.param(functools.partial(frobenius_group_21, 2), 1, 2, [1, 2, 3, 4, 5, 6, 0], 4,
+                 id="C3 in F21/F2"),
+]
+
+
+@pytest.mark.parametrize("make,gen,dim,failing,invariant_dim", EXACTNESS_TRAPS)
+def test_an_excess_of_zero_past_the_bound_takes_the_reynolds_route(make, gen, dim, failing,
+                                                                   invariant_dim):
+    G = make()
+    sub = subgroup_datum(G, [G.generators[gen]])
+    W = next(W for W in irreducible_modules(sub.subgroup, G.field) if W.dim == dim)
+    assert envlab.mackey._excess(sub, W, DEFAULT_SEED) == 0
+    assert (sub.index - 1) * W.dim >= G.field.ell
+    verdict = mackey_irreducible(sub, W)
+    assert (verdict.irreducible, verdict.reason, verdict.invariant_dim) \
+        == (False, "condition (II') fails", invariant_dim)
+    assert verdict.failing_rep == perm_mat(G.field, failing)
+
+
+def same_verdict_routes(sub, fld, rng):
+    """For each irreducible W of H over fld, from H's store, and for a
+    copy of it in another basis, which no store holds: mackey_irreducible
+    and the Reynolds route give the same verdict, reason, failing
+    representative and invariant_dim; only the copy is walked to its
+    character."""
+    mk = envlab.mackey
+    traces = mk._traces
+    for W in irreducible_modules(sub.subgroup, fld):
+        P = random_invertible(fld, W.dim, rng)
+        copy = ModuleRep(fld, fld.matmul(fld.matmul(P, W.action), fld.inv_matrix(P)))
+        for U, walks in ((W, 0), (copy, 1)):
+            walked = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mk, "_traces", lambda *a: walked.append(1) or traces(*a))
+                got = verdict_bytes(mackey_irreducible(sub, U))
+            assert len(walked) == walks
+            assert got == verdict_bytes(mk._reynolds_verdict(sub, U))
+
+
+# coefficient fields for the random groups: prime fields and GF(4), GF(9)
+COEFFICIENTS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (3, 2)]
+
+
+def small_closure(G):
+    """Whether G closes within 60 elements."""
+    try:
+        G.closure(60)
+    except ClosureOverflow:
+        return False
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(closure_groups(), derived_groups(),
+                 st.sampled_from([G for _, G, _ in mackey_corpus()])), st.data())
+def test_the_residue_route_matches_the_reynolds_route_on_random_subgroups(G, data):
+    # H generated by one or two random elements of a random small group,
+    # from either small_groups strategy or the corpus, over a field whose
+    # characteristic does not divide |G|
+    assume(small_closure(G))
+    fields = [field for field in COEFFICIENTS if G.order % field[0]]
+    fld = field_make(*data.draw(st.sampled_from(fields)))
+    elems = G.closure()
+    picks = data.draw(st.lists(st.integers(0, len(elems) - 1), min_size=1, max_size=2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    same_verdict_routes(subgroup_datum(G, list(elems[picks])), fld, rng)
+
+
+# groups over fields that do not split them or their subgroups: C3 in S3
+# over F_5, C5 and D5 over F_3, C7 and D7 over F_3, F21 over F_2 and over
+# GF(4), and D5 over GF(9)
+NON_SPLIT_VERDICTS = [
+    pytest.param(symmetric_group(3, 5), field_make(5, 1), id="S3/F5"),
+    pytest.param(dihedral_group(5, 3), field_make(3, 1), id="D5/F3"),
+    pytest.param(dihedral_group(7, 3), field_make(3, 1), id="D7/F3"),
+    pytest.param(frobenius_group_21(2), field_make(2, 1), id="F21/F2"),
+    pytest.param(frobenius_group_21(2), field_make(2, 2), id="F21/GF(4)"),
+    pytest.param(dihedral_group(5, 3), field_make(3, 2), id="D5/GF(9)"),
+]
+
+
+@pytest.mark.parametrize("G,fld", NON_SPLIT_VERDICTS)
+def test_the_residue_route_matches_the_reynolds_route_where_w_is_not_split(G, fld):
+    rng = np.random.default_rng(G.order)
+    for H in all_subgroups(G, up_to_conjugacy=False):
+        same_verdict_routes(subgroup_datum(G, H.generators), fld, rng)
+
+
+# -- the Clifford traces against the ranks --
+
+def non_split_groups():
+    """(name, group) for the groups of the CI's non-split mackey sessions,
+    each over its field."""
+    return [
+        ("C6/F5", cyclic_group(6, 5)), ("A4/F5", alternating_group_4(5)),
+        ("S4/F5", symmetric_group(4, 5)), ("D5/F3", dihedral_group(5, 3)),
+        ("C7/F2", cyclic_group(7, 2)), ("Q8 in SL2(F3)", quaternion_group_sl2(3)),
+        ("D7/F3", dihedral_group(7, 3)), ("F21/F5", frobenius_group_21(5)),
+        ("S5/F7", symmetric_group(5, 7)), ("F21/F2", frobenius_group_21(2)),
+    ]
+
+
+def block_ranks(G, N, V):
+    """rank V(b_i) for each stored central idempotent b_i of N, V(b_i)
+    summed over N's closure from V's value at each element."""
+    fld = V.field
+    _, idempotents, _ = envlab.mackey._stored_irreducibles(N, fld, DEFAULT_SEED)
+    values = module_value(V, G, N.closure()).reshape(N.order, -1)
+    return [fld.rank(b) for b in fld.matmul(idempotents, values).reshape(-1, V.dim, V.dim)]
+
+
+@pytest.mark.parametrize("G,fld", [pytest.param(G, fld, id=name)
+                                   for name, G, fld in mackey_corpus()]
+                         + [pytest.param(G, G.field, id=name) for name, G in non_split_groups()])
+def test_clifford_traces_match_the_ranks(G, fld):
+    # every irreducible V of G of dimension > 1, and a copy of it in
+    # another basis, over every normal N other than G: where dim V < ell,
+    # the traces tr V(b_i) are the ranks; either way e, f and the factor
+    # dimensions are those the ranks give
+    mk, rng = envlab.mackey, np.random.default_rng(G.order)
+    for N in all_subgroups(G):
+        if N is G or not N.is_normal_in(G):
+            continue
+        modules, idempotents, _ = mk._stored_irreducibles(N, fld, DEFAULT_SEED)
+        for V in irreducible_modules(G, fld):
+            if V.dim == 1:
+                continue
+            P = random_invertible(fld, V.dim, rng)
+            copy = ModuleRep(fld, fld.matmul(fld.matmul(P, V.action), fld.inv_matrix(P)))
+            for U in (V, copy):
+                ranks = block_ranks(G, N, U)
+                if U.dim < fld.ell:
+                    traces = mk._block_traces(G, N, idempotents, U, DEFAULT_SEED)
+                    assert traces.tolist() == ranks
+                want = [(M.dim, r // M.dim) for M, r in zip(modules, ranks) if r]
+                shape = clifford_decompose(G, N.generators, U)
+                assert [(m.dim, shape.f) for m in shape.factors] == want
+
+
+def test_clifford_takes_the_rank_route_where_dim_v_reaches_ell(monkeypatch):
+    # F21 over F_2 and N = C7: a 3-dim V restricts to one 3-dim
+    # irreducible of C7, whose block b has V(b) = 1 of trace 3 = 1 mod 2,
+    # so the trace is not the rank, and dim V >= ell takes the ranks
+    mk = envlab.mackey
+    G = frobenius_group_21(2)
+    n_gens = [G.generators[0]]
+    V = next(V for V in irreducible_modules(G, G.field) if V.dim == 3)
+    N = mk._subgroup(G, n_gens)
+    _, idempotents, _ = mk._stored_irreducibles(N, G.field, DEFAULT_SEED)
+    assert sorted(block_ranks(G, N, V)) == [0, 0, 3]
+    assert sorted(mk._block_traces(G, N, idempotents, V, DEFAULT_SEED).tolist()) == [0, 0, 1]
+    monkeypatch.setattr(mk, "_block_traces", lambda *a: pytest.fail("traced"))
+    shape = clifford_decompose(G, n_gens, V)
+    monkeypatch.undo()
+    assert (shape.e, shape.f, shape.factors[0].dim) == (1, 1, 3)
+    assert same_clifford_shapes(G, n_gens, shape, reference_clifford_decompose(G, n_gens, V))
