@@ -51,23 +51,23 @@ all_subgroups call share with G; so G after its classes, and a class
 whose regular representation another had (S4's two C2 classes), search
 nothing; the store is keyed by each group's left table.
 
-Both verdicts read those characters mod ell, with no search and no
-double coset, wherever char F does not divide the orders involved: the
-dimension of a space of homs is, mod ell, the inner product of two
-characters (Serre, Linear Representations of Finite Groups, 7.2).
-mackey_irreducible fuses the characters of H's store into G's classes,
-one product per subgroup datum, and compares <Ind chi, Ind chi>_G with
-<chi, chi>_H: a difference proves that Ind W is reducible, and equality
-proves it irreducible while (index - 1) dim W < ell; past that bound
-the datum's double-coset intersections decide, one Reynolds product per
-intersection, as they find the failing representative and invariant_dim
-of a failure when those are read.  clifford_decompose reads the rank of
-V at each of N's stored central idempotents b as the trace sum_x b(x)
-chi_V(x), one product per (G, N) for all of G's stored modules, while
-dim V < ell, and as the rank of V(b), from one word walk of V over N,
-past it; V over N = G is its own factor, and a characteristic that
-divides |N| takes composition_factors instead.  A module from outside
-the stores takes its character from one word walk.
+Both verdicts read those characters mod ell from the stores, with no
+search and no double coset, and neither builds a store or walks a
+module for its character: the dimension of a space of homs is, mod ell,
+the inner product of two characters (Serre, Linear Representations of
+Finite Groups, 7.2).  Each has two routes.  For a W that H's store
+holds, mackey_irreducible fuses the characters of H's store into G's
+classes, one product per subgroup datum, and compares <Ind chi, Ind
+chi>_G with <chi, chi>_H: a difference proves that Ind W is reducible,
+and equality proves it irreducible while (index - 1) dim W < ell; past
+that bound, and for every other W, the datum's double-coset
+intersections decide, one Reynolds product per intersection, as they
+find the failing representative and invariant_dim of a failure when
+those are read.  Where N's store holds N's modules, G's store holds V
+and dim V < ell, clifford_decompose reads the rank of V at each of N's
+central idempotents b as the trace sum_x b(x) chi_V(x), one product per
+(G, N) for all of G's stored modules; every other case takes the
+composition factors of Res_N V.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ import numpy as np
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
 from .fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
-                        _certify, _eval_poly_at_matrix, _factors, _first_relation,
-                        _inverse_stack, _read_only, _submodule_action, _traces, checked_seed,
+                        _canonical, _certify, _eval_poly_at_matrix, _factors, _first_relation,
+                        _inverse_stack, _read_only, _submodule_action, checked_seed,
                         composition_factors, grow_mask, intertwiners, is_irreducible,
                         least_labels, matrix_minpoly, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
@@ -118,10 +118,11 @@ def _value_at(W: ModuleRep, H: FinMatGroup, idx) -> np.ndarray:
 
 def restrict(V: ModuleRep, G: FinMatGroup, H: FinMatGroup) -> ModuleRep:
     """The module of G viewed over the generators of a subgroup H: V
-    itself, certificate and all, when H is G."""
+    itself, certificate and all, when H is G.  A generator of H outside G
+    is a ValidationError (module_value)."""
     if H is G and len(V.action) == len(G.gens):
         return V
-    if not H.generators or not H.is_subgroup_of(G):
+    if not H.generators:
         raise ValidationError("H is not a subgroup of G")
     return ModuleRep(V.field, module_value(V, G, H.gens))
 
@@ -141,7 +142,7 @@ class SubgroupDatum:
     (intersection_indices), are built only for the Reynolds route of
     mackey_irreducible, and kept for every W it tests.  So are the
     excesses resG - resH of the characters that H's store holds, fused
-    into G's classes by the first verdict (_excess)."""
+    into G's classes by the first verdict that reads them."""
 
     ambient: FinMatGroup
     subgroup: FinMatGroup
@@ -204,12 +205,15 @@ class SubgroupDatum:
 
 
 def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
-    """The subgroup of G on a generator list: G itself on G's list, the
-    group that all_subgroups returned for that list, with its closure if
-    it has one, else a fresh group."""
-    H = FinMatGroup(G.field, list(gens))
-    key = H.gens.tobytes()
-    return G if key == G.gens.tobytes() else G._subgroups.get(key, H)
+    """The subgroup of G on a generator list, Mats or arrays: G itself on
+    G's list, the group that all_subgroups returned for that list, with
+    its closure if it has one, else a fresh group, the only one built.
+    The list is keyed by the bytes of its canonical arrays."""
+    gens = list(gens)
+    key = np.array([g.array if isinstance(g, Mat) else _canonical(G.field, g)
+                    for g in gens], dtype=np.int64).tobytes()
+    H = G if key == G.gens.tobytes() else G._subgroups.get(key)
+    return FinMatGroup(G.field, gens) if H is None else H
 
 
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
@@ -308,12 +312,16 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
     <chi_M, chi_N>_G mod ell, the trace of the Reynolds projection (Serre,
     Linear Representations of Finite Groups, 7.2-7.4).  So with the
     residues resG = <Ind chi, Ind chi>_G and resH = <chi, chi>_H, the
-    excess resG - resH (_excess) is the sum of the invariant dimensions
-    mod ell, of a number from 0 to (index - 1) k: resG != resH
-    proves that (II') fails, and resG = resH proves that it holds where
-    (index - 1) m < ell.  Of a failure, failing and invariant_dim are
-    found when read.  Where resG = resH and (index - 1) m >= ell (C7 in D7
-    over F_3, k = m = 6), the Reynolds route decides (_reynolds_verdict)."""
+    excess resG - resH is the sum of the invariant dimensions mod ell, of
+    a number from 0 to (index - 1) k: resG != resH proves that (II')
+    fails, and resG = resH proves that it holds where (index - 1) m <
+    ell.  The excesses are read for the W that H's store holds, from the
+    characters stored with them.  Of a failure, failing and invariant_dim
+    are found when read.  Where resG = resH and (index - 1) m >= ell (C7
+    in D7 over F_3, k = m = 6), and for every W that H's store does not
+    hold, the Reynolds route decides (_reynolds_verdict), exactly for
+    every irreducible W; no store is built and no W is walked for its
+    character."""
     G, H = sub.ambient, sub.subgroup
     fld = W.field
     if len(W.action) != len(H.gens):  # index 1 evaluates W nowhere
@@ -323,7 +331,12 @@ def mackey_irreducible(sub: SubgroupDatum, W: ModuleRep,
             f"characteristic {fld.ell} divides the group order {G.order}")
     if not is_irreducible(W, seed=seed):
         return MackeyVerdict(False, "W is reducible over H")
-    if _excess(sub, W, seed):
+    key, characters, row = _stored_position(H, W, seed)
+    if row is None:
+        return _reynolds_verdict(sub, W)
+    if key not in sub._excesses:
+        sub._excesses[key] = _excesses(G, H, fld, characters)
+    if sub._excesses[key][row]:
         return MackeyVerdict(False, "condition (II') fails",
                              reynolds=lambda: _reynolds_verdict(sub, W))
     if (sub.index - 1) * W.dim < fld.ell:
@@ -350,19 +363,6 @@ def _reynolds_verdict(sub: SubgroupDatum, W: ModuleRep) -> MackeyVerdict:
             return MackeyVerdict(False, "condition (II') fails", (sub.ambient.field, g),
                                  fld.rank(P))
     return MackeyVerdict(True, "criterion satisfied")
-
-
-def _excess(sub: SubgroupDatum, W: ModuleRep, seed: int):
-    """resG - resH for W: its entry of the excesses of all the characters
-    that H's store holds, fused once per datum, where W is one of those
-    modules; else that of its own character, from one word walk over H."""
-    G, H, fld = sub.ambient, sub.subgroup, W.field
-    key, characters, row = _stored_position(H, W, seed)
-    if row is None:
-        return _excesses(G, H, fld, _traces(fld, _value_at(W, H, np.arange(H.order)))[None])[0]
-    if key not in sub._excesses:
-        sub._excesses[key] = _excesses(G, H, fld, characters)
-    return sub._excesses[key][row]
 
 
 def _stored_position(H: FinMatGroup, W: ModuleRep, seed: int):
@@ -424,18 +424,20 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     """Shape of Res_N V for a normal subgroup N and irreducible V: e
     distinct conjugate factors, each with common multiplicity f.
 
-    When char F does not divide |N|, split or not, the primitive central
-    idempotent b_i of each irreducible U_i of N (_stored_irreducibles)
-    projects V onto its U_i-isotypic part (Clifford 1937), so V(b_i) =
-    sum_x b_i(x) V(x) over N's closure is an idempotent, nonzero for the
-    e factors, of rank f dim U_i.  Its trace sum_x b_i(x) chi_V(x) is
-    that rank mod ell, so the rank itself where dim V < ell
-    (_block_traces); past that, V(b_i) is formed, all of them from one
-    word walk of V over N's elements and one product, and ranked.  A
-    line V, or V over N = G, is its own one factor, Res_N V; where char F
-    divides |N|, composition_factors on Res_N V gives the factors.  That
-    N is a normal subgroup of G is checked once per pair and remembered
-    on N."""
+    The trace route: where N's store holds N's modules
+    (irreducible_modules, for V's field and the seed), G's store holds V
+    itself, and dim V < ell, the primitive central idempotent b_i of each
+    irreducible U_i of N projects V onto its U_i-isotypic part (Clifford
+    1937), so V(b_i) = sum_x b_i(x) V(x) over N's closure is an
+    idempotent, nonzero for the e factors, of rank f dim U_i.  Its trace
+    sum_x b_i(x) chi_V(x) is that rank mod ell, so the rank itself
+    (_block_traces), and the factors are N's stored modules.  Every other
+    case (an N whose store was never built, a V from outside G's store,
+    dim V >= ell, or char F dividing |N|) takes composition_factors on
+    Res_N V, whose factors may depend on the seed; e, f and the factor
+    dimensions do not.  A line, or V over N = G, draws no random element
+    on either route, and no route builds a store.  That N is a normal
+    subgroup of G is checked once per pair and remembered on N."""
     N = _subgroup(G, n_gens)
     if G not in N._normal_in:
         if not N.is_subgroup_of(G) or not N.is_normal_in(G):
@@ -443,20 +445,11 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
         N._normal_in.add(G)
     if not is_irreducible(V, seed=seed):
         raise NotIrreducible("V is not irreducible")
-    fld = V.field
-    if V.dim == 1 or N is G:
-        return CliffordShape(1, 1, [restrict(V, G, N)])
-    if N.order % fld.ell == 0:
+    traced = _block_traces(G, N, V, seed) if V.dim < V.field.ell else None
+    if traced is None:
         classes = composition_factors(restrict(V, G, N), seed=seed)
     else:
-        modules, idempotents, _ = _stored_irreducibles(N, fld, seed)
-        if V.dim < fld.ell:
-            ranks = _block_traces(G, N, idempotents, V, seed)
-        else:
-            values = module_value(V, G, N.closure()).reshape(N.order, -1)
-            images = fld.matmul(idempotents, values).reshape(-1, V.dim, V.dim)
-            ranks = [fld.rank(b) for b in images]
-        classes = [(U, int(r) // U.dim) for U, r in zip(modules, ranks) if r]
+        classes = [(U, int(r) // U.dim) for U, r in zip(*traced) if r]
     shapes = {(k, m.dim) for m, k in classes}
     if len(shapes) != 1 or sum(k * m.dim for m, k in classes) != V.dim:
         raise ValidationError("restriction is not of Clifford shape")
@@ -464,22 +457,23 @@ def clifford_decompose(G: FinMatGroup, n_gens, V: ModuleRep,
     return CliffordShape(len(classes), f, [m for m, _ in classes])
 
 
-def _block_traces(G: FinMatGroup, N: FinMatGroup, idempotents, V: ModuleRep,
-                  seed: int) -> np.ndarray:
-    """tr V(b_i) = sum_x b_i(x) chi_V(x) over N, for each row b_i of N's
-    stored central idempotents: V's column of one (r_N, r_G) product of
-    them with the characters of G's stored modules read at N's elements,
-    made once per (G, N) and kept on N, where V is one of those modules;
-    else with chi_V from one word walk of V over N."""
+def _block_traces(G: FinMatGroup, N: FinMatGroup, V: ModuleRep, seed: int):
+    """(modules, traces): N's stored modules, and tr V(b_i) = sum_x b_i(x)
+    chi_V(x) over N for the central idempotent b_i of each, where N's
+    store holds its modules and G's store holds V itself, for V's field
+    and the seed; else None.  The traces are V's column of one (r_N, r_G)
+    product of N's idempotents with the characters of G's stored modules
+    read at N's elements, made once per (G, N) and kept on N."""
     fld = V.field
+    stored = N._irreducibles.get(_store_key(N, fld, seed))
     key, characters, column = _stored_position(G, V, seed)
-    if column is None:
-        chi = _traces(fld, module_value(V, G, N.closure()))
-        return fld.matmul(idempotents, chi[:, None])[:, 0]
+    if stored is None or column is None:
+        return None
+    modules, idempotents, _ = stored
     kept = vars(N).setdefault("_block_traces", {})
     if (G, key) not in kept:
         kept[G, key] = fld.matmul(idempotents, characters[:, G.indices(N.closure())].T)
-    return kept[G, key][:, column]
+    return modules, kept[G, key][:, column]
 
 
 def conjugate_module(U: ModuleRep, G: FinMatGroup, N: FinMatGroup,
@@ -764,8 +758,7 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     The modules depend on nothing but the field, the seed and the
     regular representation's action, so they are stored by those, with
     their primitive central idempotents and their characters, the sort
-    keys, which the Mackey and Clifford verdicts read
-    (_stored_irreducibles), in
+    keys, which the Mackey and Clifford verdicts read but never build, in
     H._irreducibles, which the groups of one all_subgroups call share with
     their ambient group: a later call, on H or on a group whose regular
     representation is the same matrices (two classes of C2, say, which

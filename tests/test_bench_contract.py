@@ -144,6 +144,38 @@ def test_mackey_session_builds_no_double_coset(monkeypatch):
     assert calls == dict.fromkeys(calls, 0)
 
 
+def test_mackey_session_clifford_reads_only_the_trace_column(monkeypatch):
+    # S4 over F_13, as bench/workloads.py runs it: every Clifford shape, of
+    # a line and over N = G too, is read off the trace column of N's and
+    # G's stores, so no clifford_decompose restricts V, walks it, builds a
+    # store or decomposes (140 restrictions and 102 walks per seed-7
+    # mackey pass when a line or N = G took Res_N V and dim V >= ell the
+    # ranks)
+    mk = envlab.mackey
+    names = ("restrict", "module_value", "composition_factors", "_stored_irreducibles")
+    calls, inside, shapes = dict.fromkeys(names, 0), [], []
+    for name in names:
+        def counted(*args, name=name, original=getattr(mk, name), **kwargs):
+            calls[name] += bool(inside)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(mk, name, counted)
+    decompose = mk.clifford_decompose
+
+    def clifford(G, n_gens, V, **kwargs):
+        inside.append(1)
+        try:
+            shape = decompose(G, n_gens, V, **kwargs)
+        finally:
+            inside.pop()
+        shapes.append((len(n_gens) == len(G.gens) and mk._subgroup(G, n_gens) is G, V.dim))
+        return shape
+
+    monkeypatch.setattr(mk, "clifford_decompose", clifford)
+    _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
+    assert calls == dict.fromkeys(names, 0)
+    assert (True, 3) in shapes and (False, 1) in shapes and len(shapes) == 4 * 5
+
+
 def test_all_subgroups_closes_only_the_ambient_group():
     # S4 over F_13: every subgroup is an index set of G's one closure (920
     # cold closures with classes, 890 without, when each cyclic subgroup

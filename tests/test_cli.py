@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
 
@@ -552,3 +556,48 @@ def test_json_input_fuzz_never_raises(tmp_path_factory, command):
             json.loads(out.getvalue())
 
     check()
+
+
+def test_csv_is_a_usage_error_where_a_subcommand_has_no_table(tmp_path, capsys):
+    path = write_json(tmp_path / "torus.json", diagonal_torus(7).to_json())
+    assert run(["nori", "--input", path, "--format", "csv"]) == 64
+    assert "csv" in capsys.readouterr().err
+
+
+def test_a_subcommand_without_its_input_is_a_usage_error(capsys):
+    assert run(["mackey"]) == 64
+    assert "--input" in capsys.readouterr().err
+
+
+def test_tame_input_with_two_generators_exits_1(tmp_path, capsys):
+    path = write_json(tmp_path / "torus.json", diagonal_torus(7).to_json())
+    assert run(["tame", "--input", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+def test_no_subcommand_is_a_usage_error(capsys):
+    assert run([]) == 64
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_clifford_on_a_large_fresh_n_stays_within_a_gibibyte(tmp_path):
+    # G = <diag(2, 1), swap> over F_101 (order 20,000), N its diagonal
+    # subgroup (order 10,000) and V its natural module: the shape comes
+    # from Res_N V, with no group algebra of N (whose regular
+    # representation alone is 1.49 GiB), in a child process whose address
+    # space is limited to 1 GiB
+    doc = {"group": {"ell": 101, "n": 2, "generators": [[2, 0, 0, 1], [0, 1, 1, 0]]},
+           "normal": [[2, 0, 0, 1], [1, 0, 0, 2]],
+           "module_field": {"ell": 101}, "module": [[2, 0, 0, 1], [0, 1, 1, 0]]}
+    path = write_json(tmp_path / "clifford.json", doc)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "envlab.cli", "clifford", "--input", path],
+                          env=env, preexec_fn=_limit_address_space, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"e":2,"f":1,"factor_dim":1}\n'

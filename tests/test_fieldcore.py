@@ -2,6 +2,8 @@
 it replaced), modules, MeatAxe splitting, commutants, and scalar
 extension."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from corpus import (closure_mats, cyclic_group, diagonal_torus, dihedral_group,
                     perm_mat, sl2_group, symmetric_group)
 from envlab import fieldcore
-from envlab.errors import ClosureOverflow, ValidationError
+from envlab.errors import (ClosureOverflow, DimensionMismatch, RandomBudgetExceeded,
+                           ValidationError)
 from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               _inverse_stack, _submodule_action, commutant,
                               composition_factors, extend_scalars,
@@ -493,3 +496,37 @@ def test_stacked_module_operations_match_per_matrix_loops(pair):
         assert same_arrays(a.direct_sum(b).action, reference_direct_sum(a, b))
     if all(rho.field.rank(M) == rho.dim for M in rho.action):
         assert same_arrays(dual_module(rho).action, reference_dual(rho))
+
+
+# -- error paths --
+
+def test_from_json_takes_a_json_string_and_rejects_other_shapes():
+    G = sl2_group(5)
+    assert FinMatGroup.from_json(json.dumps(G.to_json())).order == G.order
+    with pytest.raises(ValidationError):
+        FinMatGroup.from_json([G.to_json()])
+    with pytest.raises(ValidationError):
+        FinMatGroup.from_json(dict(G.to_json(), modulus=2))
+
+
+def test_intertwiners_and_direct_sums_need_matching_modules():
+    f5, f7 = field_make(5, 1), field_make(7, 1)
+    one = ModuleRep(f7, np.eye(2, dtype=np.int64)[None])
+    two = ModuleRep(f7, np.stack([np.eye(2, dtype=np.int64)] * 2))
+    with pytest.raises(DimensionMismatch):
+        intertwiners(one, ModuleRep(f5, one.action))
+    with pytest.raises(DimensionMismatch):
+        intertwiners(one, two)
+    with pytest.raises(DimensionMismatch):
+        one.direct_sum(two)
+
+
+def test_a_meataxe_budget_of_zero_draws_nothing_and_gives_up():
+    G = symmetric_group(3, 7)
+    with pytest.raises(RandomBudgetExceeded):
+        meataxe_split(module_of_group(G), budget=0)
+
+
+def test_a_group_with_no_generators_has_no_closure():
+    with pytest.raises(ValidationError):
+        FinMatGroup(field_make(5, 1), []).closure()

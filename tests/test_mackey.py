@@ -14,8 +14,8 @@ import envlab.mackey
 from corpus import (alternating_group_4, closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat, quaternion_group,
                     quaternion_group_sl2, symmetric_group)
-from envlab.errors import (CharDividesIndex, ClosureOverflow, NotNormal, NotSemisimple,
-                           ValidationError)
+from envlab.errors import (CharDividesIndex, ClosureOverflow, DimensionMismatch,
+                           NotIrreducible, NotNormal, NotSemisimple, ValidationError)
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               commutant, composition_factors, is_irreducible,
                               module_of_group, modules_isomorphic)
@@ -23,8 +23,8 @@ from envlab.gf import GF, field_make
 from linalg_oracles import (dual_walk_intersection_indices, greedy_cosets,
                             greedy_double_coset_reps, invariants_dim,
                             reference_composition_factors)
-from envlab.mackey import (CliffordShape, MackeyVerdict, _reynolds_sum, all_subgroups,
-                           clifford_blocks_transitive, clifford_decompose,
+from envlab.mackey import (CliffordShape, MackeyVerdict, SubgroupDatum, _reynolds_sum,
+                           all_subgroups, clifford_blocks_transitive, clifford_decompose,
                            double_coset_reps, dual_module, frobenius_reciprocity_dim,
                            induce, irreducible_modules, mackey_irreducible,
                            module_value, regular_rep, restrict, subgroup_datum)
@@ -292,6 +292,62 @@ def test_clifford_rejects_non_normal():
     V = induce(subgroup_datum(G, [perm_mat(G.field, [1, 2, 0])]), char_rep(7, 2))
     with pytest.raises(NotNormal):
         clifford_decompose(G, [perm_mat(G.field, [1, 0, 2])], V)
+
+
+def test_a_registered_generator_list_builds_no_group(monkeypatch):
+    # the lookup keys a list by its canonical arrays: a list that
+    # all_subgroups returned, as Mats or as raw arrays with entries that
+    # are not canonical (-1 over F_5), gives the registered group, G's own
+    # list gives G, and only an unregistered list builds a group
+    mk = envlab.mackey
+    G, Q = symmetric_group(4, 5), quaternion_group(5)
+    subs = all_subgroups(G) + all_subgroups(Q)
+    built, init = [], FinMatGroup.__init__
+    monkeypatch.setattr(FinMatGroup, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    negated = 0
+    for H in subs:
+        ambient = G if H.n == 4 else Q
+        assert mk._subgroup(ambient, H.generators) is H
+        raw = [np.where(g.array == 4, -1, g.array) for g in H.generators]
+        negated += any((a < 0).any() for a in raw)
+        assert mk._subgroup(ambient, raw) is H
+    assert negated and mk._subgroup(G, [np.array(g.array) for g in G.generators]) is G
+    assert built == []
+    H = next(H for H in subs if len(H.generators) > 1)
+    assert mk._subgroup(G, H.generators[::-1]) is not H
+    assert built == [1]
+
+
+def test_restrict_to_a_group_with_a_generator_outside_g_is_a_validation_error():
+    G = symmetric_group(3, 7)
+    V = irreducible_modules(G, G.field)[-1]
+    outside = FinMatGroup(G.field, [G.generators[0], Mat(G.field, [[2, 0, 0], [0, 1, 0],
+                                                                   [0, 0, 1]])])
+    with pytest.raises(ValidationError):
+        restrict(V, G, outside)
+    with pytest.raises(ValidationError):
+        restrict(V, G, FinMatGroup(G.field, []))
+
+
+def test_the_error_paths_of_the_verdicts():
+    G, sub = s3_setup()
+    fld = G.field
+    W = irreducible_modules(sub.subgroup, fld)[1]
+    two = ModuleRep(fld, np.concatenate([W.action, W.action]))
+    with pytest.raises(DimensionMismatch):
+        module_value(two, sub.subgroup, sub.subgroup.gens)
+    with pytest.raises(DimensionMismatch):
+        mackey_irreducible(sub, two)
+    with pytest.raises(ValidationError):
+        subgroup_datum(G, [Mat(fld, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    with pytest.raises(NotIrreducible):
+        clifford_decompose(G, sub.subgroup.generators, module_of_group(G))
+    with pytest.raises(NotSemisimple):
+        irreducible_modules(G, field_make(3, 1))
+    line, plane = (next(V for V in irreducible_modules(G, fld) if V.dim == d) for d in (1, 2))
+    with pytest.raises(ValidationError):
+        CliffordShape(2, 1, [line, plane])
 
 
 def test_all_subgroups_s4():
@@ -1074,11 +1130,10 @@ def modular_s4():
     return G, v4, a4, V
 
 
-# (group, normal subgroup generators, V, whether N's route is the
-# composition factors): only where char F divides |N|, as 3 divides |A4|
-# but not |V4| over F_3.  F_5 splits neither C3 nor A4, so the centre of
-# F[N] has a block that is not a line for N = C3 in C6 and N = A4 in
-# S4, and their idempotents give the ranks as the lines of C2 and V4 do
+# (group, normal subgroup generators, V): 3 divides |A4| but not |V4|
+# over F_3; F_5 splits neither C3 nor A4, so the centre of F[N] has a
+# block that is not a line for N = C3 in C6 and N = A4 in S4.  Each N is
+# fresh, its store never built, so each takes Res_N V
 def clifford_fallbacks():
     f5 = field_make(5, 1)
     c6, a4, s4 = cyclic_group(6, 7), alternating_group_4(7), symmetric_group(4, 5)
@@ -1092,48 +1147,90 @@ def clifford_fallbacks():
         return next(m for m in irreducible_modules(G, fld) if m.dim == dim)
 
     return [
-        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2), False),
-        ("C6/F5, N = C2", c6, [g @ g @ g], of_dim(c6, f5, 2), False),
-        ("A4/F5, N = V4", a4, v4, of_dim(a4, f5, 2), False),
-        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3), False),
-        ("S4/F5, N = V4", s4, v4_of_s4, of_dim(s4, f5, 3), False),
-        ("S4/F3, N = A4", s4_f3, a4_of_s4_f3, V, True),
-        ("S4/F3, N = V4", s4_f3, v4_of_s4_f3, V, False),
+        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2)),
+        ("C6/F5, N = C2", c6, [g @ g @ g], of_dim(c6, f5, 2)),
+        ("A4/F5, N = V4", a4, v4, of_dim(a4, f5, 2)),
+        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3)),
+        ("S4/F5, N = V4", s4, v4_of_s4, of_dim(s4, f5, 3)),
+        ("S4/F3, N = A4", s4_f3, a4_of_s4_f3, V),
+        ("S4/F3, N = V4", s4_f3, v4_of_s4_f3, V),
     ]
 
 
-@pytest.mark.parametrize("G,n_gens,V,fallback",
+@pytest.mark.parametrize("G,n_gens,V",
                          [pytest.param(*case[1:], id=case[0]) for case in clifford_fallbacks()])
-def test_clifford_takes_composition_factors_only_where_char_f_divides_n(G, n_gens, V, fallback,
-                                                                        monkeypatch):
-    # N's own store, built on the first call, decomposes no block of F[N],
-    # so every call to composition_factors is on Res_N V
+def test_clifford_over_a_fresh_n_takes_the_composition_factors_of_the_restriction(
+        G, n_gens, V, monkeypatch):
+    # an N whose store was never built, whether or not char F divides |N|:
+    # one call to composition_factors, on Res_N V, and no store built
     mk = envlab.mackey
     res = restrict(V, G, FinMatGroup(G.field, list(n_gens)))
     decomposed, factors = [], mk.composition_factors
     monkeypatch.setattr(mk, "composition_factors", lambda rho, **kw: decomposed.append(
         np.array_equal(rho.action, res.action)) or factors(rho, **kw))
+    monkeypatch.setattr(mk, "_central_blocks", lambda *a: pytest.fail("built a store"))
     got = clifford_decompose(G, n_gens, V)
-    assert decomposed == [True] * fallback
+    assert decomposed == [True]
     monkeypatch.undo()
     assert same_clifford_shapes(G, n_gens, got, reference_clifford_decompose(G, n_gens, V))
 
 
+def swapped_torus(ell):
+    """G = <diag(2, 1), swap> over F_ell, its diagonal subgroup's
+    generators and its natural module, which restricts to two distinct
+    lines of the diagonal subgroup."""
+    fld = field_make(ell, 1)
+    G = FinMatGroup(fld, [np.array([[2, 0], [0, 1]]), np.array([[0, 1], [1, 0]])])
+    n_gens = [Mat(fld, np.array([[2, 0], [0, 1]])), Mat(fld, np.array([[1, 0], [0, 2]]))]
+    return G, n_gens, module_of_group(G)
+
+
+def test_clifford_over_a_fresh_g_builds_no_store(monkeypatch):
+    # no group algebra is formed for a verdict: the swapped torus over
+    # F_11 (|N| = 100), and every fresh N of clifford_fallbacks, answer
+    # with the regular representation and the centre split both refused
+    G, n_gens, V = swapped_torus(11)
+    cases = [(G, n_gens, V)] + [case[1:] for case in clifford_fallbacks()]
+    mk = envlab.mackey
+    for name in ("_central_blocks", "regular_rep"):
+        monkeypatch.setattr(mk, name, lambda *a: pytest.fail("built a store"))
+    shape = clifford_decompose(G, n_gens, V)
+    assert (shape.e, shape.f, shape.factors[0].dim) == (2, 1, 1)
+    for G, n_gens, V in cases:
+        got = clifford_decompose(G, n_gens, V)
+        assert same_clifford_shapes(G, n_gens, got, reference_clifford_decompose(G, n_gens, V))
+
+
 def test_clifford_of_a_line_or_over_g_is_the_restriction(monkeypatch):
     # dim V = 1 over every normal N, and each V over N = G: Res_N V is the
-    # one factor, with no store and no search
+    # one factor, with no store built and no draw; over an N whose store
+    # was never built a line takes composition_factors, which returns it
+    # as itself, and once N's store is built (a session) the trace column
+    # gives N's stored line, with no search
+    fc, mk = envlab.fieldcore, envlab.mackey
     G = symmetric_group(4, 13)
     modules = irreducible_modules(G, G.field)
     sign = modules[1]
     assert sign.dim == 1 and sign.action.tolist() != [[[1]], [[1]]]
-    mk = envlab.mackey
-    for name in ("_stored_irreducibles", "composition_factors"):
-        monkeypatch.setattr(mk, name, lambda *a, **kw: pytest.fail("read the store or searched"))
     cases = [(N, sign) for N in all_subgroups(G) if N.is_normal_in(G)]
-    for N, V in cases + [(G, V) for V in modules]:
-        shape = clifford_decompose(G, N.generators, V)
-        assert (shape.e, shape.f) == (1, 1)
-        assert np.array_equal(shape.factors[0].action, restrict(V, G, N).action)
+    cases += [(G, V) for V in modules]
+
+    def check():
+        for N, V in cases:
+            shape = clifford_decompose(G, N.generators, V)
+            assert (shape.e, shape.f) == (1, 1)
+            assert np.array_equal(shape.factors[0].action, restrict(V, G, N).action)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in ((fc, "_random_algebra_element"), (mk, "_central_blocks")):
+            patch.setattr(owner, name, lambda *a, **kw: pytest.fail("drew or built a store"))
+        check()
+    for N, _ in cases:
+        irreducible_modules(N, G.field)
+    for owner, name in ((fc, "_meataxe_search"), (fc, "_random_algebra_element"),
+                        (mk, "_central_blocks")):
+        monkeypatch.setattr(owner, name, lambda *a, **kw: pytest.fail("searched or built"))
+    check()
 
 
 # -- the residue of the characters against the Reynolds route --
@@ -1159,7 +1256,9 @@ def test_an_excess_of_zero_past_the_bound_takes_the_reynolds_route(make, gen, di
     G = make()
     sub = subgroup_datum(G, [G.generators[gen]])
     W = next(W for W in irreducible_modules(sub.subgroup, G.field) if W.dim == dim)
-    assert envlab.mackey._excess(sub, W, DEFAULT_SEED) == 0
+    mk = envlab.mackey
+    _, characters, row = mk._stored_position(sub.subgroup, W, DEFAULT_SEED)
+    assert mk._excesses(G, sub.subgroup, G.field, characters)[row] == 0
     assert (sub.index - 1) * W.dim >= G.field.ell
     verdict = mackey_irreducible(sub, W)
     assert (verdict.irreducible, verdict.reason, verdict.invariant_dim) \
@@ -1171,20 +1270,23 @@ def same_verdict_routes(sub, fld, rng):
     """For each irreducible W of H over fld, from H's store, and for a
     copy of it in another basis, which no store holds: mackey_irreducible
     and the Reynolds route give the same verdict, reason, failing
-    representative and invariant_dim; only the copy is walked to its
-    character."""
+    representative and invariant_dim.  The copy goes to the Reynolds
+    route on a fresh datum, whose excesses are never fused."""
     mk = envlab.mackey
-    traces = mk._traces
+    fused, reynolds = mk._excesses, mk._reynolds_verdict
     for W in irreducible_modules(sub.subgroup, fld):
         P = random_invertible(fld, W.dim, rng)
         copy = ModuleRep(fld, fld.matmul(fld.matmul(P, W.action), fld.inv_matrix(P)))
-        for U, walks in ((W, 0), (copy, 1)):
-            walked = []
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mk, "_traces", lambda *a: walked.append(1) or traces(*a))
-                got = verdict_bytes(mackey_irreducible(sub, U))
-            assert len(walked) == walks
-            assert got == verdict_bytes(mk._reynolds_verdict(sub, U))
+        assert verdict_bytes(mackey_irreducible(sub, W)) \
+            == verdict_bytes(reynolds(sub, W))
+        fresh, calls = SubgroupDatum(sub.ambient, sub.subgroup), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mk, "_excesses", lambda *a: calls.append("fused") or fused(*a))
+            patch.setattr(mk, "_reynolds_verdict",
+                          lambda *a: calls.append("reynolds") or reynolds(*a))
+            got = verdict_bytes(mackey_irreducible(fresh, copy))
+        assert calls == ["reynolds"]
+        assert got == verdict_bytes(reynolds(sub, copy))
 
 
 # coefficient fields for the random groups: prime fields and GF(4), GF(9)
@@ -1263,44 +1365,58 @@ def block_ranks(G, N, V):
                                    for name, G, fld in mackey_corpus()]
                          + [pytest.param(G, G.field, id=name) for name, G in non_split_groups()])
 def test_clifford_traces_match_the_ranks(G, fld):
-    # every irreducible V of G of dimension > 1, and a copy of it in
-    # another basis, over every normal N other than G: where dim V < ell,
-    # the traces tr V(b_i) are the ranks; either way e, f and the factor
-    # dimensions are those the ranks give
+    # every irreducible V of G, and a copy of it in another basis, over
+    # every normal N other than G, once N's store is built: for the stored
+    # V, where dim V < ell, the traces tr V(b_i) are the ranks; either way
+    # e, f and the factor dimensions are those the ranks give, and the
+    # copy, which no store holds, takes composition_factors on Res_N V
     mk, rng = envlab.mackey, np.random.default_rng(G.order)
+    factors = mk.composition_factors
     for N in all_subgroups(G):
         if N is G or not N.is_normal_in(G):
             continue
         modules, idempotents, _ = mk._stored_irreducibles(N, fld, DEFAULT_SEED)
         for V in irreducible_modules(G, fld):
-            if V.dim == 1:
-                continue
             P = random_invertible(fld, V.dim, rng)
             copy = ModuleRep(fld, fld.matmul(fld.matmul(P, V.action), fld.inv_matrix(P)))
-            for U in (V, copy):
-                ranks = block_ranks(G, N, U)
-                if U.dim < fld.ell:
-                    traces = mk._block_traces(G, N, idempotents, U, DEFAULT_SEED)
-                    assert traces.tolist() == ranks
-                want = [(M.dim, r // M.dim) for M, r in zip(modules, ranks) if r]
-                shape = clifford_decompose(G, N.generators, U)
-                assert [(m.dim, shape.f) for m in shape.factors] == want
+            ranks = block_ranks(G, N, V)
+            if V.dim < fld.ell:
+                traced, traces = mk._block_traces(G, N, V, DEFAULT_SEED)
+                assert traced is modules and traces.tolist() == ranks
+            want = [(M.dim, r // M.dim) for M, r in zip(modules, ranks) if r]
+            for U, restricted in ((V, V.dim >= fld.ell), (copy, True)):
+                calls = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(mk, "composition_factors",
+                                  lambda *a, **kw: calls.append(1) or factors(*a, **kw))
+                    shape = clifford_decompose(G, N.generators, U)
+                assert len(calls) == restricted
+                got = [(m.dim, shape.f) for m in shape.factors]
+                if restricted:  # the composition factors come in the order found
+                    assert sorted(got) == sorted(want)
+                else:
+                    assert got == want
 
 
-def test_clifford_takes_the_rank_route_where_dim_v_reaches_ell(monkeypatch):
-    # F21 over F_2 and N = C7: a 3-dim V restricts to one 3-dim
-    # irreducible of C7, whose block b has V(b) = 1 of trace 3 = 1 mod 2,
-    # so the trace is not the rank, and dim V >= ell takes the ranks
+def test_clifford_takes_the_composition_factors_where_dim_v_reaches_ell(monkeypatch):
+    # F21 over F_2 and N = C7, N's store built: a 3-dim V restricts to one
+    # 3-dim irreducible of C7, whose block b has V(b) = 1 of trace 3 = 1
+    # mod 2, so the trace is not the rank, and dim V >= ell takes the
+    # composition factors of Res_N V
     mk = envlab.mackey
     G = frobenius_group_21(2)
-    n_gens = [G.generators[0]]
+    N = next(N for N in all_subgroups(G) if N.order == 7)
     V = next(V for V in irreducible_modules(G, G.field) if V.dim == 3)
-    N = mk._subgroup(G, n_gens)
-    _, idempotents, _ = mk._stored_irreducibles(N, G.field, DEFAULT_SEED)
+    irreducible_modules(N, G.field)
     assert sorted(block_ranks(G, N, V)) == [0, 0, 3]
-    assert sorted(mk._block_traces(G, N, idempotents, V, DEFAULT_SEED).tolist()) == [0, 0, 1]
+    assert sorted(mk._block_traces(G, N, V, DEFAULT_SEED)[1].tolist()) == [0, 0, 1]
+    decomposed, factors = [], mk.composition_factors
     monkeypatch.setattr(mk, "_block_traces", lambda *a: pytest.fail("traced"))
-    shape = clifford_decompose(G, n_gens, V)
+    monkeypatch.setattr(mk, "composition_factors",
+                        lambda *a, **kw: decomposed.append(1) or factors(*a, **kw))
+    shape = clifford_decompose(G, N.generators, V)
     monkeypatch.undo()
+    assert decomposed == [1]
     assert (shape.e, shape.f, shape.factors[0].dim) == (1, 1, 3)
-    assert same_clifford_shapes(G, n_gens, shape, reference_clifford_decompose(G, n_gens, V))
+    assert same_clifford_shapes(G, N.generators, shape,
+                                reference_clifford_decompose(G, N.generators, V))
