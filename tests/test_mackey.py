@@ -1130,10 +1130,12 @@ def modular_s4():
     return G, v4, a4, V
 
 
-# (group, normal subgroup generators, V): 3 divides |A4| but not |V4|
-# over F_3; F_5 splits neither C3 nor A4, so the centre of F[N] has a
-# block that is not a line for N = C3 in C6 and N = A4 in S4.  Each N is
-# fresh, its store never built, so each takes Res_N V
+# (group, normal subgroup generators, V, whether a session takes Res_N
+# V): 3 divides |A4| but not |V4| over F_3; F_5 splits neither C3 nor A4,
+# so the centre of F[N] has a block that is not a line for N = C3 in C6
+# and N = A4 in S4.  Each N is fresh, its store never built, so each
+# takes Res_N V; in a session only S4/F3 does, where no store of F_3[S4]
+# holds V and dim V = 3 = ell
 def clifford_fallbacks():
     f5 = field_make(5, 1)
     c6, a4, s4 = cyclic_group(6, 7), alternating_group_4(7), symmetric_group(4, 5)
@@ -1147,18 +1149,18 @@ def clifford_fallbacks():
         return next(m for m in irreducible_modules(G, fld) if m.dim == dim)
 
     return [
-        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2)),
-        ("C6/F5, N = C2", c6, [g @ g @ g], of_dim(c6, f5, 2)),
-        ("A4/F5, N = V4", a4, v4, of_dim(a4, f5, 2)),
-        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3)),
-        ("S4/F5, N = V4", s4, v4_of_s4, of_dim(s4, f5, 3)),
-        ("S4/F3, N = A4", s4_f3, a4_of_s4_f3, V),
-        ("S4/F3, N = V4", s4_f3, v4_of_s4_f3, V),
+        ("C6/F5, N = C3", c6, [g @ g], of_dim(c6, f5, 2), False),
+        ("C6/F5, N = C2", c6, [g @ g @ g], of_dim(c6, f5, 2), False),
+        ("A4/F5, N = V4", a4, v4, of_dim(a4, f5, 2), False),
+        ("S4/F5, N = A4", s4, a4_of_s4, of_dim(s4, f5, 3), False),
+        ("S4/F5, N = V4", s4, v4_of_s4, of_dim(s4, f5, 3), False),
+        ("S4/F3, N = A4", s4_f3, a4_of_s4_f3, V, True),
+        ("S4/F3, N = V4", s4_f3, v4_of_s4_f3, V, True),
     ]
 
 
 @pytest.mark.parametrize("G,n_gens,V",
-                         [pytest.param(*case[1:], id=case[0]) for case in clifford_fallbacks()])
+                         [pytest.param(*case[1:4], id=case[0]) for case in clifford_fallbacks()])
 def test_clifford_over_a_fresh_n_takes_the_composition_factors_of_the_restriction(
         G, n_gens, V, monkeypatch):
     # an N whose store was never built, whether or not char F divides |N|:
@@ -1173,6 +1175,35 @@ def test_clifford_over_a_fresh_n_takes_the_composition_factors_of_the_restrictio
     assert decomposed == [True]
     monkeypatch.undo()
     assert same_clifford_shapes(G, n_gens, got, reference_clifford_decompose(G, n_gens, V))
+
+
+@pytest.mark.parametrize("name,fallback",
+                         [pytest.param(case[0], case[4], id=case[0])
+                          for case in clifford_fallbacks()])
+def test_clifford_takes_composition_factors_only_where_char_f_divides_n(name, fallback,
+                                                                        monkeypatch):
+    # a session: N found by all_subgroups, and N's and G's stores built
+    # wherever F[N] and F[G] are semisimple.  The trace column answers
+    # every case whose stores hold N's modules and V with dim V < ell;
+    # only S4/F3 calls composition_factors, once, on Res_N V.  The groups
+    # are built anew, so the fresh-N cases above keep N unregistered
+    mk = envlab.mackey
+    G, n_gens, V = next(case[1:4] for case in clifford_fallbacks() if case[0] == name)
+    fld, want = V.field, set(G.indices(FinMatGroup(G.field, list(n_gens)).closure()).tolist())
+    N = next(N for N in all_subgroups(G, up_to_conjugacy=False)
+             if set(G.indices(N.closure()).tolist()) == want)
+    for H in (N, G):
+        if H.order % fld.ell:
+            irreducible_modules(H, fld)
+    res = restrict(V, G, N)
+    decomposed, factors = [], mk.composition_factors
+    monkeypatch.setattr(mk, "composition_factors", lambda rho, **kw: decomposed.append(
+        np.array_equal(rho.action, res.action)) or factors(rho, **kw))
+    got = clifford_decompose(G, N.generators, V)
+    assert decomposed == [True] * fallback
+    monkeypatch.undo()
+    assert same_clifford_shapes(G, N.generators, got,
+                                reference_clifford_decompose(G, N.generators, V))
 
 
 def swapped_torus(ell):
@@ -1190,7 +1221,7 @@ def test_clifford_over_a_fresh_g_builds_no_store(monkeypatch):
     # F_11 (|N| = 100), and every fresh N of clifford_fallbacks, answer
     # with the regular representation and the centre split both refused
     G, n_gens, V = swapped_torus(11)
-    cases = [(G, n_gens, V)] + [case[1:] for case in clifford_fallbacks()]
+    cases = [(G, n_gens, V)] + [case[1:4] for case in clifford_fallbacks()]
     mk = envlab.mackey
     for name in ("_central_blocks", "regular_rep"):
         monkeypatch.setattr(mk, name, lambda *a: pytest.fail("built a store"))
