@@ -232,8 +232,9 @@ class FinMatGroup:
         # boolean mask over the ambient closure
         self._ambient = None
         self._mask = None
-        # subgroups by generator bytes, as mackey.all_subgroups returned them
-        # (the group itself under its own generator list, if that class kept it)
+        # subgroups by generator shape and bytes, as mackey.all_subgroups
+        # returned them (the group itself under its own generator list, if
+        # that class kept it)
         self._subgroups = {}
         # irreducible modules by (coefficient field, seed, left-regular
         # permutations), as mackey.irreducible_modules found them; the

@@ -20,14 +20,20 @@ value is one matrix, as when the failing_rep of a MackeyVerdict is read.
 all_subgroups enumerates subgroups as rows of one boolean mask matrix
 over the closure of the ambient group, which is the only group it
 closes, joining all the pairs of a round in one grow_mask, and records
-each group it returns on the ambient group by its generator bytes:
+each group it returns on the ambient group by its generator shape and
+bytes:
 subgroup_datum and clifford_decompose, given one of those generator
 lists, take that group and whatever closure it already has.  The class
 of G itself is G, whenever it kept G's generator list, and G's own list
 always gives G.  Only all_subgroups reads a |G| x |G| right table;
 every other stage reads the N x k tables of the generators.
 
-irreducible_modules splits the regular representation F[H] along the
+irreducible_modules reads the lines of an abelian H whose exponent e
+divides q - 1 off H's right Cayley table: its irreducibles are its |H|
+characters H -> F^x (Serre, Linear Representations of Finite Groups,
+3.1), found one generator at a time as logs of e-th roots of unity, with
+no regular representation and no centre split.  Every other H takes the
+centre route, which splits the regular representation F[H] along the
 centre Z(F[H]): the class sums, whose structure constants are counted on
 H's closure indices, split Z into its simple summands, over a splitting
 field into the lines of the primitive central idempotents (Dixon 1967),
@@ -208,12 +214,19 @@ def _subgroup(G: FinMatGroup, gens) -> FinMatGroup:
     """The subgroup of G on a generator list, Mats or arrays: G itself on
     G's list, the group that all_subgroups returned for that list, with
     its closure if it has one, else a fresh group, the only one built.
-    The list is keyed by the bytes of its canonical arrays."""
+    The list is keyed by the shape and bytes of its canonical arrays
+    (_gens_key)."""
     gens = list(gens)
-    key = np.array([g.array if isinstance(g, Mat) else _canonical(G.field, g)
-                    for g in gens], dtype=np.int64).tobytes()
-    H = G if key == G.gens.tobytes() else G._subgroups.get(key)
+    key = _gens_key(np.array([g.array if isinstance(g, Mat) else _canonical(G.field, g)
+                              for g in gens], dtype=np.int64))
+    H = G if key == _gens_key(G.gens) else G._subgroups.get(key)
     return FinMatGroup(G.field, gens) if H is None else H
+
+
+def _gens_key(stack: np.ndarray) -> tuple:
+    """The registry key of a generator stack: its shape and its bytes, so
+    that matrices of another size with the same entries miss."""
+    return stack.shape, stack.tobytes()
 
 
 def subgroup_datum(ambient: FinMatGroup, subgroup_gens) -> SubgroupDatum:
@@ -594,9 +607,9 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     # one Mat per generator element, shared by the generator lists
     mats = {x: Mat(fld, elems[x]) for x in dict.fromkeys(x for xs in gens for x in xs)}
     groups = [FinMatGroup(fld, [mats[x] for x in xs]) for xs in gens]
-    own = G.gens.tobytes()
-    groups = [G if H.gens.tobytes() == own else H for H in groups]
-    G._subgroups.update((H.gens.tobytes(), H) for H in groups)
+    own = _gens_key(G.gens)
+    groups = [G if _gens_key(H.gens) == own else H for H in groups]
+    G._subgroups.update((_gens_key(H.gens), H) for H in groups)
     for H in groups:
         H._irreducibles = G._irreducibles
     return groups
@@ -738,7 +751,16 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     field, for char F prime to |H|, split or not: each irreducible is a
     constituent of the regular representation F[H], which is semisimple.
 
-    F[H] is first split along its centre (_central_blocks): the block of
+    An abelian H whose exponent e divides q - 1 takes the line route
+    (_line_store): F^x holds the e-th roots of unity, so every
+    irreducible is one of the |H| characters chi: H -> F^x, read off H's
+    right Cayley table, each stored as the 1 x 1 module chi(g_j) with the
+    certificate IrreducibleWitness(None, 1, 1); no regular representation
+    is formed.  Lines, their idempotents and their characters are
+    canonical, so the store holds the bytes the centre route would.
+
+    On the centre route (_centre_store), every other H, F[H] is first
+    split along its centre (_central_blocks): the block of
     a simple summand B of Z, of dimension k (a line, k = 1, wherever F
     splits H), is the left ideal F[H] B, spun from B's elements under the
     regular action, and is W^c for one irreducible W of dimension ck.  W
@@ -764,8 +786,8 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     representation is the same matrices (two classes of C2, say, which
     number their closures alike), returns a new list of the same, already
     certified, modules.  The action is keyed by its permutations, H.left,
-    so the regular representation is built, and its centre split, only
-    for a key not stored yet."""
+    so a store, by either route, is built only for a key not stored
+    yet."""
     return list(_stored_irreducibles(H, fld, seed)[0])
 
 
@@ -780,29 +802,110 @@ def _stored_irreducibles(H: FinMatGroup, fld: GF, seed: int):
     """(modules, idempotents, characters) as H._irreducibles stores them:
     the modules of irreducible_modules, and next to them, row i for
     module i, its primitive central idempotent and its character over
-    H's closure, as two read-only (r, |H|) arrays.  A negative seed is a
-    ValidationError (checked_seed), whether or not the store holds the
-    modules for another seed."""
+    H's closure, as two read-only (r, |H|) arrays.  An abelian H whose
+    exponent divides q - 1 takes the line route (_line_store), every other
+    H the centre route (_centre_store); both store the same bytes where
+    both apply, since lines, their idempotents and their characters are
+    canonical.  A negative seed is a ValidationError (checked_seed),
+    whether or not the store holds the modules for another seed."""
     if fld.ell and H.order % fld.ell == 0:
         raise NotSemisimple(
             f"characteristic {fld.ell} divides the group order {H.order}")
     key = _store_key(H, fld, seed)
     if key not in H._irreducibles:
-        reg = regular_rep(H, fld).action
-        modules, characters = [], []
-        bases, idempotents, at_inverses = _central_blocks(H, fld, seed)
-        for basis, e, e_inv in zip(bases, idempotents, at_inverses):
-            span, pivots = fld.rref(spin(fld, reg, basis).rows)
-            block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
-            W = _right_cut(H, block, len(basis), e, pivots, seed)
-            if W is None:  # no class cuts the block (Q8 over F_3)
-                (W, _), = composition_factors(block, seed=seed)
-            modules.append(W)
-            # the trace of W at x is (|H| k / dim W) e(x^-1), k = dim B
-            characters.append(fld.mul(H.order * len(basis) // W.dim % fld.ell, e_inv))
-        sort_keys = [(m.dim, tuple(c.tolist())) for m, c in zip(modules, characters)]
-        assert len(set(sort_keys)) == len(sort_keys)
-        order = sorted(range(len(modules)), key=sort_keys.__getitem__)
-        H._irreducibles[key] = ([modules[i] for i in order], _read_only(idempotents[order]),
-                                _read_only(np.array(characters)[order]))
+        e = _split_exponent(H, fld)
+        H._irreducibles[key] = _centre_store(H, fld, seed) if e is None else _line_store(H, fld, e)
     return H._irreducibles[key]
+
+
+def _sorted_store(modules, idempotents, characters):
+    """The store entry of the modules, sorted by dimension and then by
+    character, entry by entry, with their idempotent and character rows
+    as read-only arrays; no two keys tie."""
+    keys = np.column_stack([[m.dim for m in modules], characters])
+    order = np.lexsort(keys.T[::-1])
+    assert (np.diff(keys[order], axis=0) != 0).any(axis=1).all()
+    return ([modules[i] for i in order], _read_only(np.asarray(idempotents)[order]),
+            _read_only(np.asarray(characters)[order]))
+
+
+def _centre_store(H: FinMatGroup, fld: GF, seed: int):
+    """The store entry of H over fld, from the central blocks of the
+    regular representation (irreducible_modules), for any H with char F
+    prime to |H|."""
+    reg = regular_rep(H, fld).action
+    modules, characters = [], []
+    bases, idempotents, at_inverses = _central_blocks(H, fld, seed)
+    for basis, e, e_inv in zip(bases, idempotents, at_inverses):
+        span, pivots = fld.rref(spin(fld, reg, basis).rows)
+        block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
+        W = _right_cut(H, block, len(basis), e, pivots, seed)
+        if W is None:  # no class cuts the block (Q8 over F_3)
+            (W, _), = composition_factors(block, seed=seed)
+        modules.append(W)
+        # the trace of W at x is (|H| k / dim W) e(x^-1), k = dim B
+        characters.append(fld.mul(H.order * len(basis) // W.dim % fld.ell, e_inv))
+    return _sorted_store(modules, idempotents, characters)
+
+
+def _split_exponent(H: FinMatGroup, fld: GF) -> int | None:
+    """The exponent e of H where H is abelian and e divides q - 1, so that
+    F^x holds the e-th roots of unity and every irreducible of H over F
+    is a line; else None.  Both are read off H's right Cayley table: H is
+    abelian where its generators commute, and each generator's order is
+    the length of its walk along its own column back to the identity."""
+    H.closure()
+    right, k = H._right, len(H.gens)
+    at = right[0]  # the closure index of every generator
+    if not np.array_equal(right[at], right[at].T):
+        return None
+    x, orders = at, np.ones(k, np.int64)
+    while x.any():
+        orders += x > 0
+        x = np.where(x > 0, right[x, np.arange(k)], 0)
+    e = math.lcm(*orders.tolist())
+    return e if (fld.q - 1) % e == 0 else None
+
+
+def _line_store(H: FinMatGroup, fld: GF, e: int):
+    """The store entry of an abelian H of exponent e dividing q - 1: its
+    |H| characters chi: H -> F^x (Serre, Linear Representations of Finite
+    Groups, 3.1), each the 1 x 1 module chi(g_j), certified as a line by
+    IrreducibleWitness(None, 1, 1), with idempotent |H|^-1 chi(x^-1) (6.3)
+    and character chi.  No regular representation is formed and no centre
+    split.
+
+    Characters are logs to the base zeta = w^((q - 1) / e), w the field's
+    least primitive element, mod e, found one generator at a time with no
+    product: a character of H_j = <g_1, ..., g_j> extends to H_(j+1) in
+    exactly m ways, the roots a of m a = log chi(g^m) mod e, m the least
+    power of g = g_(j+1) in H_j, and the extension is log chi(x) + i a on
+    the coset H_j g^i, i < m, read down g's column of the right table.
+    All characters extend at once, as (characters, elements) arrays."""
+    right, N = H._right, H.order
+    members = np.zeros(1, np.int64)  # H_j's closure indices, coset by coset
+    where = np.full(N, -1)  # the position in members of each element of H_j
+    where[0] = 0
+    logs = np.zeros((1, 1), np.int64)  # logs[c, i]: log chi_c(members[i])
+    for j in range(len(H.gens)):
+        cosets = [members]  # H_j g^i: coset i starts at g^i
+        while where[(power := right[cosets[-1][0], j])] < 0:
+            cosets.append(right[cosets[-1], j])
+        m = len(cosets)
+        if m == 1:
+            continue
+        # m divides the order of g, which divides e, and m a = log chi(g^m)
+        # has the m roots a_0 + t e / m, a_0 = log chi(g^m) / m
+        roots = logs[:, where[power]][:, None] // m + np.arange(m) * (e // m)
+        steps = roots[:, :, None] * np.arange(m)  # [c, t, i]: i a_t
+        logs = (logs[:, None, None, :] + steps[..., None]) % e
+        logs = logs.reshape(-1, m * len(members))
+        members = np.concatenate(cosets)
+        where[members] = np.arange(len(members))
+    zeta = fld.pow(fld.least_primitive(), (fld.q - 1) // e)
+    characters = np.array([fld.pow(zeta, i) for i in range(e)], np.int64)[logs[:, where]]
+    idempotents = fld.mul(fld.inv(N % fld.ell), characters[:, H.inverse])
+    witness = IrreducibleWitness(None, 1, 1)
+    modules = [_certify(ModuleRep(fld, chi[right[0]][:, None, None]), witness)
+               for chi in characters]
+    return _sorted_store(modules, idempotents, characters)

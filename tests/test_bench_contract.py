@@ -344,19 +344,36 @@ def test_mackey_session_certifies_each_irreducible_once(monkeypatch):
     assert kernel_arith == []
 
 
+def counted_calls(monkeypatch, owner, names):
+    """A dict that counts the calls of each named function of owner from
+    here on, each call passed through to the original."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, original=getattr(owner, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_mackey_session_builds_each_regular_representation_once(monkeypatch):
     # S4 over F_13, as bench/workloads.py runs it: irreducible_modules is
-    # called for each of the 11 classes and for G, and builds the regular
-    # representation only for the 9 keys it has not stored; the key is read
-    # from the permutations each group keeps
+    # called for each of the 11 classes and for G, and builds a store only
+    # for the 9 keys that G's store, shared by all of them, does not hold
+    # yet; the key is read from the permutations each group keeps.  F_13
+    # splits the 5 abelian keys (1, C2, C3, C4, V4), which take the line
+    # route and form no regular representation, so only the 4 others (S3,
+    # D8, A4, S4) do: regular_rep ran 9 times before the line route
     mk = envlab.mackey
-    built, calls = [], []
-    reg, modules = mk.regular_rep, mk.irreducible_modules
-    monkeypatch.setattr(mk, "regular_rep", lambda *a: built.append(1) or reg(*a))
-    monkeypatch.setattr(mk, "irreducible_modules",
-                        lambda *a, **kw: calls.append(1) or modules(*a, **kw))
+    calls = counted_calls(monkeypatch, mk, ("irreducible_modules", "regular_rep",
+                                            "_centre_store", "_line_store"))
+    ambient, subgroups = [], mk.all_subgroups
+    monkeypatch.setattr(mk, "all_subgroups", lambda G, *a: ambient.append(G) or subgroups(G, *a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert (len(calls), len(built)) == (12, 9)
+    assert calls == {"irreducible_modules": 12, "regular_rep": 4, "_centre_store": 4,
+                     "_line_store": 5}
+    G, = ambient
+    assert len(G._irreducibles) == 9
 
 
 def test_clifford_with_n_equal_to_g_searches_nothing(monkeypatch):
@@ -378,8 +395,10 @@ def test_clifford_with_n_equal_to_g_searches_nothing(monkeypatch):
 def test_equal_regular_representations_share_their_modules(monkeypatch):
     # S4 over F_13: the two classes of C2, and the two of V4, have the same
     # regular representation, so they get the same module objects; the
-    # session splits each of the 9 distinct regular representations of
-    # its 11 classes into central blocks once
+    # session builds the store of each of the 9 distinct regular
+    # representations of its 11 classes once, the 4 non-abelian ones by
+    # splitting the centre (9 splits before the line route) and the 5
+    # abelian ones from their lines
     G = symmetric_group(4, 13)
     subs = all_subgroups(G)
     for order in (2, 4):
@@ -388,8 +407,6 @@ def test_equal_regular_representations_share_their_modules(monkeypatch):
         first, second = (irreducible_modules(H, G.field) for H in pair)
         assert len(first) == order and all(a is b for a, b in zip(first, second))
 
-    mk = envlab.mackey
-    split, blocks = [], mk._central_blocks
-    monkeypatch.setattr(mk, "_central_blocks", lambda *a: split.append(1) or blocks(*a))
+    calls = counted_calls(monkeypatch, envlab.mackey, ("_central_blocks", "_line_store"))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert len(split) == 9
+    assert calls == {"_central_blocks": 4, "_line_store": 5}

@@ -3,7 +3,11 @@ decomposition on small groups."""
 
 import functools
 import importlib.util
+import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +321,30 @@ def test_a_registered_generator_list_builds_no_group(monkeypatch):
     H = next(H for H in subs if len(H.generators) > 1)
     assert mk._subgroup(G, H.generators[::-1]) is not H
     assert built == [1]
+
+
+def test_a_generator_list_of_another_shape_misses_the_registry():
+    # S4 over F_13: the four 2 x 2 blocks of the one 4 x 4 generator of
+    # the registered C4 have its bytes but not its shape, so they miss the
+    # registry and are checked, and no block lies in G
+    mk = envlab.mackey
+    G = symmetric_group(4, 13)
+    C4 = next(H for H in all_subgroups(G) if H.order == 4 and len(H.generators) == 1)
+    blocks = list(C4.gens[0].reshape(4, 2, 2))
+    assert mk._subgroup(G, blocks) is not C4
+    with pytest.raises(ValidationError):
+        subgroup_datum(G, blocks)
+
+
+def test_two_lists_of_one_registered_subgroup_give_the_same_group():
+    # S4 over F_13: a registered list as Mats and as nested int lists, and
+    # G's own list, each give the one group they name
+    G = symmetric_group(4, 13)
+    for H in all_subgroups(G, up_to_conjugacy=False):
+        as_lists = [g.array.tolist() for g in H.generators]
+        assert subgroup_datum(G, H.generators).subgroup is H
+        assert subgroup_datum(G, as_lists).subgroup is H
+    assert subgroup_datum(G, [g.array.tolist() for g in G.generators]).subgroup is G
 
 
 def test_restrict_to_a_group_with_a_generator_outside_g_is_a_validation_error():
@@ -801,6 +829,122 @@ def test_stored_idempotents_project_onto_their_own_modules(H, fld, monkeypatch):
     assert same_canonical_irreducibles(H, fld)
 
 
+# -- the lines of split abelian groups, read off the Cayley table --
+
+def same_store(a, b):
+    """Whether two store entries are equal byte for byte: the modules'
+    actions and witnesses, the idempotents and the characters, in order."""
+    (modules_a, *arrays_a), (modules_b, *arrays_b) = a, b
+    return (len(modules_a) == len(modules_b)
+            and all(U.action.tobytes() == W.action.tobytes()
+                    and U.action.shape == W.action.shape and U._witness == W._witness
+                    for U, W in zip(modules_a, modules_b))
+            and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                    for x, y in zip(arrays_a, arrays_b)))
+
+
+# (ell, d): prime fields and extensions GF(ell^d), with q - 1 = 6, 10, 12,
+# 3, 8, 7 and 24
+SPLIT_FIELDS = [(7, 1), (11, 1), (13, 1), (2, 2), (3, 2), (2, 3), (5, 2)]
+
+
+@st.composite
+def split_abelian_groups(draw):
+    """(H, fld, e): a product of up to three diagonal cyclic factors over
+    fld = GF(ell^d), each of an order n dividing q - 1 and |H| <= 64, on a
+    shuffled generator list that may hold one more product of powers of
+    the factors, and its exponent e, the lcm of the orders."""
+    ell, d = draw(st.sampled_from(SPLIT_FIELDS))
+    fld = field_make(ell, d)
+    divisors = [n for n in range(1, fld.q) if (fld.q - 1) % n == 0]
+    orders, budget = [], 64
+    for _ in range(draw(st.integers(1, 3))):
+        orders.append(draw(st.sampled_from([n for n in divisors if n <= budget])))
+        budget //= orders[-1]
+    roots = [fld.pow(fld.least_primitive(), (fld.q - 1) // n) for n in orders]
+    gens = [np.diag([r if i == j else 1 for i in range(len(roots))]) for j, r in enumerate(roots)]
+    for powers in draw(st.lists(st.lists(st.integers(0, 5), min_size=len(roots),
+                                         max_size=len(roots)), max_size=1)):
+        gens.append(np.diag([fld.pow(r, a) for r, a in zip(roots, powers)]))
+    return FinMatGroup(fld, draw(st.permutations(gens))), fld, math.lcm(*orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_abelian_groups())
+def test_the_line_store_equals_the_centre_store_on_split_abelian_groups(case):
+    H, fld, e = case
+    mk = envlab.mackey
+    assert mk._split_exponent(H, fld) == e
+    lines = mk._line_store(H, fld, e)
+    assert len(lines[0]) == H.order
+    assert same_store(lines, mk._centre_store(H, fld, DEFAULT_SEED))
+
+
+@pytest.mark.parametrize("H,fld", [
+    pytest.param(cyclic_group(6, 7), field_make(5, 1), id="C6/F5"),
+    pytest.param(cyclic_group(7, 5), field_make(2, 1), id="C7/F2"),
+    pytest.param(symmetric_group(3, 7), field_make(7, 1), id="S3/F7"),
+    pytest.param(quaternion_group(5), field_make(5, 1), id="Q8/F5"),
+])
+def test_non_split_or_non_abelian_groups_take_the_centre_route(H, fld, monkeypatch):
+    # C6 over F_5 and C7 over F_2 are abelian, but 6 does not divide 4 nor
+    # 7 divide 1, so some irreducible is not a line; S3 over F_7 and Q8
+    # over F_5 are split, their exponents dividing q - 1, but not abelian
+    mk = envlab.mackey
+    H = FinMatGroup(H.field, H.generators)  # an empty store
+    assert mk._split_exponent(H, fld) is None
+    monkeypatch.setattr(mk, "_line_store", lambda *a: pytest.fail("took the line route"))
+    calls, centre = [], mk._centre_store
+    monkeypatch.setattr(mk, "_centre_store", lambda *a: calls.append(1) or centre(*a))
+    modules = irreducible_modules(H, fld)
+    assert calls == [1] and len(modules) < H.order
+
+
+@pytest.mark.parametrize("H,fld", [
+    pytest.param(cyclic_group(6, 7), field_make(7, 1), id="C6/F7"),
+    pytest.param(cyclic_group(3, 7), field_make(5, 2), id="C3/GF(25)"),
+    pytest.param(FinMatGroup(field_make(11, 1), [np.diag([2, 1]), np.diag([1, 2])]),
+                 field_make(11, 1), id="C10xC10/F11"),
+])
+def test_split_abelian_groups_form_no_regular_representation(H, fld, monkeypatch):
+    # an abelian H whose exponent divides q - 1 stores |H| certified lines
+    # with no regular representation and no centre split
+    mk = envlab.mackey
+    H = FinMatGroup(H.field, H.generators)  # an empty store
+    for name in ("regular_rep", "_central_blocks", "_centre_store"):
+        monkeypatch.setattr(mk, name, lambda *a: pytest.fail("split the centre"))
+    modules = irreducible_modules(H, fld)
+    assert len(modules) == H.order
+    assert all(W.dim == 1 and W._witness == IrreducibleWitness(None, 1, 1) for W in modules)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_the_lines_of_a_cyclic_group_of_order_1000_stay_within_a_gibibyte():
+    # C_1000 = <w^3> in F_3001^x, w primitive: its 1000 lines, in a child
+    # process whose address space is limited to 1 GiB, where the centre
+    # split's structure constants alone are 1000^3 int64, 7.45 GiB
+    code = "\n".join([
+        "from envlab.fieldcore import FinMatGroup",
+        "from envlab.gf import field_make",
+        "from envlab.mackey import irreducible_modules",
+        "fld = field_make(3001)",
+        "H = FinMatGroup(fld, [[[fld.pow(fld.least_primitive(), 3)]]])",
+        "modules = irreducible_modules(H, fld)",
+        "print(H.order, len(modules), {W.dim for W in modules})",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1000 1000 {1}\n"
+
+
 # -- each irreducible cut from its block by the right action --
 
 def canonical_reference(H, fld):
@@ -1130,6 +1274,12 @@ def modular_s4():
     return G, v4, a4, V
 
 
+# every function that builds a store: the two routes of
+# _stored_irreducibles, and the regular representation and centre split
+# of the centre route
+STORE_BUILDERS = ("_line_store", "_centre_store", "regular_rep", "_central_blocks")
+
+
 # (group, normal subgroup generators, V, whether a session takes Res_N
 # V): 3 divides |A4| but not |V4| over F_3; F_5 splits neither C3 nor A4,
 # so the centre of F[N] has a block that is not a line for N = C3 in C6
@@ -1170,7 +1320,8 @@ def test_clifford_over_a_fresh_n_takes_the_composition_factors_of_the_restrictio
     decomposed, factors = [], mk.composition_factors
     monkeypatch.setattr(mk, "composition_factors", lambda rho, **kw: decomposed.append(
         np.array_equal(rho.action, res.action)) or factors(rho, **kw))
-    monkeypatch.setattr(mk, "_central_blocks", lambda *a: pytest.fail("built a store"))
+    for name in STORE_BUILDERS:
+        monkeypatch.setattr(mk, name, lambda *a: pytest.fail("built a store"))
     got = clifford_decompose(G, n_gens, V)
     assert decomposed == [True]
     monkeypatch.undo()
@@ -1217,13 +1368,16 @@ def swapped_torus(ell):
 
 
 def test_clifford_over_a_fresh_g_builds_no_store(monkeypatch):
-    # no group algebra is formed for a verdict: the swapped torus over
-    # F_11 (|N| = 100), and every fresh N of clifford_fallbacks, answer
-    # with the regular representation and the centre split both refused
+    # no store is built for a verdict: the swapped torus over F_11 (|N| =
+    # 100, abelian and split by F_11, so a store of N would take the line
+    # route), and every fresh N of clifford_fallbacks, answer with both
+    # store routes, the regular representation and the centre split all
+    # refused
     G, n_gens, V = swapped_torus(11)
+    assert envlab.mackey._split_exponent(FinMatGroup(G.field, n_gens), G.field) == 10
     cases = [(G, n_gens, V)] + [case[1:4] for case in clifford_fallbacks()]
     mk = envlab.mackey
-    for name in ("_central_blocks", "regular_rep"):
+    for name in STORE_BUILDERS:
         monkeypatch.setattr(mk, name, lambda *a: pytest.fail("built a store"))
     shape = clifford_decompose(G, n_gens, V)
     assert (shape.e, shape.f, shape.factors[0].dim) == (2, 1, 1)
@@ -1252,14 +1406,14 @@ def test_clifford_of_a_line_or_over_g_is_the_restriction(monkeypatch):
             assert (shape.e, shape.f) == (1, 1)
             assert np.array_equal(shape.factors[0].action, restrict(V, G, N).action)
 
+    refused = [(mk, name) for name in STORE_BUILDERS]
     with pytest.MonkeyPatch.context() as patch:
-        for owner, name in ((fc, "_random_algebra_element"), (mk, "_central_blocks")):
+        for owner, name in [(fc, "_random_algebra_element")] + refused:
             patch.setattr(owner, name, lambda *a, **kw: pytest.fail("drew or built a store"))
         check()
     for N, _ in cases:
         irreducible_modules(N, G.field)
-    for owner, name in ((fc, "_meataxe_search"), (fc, "_random_algebra_element"),
-                        (mk, "_central_blocks")):
+    for owner, name in [(fc, "_meataxe_search"), (fc, "_random_algebra_element")] + refused:
         monkeypatch.setattr(owner, name, lambda *a, **kw: pytest.fail("searched or built"))
     check()
 
