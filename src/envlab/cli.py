@@ -51,9 +51,16 @@ def seed(raw: str) -> int:
     return value
 
 
+def cap(raw: str) -> int:
+    """The type of --cap and ENVLAB_CAP: a closure holds at least the identity."""
+    if (value := int(raw)) < 1:
+        raise ValueError(raw)
+    return value
+
+
 # (flag, type, default) of the flags that fall back to ENVLAB_<FLAG>
 _ENV_FLAGS = (("output", str, None), ("seed", seed, DEFAULT_SEED),
-              ("cap", int, DEFAULT_CLOSURE_CAP), ("format", str, "json"))
+              ("cap", cap, DEFAULT_CLOSURE_CAP), ("format", str, "json"))
 
 
 def _resolve_env(args):
@@ -193,11 +200,13 @@ def _cmd_tame(args):
         G = FinMatGroup.from_json(doc)
         if len(G.generators) != 1:
             raise ValidationError("tame input must have exactly one generator")
-        w = tame_weights_of_rep(G.generators[0], twist=args.twist)
+        w = tame_weights_of_rep(G.generators[0], twist=args.twist or 0)
         _emit({"ell": w.ell, "digits": list(w.digits)}, args)
         return
     if args.ell is None or args.d is None or args.e is None:
         raise UsageError("tame needs either --input or all of --ell/--d/--e")
+    if args.twist is not None:
+        raise UsageError("--twist applies only to --input")
     chi = TameCharacter(args.ell, args.d, args.e)
     _emit({"ell": args.ell, "d": args.d, "e": args.e,
            "digits": ell_restricted_digits(chi)}, args)
@@ -254,7 +263,7 @@ def build_parser():
     common.add_argument("--input")
     common.add_argument("--output")
     common.add_argument("--seed", type=seed)
-    common.add_argument("--cap", type=int)
+    common.add_argument("--cap", type=cap)
     common.add_argument("--format", choices=_FORMATS)
     sub.add_parser("nori", parents=[common]).set_defaults(func=_cmd_nori)
     sub.add_parser("envelope", parents=[common]).set_defaults(func=_cmd_envelope)
@@ -266,7 +275,7 @@ def build_parser():
     p.add_argument("--ell", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--e", type=int)
-    p.add_argument("--twist", type=int, default=0)
+    p.add_argument("--twist", type=int)
     p.set_defaults(func=_cmd_tame)
     sub.add_parser("mackey", parents=[common]).set_defaults(func=_cmd_mackey)
     sub.add_parser("clifford", parents=[common]).set_defaults(func=_cmd_clifford)

@@ -8,10 +8,11 @@ subgroup's generator list, one matrix per generator (else
 DimensionMismatch); module_value evaluates it on a whole stack of
 elements along their closure words.  Left cosets and double cosets are
 orbits of index maps on the ambient closure, labelled by least_labels,
-and inverses, left products and the regular representation are read off
-the index tables of FinMatGroup, all with no product; conjugates by a
-double-coset representative and induced blocks are stacked products
-read back by FinMatGroup.indices.  A SubgroupDatum reads the right rows
+and inverses and left products are read off the index tables of
+FinMatGroup, all with no product, as is the regular representation
+F[H], whose generators act by gathers along H.left and are never
+matrices; conjugates by a double-coset representative and induced
+blocks are stacked products read back by FinMatGroup.indices.  A SubgroupDatum reads the right rows
 of H's generators, labels the ambient elements with their left cosets
 and keeps its transversal as a stack, each only when first read (by
 induce and double_coset_reps).
@@ -32,12 +33,12 @@ irreducible_modules reads the lines of an abelian H whose exponent e
 divides q - 1 off H's right Cayley table: its irreducibles are its |H|
 characters H -> F^x (Serre, Linear Representations of Finite Groups,
 3.1), found one generator at a time as logs of e-th roots of unity, with
-no regular representation and no centre split.  Every other H takes the
-centre route, which splits the regular representation F[H] along the
-centre Z(F[H]): the class sums, whose structure constants are counted on
-H's closure indices, split Z into its simple summands, over a splitting
-field into the lines of the primitive central idempotents (Dixon 1967),
-and each summand keeps its primitive central idempotent e.  The block
+no centre split.  Every other H takes the centre route, which splits
+F[H] along its centre Z(F[H]): the class sums, whose structure
+constants are counted on H's closure indices, split Z into its simple
+summands, over a splitting field into the lines of the primitive
+central idempotents (Dixon 1967), and each summand keeps its primitive
+central idempotent e.  The block
 F[H] e of a summand D, a field of degree k over F, is M_c(D)
 (Wedderburn), W^c for one irreducible W of dimension ck, and right
 multiplication commutes with the left action, so the kernel of a factor
@@ -52,10 +53,9 @@ nor its order depends on the seed.  irreducible_modules sorts its
 modules into one canonical order, by characters read off those
 idempotents, and stores them, each with its witness, its primitive
 central idempotent and its character, by coefficient field, seed and
-regular representation, in a store that the groups of one
-all_subgroups call share with G; so G after its classes, and a class
-whose regular representation another had (S4's two C2 classes), search
-nothing; the store is keyed by each group's left table.
+left table H.left, in a store that the groups of one all_subgroups call
+share with G; so G after its classes, and a class whose left table
+another had (S4's two C2 classes), search nothing.
 
 Both verdicts read those characters mod ell from the stores, with no
 search and no double coset, and neither builds a store or walks a
@@ -87,11 +87,11 @@ import numpy as np
 
 from .errors import (CharDividesIndex, DimensionMismatch, NotIrreducible,
                      NotNormal, NotSemisimple, ValidationError)
-from .fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
-                        _canonical, _certify, _eval_poly_at_matrix, _factors, _first_relation,
-                        _inverse_stack, _read_only, _submodule_action, checked_seed,
-                        composition_factors, grow_mask, intertwiners, is_irreducible,
-                        least_labels, matrix_minpoly, modules_isomorphic, spin)
+from .fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, IrreducibleWitness, Mat,
+                        ModuleRep, _canonical, _certify, _eval_poly_at_matrix, _factors,
+                        _first_relation, _inverse_stack, _read_only, _submodule_action,
+                        checked_seed, composition_factors, grow_mask, intertwiners,
+                        is_irreducible, least_labels, matrix_minpoly, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
 
 
@@ -615,16 +615,6 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     return groups
 
 
-def regular_rep(H: FinMatGroup, fld: GF) -> ModuleRep:
-    """Left-regular representation of H over an arbitrary coefficient
-    field (permutation matrices on the element list, H.left)."""
-    perm = H.left
-    k, n = perm.shape
-    P = np.zeros((k, n, n), dtype=np.int64)
-    P[np.arange(k)[:, None], perm, np.arange(n)] = 1
-    return ModuleRep(fld, P)
-
-
 def _class_sums(H: FinMatGroup, fld: GF):
     """(cls, inverse_class, M): the conjugacy class number of every
     element of H's closure, the classes numbered in the order of their
@@ -755,16 +745,17 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     (_line_store): F^x holds the e-th roots of unity, so every
     irreducible is one of the |H| characters chi: H -> F^x, read off H's
     right Cayley table, each stored as the 1 x 1 module chi(g_j) with the
-    certificate IrreducibleWitness(None, 1, 1); no regular representation
-    is formed.  Lines, their idempotents and their characters are
-    canonical, so the store holds the bytes the centre route would.
+    certificate IrreducibleWitness(None, 1, 1), with no centre split.
+    Lines, their idempotents and their characters are canonical, so the
+    store holds the bytes the centre route would.
 
     On the centre route (_centre_store), every other H, F[H] is first
-    split along its centre (_central_blocks): the block of
-    a simple summand B of Z, of dimension k (a line, k = 1, wherever F
-    splits H), is the left ideal F[H] B, spun from B's elements under the
-    regular action, and is W^c for one irreducible W of dimension ck.  W
-    is the block itself where c = 1, and else the kernel of a factor of
+    split along its centre (_central_blocks): the block of a simple
+    summand B of Z, of dimension k (a line, k = 1, wherever F splits H),
+    is the left ideal F[H] B, spun from B's elements by the generators,
+    each a gather along its row of H.left, and read in the same way, with
+    no matrix of F[H]; it is W^c for one irreducible W of dimension ck.
+    W is the block itself where c = 1, and else the kernel of a factor of
     the right action of one element of some conjugacy class
     (_right_cut); either way W is stored with the dimension certificate
     of IrreducibleWitness.  Only a block that no class cuts goes to
@@ -778,22 +769,22 @@ def irreducible_modules(H: FinMatGroup, fld: GF, seed: int = DEFAULT_SEED):
     tie, and the order is the same for every seed.
 
     The modules depend on nothing but the field, the seed and the
-    regular representation's action, so they are stored by those, with
+    left-regular permutations H.left, so they are stored by those, with
     their primitive central idempotents and their characters, the sort
     keys, which the Mackey and Clifford verdicts read but never build, in
     H._irreducibles, which the groups of one all_subgroups call share with
-    their ambient group: a later call, on H or on a group whose regular
-    representation is the same matrices (two classes of C2, say, which
-    number their closures alike), returns a new list of the same, already
-    certified, modules.  The action is keyed by its permutations, H.left,
-    so a store, by either route, is built only for a key not stored
+    their ambient group: a later call, on H or on a group with the same
+    left table (two classes of C2, say, which number their closures
+    alike), returns a new list of the same, already certified, modules,
+    and a store, by either route, is built only for a key not stored
     yet."""
     return list(_stored_irreducibles(H, fld, seed)[0])
 
 
 def _store_key(H: FinMatGroup, fld: GF, seed: int) -> tuple:
     """The key of H's modules in H._irreducibles: the coefficient field,
-    the seed (checked_seed) and the left-regular permutations H.left."""
+    the seed (checked_seed) and the left-regular permutations H.left, the
+    table that the centre route gathers F[H] along."""
     perm = H.left
     return fld, checked_seed(seed), perm.shape, perm.tobytes()
 
@@ -832,13 +823,18 @@ def _sorted_store(modules, idempotents, characters):
 def _centre_store(H: FinMatGroup, fld: GF, seed: int):
     """The store entry of H over fld, from the central blocks of the
     regular representation (irreducible_modules), for any H with char F
-    prime to |H|."""
-    reg = regular_rep(H, fld).action
+    prime to |H|.  Each block is spun and read by gathers: g_j v is
+    v[back[j]], back[j] the inverse of g_j's row of H.left."""
+    back = np.argsort(H.left, axis=1)
     modules, characters = [], []
     bases, idempotents, at_inverses = _central_blocks(H, fld, seed)
     for basis, e, e_inv in zip(bases, idempotents, at_inverses):
-        span, pivots = fld.rref(spin(fld, reg, basis).rows)
-        block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
+        echelon = EchelonBasis(fld)
+        queue = [row for row in map(echelon.add, basis) if row is not None]
+        while queue:
+            queue.extend(row for row in map(echelon.add, queue.pop()[back]) if row is not None)
+        span, pivots = fld.rref(echelon.rows)
+        block = ModuleRep(fld, span.T[back[:, pivots]])
         W = _right_cut(H, block, len(basis), e, pivots, seed)
         if W is None:  # no class cuts the block (Q8 over F_3)
             (W, _), = composition_factors(block, seed=seed)

@@ -21,13 +21,16 @@ algebra closed by lie_closure.  Last, the coset structures of mackey as
 they were built before the index tables: the greedy left transversal
 and double-coset loops over the closure order, one product per coset,
 and the intersection indices with both inverses from word walks of the
-dual natural modules."""
+dual natural modules.  And the regular representation F[H] as the
+permutation matrices that the store spun and read before it gathered
+along H.left: built from H.left as a module input, and found by one
+product per element and generator as the oracle for H.left."""
 
 import numpy as np
 
 from envlab.errors import ValidationError
 from envlab.fieldcore import (DEFAULT_MEATAXE_BUDGET, DEFAULT_SEED, IrreducibleWitness,
-                              ModuleRep, _submodule_action, commutant,
+                              Mat, ModuleRep, _submodule_action, commutant,
                               generator_commutators, intertwiners, meataxe_split)
 from envlab.gf import poly_divmod, poly_gcd, poly_mul
 from envlab.mackey import module_value
@@ -411,3 +414,29 @@ def dual_walk_intersection_indices(G, H, reps):
     dual = module_value(ModuleRep(fld, H.gens_inv.transpose(0, 2, 1)), H, hs[xs])
     bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
     return (where[inside], xs, H.indices(dual.transpose(0, 2, 1))), bounds
+
+
+def regular_module(H, fld):
+    """The left-regular representation of H over the coefficient field, as
+    a module: P_j[H.left[j, i], i] = 1, the permutation matrix of g_j on
+    H's closure."""
+    perm = H.left
+    k, n = perm.shape
+    P = np.zeros((k, n, n), dtype=np.int64)
+    P[np.arange(k)[:, None], perm, np.arange(n)] = 1
+    return ModuleRep(fld, P)
+
+
+def reference_regular_rep(H):
+    """The permutation matrices of H's generators on its closure, one
+    product g x per element x and generator g, each found in a dict of the
+    elements."""
+    elems = [Mat(H.field, x) for x in H.closure()]
+    index = {x: i for i, x in enumerate(elems)}
+    mats = []
+    for g in H.generators:
+        P = np.zeros((len(elems), len(elems)), dtype=np.int64)
+        for j, x in enumerate(elems):
+            P[index[g @ x], j] = 1
+        mats.append(P)
+    return mats

@@ -362,16 +362,14 @@ def test_mackey_session_builds_each_regular_representation_once(monkeypatch):
     # for the 9 keys that G's store, shared by all of them, does not hold
     # yet; the key is read from the permutations each group keeps.  F_13
     # splits the 5 abelian keys (1, C2, C3, C4, V4), which take the line
-    # route and form no regular representation, so only the 4 others (S3,
-    # D8, A4, S4) do: regular_rep ran 9 times before the line route
+    # route, so only the 4 others (S3, D8, A4, S4) take the centre route
     mk = envlab.mackey
-    calls = counted_calls(monkeypatch, mk, ("irreducible_modules", "regular_rep",
-                                            "_centre_store", "_line_store"))
+    calls = counted_calls(monkeypatch, mk, ("irreducible_modules", "_centre_store",
+                                            "_line_store"))
     ambient, subgroups = [], mk.all_subgroups
     monkeypatch.setattr(mk, "all_subgroups", lambda G, *a: ambient.append(G) or subgroups(G, *a))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
-    assert calls == {"irreducible_modules": 12, "regular_rep": 4, "_centre_store": 4,
-                     "_line_store": 5}
+    assert calls == {"irreducible_modules": 12, "_centre_store": 4, "_line_store": 5}
     G, = ambient
     assert len(G._irreducibles) == 9
 

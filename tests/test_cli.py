@@ -37,6 +37,21 @@ def test_tame_usage_error():
     assert run(["tame", "--ell", "5"]) == 64
 
 
+@pytest.mark.parametrize("twist", ["1", "-1", "0"])
+def test_twist_without_input_is_a_usage_error(tmp_path, capsys, twist):
+    # the character path takes no twist; on the --input path no twist
+    # reads as twist 0
+    assert run(["tame", "--ell", "5", "--d", "2", "--e", "3", "--twist", twist]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--twist applies only to --input" in captured.err
+    path = write_json(tmp_path / "one.json", {"ell": 5, "d": 1, "n": 2,
+                                               "generators": [[2, 0, 0, 3]]})
+    assert run(["tame", "--input", path]) == 0
+    untwisted = read_lines(capsys)
+    assert run(["tame", "--input", path, "--twist", "0"]) == 0
+    assert read_lines(capsys) == untwisted
+
+
 def test_table_a_counts(capsys):
     assert run(["table-a", "--n", "5"]) == 0
     doc = json.loads(read_lines(capsys))
@@ -399,6 +414,25 @@ def test_negative_seed_is_usage_error_before_the_meataxe(tmp_path, capsys):
 
 
 SL2_11 = {"ell": 11, "d": 1, "n": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}
+
+
+@pytest.mark.parametrize("command", ["nori", "envelope"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cap_below_one_is_usage_error(tmp_path, monkeypatch, capsys, command, value):
+    # a closure holds at least the identity: a cap below 1 is refused as
+    # --seed -1 is, by the flag and by ENVLAB_CAP, before any closure
+    path = write_json(tmp_path / "sl2.json", SL2_11)
+    assert run([command, "--input", path, "--cap", value]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"invalid cap value: '{value}'" in captured.err
+    monkeypatch.setenv("ENVLAB_CAP", value)
+    assert run([command, "--input", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: ENVLAB_CAP: invalid cap value: '{value}'")
+    monkeypatch.setenv("ENVLAB_CAP", "1")  # the least cap is a closure cap like any other
+    assert run([command, "--input", path]) == (2 if command == "nori" else 0)
+    capsys.readouterr()
 
 
 def test_prime_field_modulus_gives_the_same_bytes(tmp_path, capsys):

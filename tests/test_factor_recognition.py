@@ -17,9 +17,9 @@ import envlab.fieldcore
 from corpus import mackey_corpus
 from envlab.fieldcore import FinMatGroup, ModuleRep, composition_factors, modules_isomorphic
 from envlab.gf import field_make
-from envlab.mackey import irreducible_modules, regular_rep, restrict
+from envlab.mackey import irreducible_modules, restrict
 from linalg_oracles import (reference_composition_factors, reference_modules_isomorphic,
-                            same_classes)
+                            regular_module, same_classes)
 
 CORPUS = mackey_corpus()
 F9 = field_make(3, 2)
@@ -46,7 +46,7 @@ def modules(draw):
     _, G, fld = draw(st.sampled_from(CORPUS))
     fld = draw(st.sampled_from([fld, F9]))
     if draw(st.booleans()):
-        rho = regular_rep(G, fld)
+        rho = regular_module(G, fld)
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         natural = ModuleRep(fld, G.gens)
@@ -81,13 +81,13 @@ def test_regular_representations_match_the_search_every_piece_loop(entry):
     # recognized pieces, S4's above all, must neither lose nor merge a class
     _, G, fld = entry
     for coefficients in (fld, F9):
-        reg = regular_rep(G, coefficients)
+        reg = regular_module(G, coefficients)
         for seed in (0, 1):
             assert_reference_classes(reg, seed)
 
 
 def irreducibles(G, fld):
-    return [m for m, _ in composition_factors(regular_rep(G, fld))]
+    return [m for m, _ in composition_factors(regular_module(G, fld))]
 
 
 def centre(G):
@@ -127,7 +127,7 @@ def test_scalar_blocks_keep_every_later_seed(entry):
     # search, it joins the regular representation's class of that
     # character, and the searches after it still find every class
     _, G, fld = entry
-    reg = regular_rep(G, fld)
+    reg = regular_module(G, fld)
     character = [m for m in irreducibles(G, fld) if m.dim == 1][-1]
     for d in (2, 3):
         block = ModuleRep(fld, character.action * np.eye(d, dtype=np.int64))

@@ -22,7 +22,8 @@ from envlab.fieldcore import (FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               is_irreducible, meataxe_split, modules_isomorphic,
                               module_of_group, semisimplify, splitting_degree)
 from envlab.gf import field_make
-from envlab.mackey import dual_module, regular_rep
+from envlab.mackey import dual_module
+from linalg_oracles import regular_module
 
 
 def test_mat_basic_ops():
@@ -181,7 +182,7 @@ def counting_draws(monkeypatch):
 
 
 def test_composition_factors_arrive_certified(monkeypatch):
-    factors = composition_factors(regular_rep(symmetric_group(3, 7), field_make(7)))
+    factors = composition_factors(regular_module(symmetric_group(3, 7), field_make(7)))
     assert max(m.dim for m, _ in factors) == 2
     draws = counting_draws(monkeypatch)
     for m, _ in factors:

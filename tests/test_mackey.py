@@ -2,6 +2,7 @@
 decomposition on small groups."""
 
 import functools
+import hashlib
 import importlib.util
 import math
 import os
@@ -22,16 +23,17 @@ from envlab.errors import (CharDividesIndex, ClosureOverflow, DimensionMismatch,
                            NotIrreducible, NotNormal, NotSemisimple, ValidationError)
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
                               commutant, composition_factors, is_irreducible,
-                              module_of_group, modules_isomorphic)
+                              module_of_group, modules_isomorphic, spin)
 from envlab.gf import GF, field_make
 from linalg_oracles import (dual_walk_intersection_indices, greedy_cosets,
                             greedy_double_coset_reps, invariants_dim,
-                            reference_composition_factors)
+                            reference_composition_factors, reference_regular_rep,
+                            regular_module)
 from envlab.mackey import (CliffordShape, MackeyVerdict, SubgroupDatum, _reynolds_sum,
                            all_subgroups, clifford_blocks_transitive, clifford_decompose,
                            double_coset_reps, dual_module, frobenius_reciprocity_dim,
                            induce, irreducible_modules, mackey_irreducible,
-                           module_value, regular_rep, restrict, subgroup_datum)
+                           module_value, restrict, subgroup_datum)
 from test_derived_commutant import small_groups as derived_groups
 from test_fieldcore import small_groups as closure_groups
 
@@ -227,7 +229,7 @@ def test_mackey_irreducible_matches_the_dual_module_loop(G, fld):
     failed = 0
     for H in all_subgroups(G, up_to_conjugacy=False):
         sub = subgroup_datum(G, H.generators)
-        for W in irreducible_modules(H, fld) + [regular_rep(H, fld)]:
+        for W in irreducible_modules(H, fld) + [regular_module(H, fld)]:
             want = verdict_bytes(reference_mackey_irreducible(sub, W))
             assert verdict_bytes(mackey_irreducible(sub, W)) == want
             failed += want[2] is not None
@@ -388,7 +390,7 @@ def test_all_subgroups_s4():
 
 def test_regular_rep_and_irreducibles():
     G = symmetric_group(3, 7)
-    reg = regular_rep(G, G.field)
+    reg = regular_module(G, G.field)
     assert reg.dim == 6
     dims = sorted(m.dim for m in irreducible_modules(G, G.field))
     assert dims == [1, 1, 2]
@@ -566,18 +568,6 @@ def test_all_subgroups_of_trivial_and_cyclic_groups():
     same_subgroup_lists(c12)
 
 
-def reference_regular_rep(H, fld):
-    elems = closure_mats(H)
-    index = {x: i for i, x in enumerate(elems)}
-    mats = []
-    for g in H.generators:
-        P = np.zeros((len(elems), len(elems)), dtype=np.int64)
-        for j, x in enumerate(elems):
-            P[index[g @ x], j] = 1
-        mats.append(P)
-    return mats
-
-
 def same_matrices(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -602,7 +592,8 @@ def test_stack_routines_match_mat_oracles(G, fld):
             for x in closure_mats(G)]
         assert np.array_equal(double_coset_reps(sub),
                               arrays(reference_double_coset_reps(G, sub.subgroup)))
-        assert same_matrices(regular_rep(H, fld).action, reference_regular_rep(H, fld))
+        # P_j[H.left[j, i], i] = 1: the permutations that the store gathers along
+        assert np.array_equal(np.argmax(reference_regular_rep(H), axis=1), H.left)
         for W in irreducible_modules(H, fld):
             assert same_matrices(induce(sub, W).action,
                                  reference_induce(G, sub.subgroup, T, W))
@@ -758,7 +749,7 @@ def same_irreducibles(H, fld):
     dimensions, each reference class isomorphic to exactly one module,
     and every module certified."""
     got = irreducible_modules(H, fld)
-    want = [m for m, _ in reference_composition_factors(regular_rep(H, fld))]
+    want = [m for m, _ in reference_composition_factors(regular_module(H, fld))]
     return (sorted(m.dim for m in got) == sorted(m.dim for m in want)
             and all(sum(modules_isomorphic(a, b) for a in got) == 1 for b in want)
             and all(m._witness is not None for m in got))
@@ -908,10 +899,10 @@ def test_non_split_or_non_abelian_groups_take_the_centre_route(H, fld, monkeypat
 ])
 def test_split_abelian_groups_form_no_regular_representation(H, fld, monkeypatch):
     # an abelian H whose exponent divides q - 1 stores |H| certified lines
-    # with no regular representation and no centre split
+    # with no centre split
     mk = envlab.mackey
     H = FinMatGroup(H.field, H.generators)  # an empty store
-    for name in ("regular_rep", "_central_blocks", "_centre_store"):
+    for name in ("_central_blocks", "_centre_store"):
         monkeypatch.setattr(mk, name, lambda *a: pytest.fail("split the centre"))
     modules = irreducible_modules(H, fld)
     assert len(modules) == H.order
@@ -948,7 +939,7 @@ def test_the_lines_of_a_cyclic_group_of_order_1000_stay_within_a_gibibyte():
 # -- each irreducible cut from its block by the right action --
 
 def canonical_reference(H, fld):
-    """The classes of composition_factors(regular_rep(H)), sorted as
+    """The classes of composition_factors(regular_module(H)), sorted as
     irreducible_modules sorts its own: by dimension, then by the trace at
     every element of H's closure, in closure order, each trace summed
     with the field's scalar addition."""
@@ -957,7 +948,7 @@ def canonical_reference(H, fld):
     def key(W):
         values = module_value(W, H, H.closure())
         return W.dim, tuple(functools.reduce(add, np.diagonal(v).tolist()) for v in values)
-    return sorted((m for m, _ in composition_factors(regular_rep(H, fld))), key=key)
+    return sorted((m for m, _ in composition_factors(regular_module(H, fld))), key=key)
 
 
 def same_canonical_irreducibles(H, fld):
@@ -1275,9 +1266,8 @@ def modular_s4():
 
 
 # every function that builds a store: the two routes of
-# _stored_irreducibles, and the regular representation and centre split
-# of the centre route
-STORE_BUILDERS = ("_line_store", "_centre_store", "regular_rep", "_central_blocks")
+# _stored_irreducibles, and the centre split of the centre route
+STORE_BUILDERS = ("_line_store", "_centre_store", "_central_blocks")
 
 
 # (group, normal subgroup generators, V, whether a session takes Res_N
@@ -1605,3 +1595,97 @@ def test_clifford_takes_the_composition_factors_where_dim_v_reaches_ell(monkeypa
     assert (shape.e, shape.f, shape.factors[0].dim) == (1, 1, 3)
     assert same_clifford_shapes(G, N.generators, shape,
                                 reference_clifford_decompose(G, N.generators, V))
+
+
+# -- the centre route's gathers against the permutation matrices --
+
+def reference_centre_store(H, fld, seed):
+    """_centre_store with F[H] the permutation matrices of H's generators
+    (reference_regular_rep): each central block spun by spin through them,
+    and its action one product with the rref rows of its span."""
+    mk = envlab.mackey
+    reg = np.array(reference_regular_rep(H))
+    modules, characters = [], []
+    bases, idempotents, at_inverses = mk._central_blocks(H, fld, seed)
+    for basis, e, e_inv in zip(bases, idempotents, at_inverses):
+        span, pivots = fld.rref(spin(fld, reg, basis).rows)
+        block = ModuleRep(fld, fld.matmul(reg, span.T)[:, pivots])
+        W = mk._right_cut(H, block, len(basis), e, pivots, seed)
+        if W is None:
+            (W, _), = composition_factors(block, seed=seed)
+        modules.append(W)
+        characters.append(fld.mul(H.order * len(basis) // W.dim % fld.ell, e_inv))
+    return mk._sorted_store(modules, idempotents, characters)
+
+
+def store_bytes(store):
+    """Each module's action and witness, its algebra element as bytes, then
+    the idempotent and character rows, as comparable values."""
+    modules, idempotents, characters = store
+    witnesses = [(None if w.algebra_element is None else np.asarray(w.algebra_element).tobytes(),
+                  w.factor_degree, w.block_dim) for w in (W._witness for W in modules)]
+    return ([(W.action.tobytes(), W.action.shape) for W in modules], witnesses,
+            idempotents.tobytes(), characters.tobytes(), idempotents.shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(closure_groups(), derived_groups(),
+                 st.sampled_from(SMALL_GROUPS + [functools.partial(frobenius_group_21, 7)])
+                 .map(lambda make: make())),
+       st.data())
+def test_centre_store_gathers_match_the_permutation_matrices(G, data):
+    # a random small group, abelian or not, over a field that splits it or
+    # not, at a random seed: the same modules, witnesses, idempotents and
+    # characters as spins and products through F[H] as matrices
+    assume(small_closure(G))
+    fields = [field for field in COEFFICIENTS if G.order % field[0]]
+    fld = field_make(*data.draw(st.sampled_from(fields)))
+    seed = data.draw(st.integers(0, 2 ** 20))
+    assert store_bytes(envlab.mackey._centre_store(G, fld, seed)) \
+        == store_bytes(reference_centre_store(G, fld, seed))
+
+
+# SHA-256 of _stored_irreducibles(H, fld, DEFAULT_SEED) for a group's own
+# store, as the centre route built it while F[H] was a stack of
+# permutation matrices: S5 has a block that no generator cuts, D5 and
+# F21 over F_3 and F_5 blocks M_c(D) over a centre D larger than F, C6
+# over F_5 and C7 over F_2 abelian groups that the field does not split,
+# and S3 over GF(25) an extension field
+STORE_DIGESTS = [
+    ("S5/F7", lambda: symmetric_group(5, 7), (7, 1),
+     "be5063512b7dea7804a5eb6824cf5a93f88312de29689c4b458f354e1c0b327d"),
+    ("S5/F11", lambda: symmetric_group(5, 11), (11, 1),
+     "ebf2b91e6d5d42333852efdb783ab28e3080aeac1f72c69cd50e9450f5bcefd7"),
+    ("A5/F11", lambda: alternating_group_5(11), (11, 1),
+     "84d56b78fd3c87f0bdfdaa23ebb8c2808bbb3abb3aa1884b9d3d29264edd3d44"),
+    ("D5/F3", lambda: dihedral_group(5, 7), (3, 1),
+     "d72cb981c0e449fd1366b8ab7d18cc5000a8dcff2eaef2d65a99521688ce2533"),
+    ("F21/F5", lambda: frobenius_group_21(7), (5, 1),
+     "c3e0d150d6f94014f2878a0fce87ffedaf0e7654550bbfa8624a82a7e52ced95"),
+    ("C6/F5", lambda: cyclic_group(6, 7), (5, 1),
+     "12836e0a9bce4144ae848c2ce8e3f8e1696698e723efbe94f0c24c7692aa18a7"),
+    ("C7/F2", lambda: cyclic_group(7, 5), (2, 1),
+     "76f9223ef44ea4796a54a57e0888be90a4fa7360e019e2faf7419e7983e99027"),
+    ("S3/GF(25)", lambda: symmetric_group(3, 7), (5, 2),
+     "94e1196cb2c610d463866d55f774895990f5e465ee2f7950a60546a97dfb2452"),
+]
+
+
+@pytest.mark.parametrize("make,field,digest", [pytest.param(*case[1:], id=case[0])
+                                               for case in STORE_DIGESTS])
+def test_stored_irreducibles_keep_their_bytes(make, field, digest):
+    # each module's shape, witness (algebra_element is None, factor_degree,
+    # block_dim) and action bytes, then the shapes and bytes of the
+    # idempotent and character rows
+    H, fld = make(), field_make(*field)
+    modules, idempotents, characters = envlab.mackey._stored_irreducibles(H, fld, DEFAULT_SEED)
+    sha = hashlib.sha256()
+    for W in modules:
+        w = W._witness
+        sha.update(repr((W.action.shape, (w.algebra_element is None, w.factor_degree,
+                                          w.block_dim))).encode())
+        sha.update(W.action.tobytes())
+    for rows in (idempotents, characters):
+        sha.update(repr(rows.shape).encode())
+        sha.update(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
+    assert sha.hexdigest() == digest

@@ -21,7 +21,7 @@ from envlab.fieldcore import (FinMatGroup, Mat, ModuleRep, _first_relation,
                               _submodule_action, _vector_minpoly, composition_factors,
                               matrix_minpoly, spin)
 from envlab.gf import GF, field_make
-from envlab.mackey import _reynolds_sum, regular_rep
+from envlab.mackey import _reynolds_sum
 from envlab.nori import lie_rank_estimate, nori_points
 
 FIELDS = [(2, 1), (7, 1), (13, 1), (2, 3), (3, 2)]  # GF(2, 7, 13, 8, 9)
@@ -215,7 +215,7 @@ def counting(monkeypatch, cls, name):
 
 
 def test_composition_factors_make_no_inverse(monkeypatch):
-    rho = regular_rep(symmetric_group(4, 13), field_make(13))
+    rho = linalg_oracles.regular_module(symmetric_group(4, 13), field_make(13))
     inverses = counting(monkeypatch, GF, "inv_matrix")
     factors = composition_factors(rho)
     assert sum(m.dim * k for m, k in factors) == 24

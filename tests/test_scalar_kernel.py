@@ -27,8 +27,7 @@ from corpus import dihedral_group, symmetric_group
 from envlab import fieldcore, gf
 from envlab.fieldcore import _irreducible_factor, composition_factors
 from envlab.gf import field_make
-from envlab.mackey import regular_rep
-from linalg_oracles import reference_composition_factors, same_classes
+from linalg_oracles import reference_composition_factors, regular_module, same_classes
 
 FIELDS = [(2, 1), (7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]  # GF(2, 7, 13, 8, 9, 25)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -96,14 +95,14 @@ def test_composition_factors_draw_the_same_stream_as_the_numpy_kernel(
     # the old kernel scans no roots, so it draws another stream; both find
     # the classes of the search-every-piece loop, each factor certified
     fld = field_make(ell, d)
-    want = reference_composition_factors(regular_rep(group, fld))
-    new = composition_factors(regular_rep(group, fld))
+    want = reference_composition_factors(regular_module(group, fld))
+    new = composition_factors(regular_module(group, fld))
     for name in numpy_poly.KERNEL:
         if hasattr(fieldcore, name):
             monkeypatch.setattr(fieldcore, name, getattr(numpy_poly, name))
     monkeypatch.setattr(fieldcore, "_irreducible_factor", lambda fld, p, rng: (
         numpy_poly.irreducible_factor(fld, p, rng, fieldcore._equal_degree_factor)))
-    old = composition_factors(regular_rep(group, fld))
+    old = composition_factors(regular_module(group, fld))
     assert same_classes(new, want) and same_classes(old, want)
     assert all(m._witness is not None for m, _ in new + old)
     assert len(new) > 1
