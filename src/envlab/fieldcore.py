@@ -5,17 +5,22 @@ FinMatGroup.closure is envlab's one closure engine: a breadth-first search
 over whole frontiers, one stacked GF.matmul per layer, that returns the
 group as a read-only (N, n, n) element stack, with a parent vector for
 words and the right Cayley table on the generators that its lookups
-found.  FinMatGroup.indices, the one membership lookup, maps any stack to
-closure indices.  A subgroup of a closed group is found in its index
-space (index_subgroup, grow_mask): a mask over the closure grown under
-right rows read from the table, with no matrix product; G+, [G, G] and
-the joins of mackey.all_subgroups are such index sets.  The inverse,
-left and conjugation tables of a closed group are read off the right
-table and the parent vector with no product either, and least_labels
-labels the orbits of such index maps: mackey's cosets and double cosets,
-and the conjugacy classes (FinMatGroup.classes).  Stages pass each other
-stacks (FinMatGroup.gens, G[ell], induced blocks); a Mat is built only
-where a public function takes or returns one matrix.
+found.  It numbers each layer's products by direct addressing where the
+q^(n^2) base-q codes of n x n matrices are at most DENSE_CODES (2^20): an
+int32 table indexed by code, one np.minimum.at per layer; above that it
+keys a dict by each matrix's bytes.  Both give the same closure, byte for
+byte.  FinMatGroup.indices, the one membership lookup, maps any stack to
+closure indices through whichever the closure built.  A subgroup of a
+closed group is found in its index space (index_subgroup, grow_mask): a
+mask over the closure grown under right rows read from the Cayley table,
+with no matrix product; G+, [G, G] and the joins of mackey.all_subgroups
+are such index sets.  The inverse, left and conjugation tables of a
+closed group are read off the right table and the parent vector with no
+product either, and least_labels labels the orbits of such index maps:
+mackey's cosets and double cosets, and the conjugacy classes
+(FinMatGroup.classes).  Stages pass each other stacks (FinMatGroup.gens,
+G[ell], induced blocks); a Mat is built only where a public function
+takes or returns one matrix.
 
 Modules are given by the action matrices of a free generating set, held
 as one read-only (k, m, m) stack, ModuleRep.action, in the encoding that
@@ -77,7 +82,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import count, repeat
 from numbers import Integral
 
@@ -91,6 +96,9 @@ from .gf import (GF, field_make, poly_distinct_degree, poly_divmod, poly_gcd,
 DEFAULT_SEED = 20240901
 DEFAULT_MEATAXE_BUDGET = 200
 DEFAULT_CLOSURE_CAP = 10 ** 7
+# the most base-q codes of n x n matrices that FinMatGroup.closure numbers
+# through a table indexed by code; above it, a dict keyed by bytes
+DENSE_CODES = 2 ** 20
 
 
 def _canonical(fld: GF, array) -> np.ndarray:
@@ -169,6 +177,24 @@ def _keys(stack) -> list:
     return a.reshape(-1, width).view(f"V{width * 8}").ravel().tolist()
 
 
+@lru_cache(maxsize=None)
+def _code_powers(q: int, n: int):
+    """The weights q^i, i < n^2, of the base-q codes of n x n matrices as
+    a read-only array, the code of the identity, and q as a 0-d uint64
+    array, the bound on the unsigned view of an entry."""
+    return (_read_only(q ** np.arange(n * n)), sum(q ** (i * (n + 1)) for i in range(n)),
+            _read_only(np.array(q, np.uint64)))
+
+
+def _least_numbers(table, codes, numbers) -> np.ndarray:
+    """Each code's entry in table becomes the least of it and the code's
+    numbers, in whatever order they come, and the entries of codes come
+    back: np.minimum.at, where a scatter would leave open which of a
+    repeated code's numbers stays."""
+    np.minimum.at(table, codes, numbers)
+    return table[codes]
+
+
 def grow_mask(mask, rows) -> np.ndarray:
     """The least superset of a boolean mask over a closure that the index
     maps rows, a (k, N) array, send into itself: a search from the whole
@@ -225,6 +251,8 @@ class FinMatGroup:
         self._parent = None
         self._gen = None
         self._index = None
+        # the dense numbering's table, code weights and entry bound
+        self._table = self._powers = self._top = None
         self._slot = None
         self._right = None
         self._gens_inv = None
@@ -260,32 +288,53 @@ class FinMatGroup:
         closure index of every product is kept as the right Cayley table
         _right, so no product is looked up twice.  Returns the elements as
         a read-only (N, n, n) stack in that order; ClosureOverflow once
-        more than cap elements are found."""
+        more than cap elements are found.
+
+        Products are numbered in that order, the identity being product 0,
+        and each matrix takes the number of the first product that had it.
+        Where the q^(n^2) base-q codes of n x n matrices number at most
+        DENSE_CODES, an int32 table indexed by code holds those numbers
+        (_table, entered by _least_numbers), with no hash and no sort;
+        above that bound a dict keyed by each matrix's bytes does (_index).
+        Both number alike, so the closure is the same byte for byte."""
         if self._elements is not None:
             return self._elements
         if self.n is None:
             raise ValidationError("group has no generators and no dimension")
         fld, n, gens = self.field, self.n, self.gens
-        k = len(gens)
+        k, space = len(gens), fld.q ** (n * n)
         frontier = fld.eye(n)[None]
-        # key -> the number of the first product that had it, the identity
-        # being product 0; one setdefault per product both looks a product
-        # up and numbers it if it is new
-        index = dict.fromkeys(_keys(frontier), 0)
+        index = dense = None
+        if space <= DENSE_CODES and k * space < 2 ** 31:
+            # -1 read unsigned lies above every product number; the last
+            # entry, never a code, stays -1 for indices to point at
+            self._powers, identity, self._top = _code_powers(fld.q, n)
+            dense = np.full(space + 1, -1, np.int32)
+            table, kind = dense.view(np.uint32), np.uint32
+            table[identity] = 0
+        else:
+            index, kind = dict.fromkeys(_keys(frontier), 0), np.int64
         layers, parents, gen_idx = [frontier], [np.array([0])], [np.array([-1])]
         numbers = []
         base, made = 0, 1  # base: stack position of frontier[0]
         while len(frontier):
             prods = fld.matmul(frontier[:, None], gens[None]).reshape(-1, n, n)
-            got = np.fromiter(map(index.setdefault, _keys(prods), count(made)),
-                              np.int64, len(prods))
-            if len(index) > cap:
+            own = np.arange(made, made + len(prods), dtype=kind)
+            if index is None:
+                got = _least_numbers(table, prods.reshape(-1, n * n) @ self._powers, own)
+            else:
+                # one setdefault per product both looks a product up and
+                # numbers it if it is new
+                got = np.fromiter(map(index.setdefault, _keys(prods), count(made)),
+                                  np.int64, len(prods))
+            fresh = (got == own).nonzero()[0]
+            if base + len(frontier) + len(fresh) > cap:
                 raise ClosureOverflow(f"closure exceeded cap {cap}")
-            fresh = (got == np.arange(made, made + len(prods))).nonzero()[0]
             numbers.append(got)
             made += len(prods)
-            parents.append(base + fresh // k)
-            gen_idx.append(fresh % k)
+            above, gen = divmod(fresh, k)
+            parents.append(base + above)
+            gen_idx.append(gen)
             base += len(frontier)
             frontier = prods[fresh]
             layers.append(frontier)
@@ -294,15 +343,16 @@ class FinMatGroup:
         numbers = np.concatenate(numbers)
         self._slot = np.full(made + 1, -1)
         self._slot[0] = 0
-        self._slot[1:made][numbers == np.arange(1, made)] = np.arange(1, len(index))
+        self._slot[1:made][numbers == np.arange(1, made)] = np.arange(1, base)
         self._right = self._slot[numbers].reshape(-1, k)
-        # x g = 1 for some x exactly when g is invertible; the tables below
-        # take every column of _right for a permutation
-        if not (self._right == 0).any(axis=0).all():
+        # x g = 1 for some x exactly when g is invertible, and for at most
+        # one x, so k zeros put one in every column; the tables below take
+        # every column of _right for a permutation
+        if np.count_nonzero(self._right == 0) < k:
             raise ValidationError("generator is not invertible")
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_idx)
-        self._index = index
+        self._index, self._table = index, dense
         self._elements = np.concatenate(layers)
         self._elements.setflags(write=False)
         return self._elements
@@ -316,11 +366,26 @@ class FinMatGroup:
     def indices(self, stack) -> np.ndarray:
         """The closure index of every matrix in an (..., n, n) stack, as an
         array of shape stack.shape[:-2]; -1 marks a matrix outside the
-        group."""
+        group, and every matrix of a stack whose last two axes are not
+        (n, n).  It reads the numbering that closure built: the table at
+        each matrix's base-q code, where a matrix with an entry outside
+        [0, q) is a miss rather than the alias its code would give, or the
+        dict at its bytes."""
         self.closure()
         stack = np.asarray(stack, dtype=np.int64)
-        keys = _keys(stack)
-        found = np.fromiter(map(self._index.get, keys, repeat(-1)), np.int64, len(keys))
+        if stack.shape[-2:] != (self.n, self.n):
+            return np.full(stack.shape[:-2], -1)
+        if self._table is None:
+            keys = _keys(stack)
+            found = np.fromiter(map(self._index.get, keys, repeat(-1)), np.int64, len(keys))
+        else:
+            flat = stack.reshape(-1, self.n * self.n)
+            codes = flat.dot(self._powers)
+            # a matrix with an entry outside [0, q) would alias another's
+            # code: it reads the table's spare last entry, a miss
+            if np.count_nonzero(outside := flat.view(np.uint64) >= self._top):
+                codes[outside.any(axis=1)] = -1
+            found = self._table[codes]
         return self._slot[found].reshape(stack.shape[:-2])
 
     def members(self, stack) -> np.ndarray:
@@ -764,7 +829,7 @@ def spin(fld, matrices, seeds, limit=None):
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrreducibleWitness:
     """A proof that a module is irreducible, of one of two kinds.
 
@@ -785,11 +850,24 @@ class IrreducibleWitness:
 
     meataxe_split stores a witness on the module it certifies
     (ModuleRep._witness, _certify) and returns the stored one to any later
-    call on that module, for every seed."""
+    call on that module, for every seed.  Witnesses compare and hash with
+    an array algebra element read as its shape and bytes."""
 
     algebra_element: object
     factor_degree: int
     block_dim: int | None = None
+
+    def _key(self):
+        a = self.algebra_element
+        if isinstance(a, np.ndarray):
+            a = (a.shape, a.tobytes())
+        return a, self.factor_degree, self.block_dim
+
+    def __eq__(self, other):
+        return isinstance(other, IrreducibleWitness) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _random_algebra_element(fld, matrices, n, rng):

@@ -6,6 +6,7 @@ must re-prove no irreducible module.  Reads bench/ and changes nothing in
 it."""
 
 import functools
+import hashlib
 import importlib.util
 import os
 import sys
@@ -17,7 +18,7 @@ import envlab.gf
 import envlab.mackey
 
 from corpus import quaternion_group_sl2, sl2_group, symmetric_group
-from envlab.fieldcore import DEFAULT_SEED
+from envlab.fieldcore import DEFAULT_SEED, FinMatGroup
 from envlab.mackey import (all_subgroups, clifford_decompose, irreducible_modules,
                            mackey_irreducible, subgroup_datum)
 from envlab.nori import nori_points, order_ell_elements
@@ -408,3 +409,77 @@ def test_equal_regular_representations_share_their_modules(monkeypatch):
     calls = counted_calls(monkeypatch, envlab.mackey, ("_central_blocks", "_line_store"))
     _load("workloads").mackey_session(symmetric_group(4, 13).to_json())
     assert calls == {"_central_blocks": 4, "_line_store": 5}
+
+
+# SHA-256 of the shape and bytes of (_elements, _parent, _gen, _right) of
+# the closure of every envelope bench group, computed before the dense
+# numbering of FinMatGroup.closure existed: both numberings must build the
+# same closure, byte for byte
+CLOSURE_DIGESTS = {
+    7: {
+        "<diag(w,w^3)>(F11)":
+            "746e92e4b2f4fdfd8374e6e260ff04dd6180411e4f8e0b1b97983798b35538a1",
+        "SL2(F11)":
+            "2ae24b3f5d0a30e609a8793223995689ebb909a013726fce4ae17020dd60d697",
+        "SL2(F11)^2":
+            "2a2509f78049ebdb167d83b1b1e59afea56078b789744a66ef2e63ff7180d5a6",
+        "SL2(F13)":
+            "d6ac2879c99eb70a3ad454f631c0e7429fbe594fd95968ba4252cc3d055185a4",
+        "SL2(F17)":
+            "41bf41ea605030eab83038582e0329d79da8498468882acf007f0742ad8efac3",
+        "SL2(F19)":
+            "9281c04b2fec77c6793bdc65a616b7b690deb06bedb3367bffe1d240d1ae730a",
+        "SL2(F23)":
+            "9b3aa69d62125c8116bc191125361fa64942d55dabebce70b4c31b8e1af430ba",
+        "SL3(F3)":
+            "54254e9b1d9b49fce7f750218aca25bd46b253df626a883b42302ac5e03dd35d",
+        "SO3(F11)":
+            "a458cf653423bd9bea665d8c2cc444ea929fc46325f2163110dbc82dc261af2a",
+        "SO3(F13)":
+            "2248aedcb4df2ed054812b57b6a682a4cf63e384029377122e856451039ed2c7",
+        "SO3(F7)":
+            "ce6b1a75de19e3e374626c6e218fd3b5dd847a0da4bf00a53686b960b2cf7f42",
+        "T(F11)":
+            "99d81fca70e46534f1e82f9bd84661d6483a3399b51bbab334f8986a027dce6f",
+    },
+    11: {
+        "<diag(w,w^3)>(F11)":
+            "2f4395a8c5838a084532b1dac819a99185f6cb25233cbce7ce010e9346d712a9",
+        "SL2(F11)":
+            "1e278ae52173bc8922df05a24ac8eef3299b8601376b680e9fbb4b2f1513f0cd",
+        "SL2(F11)^2":
+            "d2351e1e08d4de4bad2bacf67cf534533f598323e83bda8fc0b6be8086c692dd",
+        "SL2(F13)":
+            "af33b538bc015611f6ded4ba494c5b929cb00e5a11426eac179aafee60c7e203",
+        "SL2(F17)":
+            "fd987bc766aaaea4b59ddcd8d83460648a82ceae9fe991ea3c92f693988d8c0b",
+        "SL2(F19)":
+            "9c1c1b13f7f7cc999df1850870ca1314258b72191dce96d48c74f9cd3f18e8f1",
+        "SL2(F23)":
+            "a75657787b7076840d0e7e8762e158d4252a443b0d764fefa1304f76ae2c52ad",
+        "SL3(F3)":
+            "909971ae99fc270b5187f1490eb688f5c539779c2da194476857c4e24e336640",
+        "SO3(F11)":
+            "44d4c4646276f5717680c4574176b15e69386c602ec4416b461c286cb1e1b13b",
+        "SO3(F13)":
+            "8f410313b3217db02a30086fb9acfa687f4197575aa35584b448b4d95297b953",
+        "SO3(F7)":
+            "771bf1664b858ee22b84464d65c78cb0957b81f2f3d875d031288884d06dfe99",
+        "T(F11)":
+            "13f5639b5a02a68d172d4301b1f4c22420662fd03f972d470860a2115f60446d",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_envelope_closures_keep_their_bytes(seed, tmp_path):
+    jobs = _load("workloads").build_jobs("envelope", seed, str(tmp_path))
+    got = {}
+    for i, job in enumerate(jobs):
+        G = FinMatGroup.from_json((tmp_path / f"envelope-{i}.json").read_text())
+        G.closure()
+        digest = hashlib.sha256()
+        for a in (G._elements, G._parent, G._gen, G._right):
+            digest.update(repr(a.shape).encode() + a.tobytes())
+        got[job.name] = digest.hexdigest()
+    assert got == CLOSURE_DIGESTS[seed]

@@ -173,6 +173,19 @@ def test_meataxe_verdicts():
     assert np.asarray(verdict).shape[1] == 2
 
 
+def test_norton_witnesses_compare_and_hash_by_their_bytes():
+    # the 2-dim irreducible of D5 over F_11, twice: two modules, one seed
+    fld = field_make(11, 1)
+    action = np.array([[[0, 10], [1, 7]], [[0, 1], [1, 0]]], dtype=np.int64)
+    first, second = (meataxe_split(ModuleRep(fld, action), seed=5) for _ in range(2))
+    assert first is not second and isinstance(first.algebra_element, np.ndarray)
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    other = IrreducibleWitness((first.algebra_element + 1) % 11, first.factor_degree)
+    assert other != first and first != IrreducibleWitness(None, first.factor_degree)
+    assert repr(first).startswith("IrreducibleWitness(algebra_element=array(")
+
+
 def counting_draws(monkeypatch):
     """Count _random_algebra_element calls, the MeatAxe's draws."""
     calls, draw = [], fieldcore._random_algebra_element
@@ -346,24 +359,44 @@ def small_groups(draw):
     return FinMatGroup(fld, gens)
 
 
+# the bound on the code space below which closure numbers its products by a
+# table, and 0, which forces the byte-key dict on every group
+NUMBERINGS = [fieldcore.DENSE_CODES, 0]
+
+
+def closed_by(bound, G, cap=fieldcore.DEFAULT_CLOSURE_CAP):
+    """A fresh copy of G, closed with the code-space bound monkeypatched to
+    bound."""
+    H = FinMatGroup(G.field, G.generators)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldcore, "DENSE_CODES", bound)
+        H.closure(cap)
+    return H
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_groups(), st.integers(1, 400))
 def test_closure_matches_reference_bfs(G, cap):
+    """On both numberings: the table (every small_groups code space is at
+    most 3^9) and the dict."""
     try:
         elements, words = reference_closure(G, cap)
     except ClosureOverflow:
-        with pytest.raises(ClosureOverflow):
-            G.closure(cap)
+        for bound in NUMBERINGS:
+            with pytest.raises(ClosureOverflow):
+                closed_by(bound, G, cap)
         return
-    closed = G.closure(cap)
-    assert len(closed) == len(elements)
-    assert closure_mats(G) == elements
-    assert [G.word_for(e) for e in elements] == words
-    # the cap is exact: order elements fit, one fewer does not
-    assert len(FinMatGroup(G.field, G.generators).closure(len(elements))) == len(elements)
-    if len(elements) > 1:
-        with pytest.raises(ClosureOverflow):
-            FinMatGroup(G.field, G.generators).closure(len(elements) - 1)
+    for bound in NUMBERINGS:
+        H = closed_by(bound, G, cap)
+        assert (H._table is not None) == (bound > 0)
+        assert len(H.closure()) == len(elements)
+        assert closure_mats(H) == elements
+        assert [H.word_for(e) for e in elements] == words
+        # the cap is exact: order elements fit, one fewer does not
+        assert len(closed_by(bound, G, len(elements)).closure()) == len(elements)
+        if len(elements) > 1:
+            with pytest.raises(ClosureOverflow):
+                closed_by(bound, G, len(elements) - 1)
 
 
 def test_closure_is_a_read_only_stack_that_indices_inverts():
@@ -381,20 +414,78 @@ def test_closure_is_a_read_only_stack_that_indices_inverts():
 @given(small_groups(), st.data())
 def test_indices_match_per_mat_membership(G, data):
     """indices against a dict of Mats, on members, non-members (-1) and the
-    empty stack."""
+    empty stack, on both numberings."""
+    q, n = G.field.q, G.n
     closed = G.closure()
     members = {Mat(G.field, x): i for i, x in enumerate(closed)}
-    q, n = G.field.q, G.n
     member = st.integers(0, len(closed) - 1).map(lambda i: Mat(G.field, closed[i]))
     anything = st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n).map(
         lambda flat: Mat(G.field, np.reshape(flat, (n, n))))
     mats = data.draw(st.lists(member | anything, max_size=6))
     stack = np.array([m.array for m in mats], dtype=np.int64).reshape(-1, n, n)
     expect = [members.get(m, -1) for m in mats]
-    assert G.indices(stack).tolist() == expect
-    assert [m in G for m in mats] == [i >= 0 for i in expect]
-    assert G.indices(stack.reshape(1, -1, n, n)).shape == (1, len(mats))
-    assert G.indices(np.zeros((0, n, n), dtype=np.int64)).shape == (0,)
+    for bound in NUMBERINGS:
+        H = closed_by(bound, G)
+        assert H.indices(stack).tolist() == expect
+        assert [m in H for m in mats] == [i >= 0 for i in expect]
+        assert H.indices(stack.reshape(1, -1, n, n)).shape == (1, len(mats))
+        assert H.indices(np.zeros((0, n, n), dtype=np.int64)).shape == (0,)
+
+
+def closure_bytes(H):
+    """The bytes of everything a closure builds and the tables read off it."""
+    arrays = (H._elements, H._parent, H._gen, H._right, H._slot, H.inverse, H.left,
+              *H.classes)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.integers(1, 400))
+def test_both_numberings_build_the_same_closure(G, cap):
+    """Byte-equal closures and index tables from the table and the dict, and
+    the same ClosureOverflow at the drawn cap, at order - 1 and at order."""
+    order = closed_by(0, G).order
+    for cap in {cap, max(order - 1, 1), order}:
+        outcomes = []
+        for bound in NUMBERINGS:
+            try:
+                outcomes.append(closure_bytes(closed_by(bound, G, cap)))
+            except ClosureOverflow as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (cap < order)
+
+
+@pytest.mark.parametrize("bound", NUMBERINGS)
+def test_indices_miss_what_would_alias(bound):
+    # over F_7, [[8, 1], [0, 1]] has the base-7 code of [[1, 2], [0, 1]] and
+    # [[-6, 0], [0, 1]] that of [[1, 6], [6, 0]], both in GL2(F_7); a stack
+    # of 1 x 1 or 4 x 1 matrices is no stack of 2 x 2 ones, though the 4 x 1
+    # ones have the byte width of 2 x 2 ones
+    fld = field_make(7, 1)
+    G = closed_by(bound, FinMatGroup(fld, [[[1, 1], [0, 1]], [[1, 0], [1, 1]],
+                                           [[3, 0], [0, 1]]]))
+    assert G.order == 48 * 42 and (G._table is not None) == (bound > 0)
+    aliases = np.array([[[1, 2], [0, 1]], [[1, 6], [6, 0]]])
+    assert (G.indices(aliases) >= 0).all()
+    stack = np.array([[[8, 1], [0, 1]], [[1, 2], [0, 1]], [[-6, 0], [0, 1]]])
+    assert G.indices(stack).tolist() == [-1, int(G.indices(aliases[0])), -1]
+    assert G.indices(np.ones((3, 1, 1), dtype=np.int64)).tolist() == [-1, -1, -1]
+    assert G.indices(aliases.reshape(2, 4, 1)).tolist() == [-1, -1]
+    assert G.indices(np.ones((2, 3, 2, 2), dtype=np.int64)[..., :1]).shape == (2, 3)
+
+
+def test_least_numbers_keeps_each_codes_least_number_in_any_order():
+    # numbers in descending order, so a scatter that kept the last write
+    # would leave each repeated code its greatest number; -1 read unsigned
+    # is above every number, and a code already held keeps a smaller entry
+    table = np.full(8, -1, np.int32)
+    table[5] = 3
+    codes = np.array([2, 6, 2, 5, 6, 2])
+    numbers = np.arange(20, 14, -1, dtype=np.uint32)
+    got = fieldcore._least_numbers(table.view(np.uint32), codes, numbers)
+    assert got.tolist() == [15, 16, 15, 3, 16, 15]
+    assert table.tolist() == [-1, -1, 15, -1, -1, 3, 16, -1]
 
 
 # -- modules: one (k, m, m) action stack --
