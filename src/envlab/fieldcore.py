@@ -6,10 +6,12 @@ over whole frontiers, one stacked GF.matmul per layer, that returns the
 group as a read-only (N, n, n) element stack, with a parent vector for
 words and the right Cayley table on the generators that its lookups
 found.  It numbers each layer's products by direct addressing where the
-q^(n^2) base-q codes of n x n matrices are at most DENSE_CODES (2^20): an
-int32 table indexed by code, one np.minimum.at per layer; above that it
-keys a dict by each matrix's bytes.  Both give the same closure, byte for
-byte.  FinMatGroup.indices, the one membership lookup, maps any stack to
+q^(n^2) base-q codes of n x n matrices are at most DENSE_CODES (2^19): an
+int32 table indexed by code, one np.minimum.at per layer, that a group
+keeps to itself up to OWN_CODES (2^12) codes and that the groups closed
+over a larger code space share; above DENSE_CODES it keys a dict by each
+matrix's bytes.  Both give the same closure, byte for byte.
+FinMatGroup.indices, the one membership lookup, maps any stack to
 closure indices through whichever the closure built.  A subgroup of a
 closed group is found in its index space (index_subgroup, grow_mask): a
 mask over the closure grown under right rows read from the Cayley table,
@@ -81,6 +83,7 @@ draws from one.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache, reduce
 from itertools import count, repeat
@@ -98,7 +101,10 @@ DEFAULT_MEATAXE_BUDGET = 200
 DEFAULT_CLOSURE_CAP = 10 ** 7
 # the most base-q codes of n x n matrices that FinMatGroup.closure numbers
 # through a table indexed by code; above it, a dict keyed by bytes
-DENSE_CODES = 2 ** 20
+DENSE_CODES = 2 ** 19
+# the most codes of a table that a closed group keeps to itself; larger
+# tables are shared by the groups closed over their code space
+OWN_CODES = 2 ** 12
 
 
 def _canonical(fld: GF, array) -> np.ndarray:
@@ -186,13 +192,40 @@ def _code_powers(q: int, n: int):
             _read_only(np.array(q, np.uint64)))
 
 
-def _least_numbers(table, codes, numbers) -> np.ndarray:
-    """Each code's entry in table becomes the least of it and the code's
-    numbers, in whatever order they come, and the entries of codes come
-    back: np.minimum.at, where a scatter would leave open which of a
-    repeated code's numbers stays."""
-    np.minimum.at(table, codes, numbers)
-    return table[codes]
+class _CodeTable:
+    """An int32 table over the q^(n^2) base-q codes of n x n matrices,
+    through which closure numbers its products.  It leaves each member's
+    product number at the member's code and -1 elsewhere, and holds that
+    group until hold gives it to another group closed on it, clearing
+    the codes written and writing that group's.  One group, or all the
+    groups closed over one code space (_shared_table), use a table."""
+
+    def __init__(self, q: int, n: int):
+        self.weights, self.identity, self.top = _code_powers(q, n)
+        # -1 read unsigned lies above every product number; the last entry,
+        # never a code, stays -1 for indices to point at
+        self.numbers = np.full(q ** (n * n) + 1, -1, np.int32)
+        # a weak reference to the group held, and the code arrays written
+        self.holder, self.written = None, []
+
+    def clear(self) -> np.ndarray:
+        """numbers, -1 at every entry again."""
+        for codes in self.written:
+            self.numbers[codes] = -1
+        self.holder, self.written = None, []
+        return self.numbers
+
+    def hold(self, group: "FinMatGroup") -> np.ndarray:
+        """numbers, holding group."""
+        if self.holder is None or self.holder() is not group:
+            codes = group._elements.reshape(len(group._elements), -1) @ self.weights
+            self.clear()[codes] = np.flatnonzero(group._slot[:-1] >= 0)
+            self.holder, self.written = weakref.ref(group), [codes]
+        return self.numbers
+
+
+# the table that the groups closed over one code space share
+_shared_table = lru_cache(maxsize=1)(_CodeTable)
 
 
 def grow_mask(mask, rows) -> np.ndarray:
@@ -251,8 +284,8 @@ class FinMatGroup:
         self._parent = None
         self._gen = None
         self._index = None
-        # the dense numbering's table, code weights and entry bound
-        self._table = self._powers = self._top = None
+        # the _CodeTable that closure numbered through, if it used one
+        self._table = None
         self._slot = None
         self._right = None
         self._gens_inv = None
@@ -293,10 +326,14 @@ class FinMatGroup:
         Products are numbered in that order, the identity being product 0,
         and each matrix takes the number of the first product that had it.
         Where the q^(n^2) base-q codes of n x n matrices number at most
-        DENSE_CODES, an int32 table indexed by code holds those numbers
-        (_table, entered by _least_numbers), with no hash and no sort;
-        above that bound a dict keyed by each matrix's bytes does (_index).
-        Both number alike, so the closure is the same byte for byte."""
+        DENSE_CODES, an int32 table indexed by code holds those numbers,
+        entered by one np.minimum.at per layer, with no hash and no sort:
+        a _CodeTable (_table) of the group's own if it has at most
+        OWN_CODES entries, else the one that the closures over the code
+        space share, which holds this group until another takes it.
+        Above DENSE_CODES a dict keyed by each matrix's bytes holds the
+        numbers (_index).  Both number alike, so the closure is the same
+        byte for byte."""
         if self._elements is not None:
             return self._elements
         if self.n is None:
@@ -306,12 +343,12 @@ class FinMatGroup:
         frontier = fld.eye(n)[None]
         index = dense = None
         if space <= DENSE_CODES and k * space < 2 ** 31:
-            # -1 read unsigned lies above every product number; the last
-            # entry, never a code, stays -1 for indices to point at
-            self._powers, identity, self._top = _code_powers(fld.q, n)
-            dense = np.full(space + 1, -1, np.int32)
-            table, kind = dense.view(np.uint32), np.uint32
-            table[identity] = 0
+            dense = _CodeTable(fld.q, n) if space <= OWN_CODES else _shared_table(fld.q, n)
+            table, kind = dense.clear().view(np.uint32), np.uint32
+            table[dense.identity] = 0
+            # every product's code, so that a closure cut short leaves the
+            # table clearable
+            dense.written.append(np.array([dense.identity]))
         else:
             index, kind = dict.fromkeys(_keys(frontier), 0), np.int64
         layers, parents, gen_idx = [frontier], [np.array([0])], [np.array([-1])]
@@ -321,7 +358,11 @@ class FinMatGroup:
             prods = fld.matmul(frontier[:, None], gens[None]).reshape(-1, n, n)
             own = np.arange(made, made + len(prods), dtype=kind)
             if index is None:
-                got = _least_numbers(table, prods.reshape(-1, n * n) @ self._powers, own)
+                # each code keeps the least of its numbers, its first
+                # product's, whatever order NumPy scatters in
+                dense.written.append(codes := prods.reshape(-1, n * n) @ dense.weights)
+                np.minimum.at(table, codes, own)
+                got = table[codes]
             else:
                 # one setdefault per product both looks a product up and
                 # numbers it if it is new
@@ -352,6 +393,8 @@ class FinMatGroup:
             raise ValidationError("generator is not invertible")
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_idx)
+        if index is None:
+            dense.holder = weakref.ref(self)
         self._index, self._table = index, dense
         self._elements = np.concatenate(layers)
         self._elements.setflags(write=False)
@@ -380,12 +423,12 @@ class FinMatGroup:
             found = np.fromiter(map(self._index.get, keys, repeat(-1)), np.int64, len(keys))
         else:
             flat = stack.reshape(-1, self.n * self.n)
-            codes = flat.dot(self._powers)
+            codes = flat.dot(self._table.weights)
             # a matrix with an entry outside [0, q) would alias another's
             # code: it reads the table's spare last entry, a miss
-            if np.count_nonzero(outside := flat.view(np.uint64) >= self._top):
+            if np.count_nonzero(outside := flat.view(np.uint64) >= self._table.top):
                 codes[outside.any(axis=1)] = -1
-            found = self._table[codes]
+            found = self._table.hold(self)[codes]
         return self._slot[found].reshape(stack.shape[:-2])
 
     def members(self, stack) -> np.ndarray:

@@ -359,44 +359,53 @@ def small_groups(draw):
     return FinMatGroup(fld, gens)
 
 
-# the bound on the code space below which closure numbers its products by a
-# table, and 0, which forces the byte-key dict on every group
-NUMBERINGS = [fieldcore.DENSE_CODES, 0]
+# (DENSE_CODES, OWN_CODES) for each numbering: a table of the group's own
+# and a shared one (every small_groups code space is at most 3^9, within
+# the table bound), and the byte-key dict
+NUMBERINGS = {"own": (fieldcore.DENSE_CODES, fieldcore.DENSE_CODES),
+              "shared": (fieldcore.DENSE_CODES, 0), "dict": (0, 0)}
 
 
-def closed_by(bound, G, cap=fieldcore.DEFAULT_CLOSURE_CAP):
-    """A fresh copy of G, closed with the code-space bound monkeypatched to
-    bound."""
+def closed_by(name, G, cap=fieldcore.DEFAULT_CLOSURE_CAP):
+    """A fresh copy of G, closed on the named numbering: DENSE_CODES and
+    OWN_CODES monkeypatched to its bounds."""
     H = FinMatGroup(G.field, G.generators)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fieldcore, "DENSE_CODES", bound)
+        patch.setattr(fieldcore, "DENSE_CODES", NUMBERINGS[name][0])
+        patch.setattr(fieldcore, "OWN_CODES", NUMBERINGS[name][1])
         H.closure(cap)
     return H
+
+
+def numbering(H):
+    """The numbering that H's closure used."""
+    if H._table is None:
+        return "dict"
+    return "shared" if H._table is fieldcore._shared_table(H.field.q, H.n) else "own"
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_groups(), st.integers(1, 400))
 def test_closure_matches_reference_bfs(G, cap):
-    """On both numberings: the table (every small_groups code space is at
-    most 3^9) and the dict."""
+    """On every numbering."""
     try:
         elements, words = reference_closure(G, cap)
     except ClosureOverflow:
-        for bound in NUMBERINGS:
+        for name in NUMBERINGS:
             with pytest.raises(ClosureOverflow):
-                closed_by(bound, G, cap)
+                closed_by(name, G, cap)
         return
-    for bound in NUMBERINGS:
-        H = closed_by(bound, G, cap)
-        assert (H._table is not None) == (bound > 0)
+    for name in NUMBERINGS:
+        H = closed_by(name, G, cap)
+        assert numbering(H) == name
         assert len(H.closure()) == len(elements)
         assert closure_mats(H) == elements
         assert [H.word_for(e) for e in elements] == words
         # the cap is exact: order elements fit, one fewer does not
-        assert len(closed_by(bound, G, len(elements)).closure()) == len(elements)
+        assert len(closed_by(name, G, len(elements)).closure()) == len(elements)
         if len(elements) > 1:
             with pytest.raises(ClosureOverflow):
-                closed_by(bound, G, len(elements) - 1)
+                closed_by(name, G, len(elements) - 1)
 
 
 def test_closure_is_a_read_only_stack_that_indices_inverts():
@@ -414,7 +423,7 @@ def test_closure_is_a_read_only_stack_that_indices_inverts():
 @given(small_groups(), st.data())
 def test_indices_match_per_mat_membership(G, data):
     """indices against a dict of Mats, on members, non-members (-1) and the
-    empty stack, on both numberings."""
+    empty stack, on every numbering."""
     q, n = G.field.q, G.n
     closed = G.closure()
     members = {Mat(G.field, x): i for i, x in enumerate(closed)}
@@ -424,8 +433,8 @@ def test_indices_match_per_mat_membership(G, data):
     mats = data.draw(st.lists(member | anything, max_size=6))
     stack = np.array([m.array for m in mats], dtype=np.int64).reshape(-1, n, n)
     expect = [members.get(m, -1) for m in mats]
-    for bound in NUMBERINGS:
-        H = closed_by(bound, G)
+    for name in NUMBERINGS:
+        H = closed_by(name, G)
         assert H.indices(stack).tolist() == expect
         assert [m in H for m in mats] == [i >= 0 for i in expect]
         assert H.indices(stack.reshape(1, -1, n, n)).shape == (1, len(mats))
@@ -441,31 +450,33 @@ def closure_bytes(H):
 
 @settings(max_examples=60, deadline=None)
 @given(small_groups(), st.integers(1, 400))
-def test_both_numberings_build_the_same_closure(G, cap):
-    """Byte-equal closures and index tables from the table and the dict, and
-    the same ClosureOverflow at the drawn cap, at order - 1 and at order."""
-    order = closed_by(0, G).order
+def test_numberings_build_the_same_closure(G, cap):
+    """Byte-equal closures and index tables from every numbering, and the
+    same ClosureOverflow at the drawn cap, at order - 1 and at order.  The
+    tables keep each code's first product number however NumPy orders a
+    layer's scatter, or the closures would differ from the dict's."""
+    order = closed_by("dict", G).order
     for cap in {cap, max(order - 1, 1), order}:
         outcomes = []
-        for bound in NUMBERINGS:
+        for name in NUMBERINGS:
             try:
-                outcomes.append(closure_bytes(closed_by(bound, G, cap)))
+                outcomes.append(closure_bytes(closed_by(name, G, cap)))
             except ClosureOverflow as err:
                 outcomes.append(str(err))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
         assert isinstance(outcomes[0], str) == (cap < order)
 
 
-@pytest.mark.parametrize("bound", NUMBERINGS)
-def test_indices_miss_what_would_alias(bound):
+@pytest.mark.parametrize("name", NUMBERINGS)
+def test_indices_miss_what_would_alias(name):
     # over F_7, [[8, 1], [0, 1]] has the base-7 code of [[1, 2], [0, 1]] and
     # [[-6, 0], [0, 1]] that of [[1, 6], [6, 0]], both in GL2(F_7); a stack
     # of 1 x 1 or 4 x 1 matrices is no stack of 2 x 2 ones, though the 4 x 1
     # ones have the byte width of 2 x 2 ones
     fld = field_make(7, 1)
-    G = closed_by(bound, FinMatGroup(fld, [[[1, 1], [0, 1]], [[1, 0], [1, 1]],
-                                           [[3, 0], [0, 1]]]))
-    assert G.order == 48 * 42 and (G._table is not None) == (bound > 0)
+    G = closed_by(name, FinMatGroup(fld, [[[1, 1], [0, 1]], [[1, 0], [1, 1]],
+                                          [[3, 0], [0, 1]]]))
+    assert G.order == 48 * 42 and numbering(G) == name
     aliases = np.array([[[1, 2], [0, 1]], [[1, 6], [6, 0]]])
     assert (G.indices(aliases) >= 0).all()
     stack = np.array([[[8, 1], [0, 1]], [[1, 2], [0, 1]], [[-6, 0], [0, 1]]])
@@ -475,17 +486,34 @@ def test_indices_miss_what_would_alias(bound):
     assert G.indices(np.ones((2, 3, 2, 2), dtype=np.int64)[..., :1]).shape == (2, 3)
 
 
-def test_least_numbers_keeps_each_codes_least_number_in_any_order():
-    # numbers in descending order, so a scatter that kept the last write
-    # would leave each repeated code its greatest number; -1 read unsigned
-    # is above every number, and a code already held keeps a smaller entry
-    table = np.full(8, -1, np.int32)
-    table[5] = 3
-    codes = np.array([2, 6, 2, 5, 6, 2])
-    numbers = np.arange(20, 14, -1, dtype=np.uint32)
-    got = fieldcore._least_numbers(table.view(np.uint32), codes, numbers)
-    assert got.tolist() == [15, 16, 15, 3, 16, 15]
-    assert table.tolist() == [-1, -1, 15, -1, -1, 3, 16, -1]
+def test_a_shared_table_passes_between_groups(monkeypatch):
+    """Groups closed over one code space share its table: lookups that
+    alternate between them, a closure cut short on the table and a holder
+    that is gone all leave every group's indices right."""
+    monkeypatch.setattr(fieldcore, "OWN_CODES", 0)
+    fld = field_make(7, 1)
+    G = FinMatGroup(fld, [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[3, 0], [0, 1]]])
+    elems = G.closure()
+    H = FinMatGroup(fld, [[[1, 1], [0, 1]]])
+    K = FinMatGroup(fld, [[[3, 0], [0, 1]]])
+    inside = {H: elems[G.indices(H.closure())], K: elems[G.indices(K.closure())]}
+    assert numbering(G) == numbering(H) == numbering(K) == "shared"
+    assert G._table is H._table is K._table
+    for _ in range(2):
+        for X in (G, H, K):
+            got = X.indices(elems)
+            assert (got >= 0).sum() == X.order
+            assert (X.closure()[got[got >= 0]] == elems[got >= 0]).all()
+            assert (X.indices(inside.get(X, elems)) == np.arange(X.order)).all()
+    with pytest.raises(ClosureOverflow):
+        FinMatGroup(fld, G.generators).closure(100)
+    assert (G.indices(elems) == np.arange(G.order)).all()
+    assert (H.indices(inside[H]) == np.arange(7)).all()
+    del H, inside
+    L = FinMatGroup(fld, [[[1, 0], [1, 1]]])
+    L.closure()
+    assert (G.indices(elems) == np.arange(G.order)).all()
+    assert (L.indices(L.closure()) == np.arange(7)).all()
 
 
 # -- modules: one (k, m, m) action stack --
