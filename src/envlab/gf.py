@@ -5,11 +5,15 @@ digits are the coefficients of the element with respect to the power basis
 of the canonical modulus.  Matrices and vectors are numpy int64 arrays of
 such encodings, and every operation is vectorized over them.  A prime
 field (d = 1) computes on the integers mod ell.  An extension field
-(d > 1, q <= 2^16) builds exp, log and Zech-logarithm tables once, to the
-base of its least primitive element: a product is one gather at a sum of
-logs, a sum one Zech lookup, and a matrix product takes one gathered
-product and one Zech sum per step of the inner dimension.  The encodings
-do not depend on the tables.
+(d > 1, q <= 2^16) builds exp and log tables once, to the base of its
+least primitive element, with the log of 0 past the end of the powers: a
+product is one gather at a sum of logs, zero factors included.  A sum is
+digit-wise mod ell on the encodings (Lidl & Niederreiter, Finite Fields,
+ch. 2), with no Zech logarithm: an XOR over ell = 2, and otherwise an
+integer sum of the digits packed into bit fields too wide to carry, read
+back through small tables.  A matrix product is one broadcast log sum and
+one gather over all its products, added over the inner index.  The
+encodings do not depend on the tables.
 
 The canonical modulus of GF(ell^d) is the monic irreducible polynomial of
 degree d whose coefficient vector (c_0, ..., c_{d-1}) has the least encoded
@@ -178,12 +182,19 @@ class GF:
     All array-valued methods accept and return numpy int64 arrays of
     encoded elements and broadcast like ordinary numpy arithmetic.  A
     prime field computes on the integers mod ell, so a product of two
-    elements must fit: (q - 1)^2 < 2^63.  GF(ell^d), d > 1, computes on
-    logarithms to the base g of its least primitive element (the MeatAxe
-    convention: Parker 1984; Holt & Rees 1994), with three tables built
-    once: exp (g^i for 0 <= i < 2(q - 1)), log, and the Zech logarithms
-    Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)); zeros are
-    masked.  The tables hold O(q) entries, so d > 1 needs q <= 2^16.
+    elements must fit: (q - 1)^2 < 2^63.  GF(ell^d), d > 1, multiplies
+    through logarithms to the base g of its least primitive element (the
+    MeatAxe convention: Parker 1984; Holt & Rees 1994): exp holds g^i for
+    0 <= i < 2(q - 1) and then zeros up to 4(q - 1), and log 0 is
+    2(q - 1), so exp[log a + log b] = a b with no zero mask.  Its numpy
+    sums go digit by digit with no carry: XOR over ell = 2; over odd ell,
+    integer sums of the digits packed into fields of w bits, w the bit
+    length of (terms)(ell - 1) capped at 10 and at 63 / d, decoded through
+    tables of at most 2^10 entries, and past the cap decoded and packed
+    again every kmax terms.  The python scalar and row operations add
+    through the Zech logarithms Z(k) = log(1 + g^k), so that
+    g^i + g^j = g^(i + Z(j - i)).  The tables hold O(q) entries, so d > 1
+    needs q <= 2^16.
     """
 
     def __init__(self, ell: int, d: int = 1, modulus: tuple[int, ...] | None = None):
@@ -238,12 +249,58 @@ class GF:
                 break
         self._primitive = g
         powers = cycle @ place
-        self._exp = np.concatenate([powers, powers])
-        self._log = np.zeros(self.q, dtype=np.int64)  # log 0 is never read unmasked
+        # log 0 lies past the end at 2(q - 1), and exp is 0 from there, so
+        # a product with a zero factor is a log sum that reads 0
+        self._exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, np.int64)])
+        self._log = np.full(self.q, 2 * n, dtype=np.int64)
         self._log[powers] = np.arange(n)
         self._zech = self._log[powers - powers % ell + (powers + 1) % ell]
         self._log_minus_one = int(self._log[ell - 1])  # -1 is the encoding ell - 1
         self._zech[self._log_minus_one] = -1  # 1 + g^k = 0: the sum is zero
+        self._packings = {}
+
+    def _packing(self, terms):
+        """(kmax, pack, pexp, decode) for sums of up to `terms` elements
+        over an odd ell: pack[a] holds a's base-ell digits in fields of
+        w bits, pexp = pack[exp], and decode reads a sum of at most kmax
+        packed elements back to an encoding, through tables of at most
+        2^10 entries that each reduce a group of fields mod ell."""
+        ell, d = self.ell, self.d
+        w = min((max(terms, 2) * (ell - 1)).bit_length(), 10, 63 // d)
+        if w not in self._packings:
+            digits = np.arange(self.q)[:, None] // ell ** np.arange(d) % ell
+            pack = digits @ (1 << w * np.arange(d))
+            group, tables = 10 // w, []
+            for lo in range(0, d, group):
+                k = min(group, d - lo)
+                fields = np.arange(1 << w * k)[:, None] >> w * np.arange(k) & (1 << w) - 1
+                tables.append((w * lo, fields % ell @ ell ** np.arange(lo, lo + k)))
+            low = tables[0][1]
+
+            def decode(S):  # S, an int64 array, is overwritten
+                high = [table.take(S >> shift & len(table) - 1) for shift, table in tables[1:]]
+                if high:
+                    S &= len(low) - 1
+                out = low.take(S, out=S, mode="clip")
+                for part in high:
+                    out += part
+                return out
+
+            self._packings[w] = (((1 << w) - 1) // (ell - 1), pack, pack.take(self._exp), decode)
+        return self._packings[w]
+
+    def _sum_products(self, logs):
+        """The sum over the first axis of the products with these logs
+        (overwritten), digit by digit with no carry: XOR over ell = 2, else
+        packed digits added as integers, decoded and packed again every
+        kmax terms."""
+        if self.ell == 2:
+            return np.bitwise_xor.reduce(self._exp.take(logs, out=logs, mode="clip"), axis=0)
+        kmax, pack, pexp, decode = self._packing(len(logs))
+        S = pexp.take(logs, out=logs, mode="clip")
+        while len(S) > kmax:
+            S = pack.take(decode(np.add.reduceat(S, np.arange(0, len(S), kmax), axis=0)))
+        return decode(S.sum(axis=0))
 
     # -- identity / representation --
 
@@ -266,43 +323,38 @@ class GF:
 
     # -- elementwise arithmetic --
 
-    def _zech_sum(self, a, b):
-        """a + b over GF(ell^d), d > 1, for int64 arrays of encodings."""
-        la = self._log[a]
-        z = self._zech[self._log[b] - la]  # a negative difference wraps: Z has period q - 1
-        s = np.asarray(self._exp[la + z])
-        s[z < 0] = 0
-        np.copyto(s, b, where=a == 0)
-        np.copyto(s, a, where=b == 0)
-        return s
-
     def add(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
         if self.d == 1:
-            return (np.asarray(a) + np.asarray(b)) % self.ell
-        return self._zech_sum(np.asarray(a), np.asarray(b))
+            return (a + b) % self.ell
+        if self.ell == 2:
+            return a ^ b
+        _, pack, _, decode = self._packing(2)
+        return decode(np.asarray(pack.take(a) + pack.take(b)))  # an array even for scalars
 
     def sub(self, a, b):
         if self.d == 1:
             return (np.asarray(a) - np.asarray(b)) % self.ell
-        return self._zech_sum(np.asarray(a), self.neg(b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.d == 1:
-            return (-np.asarray(a)) % self.ell
         a = np.asarray(a)
-        return np.where(a == 0, 0, self._exp[self._log[a] + self._log_minus_one])
+        if self.d == 1:
+            return (-a) % self.ell
+        if self.ell == 2:
+            return a.copy()
+        return self._exp.take(self._log.take(a) + self._log_minus_one)
 
     def mul(self, a, b):
         if self.d == 1:
             return (np.asarray(a) * np.asarray(b)) % self.ell
-        a, b = np.asarray(a), np.asarray(b)
-        return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     @functools.cached_property
     def _table_lists(self):
         """Python-list views of the exp, log and Zech tables (d > 1), made
         once for the scalar and row operations."""
-        return self._exp.tolist(), self._log.tolist(), self._zech.tolist()
+        return self._exp[:2 * (self.q - 1)].tolist(), self._log.tolist(), self._zech.tolist()
 
     @functools.cached_property
     def scalar_ops(self):
@@ -379,21 +431,12 @@ class GF:
             return (A @ B) % self.ell
         if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
             raise ValueError(f"matmul of shapes {A.shape} and {B.shape}")
-        # one gathered product and one Zech sum per step of the inner
-        # dimension; log 0 becomes 2(q - 1), so a product with a zero
-        # factor is exactly a log sum past the end of the exp table
-        past = 2 * (self.q - 1)
-        LA, LB = self._log[A], self._log[B]
-        LA[A == 0] = past
-        LB[B == 0] = past
-        out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-                       + (A.shape[-2], B.shape[-1]), dtype=np.int64)
-        for t in range(A.shape[-1]):
-            logs = LA[..., :, t, None] + LB[..., None, t, :]
-            p = self._exp.take(logs, mode="clip")
-            p[logs >= past] = 0
-            out = self._zech_sum(out, p) if t else p
-        return out
+        # the logs of all products, inner index first, so whole slices add
+        A, B = A[(None,) * (B.ndim - A.ndim)], B[(None,) * (A.ndim - B.ndim)]
+        lead = range(A.ndim - 2)
+        return self._sum_products(np.add(self._log.take(A).transpose(-1, *lead, -2)[..., None],
+                                         self._log.take(B).transpose(-2, *lead, -1)[..., None, :],
+                                         order="C"))
 
     def inv(self, a: int) -> int:
         a = int(a)

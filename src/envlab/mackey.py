@@ -20,9 +20,9 @@ Modules and transversals stay stacks; a Mat is built only where a public
 value is one matrix, as when the failing_rep of a MackeyVerdict is read.
 all_subgroups enumerates subgroups as rows of one boolean mask matrix
 over the closure of the ambient group, which is the only group it
-closes, joining all the pairs of a round in one grow_mask, and records
-each group it returns on the ambient group by its generator shape and
-bytes:
+closes, joining the pairs of a round by grow_mask in chunks of bounded
+size, and records each group it returns on the ambient group by its
+generator shape and bytes:
 subgroup_datum and clifford_decompose, given one of those generator
 lists, take that group and whatever closure it already has.  The class
 of G itself is G, whenever it kept G's generator list, and G's own list
@@ -93,6 +93,10 @@ from .fieldcore import (DEFAULT_SEED, EchelonBasis, FinMatGroup, IrreducibleWitn
                         checked_seed, composition_factors, grow_mask, intertwiners,
                         is_irreducible, least_labels, matrix_minpoly, modules_isomorphic, spin)
 from .gf import GF, poly_divmod
+
+# The most entries of one join table of all_subgroups: a round joins its
+# pairs in chunks whose (pairs, 2 width, |G|) tables stay below this.
+JOIN_ENTRIES = 1 << 20
 
 
 def module_value(W: ModuleRep, H: FinMatGroup, stack) -> np.ndarray:
@@ -546,15 +550,15 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
     pair order, every unordered pair that is not nested and has a member
     found in the round before: one product of the mask matrix with its
     complement tests the nesting of all pairs, the joins start from the
-    unions of their rows, and one grow_mask grows them all over as many
-    disjoint copies of G's index space, under the right rows of their
-    generators.  A new subgroup keeps the generators of the first pair
-    that reaches it.  Up to conjugacy, a subgroup is kept unless it is
-    among the conjugates g H g^-1 of one kept before it, which are its row
-    gathered along g^-1 y g, read from the right table and G.inverse.  A
-    subgroup whose generator list is G's is returned as G itself, with its
-    closure, and every group returned shares G's module store
-    (irreducible_modules)."""
+    unions of their rows, and grow_mask grows them over as many disjoint
+    copies of G's index space, under the right rows of their generators,
+    in chunks of pairs whose tables hold at most JOIN_ENTRIES entries.  A
+    new subgroup keeps the generators of the first pair that reaches it.
+    Up to conjugacy, a subgroup is kept unless it is among the conjugates
+    g H g^-1 of one kept before it, which are its row gathered along
+    g^-1 y g, read from the right table and G.inverse.  A subgroup whose
+    generator list is G's is returned as G itself, with its closure, and
+    every group returned shares G's module store (irreducible_modules)."""
     fld, elems = G.field, G.closure()
     N = len(elems)
     right = G.right_rows(range(N))  # right[x, i]: the index of i x
@@ -581,15 +585,19 @@ def all_subgroups(G: FinMatGroup, up_to_conjugacy: bool = True):
             padded = np.zeros((K, width), np.int64)  # the identity pads
             for i, xs in enumerate(gens):
                 padded[i, :len(xs)] = xs
-            pair_gens = np.concatenate([padded[a], padded[b]], axis=1)
-            # pair p's rows shifted into the p-th copy of the index space
-            table = right[pair_gens] + np.arange(0, len(a) * N, N)[:, None, None]
-            grown = grow_mask((masks[a] | masks[b]).ravel(),
-                              table.transpose(1, 0, 2).reshape(2 * width, -1))
-            grown = grown.reshape(-1, N)
-            fresh = _number_new(index, _mask_keys(grown))
-            masks = np.concatenate([masks, grown[fresh]])
-            gens += [gens[i] + gens[j] for i, j in zip(a[fresh].tolist(), b[fresh].tolist())]
+            step, new = max(1, JOIN_ENTRIES // (2 * width * N)), [masks]
+            for lo in range(0, len(a), step):  # in pair order, a bounded table at a time
+                pa, pb = a[lo:lo + step], b[lo:lo + step]
+                pair_gens = np.concatenate([padded[pa], padded[pb]], axis=1)
+                # pair p's rows shifted into the p-th copy of the index space
+                table = right[pair_gens] + np.arange(0, len(pa) * N, N)[:, None, None]
+                grown = grow_mask((masks[pa] | masks[pb]).ravel(),
+                                  table.transpose(1, 0, 2).reshape(2 * width, -1))
+                grown = grown.reshape(-1, N)
+                fresh = _number_new(index, _mask_keys(grown))
+                new.append(grown[fresh])
+                gens += [gens[i] + gens[j] for i, j in zip(pa[fresh].tolist(), pb[fresh].tolist())]
+            masks = np.concatenate(new)
         joined = K
     if up_to_conjugacy:
         # the first subgroup of each class in the order above; the rest

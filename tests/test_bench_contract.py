@@ -470,16 +470,49 @@ CLOSURE_DIGESTS = {
     },
 }
 
+# the same for the extfield groups over GF(ell^d), d > 1, computed before
+# GF's sums went digit by digit: the Zech and the digit sums must build
+# the same closure, byte for byte
+EXTFIELD_CLOSURE_DIGESTS = {
+    7: {
+        "SL2(GF16)":
+            "49909ef4227f08f0f22a0fc9316e8a5ff929c12fdb5ff1dae912f0e8efe8b989",
+        "SL2(GF25)":
+            "6d4b50d992e8ce345d66a2ce6c881f65553074ca4d47f2d3b8faecffbb7ed580",
+        "SL2(GF8)":
+            "7292099168e13cb08075ec71fd563af578fb3ce42b219f7aee69569d1253a528",
+        "SL2(GF9)":
+            "3f5a438f3698089621c800a8123f6931a5e56ad78b66c0f3c290e4b27bbb365d",
+        "SL2(GF9)^2":
+            "0540a585bdf9420b3c4ae8c460bf42ef59815612bc15fe25615546a61ff25e1b",
+    },
+    11: {
+        "SL2(GF16)":
+            "229afc00ae4f76acd64fad13c16bf56b8cf3f63d82c99cec09c2b2f1e4537809",
+        "SL2(GF25)":
+            "9df7ec6b47bd4d8e9e338e7b61a0d92f45c6889e4dea0543a9783c037b0882f2",
+        "SL2(GF8)":
+            "b614b0833dd47b8fabacdd62cec1853e5e866b91a2db105e88406f906939323e",
+        "SL2(GF9)":
+            "01c55b95fca10093ae87698fa791c2446302b0610b2a1f74407abb424b14d2f6",
+        "SL2(GF9)^2":
+            "0c1f2d9b7bd37b8670ffda401328ce942ddee7b007e90be266e65f21afdd5c27",
+    },
+}
 
-@pytest.mark.parametrize("seed", [7, 11])
-def test_envelope_closures_keep_their_bytes(seed, tmp_path):
-    jobs = _load("workloads").build_jobs("envelope", seed, str(tmp_path))
+
+@pytest.mark.parametrize("workload,seed", [
+    pytest.param("envelope", 7, id="7"), pytest.param("envelope", 11, id="11"),
+    pytest.param("extfield", 7, id="extfield-7"), pytest.param("extfield", 11, id="extfield-11")])
+def test_envelope_closures_keep_their_bytes(workload, seed, tmp_path):
+    jobs = _load("workloads").build_jobs(workload, seed, str(tmp_path))
     got = {}
     for i, job in enumerate(jobs):
-        G = FinMatGroup.from_json((tmp_path / f"envelope-{i}.json").read_text())
+        G = FinMatGroup.from_json((tmp_path / f"{workload}-{i}.json").read_text())
         G.closure()
         digest = hashlib.sha256()
         for a in (G._elements, G._parent, G._gen, G._right):
             digest.update(repr(a.shape).encode() + a.tobytes())
         got[job.name] = digest.hexdigest()
-    assert got == CLOSURE_DIGESTS[seed]
+    want = {"envelope": CLOSURE_DIGESTS, "extfield": EXTFIELD_CLOSURE_DIGESTS}[workload]
+    assert got == want[seed]

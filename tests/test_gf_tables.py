@@ -1,8 +1,12 @@
-"""GF(ell^d), d > 1, computes on exp/log/Zech tables.  These tests hold the
-tables to the digit-plane kernel they replaced (tests/digit_planes.py):
+"""GF(ell^d), d > 1, multiplies through exp/log tables and adds digit by
+digit, as XOR over ell = 2 and as packed base-ell digits otherwise; its
+python scalar and row operations add through Zech logarithms.  These tests
+hold all of it to the digit-plane kernel it replaced (tests/digit_planes.py):
 exhaustive operation tables for every such field with q <= 27, hypothesis
-over broadcast stacks and scalars for eight fields up to GF(2^8), and a
-sampled check of GF(2^16), the largest field the tables serve."""
+over broadcast stacks and scalars for eight fields up to GF(2^8), stacks
+and products whose sums pack again past kmax terms over GF(3^10) and
+GF(251^2), long XOR sums over GF(2^16), and a sampled check of GF(2^16),
+the largest field the tables serve."""
 
 import numpy as np
 import pytest
@@ -16,6 +20,14 @@ from envlab.gf import GF, field_make, prime_factors
 
 SMALL_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # every d > 1, q <= 27
 FIELDS = [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (5, 2), (7, 2)]
+# GF(3^10) packs its digits in 6-bit fields, 31 terms at most, and GF(251^2)
+# in 10-bit fields, 4 terms at most, so longer sums decode and pack again
+LARGE_FIELDS = [(3, 10), (251, 2)]
+# (ell, d, least and greatest inner dimension) of matrix products: up to 4
+# over FIELDS, then sums past kmax, XOR sums of 16-24 terms over GF(2^16),
+# and an empty inner dimension
+MATMULS = [pytest.param(ell, d, 0, 4, id=f"{ell}-{d}") for ell, d in FIELDS] + [
+    (3, 10, 32, 40), (251, 2, 1, 13), (2, 16, 16, 24), (5, 2, 0, 0)]
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -31,9 +43,11 @@ def assert_canonical(fld, a):
 
 
 def entries(fld):
-    """Encodings, weighted towards 0, 1 and -1: zeros are masked and
-    -1 is where a Zech logarithm is undefined."""
-    return st.one_of(st.sampled_from([0, 1, fld.ell - 1]), st.integers(0, fld.q - 1))
+    """Encodings, weighted towards 0, 1, -1 and q - 1: 0 has its log past
+    the end of the exp table, -1 is where a Zech logarithm is undefined,
+    and q - 1 has every digit ell - 1, the largest a packed sum adds."""
+    return st.one_of(st.sampled_from([0, 1, fld.ell - 1, fld.q - 1]),
+                     st.integers(0, fld.q - 1))
 
 
 def stacks(fld, shape):
@@ -64,7 +78,7 @@ def test_least_primitive_is_the_least_element_of_full_order(ell, d):
     assert all(ref.order_of(x) < fld.q - 1 for x in range(1, g))
 
 
-@pytest.mark.parametrize("ell,d", FIELDS)
+@pytest.mark.parametrize("ell,d", FIELDS + LARGE_FIELDS)
 @SETTINGS
 @given(data=st.data())
 def test_elementwise_stacks_match_digit_planes(ell, d, data):
@@ -83,17 +97,20 @@ def test_elementwise_stacks_match_digit_planes(ell, d, data):
     assert not fld.sub(A, A).any()
 
 
-@pytest.mark.parametrize("ell,d", FIELDS)
+@pytest.mark.parametrize("ell,d,lo,hi", MATMULS)
 @SETTINGS
 @given(data=st.data())
-def test_matmul_and_kron_stacks_match_digit_planes(ell, d, data):
+def test_matmul_and_kron_stacks_match_digit_planes(ell, d, lo, hi, data):
     fld, ref = fields(ell, d)
-    k, m, t, n = data.draw(dims(0)), data.draw(dims()), data.draw(dims(0, 4)), data.draw(dims())
+    k, m, t, n = data.draw(dims(0)), data.draw(dims()), data.draw(dims(lo, hi)), data.draw(dims())
     A = data.draw(stacks(fld, (k, m, t)))
     B = data.draw(st.one_of(stacks(fld, (k, t, n)), stacks(fld, (t, n))))
     got = fld.matmul(A, B)
     assert_canonical(fld, got)
     assert np.array_equal(got, ref.matmul(A, B))
+    # every product q - 1, so every digit sums to t (ell - 1), the most it can
+    ones, top = np.ones((m, t), np.int64), np.full((t, n), fld.q - 1)
+    assert np.array_equal(fld.matmul(ones, top), ref.matmul(ones, top))
     C = data.draw(stacks(fld, (data.draw(dims()), t, n)))
     assert np.array_equal(fld.matmul(A[:, None], C[None]), ref.matmul(A[:, None], C[None]))
     got = fld.kron(A, B)

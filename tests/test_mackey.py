@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import envlab.mackey
 from corpus import (alternating_group_4, closure_mats, cyclic_group, dihedral_group,
                     heisenberg_mod3_group, mackey_corpus, perm_mat, quaternion_group,
-                    quaternion_group_sl2, symmetric_group)
+                    quaternion_group_sl2, sl2_group, symmetric_group)
 from envlab.errors import (CharDividesIndex, ClosureOverflow, DimensionMismatch,
                            NotIrreducible, NotNormal, NotSemisimple, ValidationError)
 from envlab.fieldcore import (DEFAULT_SEED, FinMatGroup, IrreducibleWitness, Mat, ModuleRep,
@@ -386,6 +386,20 @@ def test_all_subgroups_s4():
     classes = all_subgroups(G)
     assert len(classes) == 11
     assert sorted(H.order for H in classes) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4, 13), lambda: sl2_group(5)],
+                         ids=["S4/F13", "SL2(F5)"])
+def test_joins_one_pair_at_a_time_find_the_same_subgroups(make, monkeypatch):
+    def found():
+        G = make()
+        return [(H.order, [g.array.tobytes() for g in H.generators])
+                for up_to_conjugacy in (False, True)
+                for H in all_subgroups(G, up_to_conjugacy)]
+
+    want = found()
+    monkeypatch.setattr(envlab.mackey, "JOIN_ENTRIES", 1)
+    assert found() == want
 
 
 def test_regular_rep_and_irreducibles():
@@ -926,14 +940,37 @@ def test_the_lines_of_a_cyclic_group_of_order_1000_stay_within_a_gibibyte():
         "modules = irreducible_modules(H, fld)",
         "print(H.order, len(modules), {W.dim for W in modules})",
     ])
+    done = _run_in_child(code, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1000 1000 {1}\n"
+
+
+def test_the_subgroup_sweep_of_sl2_f7_stays_small():
+    # SL2(F_7), order 336: a round's joins in one table took about 400 MB
+    code = "\n".join([
+        "import resource",
+        "from envlab.fieldcore import FinMatGroup",
+        "from envlab.gf import field_make",
+        "from envlab.mackey import all_subgroups",
+        "G = FinMatGroup(field_make(7), [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])",
+        "G.closure()",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "subs = all_subgroups(G)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, len(subs))",
+    ])
+    done = _run_in_child(code)
+    assert done.returncode == 0, done.stderr
+    grown_kib, classes = map(int, done.stdout.split())
+    assert classes == 19  # the classes of subgroups of SL2(F_7)
+    assert grown_kib < 64 * 1024
+
+
+def _run_in_child(code, **kw):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          preexec_fn=_limit_address_space, capture_output=True, text=True,
-                          timeout=600)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "1000 1000 {1}\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600, **kw)
 
 
 # -- each irreducible cut from its block by the right action --
